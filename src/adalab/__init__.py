@@ -8,179 +8,46 @@ separate what such mechanisms can and cannot sustain.
 """
 
 from .attack import (
-    AttackState,
-    BlockInstance,
-    FixedQueryAnalyst,
-    HardInstance,
     InfoRoundAnalyst,
-    ScoreAttackResult,
-    SimpleAttackResult,
-    build_block_instance,
     build_hard_instance,
     calibrated_attack_constant,
-    final_query,
-    info_round,
     instance_shape,
-    make_info_query,
-    new_attack_state,
     run_score_attack,
-    run_simple_attack,
-    worst_case_attack_constant,
 )
 from .bounds import (
-    AccuracyParams,
-    DivergenceReport,
-    LlrReport,
-    accuracy_lower_bound,
     accuracy_noise_scale,
-    all_queries_good,
     breaking_rounds,
-    breaking_rounds_details,
     composed_epsilon,
-    divergence_diagnostics,
-    max_accurate_rounds,
-    max_accurate_rounds_details,
     noise_escape_mass,
-    run_llr_experiment,
     score_attack_rounds,
-    simple_attack_rounds,
-    transcript_accurate,
 )
-from .concentration import (
-    ConcentrationReport,
-    check_concentration_exact,
-    estimate_deviation_mass,
-    hoeffding_gamma,
-)
-from .core import (
-    FiniteDistribution,
-    PartitionedDomain,
-    Query,
-    Sample,
-    Transcript,
-    distribution_from_dict,
-    distribution_to_dict,
-    dump_json,
-    empirical_mean,
-    empirical_means_over_support,
-    linear_combination,
-    load_json,
-    query_from_dict,
-    query_to_dict,
-    sample_from_dict,
-    sample_to_dict,
-    transcript_from_dict,
-    transcript_to_dict,
-    true_mean,
-)
-from .harness import (
-    EXPERIMENT_KINDS,
-    STREAMS,
-    ExperimentConfig,
-    ExperimentResult,
-    derive_entropy,
-    derive_rng,
-    derive_seedseq,
-    evaluate_assertions,
-    load_config,
-    run_experiment,
-    write_outputs,
-)
-from .mechanisms import (
-    MechanismKind,
-    MechanismState,
-    NoiseSpec,
-    answer,
-    answer_probability,
-    grid_values,
-    noise_cdf,
-    output_distribution,
-    quantize,
-    run_interaction,
-    sample_noise,
-)
+from .concentration import check_concentration_exact
+from .core import empirical_mean, true_mean
+from .harness import ExperimentConfig, derive_entropy, derive_rng, run_experiment
+from .mechanisms import MechanismKind, MechanismState, NoiseSpec, answer
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyParams",
-    "AttackState",
-    "BlockInstance",
-    "ConcentrationReport",
-    "DivergenceReport",
-    "EXPERIMENT_KINDS",
     "ExperimentConfig",
-    "ExperimentResult",
-    "FiniteDistribution",
-    "FixedQueryAnalyst",
-    "HardInstance",
     "InfoRoundAnalyst",
-    "LlrReport",
     "MechanismKind",
     "MechanismState",
     "NoiseSpec",
-    "PartitionedDomain",
-    "Query",
-    "STREAMS",
-    "Sample",
-    "ScoreAttackResult",
-    "SimpleAttackResult",
-    "Transcript",
-    "accuracy_lower_bound",
     "accuracy_noise_scale",
-    "all_queries_good",
     "answer",
-    "answer_probability",
     "breaking_rounds",
-    "breaking_rounds_details",
-    "build_block_instance",
     "build_hard_instance",
     "calibrated_attack_constant",
     "check_concentration_exact",
     "composed_epsilon",
     "derive_entropy",
     "derive_rng",
-    "derive_seedseq",
-    "distribution_from_dict",
-    "distribution_to_dict",
-    "divergence_diagnostics",
-    "dump_json",
     "empirical_mean",
-    "empirical_means_over_support",
-    "estimate_deviation_mass",
-    "evaluate_assertions",
-    "final_query",
-    "grid_values",
-    "hoeffding_gamma",
-    "info_round",
     "instance_shape",
-    "linear_combination",
-    "load_config",
-    "load_json",
-    "make_info_query",
-    "max_accurate_rounds",
-    "max_accurate_rounds_details",
-    "new_attack_state",
-    "noise_cdf",
     "noise_escape_mass",
-    "output_distribution",
-    "quantize",
-    "query_from_dict",
-    "query_to_dict",
     "run_experiment",
-    "run_interaction",
-    "run_llr_experiment",
     "run_score_attack",
-    "run_simple_attack",
-    "sample_from_dict",
-    "sample_noise",
-    "sample_to_dict",
     "score_attack_rounds",
-    "simple_attack_rounds",
-    "transcript_accurate",
-    "transcript_from_dict",
-    "transcript_to_dict",
     "true_mean",
-    "worst_case_attack_constant",
-    "write_outputs",
 ]

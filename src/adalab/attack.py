@@ -125,7 +125,6 @@ class AttackState:
 
     scores: np.ndarray
     rounds_done: int
-    k: int
     rng_p: np.random.Generator
     rng_table: np.random.Generator
     rounds: list[tuple[Query, float]] = field(default_factory=list)
@@ -140,7 +139,6 @@ def new_attack_state(
     return AttackState(
         scores=np.zeros(inst.support_size, dtype=np.float64),
         rounds_done=0,
-        k=k,
         rng_p=rng_p,
         rng_table=rng_table,
     )
@@ -152,6 +150,15 @@ def make_info_query(inst: HardInstance, table: np.ndarray) -> Query:
     return Query(0.0, overrides)
 
 
+def _draw_info_query(
+    inst: HardInstance, rng_p: np.random.Generator, rng_table: np.random.Generator
+) -> tuple[float, np.ndarray, Query]:
+    """Draw p ~ U[0, 1], then a Bernoulli(p) table over the first block's slots."""
+    p = float(rng_p.uniform())
+    table = (rng_table.random(inst.support_size) < p).astype(np.float64)
+    return p, table, make_info_query(inst, table)
+
+
 def info_round(state: AttackState, inst: HardInstance, mech: MechanismState) -> AttackState:
     """One info round: random table on block one, then a score update.
 
@@ -159,9 +166,7 @@ def info_round(state: AttackState, inst: HardInstance, mech: MechanismState) -> 
     is 1/(6r) on the hidden slot and 0 elsewhere. With p = 0 the table is
     all zeros and every increment vanishes.
     """
-    p = float(state.rng_p.uniform())
-    table = (state.rng_table.random(inst.support_size) < p).astype(np.float64)
-    query = make_info_query(inst, table)
+    p, table, query = _draw_info_query(inst, state.rng_p, state.rng_table)
     observed = answer(mech, query)
     increments = (observed - p / inst.num_blocks) * (table - p)
     state.scores += increments
@@ -254,9 +259,7 @@ class InfoRoundAnalyst:
         self.rng_table = rng_table
 
     def next_query(self, rounds) -> Query:
-        p = float(self.rng_p.uniform())
-        table = (self.rng_table.random(self.inst.support_size) < p).astype(np.float64)
-        return make_info_query(self.inst, table)
+        return _draw_info_query(self.inst, self.rng_p, self.rng_table)[2]
 
 
 class FixedQueryAnalyst:
@@ -343,18 +346,6 @@ def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttac
 
 
 # --- attack round constants ---------------------------------------------------
-
-
-def worst_case_attack_constant(clip_lo: float, clip_hi: float) -> float:
-    """Constant from bounding one score gap by its worst clipped magnitude.
-
-    Answers are clipped to [clip_lo, clip_hi], so one increment is at most
-    a = 2*(max(|clip_lo|, clip_hi) + 1) in magnitude and the sub-Gaussian
-    exponent k*(1/6r)^2 / (2a^2) yields k >= 72*a^2 * r^2 * ln(...).
-    Conservative; calibrated_attack_constant is what experiments should use.
-    """
-    a = 2.0 * (max(abs(clip_lo), clip_hi) + 1.0)
-    return 72.0 * a * a
 
 
 def calibrated_attack_constant(r: int, noise_variance: float, safety: float = 2.0) -> float:

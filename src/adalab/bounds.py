@@ -23,8 +23,10 @@ from .mechanisms import (
     NoiseSpec,
     answer_probability,
     output_distribution,
+    perturbed_mean,
     quantize,
     sample_noise,
+    switches,
 )
 
 logger = logging.getLogger(__name__)
@@ -268,19 +270,6 @@ class DivergenceReport:
     kl_ba: float
 
 
-def _single_query_mean(mech: MechanismState, query: Query) -> float:
-    kind = mech.kind.name
-    if kind == "real":
-        return empirical_mean(query, mech.sample)
-    if kind == "oracle":
-        return true_mean(query, mech.distribution)
-    emp = empirical_mean(query, mech.sample)
-    tru = true_mean(query, mech.distribution)
-    if mech.switched or abs(emp - tru) > mech.kind.epsilon_switch:
-        return tru
-    return emp
-
-
 def _max_log_ratio(p: np.ndarray, q: np.ndarray) -> float:
     live = p > 0.0
     if np.any(live & (q == 0.0)):
@@ -308,8 +297,8 @@ def divergence_diagnostics(
     for spec_field in ("clip_lo", "clip_hi", "grid_step"):
         if getattr(mech_a.noise, spec_field) != getattr(mech_b.noise, spec_field):
             raise ValueError("mechanisms must share one output grid")
-    p = output_distribution(mech_a.noise, _single_query_mean(mech_a, query))
-    q = output_distribution(mech_b.noise, _single_query_mean(mech_b, query))
+    p = output_distribution(mech_a.noise, perturbed_mean(mech_a, query)[0])
+    q = output_distribution(mech_b.noise, perturbed_mean(mech_b, query)[0])
     return DivergenceReport(
         max_divergence_ab=_max_log_ratio(p, q),
         max_divergence_ba=_max_log_ratio(q, p),
@@ -362,13 +351,13 @@ def run_llr_experiment(
         raise ValueError("need at least one trial")
     switch_at = eps if epsilon_switch is None else epsilon_switch
     threshold = composed_epsilon(k, eps, noise.scale, rho)
-    mean_cache: dict[int, tuple[float, float]] = {}
+    mean_cache: dict[Query, tuple[float, float]] = {}
 
     def means_for(query: Query) -> tuple[float, float]:
-        got = mean_cache.get(id(query))
+        got = mean_cache.get(query)
         if got is None:
             got = (empirical_mean(query, sample), true_mean(query, dist))
-            mean_cache[id(query)] = got
+            mean_cache[query] = got
         return got
 
     def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
@@ -380,8 +369,7 @@ def run_llr_experiment(
             for _ in range(k):
                 query = analyst.next_query(tuple(rounds))
                 emp, tru = means_for(query)
-                if not switched and abs(emp - tru) > switch_at:
-                    switched = True
+                switched = switched or switches(emp, tru, switch_at)
                 mean_h = tru if switched else emp
                 drawn_mean = mean_h if sample_hybrid else tru
                 observed = quantize(noise, drawn_mean + sample_noise(noise, rng))

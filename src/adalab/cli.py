@@ -1,10 +1,11 @@
 """Command-line front end.
 
-One subcommand per experiment kind, plus a concentration checker. Each
-experiment subcommand accepts either a JSON config (--config) or direct
-flags; flags override config values. The summary is printed to stdout as
-JSON, file paths and diagnostics go to stderr. Exit codes: 0 on success,
-2 when an --assert claim fails, 1 on any other error.
+One subcommand per experiment kind (built from ``harness.KINDS``), plus a
+concentration checker. Each experiment subcommand accepts either a JSON
+config (--config) or direct flags; flags override config values. The
+summary is printed to stdout as JSON, file paths and diagnostics go to
+stderr. Exit codes: 0 on success, 2 when an --assert claim fails, 1 on any
+other error.
 """
 
 from __future__ import annotations
@@ -18,92 +19,13 @@ from .attack import build_hard_instance
 from .concentration import check_concentration_exact, hoeffding_gamma
 from .core import Query, distribution_from_dict, load_json, query_from_dict
 from .harness import (
+    KINDS,
     ExperimentConfig,
     evaluate_assertions,
     load_config,
     run_experiment,
     write_outputs,
 )
-
-_KIND_BY_COMMAND = {
-    "attack": "attack",
-    "simple-attack": "simple_attack",
-    "positive": "positive_accuracy",
-    "coupling": "coupling",
-    "llr": "llr",
-    "diagnose-divergence": "divergence",
-    "bounds": "bounds_table",
-}
-
-# flag, params key, type, help
-_PARAM_FLAGS = {
-    "attack": [
-        ("--eps", "eps", float, "concentration threshold of the target class"),
-        ("--gamma", "gamma", float, "concentration failure chance"),
-        ("--n", "n", int, "held sample size (multiple of the block count)"),
-        ("--k", "k", int, "info rounds; derived from the calibrated constant if omitted"),
-        ("--beta", "beta", float, "target failure chance when deriving k (default 0.1)"),
-        ("--noise", "noise_family", str, "noise family: laplace or gaussian"),
-        ("--b", "noise_scale", float, "noise scale"),
-        ("--mechanism", "mechanism", str, "real (default) or hybrid"),
-        ("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold"),
-        ("--constant", "constant", float, "override the calibrated round constant"),
-        ("--grid-step", "grid_step", float, "output grid step"),
-    ],
-    "simple-attack": [
-        ("--gamma", "gamma", float, "concentration failure chance (1/gamma queries)"),
-        ("--n", "n", int, "held sample size"),
-        ("--noise", "noise_family", str, "noise family: laplace or gaussian"),
-        ("--b", "noise_scale", float, "noise scale"),
-        ("--grid-step", "grid_step", float, "output grid step"),
-    ],
-    "positive": [
-        ("--eps", "eps", float, "concentration threshold of the target class"),
-        ("--gamma", "gamma", float, "concentration failure chance"),
-        ("--alpha", "alpha", float, "accuracy target"),
-        ("--beta", "beta", float, "allowed chance of an inaccurate transcript"),
-        ("--n", "n", int, "held sample size (multiple of the block count)"),
-        ("--k", "k", int, "rounds; the certified maximum if omitted"),
-        ("--b", "noise_scale", float, "override the derived noise scale"),
-        ("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold (default eps)"),
-    ],
-    "coupling": [
-        ("--k", "k", int, "total rounds"),
-        ("--bad-round", "bad_round", int, "round index of the planted bad query"),
-        ("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold"),
-        ("--b", "noise_scale", float, "noise scale"),
-        ("--n", "n", int, "held sample size"),
-        ("--grid-step", "grid_step", float, "output grid step"),
-    ],
-    "llr": [
-        ("--eps", "eps", float, "per-query empirical-vs-true gap bound"),
-        ("--k", "k", int, "rounds per transcript"),
-        ("--rho", "rho", float, "confidence parameter of the composed bound"),
-        ("--n", "n", int, "held sample size"),
-        ("--ones", "ones", int, "planted count of element 1 (default 2*n*eps)"),
-        ("--b", "noise_scale", float, "noise scale"),
-        ("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold (default eps)"),
-        ("--grid-step", "grid_step", float, "output grid step (coarse)"),
-    ],
-    "diagnose-divergence": [
-        ("--mech-a", "mech_a", str, "first mechanism: real, oracle, or hybrid"),
-        ("--mech-b", "mech_b", str, "second mechanism: real, oracle, or hybrid"),
-        ("--n", "n", int, "held sample size"),
-        ("--ones", "ones", int, "planted count of element 1"),
-        ("--noise", "noise_family", str, "noise family: laplace or gaussian"),
-        ("--b", "noise_scale", float, "noise scale"),
-        ("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold"),
-        ("--grid-step", "grid_step", float, "output grid step"),
-    ],
-    "bounds": [
-        ("--mode", "mode", str, "negative (breaking rounds) or positive (certified rounds)"),
-        ("--gamma", "gamma", float, "concentration failure chance"),
-        ("--beta", "beta", float, "failure chance of the bound"),
-        ("--alpha", "alpha", float, "accuracy target (positive mode)"),
-        ("--constant", "constant", float, "override the calibrated round constant"),
-    ],
-}
-
 
 def _parse_assertion(text: str) -> dict:
     parts = text.split(":")
@@ -142,19 +64,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulations of noisy query answering on correlated data.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _PARAM_FLAGS.items():
-        sub = commands.add_parser(command, help=f"run the {_KIND_BY_COMMAND[command]} experiment")
+    for name, kind in KINDS.items():
+        sub = commands.add_parser(kind.command, help=f"run the {name} experiment")
+        sub.set_defaults(kind=name)
         _add_common(sub)
-        for flag, key, value_type, help_text in flags:
-            sub.add_argument(flag, dest=key, type=value_type, default=None, help=help_text)
-        if command == "bounds":
+        for param in kind.params:
             sub.add_argument(
-                "--eps-values",
-                dest="eps_values",
-                type=float,
-                nargs="+",
+                param.flag,
+                dest=param.key,
+                type=param.type,
+                nargs=param.nargs,
                 default=None,
-                help="thresholds to tabulate",
+                help=param.help,
             )
 
     check = commands.add_parser(
@@ -175,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    kind = _KIND_BY_COMMAND[args.command]
+    kind = args.kind
     if args.config:
         config = load_config(args.config)
         if config.kind != kind:
@@ -185,12 +106,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     else:
         config = ExperimentConfig(kind=kind)
     params = dict(config.params)
-    for _, key, _, _ in _PARAM_FLAGS[args.command]:
-        value = getattr(args, key)
+    for param in KINDS[kind].params:
+        value = getattr(args, param.key)
         if value is not None:
-            params[key] = value
-    if args.command == "bounds" and args.eps_values is not None:
-        params["eps_values"] = list(args.eps_values)
+            params[param.key] = value
     return dataclasses.replace(
         config,
         params=params,

@@ -48,18 +48,3 @@ def check_concentration_exact(
         max_deviation=float(deviations.max()),
     )
 
-
-def estimate_deviation_mass(
-    query: Query,
-    dist: FiniteDistribution,
-    eps: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo sanity estimate of the deviation mass; test utility only."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    target = true_mean(query, dist)
-    deviations = empirical_means_over_support(query, dist) - target
-    indices = rng.choice(dist.support_size, size=trials, p=dist.probabilities)
-    return float(np.mean(np.abs(deviations[indices]) >= eps))

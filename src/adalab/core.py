@@ -222,17 +222,6 @@ def true_mean(query: Query, dist: FiniteDistribution) -> float:
     return float(dist.probabilities @ empirical_means_over_support(query, dist))
 
 
-def linear_combination(a: float, first: Query, b: float, second: Query) -> Query:
-    """Pointwise a*first + b*second, valid whenever a, b >= 0 and a + b <= 1."""
-    if a < 0 or b < 0 or a + b > 1.0 + 1e-12:
-        raise ValueError("coefficients must be non-negative with sum at most 1")
-    default = a * first.default_value + b * second.default_value
-    overrides = {}
-    for element in set(first.overrides) | set(second.overrides):
-        overrides[element] = a * first.value(element) + b * second.value(element)
-    return Query(default, overrides)
-
-
 @dataclass(frozen=True)
 class Transcript:
     """Rounds of (query, answer) plus which mechanism produced them."""

@@ -5,7 +5,9 @@ SeedSequence(master, spawn_key=(trial, stream_index)), so trials are
 independent, re-runnable in any order, and stable under parallel
 execution. Experiments are described by a flat JSON config, run to a list
 of per-trial records plus a summary, and written as JSONL (one record per
-line), CSV (same records, flat columns), and a summary JSON.
+line), CSV (same records, flat columns), and a summary JSON. ``KINDS``
+declares each experiment kind once: its CLI command, its params, and its
+runner; the CLI and param validation both read it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import operator
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,18 +55,6 @@ STREAMS = (
     "attack_bernoulli",
     "attack_p",
 )
-
-EXPERIMENT_KINDS = (
-    "attack",
-    "simple_attack",
-    "positive_accuracy",
-    "coupling",
-    "llr",
-    "divergence",
-    "bounds_table",
-)
-
-_TRIAL_KINDS = ("attack", "simple_attack", "positive_accuracy", "coupling")
 
 
 def derive_seedseq(master: int, trial: int, stream: str) -> np.random.SeedSequence:
@@ -195,12 +186,6 @@ def _two_sample_instance(n: int, ones: int) -> tuple[Sample, Sample, FiniteDistr
     return zeros, mixed, dist
 
 
-def _require(params: dict, keys: tuple[str, ...], kind: str) -> None:
-    missing = [key for key in keys if key not in params]
-    if missing:
-        raise ValueError(f"{kind} experiment needs params {missing}")
-
-
 # --- per-trial runners ----------------------------------------------------------
 
 
@@ -309,25 +294,16 @@ def _coupling_trial(params: dict, master: int, trial: int) -> dict:
     bad_round = int(params["bad_round"])
     if not (0 <= bad_round < k):
         raise ValueError("bad_round must index a round within k")
-    eps_switch = float(params["epsilon_switch"])
     noise = _noise_from_params(params, grid_default=2.0**-10)
     _, held, dist = _two_sample_instance(n, n)
     good = Query(0.5)
     bad = Query(0.0, {1: 1.0})
     schedule = [good] * bad_round + [bad] + [good] * (k - bad_round - 1)
-    mech_h = MechanismState(
-        MechanismKind.hybrid(eps_switch),
-        noise,
-        sample=held,
-        distribution=dist,
-        real_rng=derive_rng(master, trial, "mech_noise_real"),
-        oracle_seed=derive_entropy(master, trial, "mech_noise_oracle"),
+    mech_h = _mechanism(
+        "hybrid", params, noise, sample=held, distribution=dist, master=master, trial=trial
     )
-    mech_r = MechanismState(
-        MechanismKind.real(),
-        noise,
-        sample=held,
-        real_rng=derive_rng(master, trial, "mech_noise_real"),
+    mech_r = _mechanism(
+        "real", params, noise, sample=held, distribution=None, master=master, trial=trial
     )
     answers_h = run_interaction(FixedQueryAnalyst(schedule), mech_h, k).answers
     answers_r = run_interaction(FixedQueryAnalyst(schedule), mech_r, k).answers
@@ -345,19 +321,6 @@ def _coupling_trial(params: dict, master: int, trial: int) -> dict:
     }
 
 
-_TRIAL_RUNNERS = {
-    "attack": _attack_trial,
-    "simple_attack": _simple_attack_trial,
-    "positive_accuracy": _positive_trial,
-    "coupling": _coupling_trial,
-}
-
-
-def _chunk_worker(kind: str, params: dict, master: int, trials: list[int]) -> list[dict]:
-    runner = _TRIAL_RUNNERS[kind]
-    return [runner(params, master, t) for t in trials]
-
-
 # --- parameter resolution -------------------------------------------------------
 
 
@@ -365,8 +328,10 @@ def _resolve_params(config: ExperimentConfig) -> dict:
     """Fill derived defaults so trial workers see fully explicit params."""
     params = dict(config.params)
     kind = config.kind
+    missing = [p.key for p in KINDS[kind].params if p.required and p.key not in params]
+    if missing:
+        raise ValueError(f"{kind} experiment needs params {missing}")
     if kind == "attack":
-        _require(params, ("eps", "gamma", "n"), kind)
         noise = _noise_from_params(params)
         r, _, _ = instance_shape(float(params["eps"]), float(params["gamma"]))
         if "constant" not in params:
@@ -380,10 +345,8 @@ def _resolve_params(config: ExperimentConfig) -> dict:
             )
         build_hard_instance(float(params["eps"]), float(params["gamma"]), int(params["n"]))
     elif kind == "simple_attack":
-        _require(params, ("gamma", "n"), kind)
         build_block_instance(float(params["gamma"]), int(params["n"]))
     elif kind == "positive_accuracy":
-        _require(params, ("eps", "gamma", "alpha", "beta", "n"), kind)
         eps, alpha = float(params["eps"]), float(params["alpha"])
         params.setdefault("noise_scale", accuracy_noise_scale(alpha, eps))
         if "k" not in params:
@@ -394,20 +357,14 @@ def _resolve_params(config: ExperimentConfig) -> dict:
                 else max_accurate_rounds(eps, float(params["gamma"]), alpha, float(params["beta"]))
             )
         build_hard_instance(eps, float(params["gamma"]), int(params["n"]))
-    elif kind == "coupling":
-        _require(params, ("k", "bad_round", "epsilon_switch"), kind)
     elif kind == "llr":
-        _require(params, ("eps", "k", "rho", "n"), kind)
         params.setdefault("grid_step", 2.0**-5)
         params.setdefault("ones", round(2 * int(params["n"]) * float(params["eps"])))
-    elif kind == "divergence":
-        _require(params, ("mech_a", "mech_b", "n", "ones"), kind)
     elif kind == "bounds_table":
-        _require(params, ("mode", "eps_values", "gamma", "beta"), kind)
         if params["mode"] not in ("negative", "positive"):
             raise ValueError("bounds_table mode must be 'negative' or 'positive'")
-        if params["mode"] == "positive":
-            _require(params, ("alpha",), kind)
+        if params["mode"] == "positive" and "alpha" not in params:
+            raise ValueError(f"{kind} experiment needs params ['alpha']")
     return params
 
 
@@ -478,14 +435,6 @@ def _summarize_coupling(records: list[dict], params: dict) -> dict:
         "mean_equal_rounds": _mean_radius(r["equal_rounds"] for r in records)[0],
         "expected_switch_round": bad_round,
     }
-
-
-_SUMMARIZERS = {
-    "attack": _summarize_attack,
-    "simple_attack": _summarize_simple_attack,
-    "positive_accuracy": _summarize_positive,
-    "coupling": _summarize_coupling,
-}
 
 
 # --- one-shot experiment kinds ---------------------------------------------------
@@ -566,6 +515,151 @@ def _run_bounds_table(config: ExperimentConfig, params: dict) -> tuple[list[dict
     return rows, {"mode": mode, "rows": len(rows)}
 
 
+# --- experiment kinds ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """One experiment parameter: its CLI flag, params key, type and help.
+
+    ``required`` params are checked when a run resolves its params, not by
+    argparse, so a --config file can supply them instead of the flag.
+    """
+
+    flag: str
+    key: str
+    type: type
+    help: str
+    required: bool = False
+    nargs: str | None = None
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    """One experiment kind's CLI command, its params, and how it runs.
+
+    A trial kind has ``run_trial(params, master, trial) -> record`` and
+    ``summarize(records, params) -> summary``; a one-shot kind has
+    ``run_once(config, params) -> (records, summary)``.
+    """
+
+    command: str
+    params: tuple[Param, ...]
+    run_trial: Callable[[dict, int, int], dict] | None = None
+    summarize: Callable[[list[dict], dict], dict] | None = None
+    run_once: Callable[[ExperimentConfig, dict], tuple[list[dict], dict]] | None = None
+
+
+_NOISE_FAMILY = Param("--noise", "noise_family", str, "noise family: laplace or gaussian")
+_NOISE_SCALE = Param("--b", "noise_scale", float, "noise scale")
+_GRID_STEP = Param("--grid-step", "grid_step", float, "output grid step")
+_EPSILON_SWITCH = Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold")
+_CONSTANT = Param("--constant", "constant", float, "override the calibrated round constant")
+
+KINDS = {
+    "attack": ExperimentKind(
+        "attack",
+        (
+            Param("--eps", "eps", float, "concentration threshold of the target class", True),
+            Param("--gamma", "gamma", float, "concentration failure chance", True),
+            Param("--n", "n", int, "held sample size (multiple of the block count)", True),
+            Param("--k", "k", int, "info rounds; derived from the calibrated constant if omitted"),
+            Param("--beta", "beta", float, "target failure chance when deriving k (default 0.1)"),
+            _NOISE_FAMILY,
+            _NOISE_SCALE,
+            Param("--mechanism", "mechanism", str, "real (default) or hybrid"),
+            _EPSILON_SWITCH,
+            _CONSTANT,
+            _GRID_STEP,
+        ),
+        run_trial=_attack_trial,
+        summarize=_summarize_attack,
+    ),
+    "simple_attack": ExperimentKind(
+        "simple-attack",
+        (
+            Param("--gamma", "gamma", float, "concentration failure chance (1/gamma queries)", True),
+            Param("--n", "n", int, "held sample size", True),
+            _NOISE_FAMILY,
+            _NOISE_SCALE,
+            _GRID_STEP,
+        ),
+        run_trial=_simple_attack_trial,
+        summarize=_summarize_simple_attack,
+    ),
+    "positive_accuracy": ExperimentKind(
+        "positive",
+        (
+            Param("--eps", "eps", float, "concentration threshold of the target class", True),
+            Param("--gamma", "gamma", float, "concentration failure chance", True),
+            Param("--alpha", "alpha", float, "accuracy target", True),
+            Param("--beta", "beta", float, "allowed chance of an inaccurate transcript", True),
+            Param("--n", "n", int, "held sample size (multiple of the block count)", True),
+            Param("--k", "k", int, "rounds; the certified maximum if omitted"),
+            Param("--b", "noise_scale", float, "override the derived noise scale"),
+            Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold (default eps)"),
+        ),
+        run_trial=_positive_trial,
+        summarize=_summarize_positive,
+    ),
+    "coupling": ExperimentKind(
+        "coupling",
+        (
+            Param("--k", "k", int, "total rounds", True),
+            Param("--bad-round", "bad_round", int, "round index of the planted bad query", True),
+            Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold", True),
+            _NOISE_SCALE,
+            Param("--n", "n", int, "held sample size"),
+            _GRID_STEP,
+        ),
+        run_trial=_coupling_trial,
+        summarize=_summarize_coupling,
+    ),
+    "llr": ExperimentKind(
+        "llr",
+        (
+            Param("--eps", "eps", float, "per-query empirical-vs-true gap bound", True),
+            Param("--k", "k", int, "rounds per transcript", True),
+            Param("--rho", "rho", float, "confidence parameter of the composed bound", True),
+            Param("--n", "n", int, "held sample size", True),
+            Param("--ones", "ones", int, "planted count of element 1 (default 2*n*eps)"),
+            _NOISE_SCALE,
+            Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold (default eps)"),
+            Param("--grid-step", "grid_step", float, "output grid step (coarse)"),
+        ),
+        run_once=_run_llr,
+    ),
+    "divergence": ExperimentKind(
+        "diagnose-divergence",
+        (
+            Param("--mech-a", "mech_a", str, "first mechanism: real, oracle, or hybrid", True),
+            Param("--mech-b", "mech_b", str, "second mechanism: real, oracle, or hybrid", True),
+            Param("--n", "n", int, "held sample size", True),
+            Param("--ones", "ones", int, "planted count of element 1", True),
+            _NOISE_FAMILY,
+            _NOISE_SCALE,
+            _EPSILON_SWITCH,
+            _GRID_STEP,
+        ),
+        run_once=_run_divergence,
+    ),
+    "bounds_table": ExperimentKind(
+        "bounds",
+        (
+            Param("--mode", "mode", str, "negative (breaking rounds) or positive (certified rounds)", True),
+            Param("--gamma", "gamma", float, "concentration failure chance", True),
+            Param("--beta", "beta", float, "failure chance of the bound", True),
+            Param("--alpha", "alpha", float, "accuracy target (positive mode)"),
+            _CONSTANT,
+            Param("--eps-values", "eps_values", float, "thresholds to tabulate", True, nargs="+"),
+        ),
+        run_once=_run_bounds_table,
+    ),
+}
+
+EXPERIMENT_KINDS = tuple(KINDS)
+
+
 # --- driver -----------------------------------------------------------------------
 
 
@@ -575,9 +669,17 @@ def _thread_count(config: ExperimentConfig) -> int:
     return max(1, int(os.environ.get("ADALAB_THREADS", "1")))
 
 
+def _chunk_worker(kind: str, params: dict, master: int, trials: list[int]) -> list[dict]:
+    run_trial = KINDS[kind].run_trial
+    return [run_trial(params, master, t) for t in trials]
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     params = _resolve_params(config)
-    if config.kind in _TRIAL_KINDS:
+    kind = KINDS[config.kind]
+    if kind.run_once is not None:
+        records, summary = kind.run_once(config, params)
+    else:
         threads = _thread_count(config)
         if threads > 1 and config.trials > 1:
             chunks = [list(map(int, c)) for c in np.array_split(range(config.trials), threads) if len(c)]
@@ -588,16 +690,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 ]
                 records = [record for future in futures for record in future.result()]
         else:
-            runner = _TRIAL_RUNNERS[config.kind]
-            records = [runner(params, config.seed, t) for t in range(config.trials)]
+            records = [kind.run_trial(params, config.seed, t) for t in range(config.trials)]
         records.sort(key=lambda r: r["trial"])
-        summary = _SUMMARIZERS[config.kind](records, params)
-    elif config.kind == "llr":
-        records, summary = _run_llr(config, params)
-    elif config.kind == "divergence":
-        records, summary = _run_divergence(config, params)
-    else:
-        records, summary = _run_bounds_table(config, params)
+        summary = kind.summarize(records, params)
     summary["kind"] = config.kind
     summary["trials"] = config.trials
     summary["seed"] = config.seed

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean, true_mean
 
@@ -87,11 +86,11 @@ def noise_cdf(spec: NoiseSpec, x) -> np.ndarray | float:
     if spec.scale == 0.0:
         return np.where(x >= 0.0, 1.0, 0.0)
     if spec.family == "laplace":
-        return np.where(
-            x < 0.0,
-            0.5 * np.exp(x / spec.scale),
-            1.0 - 0.5 * np.exp(-x / spec.scale),
-        )
+        # One tail's mass beyond |x|: exp of a non-positive number cannot overflow.
+        tail = 0.5 * np.exp(-np.abs(x) / spec.scale)
+        return np.where(x < 0.0, tail, 1.0 - tail)
+    from scipy.special import erfc  # only Gaussian noise needs scipy
+
     return 0.5 * erfc(-x / (spec.scale * math.sqrt(2.0)))
 
 
@@ -237,26 +236,44 @@ class MechanismState:
         return sample_noise(self.noise, np.random.default_rng(seq))
 
 
+def switches(emp: float, tru: float, epsilon_switch: float) -> bool:
+    """The hybrid's switch rule: the query's empirical mean strays from its
+    true mean by more than ``epsilon_switch``."""
+    return abs(emp - tru) > epsilon_switch
+
+
+def perturbed_mean(state: MechanismState, query: Query) -> tuple[float, bool]:
+    """The mean ``state`` perturbs to answer ``query``, and whether that
+    answer comes from the oracle side. Reads no noise and changes no state.
+
+    A hybrid answers oracle-side once it has switched, or when ``query``
+    trips the switch rule.
+    """
+    kind = state.kind.name
+    if kind == "real":
+        return empirical_mean(query, state.sample), False
+    if kind == "oracle":
+        return true_mean(query, state.distribution), True
+    emp = empirical_mean(query, state.sample)
+    tru = true_mean(query, state.distribution)
+    if state.switched or switches(emp, tru, state.kind.epsilon_switch):
+        return tru, True
+    return emp, False
+
+
 def answer(state: MechanismState, query: Query) -> float:
     """Answer one query, mutating the state (round counter, switch flag)."""
     if not isinstance(query, Query):
         raise TypeError(f"expected a Query, got {type(query).__name__}")
     round_index = state.rounds_answered
-    kind = state.kind.name
-    if kind == "real":
-        raw = empirical_mean(query, state.sample) + sample_noise(state.noise, state._real_rng)
-    elif kind == "oracle":
-        raw = true_mean(query, state.distribution) + state._oracle_noise(round_index)
-    else:
-        emp = empirical_mean(query, state.sample)
-        tru = true_mean(query, state.distribution)
-        if not state.switched and abs(emp - tru) > state.kind.epsilon_switch:
+    mean, oracle_side = perturbed_mean(state, query)
+    if oracle_side:
+        if state.kind.name == "hybrid" and not state.switched:
             state.switched = True
             state.switch_round = round_index
-        if state.switched:
-            raw = tru + state._oracle_noise(round_index)
-        else:
-            raw = emp + sample_noise(state.noise, state._real_rng)
+        raw = mean + state._oracle_noise(round_index)
+    else:
+        raw = mean + sample_noise(state.noise, state._real_rng)
     state.rounds_answered = round_index + 1
     return quantize(state.noise, raw)
 
@@ -278,8 +295,4 @@ def run_interaction(analyst, mech: MechanismState, k: int) -> Transcript:
                 f"analyst produced {type(query).__name__} instead of a Query at round {i}"
             )
         rounds.append((query, answer(mech, query)))
-    return Transcript(rounds=tuple(rounds), mechanism=state_name(mech), seed=mech.label)
-
-
-def state_name(mech: MechanismState) -> str:
-    return mech.kind.name
+    return Transcript(rounds=tuple(rounds), mechanism=mech.kind.name, seed=mech.label)

@@ -18,7 +18,6 @@ from adalab.attack import (
     new_attack_state,
     run_score_attack,
     run_simple_attack,
-    worst_case_attack_constant,
 )
 from adalab.core import Query, Sample, empirical_mean, true_mean
 from adalab.mechanisms import MechanismKind, MechanismState, NoiseSpec
@@ -257,11 +256,6 @@ class TestBlockAttack:
 
 
 class TestAttackConstants:
-    def test_worst_case_formula(self):
-        # a = 2 * (max(|lo|, hi) + 1) = 5 for the default window
-        assert worst_case_attack_constant(-0.5, 1.5) == pytest.approx(72 * 25)
-        assert worst_case_attack_constant(-2.0, 1.0) == pytest.approx(72 * 36)
-
     def test_calibrated_landmarks(self):
         assert calibrated_attack_constant(4, 0.02) == pytest.approx(1.61)
         assert calibrated_attack_constant(4, 0.01) == pytest.approx(1.13)

@@ -346,6 +346,31 @@ class TestLlrExperiment:
         assert 0.0 <= rep.frac_exceed_hybrid <= 0.1
         assert 0.0 <= rep.frac_exceed_oracle <= 0.1
 
+    def test_fresh_query_objects_match_interned_ones(self):
+        # Each round's query depends on the previous answer. Fresh objects
+        # freed between trials get recycled ids, so a cache keyed by id()
+        # served stale means; keyed by value, both analysts agree.
+        class AnswerDriven:
+            deterministic = True
+
+            def __init__(self, intern):
+                self.interned = {} if intern else None
+
+            def next_query(self, rounds):
+                weight = 1.0 if rounds and rounds[-1][1] > 0.25 else 0.25
+                if self.interned is None:
+                    return Query(0.0, {1: weight})
+                return self.interned.setdefault(weight, Query(0.0, {1: weight}))
+
+        _, mixed, dist = two_sample_dist(8, 4)
+        # a switch threshold no query trips keeps every round's log ratio live
+        common = dict(sample=mixed, dist=dist, k=10, eps=0.0625, rho=0.05, epsilon_switch=1.0)
+        common.update(noise=NoiseSpec(scale=0.15625, grid_step=2**-5), trials=300, seed=7)
+        fresh = run_llr_experiment(analyst=AnswerDriven(intern=False), **common)
+        interned = run_llr_experiment(analyst=AnswerDriven(intern=True), **common)
+        assert interned.frac_exceed_hybrid > 0.0
+        assert fresh == interned
+
     def test_zero_gap_never_exceeds(self):
         s = Sample((1, 0, 1, 0))
         dist = FiniteDistribution((s,), (1.0,))

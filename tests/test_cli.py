@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from adalab.cli import main
+from adalab.cli import _config_from_args, build_parser, main
 from adalab.core import (
     FiniteDistribution,
     Query,
@@ -11,6 +11,10 @@ from adalab.core import (
     dump_json,
     query_to_dict,
 )
+from adalab.harness import KINDS
+
+# one parseable value per param type
+FLAG_VALUES = {int: "3", float: "0.5", str: "x"}
 
 SIMPLE = ["simple-attack", "--gamma", "0.2", "--n", "10", "--b", "0", "--trials", "2", "--seed", "3"]
 
@@ -38,6 +42,34 @@ class TestExitCodes:
         code, _, err = run(capsys, ["attack", "--trials", "1"])
         assert code == 1
         assert "error:" in err and "needs params" in err
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+class TestKindTable:
+    def test_each_flag_parses_to_its_param(self, name):
+        kind = KINDS[name]
+        argv = [kind.command]
+        expected = {}
+        for param in kind.params:
+            argv += [param.flag, FLAG_VALUES[param.type]]
+            value = param.type(FLAG_VALUES[param.type])
+            expected[param.key] = value if param.nargs is None else [value]
+        config = _config_from_args(build_parser().parse_args(argv))
+        assert config.kind == name
+        assert config.params == expected
+
+    def test_each_required_param_is_enforced(self, capsys, name):
+        kind = KINDS[name]
+        required = [param for param in kind.params if param.required]
+        assert required
+        for left_out in required:
+            argv = [kind.command]
+            for param in required:
+                if param is not left_out:
+                    argv += [param.flag, FLAG_VALUES[param.type]]
+            code, _, err = run(capsys, argv)
+            assert code == 1
+            assert f"{name} experiment needs params ['{left_out.key}']" in err
 
 
 class TestExperimentCommands:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from adalab.concentration import (
     check_concentration_exact,
-    estimate_deviation_mass,
     hoeffding_gamma,
 )
 from adalab.core import FiniteDistribution, Query, Sample
@@ -76,16 +75,3 @@ class TestExactCheck:
         report = check_concentration_exact(Query(0.7), dist, 1e-9, 0.0)
         assert report.deviation_mass == 0.0
         assert report.holds
-
-
-class TestMonteCarloEstimate:
-    def test_tracks_exact_mass(self):
-        q, dist = slot_indicator_setup()
-        exact = check_concentration_exact(q, dist, 0.5, 1.0).deviation_mass
-        est = estimate_deviation_mass(q, dist, 0.5, 4000, np.random.default_rng(2))
-        assert abs(est - exact) <= 4 * math.sqrt(exact * (1 - exact) / 4000)
-
-    def test_zero_mass_estimates_zero(self):
-        _, dist = slot_indicator_setup()
-        est = estimate_deviation_mass(Query(0.3), dist, 0.01, 500, np.random.default_rng(0))
-        assert est == 0.0

@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adalab.core import (
     FiniteDistribution,
@@ -16,7 +14,6 @@ from adalab.core import (
     dump_json,
     empirical_mean,
     empirical_means_over_support,
-    linear_combination,
     load_json,
     query_from_dict,
     query_to_dict,
@@ -147,27 +144,6 @@ class TestMeans:
     def test_degenerate_sample_raises(self):
         with pytest.raises(ValueError, match="degenerate sample"):
             empirical_mean(Query(0.5), Sample(()))
-
-    @given(
-        st.floats(0, 1).filter(lambda a: True),
-        st.floats(0, 1),
-        st.floats(0, 0.5),
-        st.floats(0, 0.5),
-    )
-    @settings(max_examples=60)
-    def test_linear_combination_matches_pointwise(self, v1, v2, a, b):
-        q1 = Query(v1, {1: 1.0 - v1})
-        q2 = Query(v2)
-        combo = linear_combination(a, q1, b, q2)
-        sample = Sample((0, 1, 1, 3))
-        expected = a * empirical_mean(q1, sample) + b * empirical_mean(q2, sample)
-        assert empirical_mean(combo, sample) == pytest.approx(expected, abs=1e-12)
-
-    def test_linear_combination_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            linear_combination(0.7, Query(1.0), 0.7, Query(1.0))
-        with pytest.raises(ValueError):
-            linear_combination(-0.1, Query(0.0), 0.5, Query(0.0))
 
 
 class TestSerialization:

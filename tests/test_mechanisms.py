@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adalab
 from adalab.core import FiniteDistribution, Query, Sample
 from adalab.mechanisms import (
     MechanismKind,
@@ -74,6 +78,22 @@ class TestNoiseCdf:
         spec = NoiseSpec(family="gaussian", scale=0.1)
         assert noise_cdf(spec, 0.0) == pytest.approx(0.5)
         assert noise_cdf(spec, 0.1) == pytest.approx(0.8413447460685429)
+
+    @pytest.mark.filterwarnings("error")
+    def test_laplace_far_tails_do_not_overflow(self):
+        spec = NoiseSpec(scale=0.001, grid_step=2**-10)
+        assert noise_cdf(spec, [-1.0, 1.0]).tolist() == [0.0, 1.0]
+
+    def test_laplace_matches_two_sided_formula_bit_for_bit(self):
+        x = np.linspace(-3.0, 3.0, 6001)
+        expected = np.where(x < 0.0, 0.5 * np.exp(x / 0.1), 1.0 - 0.5 * np.exp(-x / 0.1))
+        np.testing.assert_array_equal(noise_cdf(NoiseSpec(scale=0.1), x), expected)
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        src = os.path.dirname(os.path.dirname(adalab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, adalab; sys.exit('scipy.special' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_scale_zero_is_step(self):
         spec = NoiseSpec(scale=0.0)
