@@ -11,6 +11,11 @@ matching the held sample answers near 1 against a true mean of gamma.
 
 Both issue only queries whose deviation mass is tiny by construction, so
 breaking the mechanism cannot be blamed on pathological queries.
+
+The score attack has two implementations with equal results. The harness
+runs each trial through ``run_score_attack_arrays``, which draws and
+answers all k info rounds as array operations. ``run_score_attack`` is the
+per-round reference: one ``info_round`` per query, returning the transcript.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .core import (
     empirical_mean,
     true_mean,
 )
-from .mechanisms import MechanismState, answer
+from .mechanisms import MechanismState, answer, answer_batch
 
 # Variance of one score increment, decomposed as the noiseless part plus the
 # noise contribution: Var(W_t) = (13/180)/r^2 + Var(noise)/3, obtained by
@@ -192,7 +197,7 @@ class ScoreAttackResult:
     final_answer: float
     final_deviation: float
     sample_deviation: float
-    transcript: Transcript
+    transcript: Transcript | None  # None from run_score_attack_arrays
 
 
 def _hidden_slot(inst: HardInstance, sample: Sample) -> int:
@@ -238,6 +243,64 @@ def run_score_attack(
         final_deviation=abs(final_answer - target),
         sample_deviation=abs(empirical_mean(closing, mech.sample) - target),
         transcript=transcript,
+    )
+
+
+def run_score_attack_arrays(
+    inst: HardInstance,
+    mech: MechanismState,
+    k: int,
+    rng_p: np.random.Generator,
+    rng_table: np.random.Generator,
+) -> ScoreAttackResult:
+    """``run_score_attack`` as array operations over all k info rounds.
+
+    Info queries never read answers, and a Generator's draw of N values
+    equals N single draws, so the k tables are drawn as one (k, m) array and
+    answered in one batch; the result equals ``run_score_attack``'s field
+    for field, with no transcript. A mechanism that reads a distribution
+    must hold ``inst.distribution``, whose true means follow from the
+    instance layout.
+    """
+    if k < 1:
+        raise ValueError("score attack needs at least one info round")
+    if mech.sample is None:
+        raise ValueError("mechanism must hold a sample drawn from the instance")
+    if mech.distribution is not None and mech.distribution is not inst.distribution:
+        raise ValueError("mechanism distribution must be the instance's own")
+    true_index = _hidden_slot(inst, mech.sample)
+    m = inst.support_size
+    elements = mech.sample.as_array()
+    p = rng_p.uniform(size=k)
+    tables = rng_table.random((k, m)) < p[:, None]
+    # An info query is the table on block one and 0 elsewhere; its 0/1 sums
+    # are exact, so these means equal empirical_mean's bit for bit.
+    emp = tables[:, elements[elements < m]].sum(axis=1) / len(elements)
+    tru = close_tru = None
+    if mech.distribution is not None:
+        # support sample j holds slot j of block one copies_per_block times
+        support_means = tables * inst.copies_per_block / inst.n
+        probs = mech.distribution.probabilities
+        tru = np.array([probs @ row for row in support_means])  # true_mean's dot, row by row
+    observed = answer_batch(mech, emp, tru)
+    increments = (observed - p / inst.num_blocks)[:, None] * (tables - p[:, None])
+    # accumulate adds row after row, as info_round does; at most the sign of
+    # a zero score differs, which argmax does not see
+    scores = np.add.accumulate(increments, axis=0)[-1]
+    guess_index = int(np.argmax(scores))
+    close_emp = np.count_nonzero(elements % m == guess_index) / len(elements)
+    if tru is not None:
+        close_tru = probs[guess_index : guess_index + 1]
+    final_answer = float(answer_batch(mech, np.array([close_emp]), close_tru)[0])
+    target = inst.final_true_mean
+    return ScoreAttackResult(
+        true_index=true_index,
+        guess_index=guess_index,
+        success=guess_index == true_index,
+        final_answer=final_answer,
+        final_deviation=abs(final_answer - target),
+        sample_deviation=abs(close_emp - target),
+        transcript=None,
     )
 
 

@@ -19,7 +19,6 @@ import math
 import operator
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .attack import (
     build_hard_instance,
     calibrated_attack_constant,
     instance_shape,
-    run_score_attack,
+    run_score_attack_arrays,
     run_simple_attack,
 )
 from .bounds import (
@@ -199,7 +198,7 @@ def _attack_trial(params: dict, master: int, trial: int) -> dict:
     mech = _mechanism(
         mech_name, params, noise, sample=sample, distribution=dist, master=master, trial=trial
     )
-    result = run_score_attack(
+    result = run_score_attack_arrays(
         inst,
         mech,
         int(params["k"]),
@@ -682,6 +681,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     else:
         threads = _thread_count(config)
         if threads > 1 and config.trials > 1:
+            # imported here: the pool pulls in multiprocessing, sockets and subprocess,
+            # which a serial run never uses
+            from concurrent.futures import ProcessPoolExecutor
+
             chunks = [list(map(int, c)) for c in np.array_split(range(config.trials), threads) if len(c)]
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 futures = [

@@ -94,11 +94,29 @@ def noise_cdf(spec: NoiseSpec, x) -> np.ndarray | float:
     return 0.5 * erfc(-x / (spec.scale * math.sqrt(2.0)))
 
 
-def sample_noise(spec: NoiseSpec, rng: np.random.Generator) -> float:
-    """One centered noise draw; always consumes exactly one stream value."""
+def _noise_sf(spec: NoiseSpec, x) -> np.ndarray:
+    """Survival function P(noise > x) for scale > 0, formed directly rather
+    than as 1 - CDF, so it stays exact where the CDF rounds to 1."""
     if spec.family == "laplace":
-        return float(rng.laplace(0.0, spec.scale))
-    return float(rng.normal(0.0, spec.scale))
+        tail = 0.5 * np.exp(-np.abs(x) / spec.scale)
+        return np.where(x < 0.0, 1.0 - tail, tail)
+    from scipy.special import erfc  # only Gaussian noise needs scipy
+
+    return 0.5 * erfc(x / (spec.scale * math.sqrt(2.0)))
+
+
+def sample_noise(
+    spec: NoiseSpec, rng: np.random.Generator, size: int | None = None
+) -> float | np.ndarray:
+    """One centered noise draw as a float, or ``size`` draws as an array.
+
+    Every value consumes exactly one stream value, so one draw of ``size``
+    values equals ``size`` single draws in order.
+    """
+    draw = rng.laplace if spec.family == "laplace" else rng.normal
+    if size is None:
+        return float(draw(0.0, spec.scale))
+    return draw(0.0, spec.scale, size)
 
 
 def quantize(spec: NoiseSpec, value: float) -> float:
@@ -115,6 +133,16 @@ def quantize(spec: NoiseSpec, value: float) -> float:
     return spec.clip_lo + index * spec.grid_step
 
 
+def quantize_array(spec: NoiseSpec, values) -> np.ndarray:
+    """``quantize`` applied elementwise, equal to it bit for bit (``np.rint``
+    also rounds half-bin ties to the even index)."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        raise ValueError("cannot quantize NaN")
+    values = np.minimum(np.maximum(values, spec.clip_lo), spec.clip_hi)
+    return spec.clip_lo + np.rint((values - spec.clip_lo) / spec.grid_step) * spec.grid_step
+
+
 def grid_values(spec: NoiseSpec) -> np.ndarray:
     return spec.clip_lo + np.arange(spec.n_bins + 1) * spec.grid_step
 
@@ -128,12 +156,16 @@ def output_distribution(spec: NoiseSpec, mean: float) -> np.ndarray:
     """
     if spec.scale == 0.0:
         raise ValueError("exact output law needs scale > 0")
-    edges = spec.clip_lo + (np.arange(spec.n_bins) + 0.5) * spec.grid_step
-    cdf = np.asarray(noise_cdf(spec, edges - mean))
+    # bin edges as offsets from the mean
+    offsets = spec.clip_lo + (np.arange(spec.n_bins) + 0.5) * spec.grid_step - mean
+    cdf = np.asarray(noise_cdf(spec, offsets))
+    sf = _noise_sf(spec, offsets)
     probs = np.empty(spec.n_bins + 1, dtype=np.float64)
     probs[0] = cdf[0]
-    probs[1:-1] = np.diff(cdf)
-    probs[-1] = 1.0 - cdf[-1]
+    # Above the mean CDF values round toward 1 and their differences cancel
+    # to 0; differences of the survival function keep those bins exact.
+    probs[1:-1] = np.where(offsets[:-1] >= 0.0, sf[:-1] - sf[1:], np.diff(cdf))
+    probs[-1] = sf[-1]
     return probs
 
 
@@ -238,7 +270,7 @@ class MechanismState:
 
 def switches(emp: float, tru: float, epsilon_switch: float) -> bool:
     """The hybrid's switch rule: the query's empirical mean strays from its
-    true mean by more than ``epsilon_switch``."""
+    true mean by more than ``epsilon_switch`` (elementwise on arrays)."""
     return abs(emp - tru) > epsilon_switch
 
 
@@ -276,6 +308,37 @@ def answer(state: MechanismState, query: Query) -> float:
         raw = mean + sample_noise(state.noise, state._real_rng)
     state.rounds_answered = round_index + 1
     return quantize(state.noise, raw)
+
+
+def answer_batch(state: MechanismState, emp: np.ndarray | None, tru: np.ndarray | None) -> np.ndarray:
+    """Answer queries given only their means, as consecutive ``answer``
+    calls would: the same draws from the same streams, the same answers and
+    the same state afterwards.
+
+    ``emp`` holds the queries' empirical means on the held sample and
+    ``tru`` their true means; each is read only by the kinds that hold that
+    data, and may be None for the others. Only queries that do not depend
+    on earlier answers can be answered as one batch.
+    """
+    kind = state.kind.name
+    means = emp if kind == "real" else tru
+    first = state.rounds_answered
+    real_rounds = len(means)
+    if kind == "oracle" or state.switched:
+        real_rounds = 0
+    elif kind == "hybrid":
+        trips = switches(emp, tru, state.kind.epsilon_switch)
+        if trips.any():
+            real_rounds = int(np.argmax(trips))
+            state.switched = True
+            state.switch_round = first + real_rounds
+    raw = np.empty(len(means), dtype=np.float64)
+    if real_rounds:
+        raw[:real_rounds] = emp[:real_rounds] + sample_noise(state.noise, state._real_rng, real_rounds)
+    for offset in range(real_rounds, len(means)):
+        raw[offset] = tru[offset] + state._oracle_noise(first + offset)
+    state.rounds_answered = first + len(means)
+    return quantize_array(state.noise, raw)
 
 
 def run_interaction(analyst, mech: MechanismState, k: int) -> Transcript:

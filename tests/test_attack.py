@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from adalab.attack import (
-    AttackState,
-    BlockInstance,
     FixedQueryAnalyst,
     InfoRoundAnalyst,
     build_block_instance,
@@ -17,9 +15,11 @@ from adalab.attack import (
     make_info_query,
     new_attack_state,
     run_score_attack,
+    run_score_attack_arrays,
     run_simple_attack,
 )
-from adalab.core import Query, Sample, empirical_mean, true_mean
+from adalab.core import Query, Sample, true_mean
+from adalab.harness import derive_entropy, derive_rng
 from adalab.mechanisms import MechanismKind, MechanismState, NoiseSpec
 
 NOISELESS = NoiseSpec(scale=0.0)
@@ -223,6 +223,90 @@ class TestScoreAttack:
         b = InfoRoundAnalyst(inst, np.random.default_rng(6), np.random.default_rng(7))
         for _ in range(5):
             assert a.next_query(()) == b.next_query(())
+
+
+# (eps, n, k, noise, epsilon_switch or None for the real mechanism, expected switching)
+ARRAY_ATTACK_CONFIGS = {
+    "readme": (0.25, 16, 178, NoiseSpec(), None, "never"),
+    "gaussian": (0.25, 16, 124, NoiseSpec(family="gaussian"), None, "never"),
+    "noiseless": (0.25, 16, 40, NOISELESS, None, "never"),
+    "eps-half": (0.5, 8, 60, NoiseSpec(), None, "never"),
+    "hybrid-closing": (0.25, 16, 178, NoiseSpec(), 0.25, "closing"),
+    "hybrid-early": (0.25, 16, 178, NoiseSpec(), 0.05, "early"),
+    "hybrid-never": (0.25, 16, 178, NoiseSpec(), 1.0, "never"),
+    "hybrid-noiseless": (0.25, 16, 40, NOISELESS, 0.25, "closing"),
+}
+
+
+def seeded_attack_run(attack, eps, n, k, noise, epsilon_switch, trial, master=1):
+    """One attack run seeded as the harness seeds trial ``trial``."""
+    inst = build_hard_instance(eps, 0.01, n)
+    sample = inst.make_sample(int(derive_rng(master, trial, "sample_draw").integers(inst.support_size)))
+    real_rng = derive_rng(master, trial, "mech_noise_real")
+    if epsilon_switch is None:
+        mech = MechanismState(MechanismKind.real(), noise, sample=sample, real_rng=real_rng)
+    else:
+        mech = MechanismState(
+            MechanismKind.hybrid(epsilon_switch),
+            noise,
+            sample=sample,
+            distribution=inst.distribution,
+            real_rng=real_rng,
+            oracle_seed=derive_entropy(master, trial, "mech_noise_oracle"),
+        )
+    rngs = derive_rng(master, trial, "attack_p"), derive_rng(master, trial, "attack_bernoulli")
+    return attack(inst, mech, k, *rngs), mech, rngs
+
+
+class TestArrayAttack:
+    @pytest.mark.parametrize("name", sorted(ARRAY_ATTACK_CONFIGS))
+    def test_matches_reference_bit_for_bit(self, name):
+        *config, switching = ARRAY_ATTACK_CONFIGS[name]
+        k = config[2]
+        switch_rounds = []
+        for trial in range(6):
+            ref, ref_mech, ref_rngs = seeded_attack_run(run_score_attack, *config, trial)
+            got, mech, rngs = seeded_attack_run(run_score_attack_arrays, *config, trial)
+            for field in (
+                "true_index", "guess_index", "success", "final_answer", "final_deviation", "sample_deviation"
+            ):
+                assert getattr(got, field) == getattr(ref, field), (name, trial, field)
+            for field in ("rounds_answered", "switched", "switch_round"):
+                assert getattr(mech, field) == getattr(ref_mech, field), (name, trial, field)
+            # every stream was consumed exactly as far as the reference consumed it
+            for stream, ref_stream in zip((*rngs, mech._real_rng), (*ref_rngs, ref_mech._real_rng)):
+                assert stream.random() == ref_stream.random()
+            assert got.transcript is None and len(ref.transcript) == k + 1
+            switch_rounds.append(mech.switch_round)
+        if switching == "never":
+            assert switch_rounds == [None] * 6
+        elif switching == "closing":
+            assert k in switch_rounds and set(switch_rounds) <= {None, k}
+        else:
+            assert min(r for r in switch_rounds if r is not None) <= 4
+
+    def test_rejects_what_the_reference_rejects_and_foreign_distributions(self):
+        inst = build_hard_instance(0.25, 0.01, 16)
+        rngs = lambda: (np.random.default_rng(0), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least one info round"):
+            run_score_attack_arrays(inst, real_mech(inst.make_sample(0)), 0, *rngs())
+        oracle = MechanismState(
+            MechanismKind.oracle(), NoiseSpec(), distribution=inst.distribution, oracle_seed=1
+        )
+        with pytest.raises(ValueError, match="must hold a sample"):
+            run_score_attack_arrays(inst, oracle, 2, *rngs())
+        with pytest.raises(ValueError, match="not a hard-instance support sample"):
+            run_score_attack_arrays(inst, real_mech(Sample((0, 1) * 8)), 2, *rngs())
+        hybrid = MechanismState(
+            MechanismKind.hybrid(0.25),
+            NoiseSpec(),
+            sample=inst.make_sample(0),
+            distribution=build_hard_instance(0.25, 0.01, 16).distribution,
+            real_rng=np.random.default_rng(0),
+            oracle_seed=1,
+        )
+        with pytest.raises(ValueError, match="instance's own"):
+            run_score_attack_arrays(inst, hybrid, 2, *rngs())
 
 
 class TestBlockAttack:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adalab.attack import calibrated_attack_constant
 from adalab.bounds import (
     AccuracyParams,
     accuracy_lower_bound,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -144,6 +145,30 @@ class TestExperimentCommands:
         assert code == 0
         summary = json.loads(out)
         assert "threshold" in summary and summary["k"] == 2
+
+
+README_ATTACKS = {
+    "attack": (
+        "attack --eps 0.25 --gamma 0.01 --n 16 --trials 200 --seed 301 --assert success_rate:ge:0.9",
+        "2839892609baa0d7ccd985eb1e73f9f180ec8dc2be257d43bed324acb7d34e66",
+    ),
+    "hybrid": (
+        "attack --eps 0.25 --gamma 0.01 --n 16 --k 178 --mechanism hybrid --epsilon-switch 0.25 "
+        "--trials 50 --seed 1",
+        "3f50e195e92a13588907976f5fa33ecfca2cd69357bc1055e1d6ad2a7e55383e",
+    ),
+}
+
+
+class TestReadmeAttacks:
+    """README's attack commands, pinned by the SHA-256 of their JSONL records."""
+
+    @pytest.mark.parametrize("name", sorted(README_ATTACKS))
+    def test_records_are_pinned(self, capsys, tmp_path, name):
+        command, digest = README_ATTACKS[name]
+        code, _, _ = run(capsys, command.split() + ["--out", str(tmp_path / name)])
+        assert code == 0
+        assert hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest() == digest
 
 
 class TestCheckConcentration:

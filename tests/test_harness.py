@@ -210,6 +210,19 @@ class TestRunExperimentKinds:
         ).summary
         assert same["max_divergence_ab"] == 0.0 and same["kl_ab"] == 0.0
 
+    def test_divergence_far_tails_are_finite(self):
+        # Laplace scale 0.02: upper-tail bins of the real side's law once
+        # cancelled to 0, reporting an infinite divergence
+        cfg = ExperimentConfig(
+            kind="divergence",
+            seed=0,
+            params={"mech_a": "real", "mech_b": "oracle", "n": 4, "ones": 2, "noise_scale": 0.02},
+        )
+        s = run_experiment(cfg).summary
+        assert s["max_divergence_ab"] == pytest.approx(s["max_divergence_ba"], rel=0.0, abs=1e-9)
+        assert s["max_divergence_ab"] == pytest.approx(0.25 / 0.02, abs=1e-9)
+        assert s["kl_ab"] == pytest.approx(s["kl_ba"], abs=1e-9)
+
     def test_bounds_table(self):
         cfg = ExperimentConfig(
             kind="bounds_table",

@@ -9,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adalab
-from adalab.core import FiniteDistribution, Query, Sample
+from adalab.core import FiniteDistribution, Query, Sample, empirical_mean, true_mean
 from adalab.mechanisms import (
     MechanismKind,
     MechanismState,
     NoiseSpec,
     answer,
+    answer_batch,
     answer_probability,
     grid_values,
     noise_cdf,
     output_distribution,
     quantize,
+    quantize_array,
     run_interaction,
     sample_noise,
 )
@@ -116,6 +118,15 @@ class TestNoiseCdf:
         # both streams advanced by exactly one draw
         assert rng_a.uniform() == rng_b.uniform()
 
+    @pytest.mark.parametrize("family,scale", [("laplace", 0.1), ("gaussian", 0.1), ("laplace", 0.0)])
+    def test_sized_draw_equals_single_draws(self, family, scale):
+        spec = NoiseSpec(family=family, scale=scale)
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        many = sample_noise(spec, rng_a, 50)
+        single = np.array([sample_noise(spec, rng_b) for _ in range(50)])
+        assert many.tobytes() == single.tobytes()
+        assert rng_a.uniform() == rng_b.uniform()
+
 
 class TestQuantize:
     def test_exact_grid_points_survive(self):
@@ -138,6 +149,21 @@ class TestQuantize:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             quantize(COARSE, float("nan"))
+
+    def test_array_matches_scalar_bit_for_bit(self):
+        # half-bin ties at even and odd indices, both clip edges, beyond them, infinities
+        ties = [-0.375, -0.125, 0.125, 0.375, 1.375, 1.125]
+        edges = [-0.5, 1.5, -0.5000001, 1.5000001, -99.0, 99.0, -np.inf, np.inf, 0.0, -0.0]
+        noisy = np.random.default_rng(4).uniform(-1.0, 2.0, 500)
+        for spec in (COARSE, NoiseSpec()):
+            values = np.concatenate([ties, edges, noisy])
+            scalar = np.array([quantize(spec, v) for v in values])
+            assert quantize_array(spec, values).tobytes() == scalar.tobytes()
+        assert list(quantize_array(COARSE, ties)) == [-0.5, 0.0, 0.0, 0.5, 1.5, 1.0]
+
+    def test_array_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_array(COARSE, [0.1, float("nan"), 0.2])
 
     @given(st.floats(-2, 3, allow_nan=False))
     @settings(max_examples=100)
@@ -188,6 +214,18 @@ class TestOutputDistribution:
     def test_requires_positive_scale(self):
         with pytest.raises(ValueError):
             output_distribution(NoiseSpec(scale=0.0), 0.5)
+
+    @pytest.mark.parametrize("family,scale", [("laplace", 0.02), ("gaussian", 0.05)])
+    def test_upper_tail_bins_stay_exact(self, family, scale):
+        # The law of mean 0.25 at v mirrors the law of mean 0.5 at 0.75 - v, so
+        # its upper tail must equal that law's lower tail. Upper-tail bins formed
+        # as differences of CDF values near 1 cancelled to 0.
+        spec = NoiseSpec(family=family, scale=scale, grid_step=2.0**-10)
+        index = lambda v: round((v - spec.clip_lo) / spec.grid_step)
+        upper = output_distribution(spec, 0.25)[index(0.5) : index(1.25)]
+        lower = output_distribution(spec, 0.5)[index(0.25) : index(-0.5) : -1]
+        assert np.all(upper > 0.0)
+        np.testing.assert_allclose(upper, lower, rtol=1e-12, atol=0.0)
 
     @given(st.floats(0.0, 1.0), st.floats(0.001, 0.05))
     @settings(max_examples=40)
@@ -360,6 +398,43 @@ class TestAnswering:
             assert answer(hybrid, good) == answer(real, good)
         answer(hybrid, bad), answer(real, bad)
         assert hybrid.switch_round == 4
+
+    @pytest.mark.parametrize("kind", ["real", "oracle", "hybrid", "hybrid-switched"])
+    def test_answer_batch_matches_consecutive_answers(self, kind):
+        held, dist = two_point_setup()  # indicator: empirical 1.0 vs true 0.5
+        good, bad = Query(0.5), Query(0.0, {1: 1.0})
+        queries = [good, Query(0.25), bad, good, bad, Query(0.75)]
+
+        def make():
+            if kind == "real":
+                return MechanismState(
+                    MechanismKind.real(), COARSE, sample=held, real_rng=np.random.default_rng(7)
+                )
+            if kind == "oracle":
+                return MechanismState(MechanismKind.oracle(), COARSE, distribution=dist, oracle_seed=3)
+            mech = MechanismState(
+                MechanismKind.hybrid(0.25),
+                COARSE,
+                sample=held,
+                distribution=dist,
+                real_rng=np.random.default_rng(7),
+                oracle_seed=3,
+            )
+            if kind == "hybrid-switched":
+                answer(mech, bad)
+            return mech
+
+        one, batched = make(), make()
+        expected = [answer(one, q) for q in queries]
+        emp = np.array([empirical_mean(q, held) for q in queries]) if one.sample is not None else None
+        tru = np.array([true_mean(q, dist) for q in queries]) if one.distribution is not None else None
+        assert list(answer_batch(batched, emp, tru)) == expected
+        for field in ("rounds_answered", "switched", "switch_round"):
+            assert getattr(batched, field) == getattr(one, field)
+        if kind == "hybrid":
+            assert batched.switch_round == 2
+        if one._real_rng is not None:
+            assert batched._real_rng.uniform() == one._real_rng.uniform()
 
     def test_rejects_non_query(self):
         held, _ = two_point_setup()
