@@ -21,7 +21,6 @@ from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean,
 from .mechanisms import (
     MechanismState,
     NoiseSpec,
-    answer_probability,
     output_distribution,
     perturbed_mean,
     quantize,
@@ -352,12 +351,23 @@ def run_llr_experiment(
     switch_at = eps if epsilon_switch is None else epsilon_switch
     threshold = composed_epsilon(k, eps, noise.scale, rho)
     mean_cache: dict[Query, tuple[float, float]] = {}
+    log_law_cache: dict[float, list[float]] = {}
 
     def means_for(query: Query) -> tuple[float, float]:
         got = mean_cache.get(query)
         if got is None:
             got = (empirical_mean(query, sample), true_mean(query, dist))
             mean_cache[query] = got
+        return got
+
+    def log_law(mean: float) -> list[float]:
+        """Log-probability of each grid value under ``mean``, by grid index;
+        -inf where the law puts no mass."""
+        got = log_law_cache.get(mean)
+        if got is None:
+            with np.errstate(divide="ignore"):
+                got = np.log(output_distribution(noise, mean)).tolist()
+            log_law_cache[mean] = got
         return got
 
     def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
@@ -373,12 +383,11 @@ def run_llr_experiment(
                 mean_h = tru if switched else emp
                 drawn_mean = mean_h if sample_hybrid else tru
                 observed = quantize(noise, drawn_mean + sample_noise(noise, rng))
-                p_h = answer_probability(noise, mean_h, observed)
-                p_o = answer_probability(noise, tru, observed)
-                if sample_hybrid:
-                    llr += math.log(p_h) - math.log(p_o)
-                else:
-                    llr += math.log(p_o) - math.log(p_h)
+                index = round((observed - noise.clip_lo) / noise.grid_step)
+                log_h = log_law(mean_h)[index]
+                log_o = log_law(tru)[index]
+                # a bin the other law never yields makes the ratio +inf
+                llr += log_h - log_o if sample_hybrid else log_o - log_h
                 rounds.append((query, observed))
             if llr > threshold:
                 exceed += 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .attack import build_hard_instance
@@ -24,6 +23,7 @@ from .harness import (
     evaluate_assertions,
     load_config,
     run_experiment,
+    to_json,
     write_outputs,
 )
 
@@ -152,7 +152,7 @@ def _run_check_concentration(args: argparse.Namespace) -> int:
     }
     if len(lengths) == 1:
         out["hoeffding_gamma"] = hoeffding_gamma(lengths.pop(), threshold)
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(to_json(out, indent=2, sort_keys=True))
     if args.require_holds and not report.holds:
         print("concentration check failed: deviation mass exceeds gamma", file=sys.stderr)
         return 2
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(result.summary, indent=2, sort_keys=True, default=str))
+    print(to_json(result.summary, indent=2, sort_keys=True))
     if config.out:
         paths = write_outputs(result, config.out)
         print(f"wrote {paths['jsonl']}, {paths['csv']}, {paths['summary']}", file=sys.stderr)

@@ -663,9 +663,7 @@ EXPERIMENT_KINDS = tuple(KINDS)
 
 
 def _thread_count(config: ExperimentConfig) -> int:
-    if config.threads is not None:
-        return max(1, int(config.threads))
-    return max(1, int(os.environ.get("ADALAB_THREADS", "1")))
+    return max(1, int(config.threads or 1))
 
 
 def _chunk_worker(kind: str, params: dict, master: int, trials: list[int]) -> list[dict]:
@@ -706,6 +704,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # --- output + assertions -----------------------------------------------------------
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _finite(obj):
+    """``obj`` with each non-finite float replaced by the string "NaN",
+    "Infinity" or "-Infinity", all of which ``float()`` reads back."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else _NON_FINITE[str(float(obj))]
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _json_default(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -714,6 +727,12 @@ def _json_default(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def to_json(obj, **kwargs) -> str:
+    """Strict JSON text for a record or summary: numpy scalars become Python
+    numbers and non-finite floats the strings of ``_finite``."""
+    return json.dumps(_finite(obj), allow_nan=False, default=_json_default, **kwargs)
 
 
 def write_outputs(result: ExperimentResult, out_prefix: str) -> dict[str, str]:
@@ -728,7 +747,7 @@ def write_outputs(result: ExperimentResult, out_prefix: str) -> dict[str, str]:
     }
     with open(paths["jsonl"], "w", encoding="utf-8") as fh:
         for record in result.records:
-            fh.write(json.dumps(record, default=_json_default) + "\n")
+            fh.write(to_json(record) + "\n")
     fieldnames: list[str] = []
     for record in result.records:
         for key in record:
@@ -739,8 +758,7 @@ def write_outputs(result: ExperimentResult, out_prefix: str) -> dict[str, str]:
         writer.writeheader()
         writer.writerows(result.records)
     with open(paths["summary"], "w", encoding="utf-8") as fh:
-        json.dump(result.summary, fh, indent=2, default=_json_default, sort_keys=True)
-        fh.write("\n")
+        fh.write(to_json(result.summary, indent=2, sort_keys=True) + "\n")
     return paths
 
 

@@ -169,21 +169,6 @@ def output_distribution(spec: NoiseSpec, mean: float) -> np.ndarray:
     return probs
 
 
-def answer_probability(spec: NoiseSpec, mean: float, answer: float) -> float:
-    """Probability that ``quantize(mean + noise)`` equals one grid value."""
-    if spec.scale == 0.0:
-        raise ValueError("exact output law needs scale > 0")
-    index = round((answer - spec.clip_lo) / spec.grid_step)
-    if not (0 <= index <= spec.n_bins):
-        raise ValueError("answer is not on the output grid")
-    step = spec.grid_step
-    low = spec.clip_lo + (index - 0.5) * step - mean
-    high = spec.clip_lo + (index + 0.5) * step - mean
-    upper = 1.0 if index == spec.n_bins else float(noise_cdf(spec, high))
-    lower = 0.0 if index == 0 else float(noise_cdf(spec, low))
-    return upper - lower
-
-
 @dataclass(frozen=True)
 class MechanismKind:
     """Which mean a mechanism perturbs: sample, distribution, or switching."""

@@ -53,6 +53,20 @@ class TestComposedEpsilon:
     def test_monotone_in_rounds(self, k, extra, eps, b):
         assert composed_epsilon(k, eps, b, 0.1) <= composed_epsilon(k + extra, eps, b, 0.1)
 
+    @given(
+        k=st.integers(min_value=0, max_value=10_000),
+        eps=st.floats(min_value=0.0, max_value=1.0),
+        b=st.floats(min_value=0.01, max_value=10.0),
+        rho=st.floats(min_value=1e-12, max_value=0.999),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_advanced_composition(self, k, eps, b, rho):
+        # Dwork, Rothblum & Vadhan 2010: k rounds of eps'-DP compose to
+        # sqrt(2k ln(1/delta')) eps' + k eps' (e^eps' - 1) at failure delta'
+        e = eps / b
+        bound = math.sqrt(2 * k * math.log(1 / rho)) * e + k * e * (math.exp(e) - 1)
+        assert composed_epsilon(k, eps, b, rho) == pytest.approx(bound, rel=1e-9)
+
     def test_shrinking_rho_costs_more(self):
         assert composed_epsilon(10, 0.01, 0.1, 0.01) > composed_epsilon(10, 0.01, 0.1, 0.5)
 
@@ -369,6 +383,26 @@ class TestLlrExperiment:
         interned = run_llr_experiment(analyst=AnswerDriven(intern=True), **common)
         assert interned.frac_exceed_hybrid > 0.0
         assert fresh == interned
+
+    def test_far_tail_ratio_is_finite(self):
+        # A mean gap of 50 noise scales: the hybrid's answers sit deep in the
+        # oracle law's upper tail, whose mass CDF differences near 1 rounded
+        # to 0 (math domain error); the exact ratio is about 50 per round.
+        _, mixed, dist = two_sample_dist(4, 4)
+        rep = run_llr_experiment(
+            analyst=FixedQueryAnalyst([IDENTITY] * 2),
+            sample=mixed,
+            dist=dist,
+            k=2,
+            eps=0.01,
+            noise=NoiseSpec(scale=0.01, grid_step=0.03125),
+            rho=0.05,
+            trials=20,
+            seed=1,
+            epsilon_switch=0.6,
+        )
+        assert rep.threshold == 6.898200422122661
+        assert rep.frac_exceed_hybrid == rep.frac_exceed_oracle == 1.0
 
     def test_zero_gap_never_exceeds(self):
         s = Sample((1, 0, 1, 0))

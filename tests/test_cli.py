@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -99,6 +100,21 @@ class TestExperimentCommands:
             assert (tmp_path / f"demo{suffix}").exists()
         lines = (tmp_path / "demo.jsonl").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_outputs_are_strict_json(self, capsys, tmp_path):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        # one failed trial leaves no success to take a minimum over: NaN
+        argv = "attack --eps 0.25 --gamma 0.01 --n 16 --k 1 --trials 1 --seed 0".split()
+        code, out, _ = run(capsys, argv + ["--out", str(tmp_path / "nan")])
+        assert code == 0
+        summary = json.loads(out, parse_constant=reject)
+        assert math.isnan(float(summary["min_sample_deviation_on_success"]))
+        written = (tmp_path / "nan.summary.json").read_text()
+        assert json.loads(written, parse_constant=reject) == summary
+        for line in (tmp_path / "nan.jsonl").read_text().splitlines():
+            json.loads(line, parse_constant=reject)
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

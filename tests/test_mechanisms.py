@@ -16,7 +16,6 @@ from adalab.mechanisms import (
     NoiseSpec,
     answer,
     answer_batch,
-    answer_probability,
     grid_values,
     noise_cdf,
     output_distribution,
@@ -200,16 +199,6 @@ class TestOutputDistribution:
         probs = output_distribution(spec, 1.5)
         # mean on the upper clip: at least the upper half of the noise lands there
         assert probs[-1] >= 0.5
-
-    def test_answer_probability_matches_table(self):
-        spec = COARSE
-        probs = output_distribution(spec, 0.3)
-        for i, v in enumerate(grid_values(spec)):
-            assert answer_probability(spec, 0.3, float(v)) == pytest.approx(probs[i], abs=1e-15)
-
-    def test_answer_probability_rejects_off_grid(self):
-        with pytest.raises(ValueError):
-            answer_probability(COARSE, 0.3, 99.0)
 
     def test_requires_positive_scale(self):
         with pytest.raises(ValueError):
