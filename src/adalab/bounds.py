@@ -10,6 +10,7 @@ side turns the attack analyses into round-count thresholds.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -350,25 +351,18 @@ def run_llr_experiment(
         raise ValueError("need at least one trial")
     switch_at = eps if epsilon_switch is None else epsilon_switch
     threshold = composed_epsilon(k, eps, noise.scale, rho)
-    mean_cache: dict[Query, tuple[float, float]] = {}
-    log_law_cache: dict[float, list[float]] = {}
 
+    # both caches are keyed by value: a Query by its entries, a law by its mean
+    @functools.cache
     def means_for(query: Query) -> tuple[float, float]:
-        got = mean_cache.get(query)
-        if got is None:
-            got = (empirical_mean(query, sample), true_mean(query, dist))
-            mean_cache[query] = got
-        return got
+        return empirical_mean(query, sample), true_mean(query, dist)
 
+    @functools.cache
     def log_law(mean: float) -> list[float]:
         """Log-probability of each grid value under ``mean``, by grid index;
         -inf where the law puts no mass."""
-        got = log_law_cache.get(mean)
-        if got is None:
-            with np.errstate(divide="ignore"):
-                got = np.log(output_distribution(noise, mean)).tolist()
-            log_law_cache[mean] = got
-        return got
+        with np.errstate(divide="ignore"):
+            return np.log(output_distribution(noise, mean)).tolist()
 
     def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
         exceed = 0

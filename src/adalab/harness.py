@@ -662,10 +662,6 @@ EXPERIMENT_KINDS = tuple(KINDS)
 # --- driver -----------------------------------------------------------------------
 
 
-def _thread_count(config: ExperimentConfig) -> int:
-    return max(1, int(config.threads or 1))
-
-
 def _chunk_worker(kind: str, params: dict, master: int, trials: list[int]) -> list[dict]:
     run_trial = KINDS[kind].run_trial
     return [run_trial(params, master, t) for t in trials]
@@ -677,7 +673,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if kind.run_once is not None:
         records, summary = kind.run_once(config, params)
     else:
-        threads = _thread_count(config)
+        threads = max(1, int(config.threads or 1))
         if threads > 1 and config.trials > 1:
             # imported here: the pool pulls in multiprocessing, sockets and subprocess,
             # which a serial run never uses
@@ -707,32 +703,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _finite(obj):
-    """``obj`` with each non-finite float replaced by the string "NaN",
-    "Infinity" or "-Infinity", all of which ``float()`` reads back."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else _NON_FINITE[str(float(obj))]
+def _plain(obj):
+    """``obj`` with numpy scalars as Python ones and each non-finite float as
+    the string "NaN", "Infinity" or "-Infinity", which ``float()`` reads back."""
     if isinstance(obj, dict):
-        return {key: _finite(value) for key, value in obj.items()}
+        return {key: _plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite(value) for value in obj]
+        return [_plain(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _NON_FINITE[str(obj)]
     return obj
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def to_json(obj, **kwargs) -> str:
-    """Strict JSON text for a record or summary: numpy scalars become Python
-    numbers and non-finite floats the strings of ``_finite``."""
-    return json.dumps(_finite(obj), allow_nan=False, default=_json_default, **kwargs)
+    """Strict JSON text for a record or summary (see ``_plain``)."""
+    return json.dumps(_plain(obj), allow_nan=False, **kwargs)
 
 
 def write_outputs(result: ExperimentResult, out_prefix: str) -> dict[str, str]:
