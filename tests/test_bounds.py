@@ -385,9 +385,9 @@ class TestLlrExperiment:
         assert fresh == interned
 
     def test_far_tail_ratio_is_finite(self):
-        # A mean gap of 50 noise scales: the hybrid's answers sit deep in the
-        # oracle law's upper tail, whose mass CDF differences near 1 rounded
-        # to 0 (math domain error); the exact ratio is about 50 per round.
+        # A mean gap of 50 noise scales puts the hybrid's answers where the
+        # oracle law's CDF rounds to 1; the exact ratio there is finite,
+        # about 50 per round, so every transcript exceeds the threshold.
         _, mixed, dist = two_sample_dist(4, 4)
         rep = run_llr_experiment(
             analyst=FixedQueryAnalyst([IDENTITY] * 2),

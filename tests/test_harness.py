@@ -284,7 +284,6 @@ class TestOutputs:
         assert summary["kind"] == "simple_attack"
         assert summary["identification_rate"] == 1.0
 
-
     def test_non_finite_floats_become_strings(self):
         text = to_json({"x": [np.float64("inf"), -float("inf"), float("nan")], "n": np.int64(3)})
         assert text == '{"x": ["Infinity", "-Infinity", "NaN"], "n": 3}'
