@@ -220,15 +220,13 @@ def breaking_rounds(
     attack is costed at its noiseless calibration, the floor over noise
     scales; pass a mechanism-calibrated constant for a specific target.
     """
-    if constant is None:
-        r, _, _ = instance_shape(eps, gamma)
-        constant = calibrated_attack_constant(r, noise_variance=0.0)
-    return min(simple_attack_rounds(gamma), score_attack_rounds(eps, gamma, beta, constant))
+    return breaking_rounds_details(eps, gamma, beta, constant)["breaking_rounds"]
 
 
 def breaking_rounds_details(
     eps: float, gamma: float, beta: float, constant: float | None = None
 ) -> dict:
+    """The instance shape, both attacks' round counts and the cheaper one."""
     r, population, support = instance_shape(eps, gamma)
     if constant is None:
         constant = calibrated_attack_constant(r, noise_variance=0.0)

@@ -24,8 +24,8 @@ _DENSE_CACHE_LIMIT = 2_000_000
 class PartitionedDomain:
     """Finite domain of ``num_blocks * block_size`` elements with dense ids.
 
-    Element (block i, slot j) has id ``i * block_size + j``; block and slot
-    are recovered by integer division.
+    Element (block i, slot j) has id ``i * block_size + j``; ``slot_of``
+    recovers the slot by integer division.
     """
 
     num_blocks: int
@@ -39,19 +39,9 @@ class PartitionedDomain:
     def size(self) -> int:
         return self.num_blocks * self.block_size
 
-    def element(self, block: int, slot: int) -> int:
-        if not (0 <= block < self.num_blocks):
-            raise ValueError(f"block {block} out of range")
-        if not (0 <= slot < self.block_size):
-            raise ValueError(f"slot {slot} out of range")
-        return block * self.block_size + slot
-
-    def block_of(self, element: int) -> int:
-        self._check(element)
-        return element // self.block_size
-
     def slot_of(self, element: int) -> int:
-        self._check(element)
+        if not (0 <= element < self.size):
+            raise ValueError(f"element {element} outside domain of size {self.size}")
         return element % self.block_size
 
     def block_elements(self, block: int) -> np.ndarray:
@@ -60,10 +50,6 @@ class PartitionedDomain:
             raise ValueError(f"block {block} out of range")
         start = block * self.block_size
         return np.arange(start, start + self.block_size, dtype=np.int64)
-
-    def _check(self, element: int) -> None:
-        if not (0 <= element < self.size):
-            raise ValueError(f"element {element} outside domain of size {self.size}")
 
 
 @dataclass(frozen=True)
@@ -88,10 +74,6 @@ class Sample:
             cached.setflags(write=False)
             object.__setattr__(self, "_array", cached)
         return cached
-
-    def validate_in(self, domain: PartitionedDomain) -> None:
-        if len(self) and int(self.as_array().max(initial=0)) >= domain.size:
-            raise ValueError("sample contains elements outside the domain")
 
 
 class Query:
@@ -195,12 +177,6 @@ class FiniteDistribution:
             self._matrix.setflags(write=False)
         return self._matrix
 
-    def draw_index(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.support_size, p=self.probabilities))
-
-    def draw(self, rng: np.random.Generator) -> Sample:
-        return self.samples[self.draw_index(rng)]
-
 
 def empirical_mean(query: Query, sample: Sample) -> float:
     """Average of the query table over the sample's elements."""
@@ -228,7 +204,6 @@ class Transcript:
 
     rounds: tuple[tuple[Query, float], ...]
     mechanism: str
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rounds", tuple((q, float(a)) for q, a in self.rounds))
@@ -245,40 +220,20 @@ class Transcript:
         return tuple(a for _, a in self.rounds)
 
 
-# --- JSON serialization -----------------------------------------------------
+# --- JSON input -------------------------------------------------------------
 #
-# Schemas (stable field names):
+# Schemas of the files ``check-concentration`` reads:
 #   Sample:       {"elements": [int, ...]}
 #   Query:        {"default_value": float, "overrides": [[int, float], ...]}
 #   Distribution: {"samples": [Sample, ...], "probabilities": [float, ...]}
-#   Transcript:   {"mechanism": str, "seed": int|null,
-#                  "rounds": [{"query": Query, "answer": float}, ...]}
-
-
-def sample_to_dict(sample: Sample) -> dict:
-    return {"elements": list(sample.elements)}
 
 
 def sample_from_dict(data: Mapping) -> Sample:
     return Sample(tuple(data["elements"]))
 
 
-def query_to_dict(query: Query) -> dict:
-    return {
-        "default_value": query.default_value,
-        "overrides": [[e, v] for e, v in sorted(query.overrides.items())],
-    }
-
-
 def query_from_dict(data: Mapping) -> Query:
     return Query(data["default_value"], {int(e): float(v) for e, v in data["overrides"]})
-
-
-def distribution_to_dict(dist: FiniteDistribution) -> dict:
-    return {
-        "samples": [sample_to_dict(s) for s in dist.samples],
-        "probabilities": [float(p) for p in dist.probabilities],
-    }
 
 
 def distribution_from_dict(data: Mapping) -> FiniteDistribution:
@@ -286,25 +241,6 @@ def distribution_from_dict(data: Mapping) -> FiniteDistribution:
     return FiniteDistribution(samples, data["probabilities"])
 
 
-def transcript_to_dict(transcript: Transcript) -> dict:
-    return {
-        "mechanism": transcript.mechanism,
-        "seed": transcript.seed,
-        "rounds": [{"query": query_to_dict(q), "answer": a} for q, a in transcript.rounds],
-    }
-
-
-def transcript_from_dict(data: Mapping) -> Transcript:
-    rounds = tuple((query_from_dict(r["query"]), float(r["answer"])) for r in data["rounds"])
-    return Transcript(rounds=rounds, mechanism=data["mechanism"], seed=data.get("seed"))
-
-
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def dump_json(obj: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -120,14 +121,16 @@ class ExperimentResult:
 # --- shared builders ------------------------------------------------------------
 
 
-def _noise_from_params(params: dict, *, scale_default: float = 0.1, grid_default: float = 2.0**-20) -> NoiseSpec:
+# One run builds one instance, in _resolve_params and again in every trial; a
+# bound of one keeps a process that runs many configs from holding each support.
+_hard_instance = functools.lru_cache(maxsize=1)(build_hard_instance)
+
+
+def _noise_from_params(params: dict, *, grid_default: float = 2.0**-20) -> NoiseSpec:
     return NoiseSpec(
         family=params.get("noise_family", "laplace"),
-        scale=float(params.get("noise_scale", scale_default)),
-        clip_lo=float(params.get("clip_lo", -0.5)),
-        clip_hi=float(params.get("clip_hi", 1.5)),
+        scale=float(params.get("noise_scale", 0.1)),
         grid_step=float(params.get("grid_step", grid_default)),
-        tail_tolerance=float(params.get("tail_tolerance", 0.05)),
     )
 
 
@@ -189,7 +192,7 @@ def _two_sample_instance(n: int, ones: int) -> tuple[Sample, Sample, FiniteDistr
 
 
 def _attack_trial(params: dict, master: int, trial: int) -> dict:
-    inst = build_hard_instance(float(params["eps"]), float(params["gamma"]), int(params["n"]))
+    inst = _hard_instance(float(params["eps"]), float(params["gamma"]), int(params["n"]))
     slot = int(derive_rng(master, trial, "sample_draw").integers(inst.support_size))
     sample = inst.make_sample(slot)
     noise = _noise_from_params(params)
@@ -227,13 +230,7 @@ def _simple_attack_trial(params: dict, master: int, trial: int) -> dict:
     sample = inst.distribution.samples[held]
     noise = _noise_from_params(params)
     mech = _mechanism(
-        params.get("mechanism", "real"),
-        params,
-        noise,
-        sample=sample,
-        distribution=None,
-        master=master,
-        trial=trial,
+        "real", params, noise, sample=sample, distribution=None, master=master, trial=trial
     )
     result = run_simple_attack(gamma, n, mech)
     return {
@@ -257,7 +254,7 @@ def _positive_trial(params: dict, master: int, trial: int) -> dict:
             "switch_round": -1,
         }
     eps = float(params["eps"])
-    inst = build_hard_instance(eps, float(params["gamma"]), int(params["n"]))
+    inst = _hard_instance(eps, float(params["gamma"]), int(params["n"]))
     slot = int(derive_rng(master, trial, "sample_draw").integers(inst.support_size))
     sample = inst.make_sample(slot)
     noise = _noise_from_params(params)
@@ -324,10 +321,16 @@ def _coupling_trial(params: dict, master: int, trial: int) -> dict:
 
 
 def _resolve_params(config: ExperimentConfig) -> dict:
-    """Fill derived defaults so trial workers see fully explicit params."""
+    """Check the params against the kind's table and fill derived defaults,
+    so trial workers see fully explicit params."""
     params = dict(config.params)
     kind = config.kind
-    missing = [p.key for p in KINDS[kind].params if p.required and p.key not in params]
+    declared = KINDS[kind].params
+    keys = [p.key for p in declared]
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"{kind} experiment has unknown params {unknown}; its params are {keys}")
+    missing = [p.key for p in declared if p.required and p.key not in params]
     if missing:
         raise ValueError(f"{kind} experiment needs params {missing}")
     if kind == "attack":
@@ -342,20 +345,15 @@ def _resolve_params(config: ExperimentConfig) -> dict:
                 float(params.get("beta", 0.1)),
                 float(params["constant"]),
             )
-        build_hard_instance(float(params["eps"]), float(params["gamma"]), int(params["n"]))
+        _hard_instance(float(params["eps"]), float(params["gamma"]), int(params["n"]))
     elif kind == "simple_attack":
         build_block_instance(float(params["gamma"]), int(params["n"]))
     elif kind == "positive_accuracy":
         eps, alpha = float(params["eps"]), float(params["alpha"])
         params.setdefault("noise_scale", accuracy_noise_scale(alpha, eps))
         if "k" not in params:
-            budget = params.get("budget")
-            params["k"] = (
-                max_accurate_rounds(eps, float(params["gamma"]), alpha, float(params["beta"]), tuple(budget))
-                if budget is not None
-                else max_accurate_rounds(eps, float(params["gamma"]), alpha, float(params["beta"]))
-            )
-        build_hard_instance(eps, float(params["gamma"]), int(params["n"]))
+            params["k"] = max_accurate_rounds(eps, float(params["gamma"]), alpha, float(params["beta"]))
+        _hard_instance(eps, float(params["gamma"]), int(params["n"]))
     elif kind == "llr":
         params.setdefault("grid_step", 2.0**-5)
         params.setdefault("ones", round(2 * int(params["n"]) * float(params["eps"])))
@@ -443,7 +441,7 @@ def _run_llr(config: ExperimentConfig, params: dict) -> tuple[list[dict], dict]:
     n = int(params["n"])
     k = int(params["k"])
     eps = float(params["eps"])
-    noise = _noise_from_params(params, grid_default=2.0**-5)
+    noise = _noise_from_params(params)
     _, held, dist = _two_sample_instance(n, int(params["ones"]))
     query = Query(0.0, {1: 1.0})
     report = run_llr_experiment(

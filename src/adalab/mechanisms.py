@@ -143,10 +143,6 @@ def quantize_array(spec: NoiseSpec, values) -> np.ndarray:
     return spec.clip_lo + np.rint((values - spec.clip_lo) / spec.grid_step) * spec.grid_step
 
 
-def grid_values(spec: NoiseSpec) -> np.ndarray:
-    return spec.clip_lo + np.arange(spec.n_bins + 1) * spec.grid_step
-
-
 def output_distribution(spec: NoiseSpec, mean: float) -> np.ndarray:
     """Exact law of ``quantize(mean + noise)`` over the grid values.
 
@@ -217,7 +213,6 @@ class MechanismState:
         distribution: FiniteDistribution | None = None,
         real_rng: np.random.Generator | None = None,
         oracle_seed: int | None = None,
-        label: int | None = None,
     ):
         needs_sample = kind.name in ("real", "hybrid")
         needs_dist = kind.name in ("oracle", "hybrid")
@@ -241,7 +236,6 @@ class MechanismState:
         self.noise = noise
         self.sample = sample
         self.distribution = distribution
-        self.label = label
         self.switched = False
         self.switch_round: int | None = None
         self.rounds_answered = 0
@@ -343,4 +337,4 @@ def run_interaction(analyst, mech: MechanismState, k: int) -> Transcript:
                 f"analyst produced {type(query).__name__} instead of a Query at round {i}"
             )
         rounds.append((query, answer(mech, query)))
-    return Transcript(rounds=tuple(rounds), mechanism=mech.kind.name, seed=mech.label)
+    return Transcript(rounds=tuple(rounds), mechanism=mech.kind.name)

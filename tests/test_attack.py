@@ -85,11 +85,6 @@ class TestHardInstance:
         with pytest.raises(ValueError, match="too large to materialize"):
             inst.distribution
 
-    def test_draw_index_in_range(self):
-        inst = build_hard_instance(0.25, 0.01, 16)
-        rng = np.random.default_rng(0)
-        assert all(0 <= inst.draw_index(rng) < 100 for _ in range(50))
-
 
 class TestInfoRounds:
     def test_info_query_reads_first_block_only(self):

@@ -5,14 +5,6 @@ import math
 import pytest
 
 from adalab.cli import _config_from_args, build_parser, main
-from adalab.core import (
-    FiniteDistribution,
-    Query,
-    Sample,
-    distribution_to_dict,
-    dump_json,
-    query_to_dict,
-)
 from adalab.harness import KINDS
 
 # one parseable value per param type
@@ -73,6 +65,17 @@ class TestKindTable:
             assert code == 1
             assert f"{name} experiment needs params ['{left_out.key}']" in err
 
+    def test_undeclared_param_is_rejected(self, capsys, tmp_path, name):
+        kind = KINDS[name]
+        params = {param.key: param.type(FLAG_VALUES[param.type]) for param in kind.params if param.required}
+        params["nosie_scale"] = 0.5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": name, "params": params}))
+        code, _, err = run(capsys, [kind.command, "--config", str(cfg)])
+        assert code == 1
+        assert f"{name} experiment has unknown params ['nosie_scale']" in err
+        assert str([param.key for param in kind.params]) in err
+
 
 class TestExperimentCommands:
     def test_simple_attack_prints_summary(self, capsys):
@@ -118,14 +121,9 @@ class TestExperimentCommands:
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        dump_json(
-            {
-                "kind": "simple_attack",
-                "trials": 5,
-                "seed": 3,
-                "params": {"gamma": 0.2, "n": 10, "noise_scale": 0.0},
-            },
-            str(cfg),
+        cfg.write_text(
+            '{"kind": "simple_attack", "trials": 5, "seed": 3, '
+            '"params": {"gamma": 0.2, "n": 10, "noise_scale": 0.0}}'
         )
         code, out, _ = run(capsys, ["simple-attack", "--config", str(cfg), "--trials", "2"])
         assert code == 0
@@ -134,7 +132,7 @@ class TestExperimentCommands:
 
     def test_config_kind_mismatch(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        dump_json({"kind": "attack", "params": {}}, str(cfg))
+        cfg.write_text('{"kind": "attack", "params": {}}')
         code, _, err = run(capsys, ["simple-attack", "--config", str(cfg)])
         assert code == 1
         assert "config is for kind" in err
@@ -173,11 +171,23 @@ README_ATTACKS = {
         "--trials 50 --seed 1",
         "3f50e195e92a13588907976f5fa33ecfca2cd69357bc1055e1d6ad2a7e55383e",
     ),
+    "simple-attack": (
+        "simple-attack --gamma 0.1 --n 30 --b 0 --trials 20 --seed 4 --assert identification_rate:eq:1.0",
+        "c458370362bcc6d4170e4a5cb653920fce359405e011848470b5daaf186c0caa",
+    ),
+    "positive": (
+        "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta 0.9 --n 400 --trials 100 --seed 3",
+        "f81dc3f671c690b2162aaafdaa5040d76605bcbd08ac6ebcfb4da8a18d3ca6d8",
+    ),
+    "coupling": (
+        "coupling --k 6 --bad-round 2 --epsilon-switch 0.25 --trials 100 --seed 11",
+        "8dae84c1e60af4e29e5b68bb6a0911d9fb93cf40f82db0761b51f5e152bd46c3",
+    ),
 }
 
 
 class TestReadmeAttacks:
-    """README's attack commands, pinned by the SHA-256 of their JSONL records."""
+    """README's trial-kind commands, pinned by the SHA-256 of their JSONL records."""
 
     @pytest.mark.parametrize("name", sorted(README_ATTACKS))
     def test_records_are_pinned(self, capsys, tmp_path, name):
@@ -210,9 +220,10 @@ class TestCheckConcentration:
 
     def test_query_and_dist_files(self, capsys, tmp_path):
         qpath, dpath = tmp_path / "q.json", tmp_path / "d.json"
-        dump_json(query_to_dict(Query(0.0, {1: 1.0})), str(qpath))
-        dist = FiniteDistribution((Sample((0, 0)), Sample((1, 1))), (0.5, 0.5))
-        dump_json(distribution_to_dict(dist), str(dpath))
+        qpath.write_text('{"default_value": 0.0, "overrides": [[1, 1.0]]}')
+        dpath.write_text(
+            '{"samples": [{"elements": [0, 0]}, {"elements": [1, 1]}], "probabilities": [0.5, 0.5]}'
+        )
         code, out, _ = run(
             capsys,
             [
@@ -228,7 +239,7 @@ class TestCheckConcentration:
 
     def test_file_flags_must_pair(self, capsys, tmp_path):
         qpath = tmp_path / "q.json"
-        dump_json(query_to_dict(Query(0.5)), str(qpath))
+        qpath.write_text('{"default_value": 0.5, "overrides": []}')
         code, _, err = run(capsys, ["check-concentration", "--query-file", str(qpath)])
         assert code == 1
         assert "must be given together" in err

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,17 +8,11 @@ from adalab.core import (
     Sample,
     Transcript,
     distribution_from_dict,
-    distribution_to_dict,
-    dump_json,
     empirical_mean,
     empirical_means_over_support,
     load_json,
     query_from_dict,
-    query_to_dict,
     sample_from_dict,
-    sample_to_dict,
-    transcript_from_dict,
-    transcript_to_dict,
     true_mean,
 )
 
@@ -29,10 +21,9 @@ class TestPartitionedDomain:
     def test_element_layout_is_block_major(self):
         dom = PartitionedDomain(num_blocks=3, block_size=4)
         assert dom.size == 12
-        assert dom.element(0, 0) == 0
-        assert dom.element(2, 3) == 11
-        assert dom.block_of(7) == 1
+        assert dom.slot_of(0) == 0
         assert dom.slot_of(7) == 3
+        assert dom.slot_of(11) == 3
         np.testing.assert_array_equal(dom.block_elements(1), [4, 5, 6, 7])
 
     def test_rejects_bad_shape(self):
@@ -44,9 +35,11 @@ class TestPartitionedDomain:
     def test_rejects_out_of_range_element(self):
         dom = PartitionedDomain(num_blocks=2, block_size=2)
         with pytest.raises(ValueError):
-            dom.block_of(4)
+            dom.slot_of(4)
         with pytest.raises(ValueError):
-            dom.element(1, 2)
+            dom.slot_of(-1)
+        with pytest.raises(ValueError):
+            dom.block_elements(2)
 
 
 class TestSample:
@@ -58,12 +51,6 @@ class TestSample:
             arr[0] = 9
         assert s.as_array() is arr
         assert len(s) == 4
-
-    def test_validate_in_domain(self):
-        dom = PartitionedDomain(num_blocks=2, block_size=2)
-        Sample((0, 3)).validate_in(dom)
-        with pytest.raises(ValueError):
-            Sample((0, 4)).validate_in(dom)
 
     def test_rejects_negative_elements(self):
         with pytest.raises(ValueError):
@@ -107,12 +94,6 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError):
             FiniteDistribution([Sample((0,)), Sample((0,))], [0.5, 0.5])
 
-    def test_draw_follows_probabilities(self):
-        dist = FiniteDistribution([Sample((0,)), Sample((1,))], [0.75, 0.25])
-        rng = np.random.default_rng(5)
-        hits = sum(dist.draw_index(rng) == 0 for _ in range(4000)) / 4000
-        assert abs(hits - 0.75) < 4 * np.sqrt(0.75 * 0.25 / 4000)
-
     def test_sample_matrix_only_for_uniform_lengths(self):
         uniform = FiniteDistribution([Sample((0, 1)), Sample((2, 3))], [0.5, 0.5])
         assert uniform.sample_matrix().shape == (2, 2)
@@ -147,36 +128,17 @@ class TestMeans:
 
 
 class TestSerialization:
-    def test_sample_round_trip(self):
-        s = Sample((5, 0, 5))
-        assert sample_from_dict(sample_to_dict(s)) == s
-
-    def test_query_round_trip_preserves_overrides(self):
-        q = Query(0.125, {9: 1.0, 2: 0.5})
-        back = query_from_dict(query_to_dict(q))
-        assert back == q
-        # overrides serialize as sorted pairs so files diff cleanly
-        assert query_to_dict(q)["overrides"] == [[2, 0.5], [9, 1.0]]
-
-    def test_distribution_round_trip(self):
-        dist = FiniteDistribution([Sample((0,)), Sample((1, 2))], [0.25, 0.75])
-        back = distribution_from_dict(distribution_to_dict(dist))
-        assert back.samples == dist.samples
-        np.testing.assert_allclose(back.probabilities, dist.probabilities)
-
-    def test_transcript_round_trip_and_json_file(self, tmp_path):
-        t = Transcript(
-            rounds=((Query(0.5), 0.5), (Query(0.0, {1: 1.0}), 0.25)),
-            mechanism="real",
-            seed=7,
+    def test_reads_the_documented_schema(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(
+            '{"samples": [{"elements": [0]}, {"elements": [1, 2]}], "probabilities": [0.25, 0.75]}'
         )
-        back = transcript_from_dict(transcript_to_dict(t))
-        assert back == t
-        path = tmp_path / "t.json"
-        dump_json(transcript_to_dict(t), str(path))
-        assert transcript_from_dict(load_json(str(path))) == t
-        # the file is plain JSON
-        json.loads(path.read_text())
+        dist = distribution_from_dict(load_json(str(path)))
+        assert dist.samples == (Sample((0,)), Sample((1, 2)))
+        np.testing.assert_array_equal(dist.probabilities, [0.25, 0.75])
+        assert sample_from_dict({"elements": [5, 0, 5]}) == Sample((5, 0, 5))
+        query = query_from_dict({"default_value": 0.125, "overrides": [[2, 0.5], [9, 1.0]]})
+        assert query == Query(0.125, {9: 1.0, 2: 0.5})
 
     def test_transcript_accessors(self):
         t = Transcript(rounds=((Query(0.5), 0.25),), mechanism="oracle")
