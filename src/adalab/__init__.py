@@ -20,11 +20,12 @@ from .bounds import (
     composed_epsilon,
     noise_escape_mass,
     score_attack_rounds,
+    transcript_accurate,
 )
 from .concentration import check_concentration_exact
 from .core import empirical_mean, true_mean
 from .harness import ExperimentConfig, derive_entropy, derive_rng, run_experiment
-from .mechanisms import MechanismKind, MechanismState, NoiseSpec, answer
+from .mechanisms import MechanismKind, MechanismState, NoiseSpec, answer, run_interaction
 
 __version__ = "0.1.0"
 
@@ -47,7 +48,9 @@ __all__ = [
     "instance_shape",
     "noise_escape_mass",
     "run_experiment",
+    "run_interaction",
     "run_score_attack",
     "score_attack_rounds",
+    "transcript_accurate",
     "true_mean",
 ]

@@ -149,7 +149,7 @@ def make_info_query(inst: HardInstance, table: np.ndarray) -> Query:
     return Query(0.0, overrides)
 
 
-def _draw_info_tables(
+def draw_info_tables(
     inst: HardInstance, rng_p: np.random.Generator, rng_table: np.random.Generator, rounds: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``rounds`` info queries' p ~ U[0, 1] and their Bernoulli(p)
@@ -163,11 +163,36 @@ def _draw_info_tables(
     return p, rng_table.random((rounds, inst.support_size)) < p[:, None]
 
 
+def info_query_means(
+    inst: HardInstance, mech: MechanismState, tables: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Empirical means on the mechanism's held sample of the info queries
+    with these (rounds, m) 0/1 tables, and their true means when the
+    mechanism holds a distribution (else None).
+
+    Both equal ``empirical_mean``'s and ``true_mean``'s bit for bit. A
+    mechanism that reads a distribution must hold ``inst.distribution``,
+    whose true means follow from the instance layout.
+    """
+    if mech.distribution is not None and mech.distribution is not inst.distribution:
+        raise ValueError("mechanism distribution must be the instance's own")
+    elements = mech.sample.as_array()
+    # An info query is the table on block one and 0 elsewhere; its 0/1 sums
+    # are exact, so dividing them by the sample size gives the means exactly.
+    emp = tables[:, elements[elements < inst.support_size]].sum(axis=1) / len(elements)
+    if mech.distribution is None:
+        return emp, None
+    # support sample j holds slot j of block one copies_per_block times
+    support_means = tables * inst.copies_per_block / inst.n
+    probs = mech.distribution.probabilities
+    return emp, np.array([probs @ row for row in support_means])  # true_mean's dot, row by row
+
+
 def _draw_info_query(
     inst: HardInstance, rng_p: np.random.Generator, rng_table: np.random.Generator
 ) -> tuple[float, np.ndarray, Query]:
     """Draw one info query: its p, its 0/1 table and the query."""
-    p, tables = _draw_info_tables(inst, rng_p, rng_table, 1)
+    p, tables = draw_info_tables(inst, rng_p, rng_table, 1)
     table = tables[0].astype(np.float64)
     return float(p[0]), table, make_info_query(inst, table)
 
@@ -267,37 +292,24 @@ def run_score_attack_arrays(
     equals N single draws, so the k tables are drawn as one (k, m) array and
     answered in one batch; the result equals ``run_score_attack``'s field
     for field, with no transcript. A mechanism that reads a distribution
-    must hold ``inst.distribution``, whose true means follow from the
-    instance layout.
+    must hold ``inst.distribution`` (see ``info_query_means``).
     """
     if k < 1:
         raise ValueError("score attack needs at least one info round")
     if mech.sample is None:
         raise ValueError("mechanism must hold a sample drawn from the instance")
-    if mech.distribution is not None and mech.distribution is not inst.distribution:
-        raise ValueError("mechanism distribution must be the instance's own")
     true_index = _hidden_slot(inst, mech.sample)
-    m = inst.support_size
-    elements = mech.sample.as_array()
-    p, tables = _draw_info_tables(inst, rng_p, rng_table, k)
-    # An info query is the table on block one and 0 elsewhere; its 0/1 sums
-    # are exact, so these means equal empirical_mean's bit for bit.
-    emp = tables[:, elements[elements < m]].sum(axis=1) / len(elements)
-    tru = close_tru = None
-    if mech.distribution is not None:
-        # support sample j holds slot j of block one copies_per_block times
-        support_means = tables * inst.copies_per_block / inst.n
-        probs = mech.distribution.probabilities
-        tru = np.array([probs @ row for row in support_means])  # true_mean's dot, row by row
+    p, tables = draw_info_tables(inst, rng_p, rng_table, k)
+    emp, tru = info_query_means(inst, mech, tables)
     observed = answer_batch(mech, emp, tru)
     increments = (observed - p / inst.num_blocks)[:, None] * (tables - p[:, None])
     # accumulate adds row after row, as info_round does; at most the sign of
     # a zero score differs, which argmax does not see
     scores = np.add.accumulate(increments, axis=0)[-1]
     guess_index = int(np.argmax(scores))
-    close_emp = np.count_nonzero(elements % m == guess_index) / len(elements)
-    if tru is not None:
-        close_tru = probs[guess_index : guess_index + 1]
+    elements = mech.sample.as_array()
+    close_emp = np.count_nonzero(elements % inst.support_size == guess_index) / len(elements)
+    close_tru = None if tru is None else mech.distribution.probabilities[guess_index : guess_index + 1]
     final_answer = float(answer_batch(mech, np.array([close_emp]), close_tru)[0])
     target = inst.final_true_mean
     return ScoreAttackResult(
@@ -315,8 +327,8 @@ class InfoRoundAnalyst:
     """Analyst issuing only the attack's oblivious info queries.
 
     Never reads answers, so two instances built from identically seeded
-    generators produce identical query sequences; used for coupled runs and
-    for accuracy experiments restricted to concentrated queries.
+    generators produce identical query sequences: the per-round
+    counterpart of ``draw_info_tables``, for ``run_interaction``.
     """
 
     deterministic = False
@@ -416,18 +428,16 @@ def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttac
 # --- attack round constants ---------------------------------------------------
 
 
-def calibrated_attack_constant(r: int, noise_variance: float, safety: float = 2.0) -> float:
+def calibrated_attack_constant(r: int, noise_variance: float) -> float:
     """Constant from the exact per-round score-gap variance.
 
     72 * Var(W_t) with Var(W_t) = (13/180)/r^2 + noise_variance/3, scaled
-    by a safety factor that absorbs clipping bias and the normal
+    by a safety factor of 2 that absorbs clipping bias and the normal
     approximation.
     """
     if r < 1:
         raise ValueError("need at least one block")
     if noise_variance < 0:
         raise ValueError("noise variance must be non-negative")
-    if safety <= 0:
-        raise ValueError("safety factor must be positive")
     gap_variance = _NOISELESS_GAP_VARIANCE / (r * r) + noise_variance / 3.0
-    return 72.0 * gap_variance * safety
+    return 72.0 * gap_variance * 2.0

@@ -31,7 +31,8 @@ from .mechanisms import (
 
 logger = logging.getLogger(__name__)
 
-_DEFAULT_BUDGET = (0.25, 0.25, 0.25, 0.25)
+# shares of beta for rho, noise escape mass, k * gamma and composed divergence
+_BUDGET = (0.25, 0.25, 0.25, 0.25)
 _MAX_ROUNDS = 10**12
 
 
@@ -106,82 +107,66 @@ def accuracy_noise_scale(alpha: float, eps: float) -> float:
     return alpha / (2.0 * math.log(1.0 / eps))
 
 
-def _budget_feasible(
-    k: int, eps: float, gamma: float, alpha: float, beta: float, b: float, budget
-) -> bool:
-    rho = beta * budget[0]
-    if k * gamma > beta * budget[2]:
+def _budget_feasible(k: int, eps: float, gamma: float, alpha: float, beta: float, b: float) -> bool:
+    rho = beta * _BUDGET[0]
+    if k * gamma > beta * _BUDGET[2]:
         return False
-    if noise_escape_mass(k, alpha, b) > beta * budget[1]:
+    if noise_escape_mass(k, alpha, b) > beta * _BUDGET[1]:
         return False
-    return composed_epsilon(k, eps, b, rho) <= beta * budget[3]
+    return composed_epsilon(k, eps, b, rho) <= beta * _BUDGET[3]
 
 
-def max_accurate_rounds(
-    eps: float,
-    gamma: float,
-    alpha: float,
-    beta: float,
-    budget: tuple[float, float, float, float] = _DEFAULT_BUDGET,
-) -> int:
+def max_accurate_rounds(eps: float, gamma: float, alpha: float, beta: float) -> int:
     """Largest k the accuracy bound certifies at failure level beta.
 
     Uses b = alpha / (2 ln(1/eps)) and requires each failure term (rho,
     escape mass, k*gamma, composed divergence) to stay within its share of
-    beta; shares default to 1/4 each and must sum to at most 1. Every term
-    grows with k, so the largest feasible k is found by bracket-and-bisect.
-    Returns 0 with a diagnostic when even one round is infeasible.
+    beta, 1/4 each. Every term grows with k, so the largest feasible k is
+    found by bracket-and-bisect. Returns 0 with a diagnostic when even one
+    round is infeasible.
     """
     if not (0.0 < eps < alpha):
         raise ValueError("need 0 < eps < alpha")
     if not (0.0 < gamma < 1.0) or not (0.0 < beta < 1.0) or not (0.0 < alpha <= 1.0):
         raise ValueError("gamma, beta in (0, 1) and alpha in (0, 1] required")
-    if len(budget) != 4 or any(w <= 0 for w in budget) or sum(budget) > 1.0 + 1e-12:
-        raise ValueError("budget must be four positive shares summing to at most 1")
     b = accuracy_noise_scale(alpha, eps)
-    if not _budget_feasible(1, eps, gamma, alpha, beta, b, budget):
-        rho = beta * budget[0]
+    if not _budget_feasible(1, eps, gamma, alpha, beta, b):
+        rho = beta * _BUDGET[0]
         logger.info(
             "no accurate round budget at eps=%g alpha=%g beta=%g: "
             "one round already gives composed divergence %.3g (cap %.3g), "
             "escape mass %.3g (cap %.3g), gamma mass %.3g (cap %.3g)",
             eps, alpha, beta,
-            composed_epsilon(1, eps, b, rho), beta * budget[3],
-            noise_escape_mass(1, alpha, b), beta * budget[1],
-            gamma, beta * budget[2],
+            composed_epsilon(1, eps, b, rho), beta * _BUDGET[3],
+            noise_escape_mass(1, alpha, b), beta * _BUDGET[1],
+            gamma, beta * _BUDGET[2],
         )
         return 0
     lo, hi = 1, 2
-    while hi <= _MAX_ROUNDS and _budget_feasible(hi, eps, gamma, alpha, beta, b, budget):
+    while hi <= _MAX_ROUNDS and _budget_feasible(hi, eps, gamma, alpha, beta, b):
         lo, hi = hi, hi * 2
     if hi > _MAX_ROUNDS:
         return _MAX_ROUNDS
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _budget_feasible(mid, eps, gamma, alpha, beta, b, budget):
+        if _budget_feasible(mid, eps, gamma, alpha, beta, b):
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def max_accurate_rounds_details(
-    eps: float,
-    gamma: float,
-    alpha: float,
-    beta: float,
-    budget: tuple[float, float, float, float] = _DEFAULT_BUDGET,
-) -> dict:
+def max_accurate_rounds_details(eps: float, gamma: float, alpha: float, beta: float) -> dict:
     """The search result plus the terms it balanced, for reports."""
-    k = max_accurate_rounds(eps, gamma, alpha, beta, budget)
+    k = max_accurate_rounds(eps, gamma, alpha, beta)
     b = accuracy_noise_scale(alpha, eps)
-    rho = beta * budget[0]
+    rho = beta * _BUDGET[0]
     params = AccuracyParams(eps=eps, gamma=gamma, alpha=alpha, beta=beta, rho=rho, b=b, k=k)
     return {
         "k": k,
         "b": b,
         "rho": rho,
-        "budget": list(budget),
+        "budget": list(_BUDGET),
         "composed_epsilon": composed_epsilon(k, eps, b, rho) if k else 0.0,
         "noise_escape_mass": noise_escape_mass(k, alpha, b),
         "gamma_mass": k * gamma,
@@ -247,11 +232,6 @@ def breaking_rounds_details(
 # --- transcript predicates -----------------------------------------------------
 
 
-def all_queries_good(queries, sample: Sample, dist: FiniteDistribution, eps: float) -> bool:
-    """Every query's empirical mean within eps of its true mean."""
-    return all(abs(empirical_mean(q, sample) - true_mean(q, dist)) <= eps for q in queries)
-
-
 def transcript_accurate(transcript: Transcript, dist: FiniteDistribution, alpha: float) -> bool:
     """Every answer within alpha of the query's true mean."""
     return all(abs(a - true_mean(q, dist)) <= alpha for q, a in transcript.rounds)
@@ -292,9 +272,8 @@ def divergence_diagnostics(
     support mismatches (one side gives an answer zero probability) report
     infinite divergence.
     """
-    for spec_field in ("clip_lo", "clip_hi", "grid_step"):
-        if getattr(mech_a.noise, spec_field) != getattr(mech_b.noise, spec_field):
-            raise ValueError("mechanisms must share one output grid")
+    if mech_a.noise.grid_step != mech_b.noise.grid_step:
+        raise ValueError("mechanisms must share one output grid")
     p = output_distribution(mech_a.noise, perturbed_mean(mech_a, query)[0])
     q = output_distribution(mech_b.noise, perturbed_mean(mech_b, query)[0])
     return DivergenceReport(
@@ -362,6 +341,8 @@ def run_llr_experiment(
         with np.errstate(divide="ignore"):
             return np.log(output_distribution(noise, mean)).tolist()
 
+    clip_lo = noise.clip_lo  # read once: a class constant read through an instance is slow
+
     def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
         exceed = 0
         for _ in range(trials):
@@ -375,7 +356,7 @@ def run_llr_experiment(
                 mean_h = tru if switched else emp
                 drawn_mean = mean_h if sample_hybrid else tru
                 observed = quantize(noise, drawn_mean + sample_noise(noise, rng))
-                index = round((observed - noise.clip_lo) / noise.grid_step)
+                index = round((observed - clip_lo) / noise.grid_step)
                 log_h = log_law(mean_h)[index]
                 log_o = log_law(tru)[index]
                 # a bin the other law never yields makes the ratio +inf

@@ -26,27 +26,26 @@ import numpy as np
 
 from .attack import (
     FixedQueryAnalyst,
-    InfoRoundAnalyst,
     build_block_instance,
     build_hard_instance,
     calibrated_attack_constant,
+    draw_info_tables,
+    info_query_means,
     instance_shape,
     run_score_attack_arrays,
     run_simple_attack,
 )
 from .bounds import (
     accuracy_noise_scale,
-    all_queries_good,
     breaking_rounds_details,
     divergence_diagnostics,
     max_accurate_rounds,
     max_accurate_rounds_details,
     run_llr_experiment,
     score_attack_rounds,
-    transcript_accurate,
 )
-from .core import FiniteDistribution, Query, Sample
-from .mechanisms import MechanismKind, MechanismState, NoiseSpec, run_interaction
+from .core import FiniteDistribution, Query, Sample, empirical_mean, true_mean
+from .mechanisms import MechanismKind, MechanismState, NoiseSpec, answer_batch
 
 STREAMS = (
     "sample_draw",
@@ -121,13 +120,15 @@ class ExperimentResult:
 # --- shared builders ------------------------------------------------------------
 
 
-# One run builds one instance, in _resolve_params and again in every trial; a
-# bound of one keeps a process that runs many configs from holding each support.
+# One run builds one instance and one noise spec, in _resolve_params and again
+# in every trial; a bound of one keeps a process that runs many configs from
+# holding each support.
 _hard_instance = functools.lru_cache(maxsize=1)(build_hard_instance)
+_noise_spec = functools.lru_cache(maxsize=1)(NoiseSpec)
 
 
 def _noise_from_params(params: dict, *, grid_default: float = 2.0**-20) -> NoiseSpec:
-    return NoiseSpec(
+    return _noise_spec(
         family=params.get("noise_family", "laplace"),
         scale=float(params.get("noise_scale", 0.1)),
         grid_step=float(params.get("grid_step", grid_default)),
@@ -136,9 +137,9 @@ def _noise_from_params(params: dict, *, grid_default: float = 2.0**-20) -> Noise
 
 def _mechanism(
     kind_name: str,
-    params: dict,
     noise: NoiseSpec,
     *,
+    epsilon_switch: float | None = None,
     sample: Sample | None,
     distribution: FiniteDistribution | None,
     master: int,
@@ -159,11 +160,10 @@ def _mechanism(
             oracle_seed=derive_entropy(master, trial, "mech_noise_oracle"),
         )
     if kind_name == "hybrid":
-        eps_switch = params.get("epsilon_switch")
-        if eps_switch is None:
+        if epsilon_switch is None:
             raise ValueError("hybrid mechanism requires an epsilon_switch parameter")
         return MechanismState(
-            MechanismKind.hybrid(float(eps_switch)),
+            MechanismKind.hybrid(epsilon_switch),
             noise,
             sample=sample,
             distribution=distribution,
@@ -199,7 +199,13 @@ def _attack_trial(params: dict, master: int, trial: int) -> dict:
     mech_name = params.get("mechanism", "real")
     dist = inst.distribution if mech_name == "hybrid" else None
     mech = _mechanism(
-        mech_name, params, noise, sample=sample, distribution=dist, master=master, trial=trial
+        mech_name,
+        noise,
+        epsilon_switch=params.get("epsilon_switch"),
+        sample=sample,
+        distribution=dist,
+        master=master,
+        trial=trial,
     )
     result = run_score_attack_arrays(
         inst,
@@ -229,9 +235,7 @@ def _simple_attack_trial(params: dict, master: int, trial: int) -> dict:
     held = int(derive_rng(master, trial, "sample_draw").integers(inst.num_candidates))
     sample = inst.distribution.samples[held]
     noise = _noise_from_params(params)
-    mech = _mechanism(
-        "real", params, noise, sample=sample, distribution=None, master=master, trial=trial
-    )
+    mech = _mechanism("real", noise, sample=sample, distribution=None, master=master, trial=trial)
     result = run_simple_attack(gamma, n, mech)
     return {
         "trial": trial,
@@ -258,27 +262,25 @@ def _positive_trial(params: dict, master: int, trial: int) -> dict:
     slot = int(derive_rng(master, trial, "sample_draw").integers(inst.support_size))
     sample = inst.make_sample(slot)
     noise = _noise_from_params(params)
-    hybrid_params = {"epsilon_switch": params.get("epsilon_switch", eps)}
     mech = _mechanism(
         "hybrid",
-        hybrid_params,
         noise,
+        epsilon_switch=params.get("epsilon_switch", eps),
         sample=sample,
         distribution=inst.distribution,
         master=master,
         trial=trial,
     )
-    analyst = InfoRoundAnalyst(
-        inst,
-        derive_rng(master, trial, "attack_p"),
-        derive_rng(master, trial, "attack_bernoulli"),
+    _, tables = draw_info_tables(
+        inst, derive_rng(master, trial, "attack_p"), derive_rng(master, trial, "attack_bernoulli"), k
     )
-    transcript = run_interaction(analyst, mech, k)
+    emp, tru = info_query_means(inst, mech, tables)
+    answers = answer_batch(mech, emp, tru)
     return {
         "trial": trial,
         "rounds": k,
-        "accurate": transcript_accurate(transcript, inst.distribution, float(params["alpha"])),
-        "queries_good": all_queries_good(transcript.queries, sample, inst.distribution, eps),
+        "accurate": bool(np.all(np.abs(answers - tru) <= float(params["alpha"]))),
+        "queries_good": bool(np.all(np.abs(emp - tru) <= eps)),
         "switched": mech.switched,
         "switch_round": -1 if mech.switch_round is None else mech.switch_round,
     }
@@ -292,20 +294,25 @@ def _coupling_trial(params: dict, master: int, trial: int) -> dict:
         raise ValueError("bad_round must index a round within k")
     noise = _noise_from_params(params, grid_default=2.0**-10)
     _, held, dist = _two_sample_instance(n, n)
-    good = Query(0.5)
-    bad = Query(0.0, {1: 1.0})
-    schedule = [good] * bad_round + [bad] + [good] * (k - bad_round - 1)
+    # the schedule asks the good query in every round but bad_round
+    good, bad = Query(0.5), Query(0.0, {1: 1.0})
+    is_bad = np.arange(k) == bad_round
+    emp = np.where(is_bad, empirical_mean(bad, held), empirical_mean(good, held))
+    tru = np.where(is_bad, true_mean(bad, dist), true_mean(good, dist))
     mech_h = _mechanism(
-        "hybrid", params, noise, sample=held, distribution=dist, master=master, trial=trial
+        "hybrid",
+        noise,
+        epsilon_switch=params["epsilon_switch"],
+        sample=held,
+        distribution=dist,
+        master=master,
+        trial=trial,
     )
-    mech_r = _mechanism(
-        "real", params, noise, sample=held, distribution=None, master=master, trial=trial
-    )
-    answers_h = run_interaction(FixedQueryAnalyst(schedule), mech_h, k).answers
-    answers_r = run_interaction(FixedQueryAnalyst(schedule), mech_r, k).answers
-    first_divergence = next(
-        (i for i, (a, b) in enumerate(zip(answers_h, answers_r)) if a != b), -1
-    )
+    mech_r = _mechanism("real", noise, sample=held, distribution=None, master=master, trial=trial)
+    answers_h = answer_batch(mech_h, emp, tru)
+    answers_r = answer_batch(mech_r, emp, None)
+    differ = np.flatnonzero(answers_h != answers_r)
+    first_divergence = int(differ[0]) if differ.size else -1
     switch_round = -1 if mech_h.switch_round is None else mech_h.switch_round
     cutoff = switch_round if switch_round >= 0 else k
     return {
@@ -313,7 +320,7 @@ def _coupling_trial(params: dict, master: int, trial: int) -> dict:
         "switch_round": switch_round,
         "first_divergence_round": first_divergence,
         "prefix_identical": first_divergence == -1 or first_divergence >= cutoff,
-        "equal_rounds": sum(a == b for a, b in zip(answers_h, answers_r)),
+        "equal_rounds": k - differ.size,
     }
 
 
@@ -334,6 +341,8 @@ def _resolve_params(config: ExperimentConfig) -> dict:
     if missing:
         raise ValueError(f"{kind} experiment needs params {missing}")
     if kind == "attack":
+        if params.get("mechanism", "real") not in ("real", "hybrid"):
+            raise ValueError(f"attack mechanism must be real or hybrid, got {params['mechanism']!r}")
         noise = _noise_from_params(params)
         r, _, _ = instance_shape(float(params["eps"]), float(params["gamma"]))
         if "constant" not in params:
@@ -476,8 +485,8 @@ def _run_divergence(config: ExperimentConfig, params: dict) -> tuple[list[dict],
         mechs.append(
             _mechanism(
                 name,
-                params,
                 noise,
+                epsilon_switch=params.get("epsilon_switch"),
                 sample=None if name == "oracle" else held,
                 distribution=None if name == "real" else dist,
                 master=config.seed,

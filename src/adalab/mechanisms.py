@@ -26,6 +26,9 @@ from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean,
 
 _FAMILIES = ("laplace", "gaussian")
 _GRID_REL_TOL = 1e-9
+# The output interval; quantize reads these module names because reading a
+# class attribute through an instance is slower on the per-answer path.
+_CLIP_LO, _CLIP_HI = -0.5, 1.5
 
 
 @dataclass(frozen=True)
@@ -35,23 +38,23 @@ class NoiseSpec:
     ``scale == 0`` is the degenerate noiseless limit: draws are exactly 0
     but still consume one stream value per answer. The grid is the values
     ``clip_lo + i * grid_step`` for ``i = 0 .. span/grid_step``; answers are
-    clipped to ``[clip_lo, clip_hi]`` before rounding.
+    clipped to ``[clip_lo, clip_hi]`` before rounding. The clip interval and
+    the tolerated noise mass outside ``[clip_lo - 1, clip_hi]`` are fixed.
     """
 
     family: str = "laplace"
     scale: float = 0.1
-    clip_lo: float = -0.5
-    clip_hi: float = 1.5
     grid_step: float = 2.0**-20
-    tail_tolerance: float = 0.05
+
+    clip_lo = _CLIP_LO
+    clip_hi = _CLIP_HI
+    tail_tolerance = 0.05
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
         if self.scale < 0 or not math.isfinite(self.scale):
             raise ValueError("noise scale must be a finite non-negative real")
-        if not (self.clip_lo < 0.0 < 1.0 < self.clip_hi):
-            raise ValueError("clip bounds must satisfy clip_lo < 0 < 1 < clip_hi")
         if self.grid_step <= 0:
             raise ValueError("grid_step must be positive")
         span = self.clip_hi - self.clip_lo
@@ -94,17 +97,6 @@ def noise_cdf(spec: NoiseSpec, x) -> np.ndarray | float:
     return 0.5 * erfc(-x / (spec.scale * math.sqrt(2.0)))
 
 
-def _noise_sf(spec: NoiseSpec, x) -> np.ndarray:
-    """Survival function P(noise > x) for scale > 0, formed directly rather
-    than as 1 - CDF, so it stays exact where the CDF rounds to 1."""
-    if spec.family == "laplace":
-        tail = 0.5 * np.exp(-np.abs(x) / spec.scale)
-        return np.where(x < 0.0, 1.0 - tail, tail)
-    from scipy.special import erfc  # only Gaussian noise needs scipy
-
-    return 0.5 * erfc(x / (spec.scale * math.sqrt(2.0)))
-
-
 def sample_noise(
     spec: NoiseSpec, rng: np.random.Generator, size: int | None = None
 ) -> float | np.ndarray:
@@ -128,9 +120,9 @@ def quantize(spec: NoiseSpec, value: float) -> float:
     value = float(value)
     if math.isnan(value):
         raise ValueError("cannot quantize NaN")
-    value = min(max(value, spec.clip_lo), spec.clip_hi)
-    index = round((value - spec.clip_lo) / spec.grid_step)
-    return spec.clip_lo + index * spec.grid_step
+    value = min(max(value, _CLIP_LO), _CLIP_HI)
+    index = round((value - _CLIP_LO) / spec.grid_step)
+    return _CLIP_LO + index * spec.grid_step
 
 
 def quantize_array(spec: NoiseSpec, values) -> np.ndarray:
@@ -139,8 +131,8 @@ def quantize_array(spec: NoiseSpec, values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if np.isnan(values).any():
         raise ValueError("cannot quantize NaN")
-    values = np.minimum(np.maximum(values, spec.clip_lo), spec.clip_hi)
-    return spec.clip_lo + np.rint((values - spec.clip_lo) / spec.grid_step) * spec.grid_step
+    values = np.minimum(np.maximum(values, _CLIP_LO), _CLIP_HI)
+    return _CLIP_LO + np.rint((values - _CLIP_LO) / spec.grid_step) * spec.grid_step
 
 
 def output_distribution(spec: NoiseSpec, mean: float) -> np.ndarray:
@@ -155,7 +147,7 @@ def output_distribution(spec: NoiseSpec, mean: float) -> np.ndarray:
     # bin edges as offsets from the mean
     offsets = spec.clip_lo + (np.arange(spec.n_bins) + 0.5) * spec.grid_step - mean
     cdf = np.asarray(noise_cdf(spec, offsets))
-    sf = _noise_sf(spec, offsets)
+    sf = noise_cdf(spec, -offsets)  # P(noise > offset), by the noise's symmetry
     probs = np.empty(spec.n_bins + 1, dtype=np.float64)
     probs[0] = cdf[0]
     # Above the mean CDF values round toward 1 and their differences cancel

@@ -9,7 +9,9 @@ from adalab.attack import (
     build_block_instance,
     build_hard_instance,
     calibrated_attack_constant,
+    draw_info_tables,
     final_query,
+    info_query_means,
     info_round,
     instance_shape,
     make_info_query,
@@ -18,7 +20,7 @@ from adalab.attack import (
     run_score_attack_arrays,
     run_simple_attack,
 )
-from adalab.core import Query, Sample, true_mean
+from adalab.core import Query, Sample, empirical_mean, true_mean
 from adalab.harness import derive_entropy, derive_rng
 from adalab.mechanisms import MechanismKind, MechanismState, NoiseSpec
 
@@ -254,6 +256,26 @@ def seeded_attack_run(attack, eps, n, k, noise, epsilon_switch, trial, master=1)
 
 
 class TestArrayAttack:
+    @pytest.mark.parametrize("eps, n", [(0.25, 16), (0.5, 8)])
+    def test_info_query_means_match_the_gathers_bit_for_bit(self, eps, n):
+        inst = build_hard_instance(eps, 0.01, n)
+        sample = inst.make_sample(3)
+        hybrid = MechanismState(
+            MechanismKind.hybrid(0.25),
+            NoiseSpec(),
+            sample=sample,
+            distribution=inst.distribution,
+            real_rng=np.random.default_rng(0),
+            oracle_seed=1,
+        )
+        _, tables = draw_info_tables(inst, np.random.default_rng(2), np.random.default_rng(3), 300)
+        emp, tru = info_query_means(inst, hybrid, tables)
+        queries = [make_info_query(inst, table) for table in tables]
+        assert emp.tolist() == [empirical_mean(q, sample) for q in queries]
+        assert tru.tolist() == [true_mean(q, inst.distribution) for q in queries]
+        real_emp, real_tru = info_query_means(inst, real_mech(sample), tables)
+        assert real_emp.tolist() == emp.tolist() and real_tru is None
+
     @pytest.mark.parametrize("name", sorted(ARRAY_ATTACK_CONFIGS))
     def test_matches_reference_bit_for_bit(self, name):
         *config, switching = ARRAY_ATTACK_CONFIGS[name]
@@ -358,7 +380,3 @@ class TestAttackConstants:
         assert gap.mean() == pytest.approx(1 / (6 * r), abs=5 * gap.std() / math.sqrt(M))
         assert gap.var() == pytest.approx(model_var, rel=0.02)
         assert calibrated_attack_constant(r, 2 * b * b) == pytest.approx(72 * model_var * 2)
-
-    def test_safety_factor_scales_linearly(self):
-        base = calibrated_attack_constant(4, 0.02, safety=1.0)
-        assert calibrated_attack_constant(4, 0.02, safety=3.0) == pytest.approx(3 * base)

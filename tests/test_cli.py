@@ -37,6 +37,13 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err and "needs params" in err
 
+    @pytest.mark.parametrize("mechanism", ["oracle", "Real"])
+    def test_attack_mechanism_is_real_or_hybrid(self, capsys, mechanism):
+        argv = "attack --eps 0.25 --gamma 0.01 --n 16 --k 5 --mechanism".split() + [mechanism]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert f"attack mechanism must be real or hybrid, got '{mechanism}'" in err
+
 
 @pytest.mark.parametrize("name", sorted(KINDS))
 class TestKindTable:
@@ -183,11 +190,24 @@ README_ATTACKS = {
         "coupling --k 6 --bad-round 2 --epsilon-switch 0.25 --trials 100 --seed 11",
         "8dae84c1e60af4e29e5b68bb6a0911d9fb93cf40f82db0761b51f5e152bd46c3",
     ),
+    "diagnose-divergence": (
+        "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2",
+        "2dc8c3688bca9fbf72b887a2823b2c89a2a233b2ef133c54451371f5b799bec4",
+    ),
+    "bounds-negative": (
+        "bounds --mode negative --eps-values 0.25 0.1 0.01 --gamma 0.01 --beta 0.1",
+        "69c22d2e977670f9d82840431a0b07068fd0bcb90bc8c5b5e7563a27768634e3",
+    ),
+    "bounds-positive": (
+        "bounds --mode positive --eps-values 1e-5 1e-6 --gamma 1e-6 --beta 0.1 --alpha 0.1",
+        "a7db1fddf6699e5f0585b0638a8a1be5c77de92b0fe0eb8927882db00a732141",
+    ),
 }
 
 
 class TestReadmeAttacks:
-    """README's trial-kind commands, pinned by the SHA-256 of their JSONL records."""
+    """README's trial-kind, divergence and bounds commands, pinned by the
+    SHA-256 of their JSONL records."""
 
     @pytest.mark.parametrize("name", sorted(README_ATTACKS))
     def test_records_are_pinned(self, capsys, tmp_path, name):

@@ -3,10 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from adalab.bounds import composed_epsilon
+from adalab.attack import FixedQueryAnalyst, InfoRoundAnalyst, build_hard_instance
+from adalab.bounds import composed_epsilon, transcript_accurate
+from adalab.core import Query, empirical_mean, true_mean
 from adalab.harness import (
     STREAMS,
     ExperimentConfig,
+    _coupling_trial,
+    _positive_trial,
+    _two_sample_instance,
     derive_entropy,
     derive_rng,
     derive_seedseq,
@@ -16,6 +21,7 @@ from adalab.harness import (
     to_json,
     write_outputs,
 )
+from adalab.mechanisms import MechanismKind, MechanismState, NoiseSpec, run_interaction
 
 
 def attack_config(**over):
@@ -252,6 +258,96 @@ class TestRunExperimentKinds:
             run_experiment(
                 ExperimentConfig(kind="attack", params={"eps": 0.25, "gamma": 0.01})
             )
+
+
+def seeded_hybrid(noise, sample, dist, epsilon_switch, master, trial):
+    """A hybrid mechanism seeded as the harness seeds trial ``trial``."""
+    return MechanismState(
+        MechanismKind.hybrid(epsilon_switch),
+        noise,
+        sample=sample,
+        distribution=dist,
+        real_rng=derive_rng(master, trial, "mech_noise_real"),
+        oracle_seed=derive_entropy(master, trial, "mech_noise_oracle"),
+    )
+
+
+def positive_reference(params, master, trial):
+    """``_positive_trial`` one round at a time: the info-round analyst
+    against the hybrid, with every mean gathered query by query."""
+    eps, k = params["eps"], params["k"]
+    inst = build_hard_instance(eps, params["gamma"], params["n"])
+    dist = inst.distribution
+    sample = inst.make_sample(int(derive_rng(master, trial, "sample_draw").integers(inst.support_size)))
+    hybrid = seeded_hybrid(NoiseSpec(), sample, dist, params["epsilon_switch"], master, trial)
+    analyst = InfoRoundAnalyst(
+        inst, derive_rng(master, trial, "attack_p"), derive_rng(master, trial, "attack_bernoulli")
+    )
+    transcript = run_interaction(analyst, hybrid, k)
+    return {
+        "trial": trial,
+        "rounds": k,
+        "accurate": transcript_accurate(transcript, dist, params["alpha"]),
+        "queries_good": all(
+            abs(empirical_mean(q, sample) - true_mean(q, dist)) <= eps for q in transcript.queries
+        ),
+        "switched": hybrid.switched,
+        "switch_round": -1 if hybrid.switch_round is None else hybrid.switch_round,
+    }
+
+
+def coupling_reference(params, master, trial):
+    """``_coupling_trial`` one round at a time: the fixed good/bad schedule
+    against the hybrid and the real mechanism."""
+    k, bad_round = params["k"], params["bad_round"]
+    _, held, dist = _two_sample_instance(8, 8)
+    schedule = [Query(0.5)] * k
+    schedule[bad_round] = Query(0.0, {1: 1.0})
+    noise = NoiseSpec(grid_step=2.0**-10)
+    hybrid = seeded_hybrid(noise, held, dist, params["epsilon_switch"], master, trial)
+    real = MechanismState(
+        MechanismKind.real(), noise, sample=held, real_rng=derive_rng(master, trial, "mech_noise_real")
+    )
+    answers_h = run_interaction(FixedQueryAnalyst(schedule), hybrid, k).answers
+    answers_r = run_interaction(FixedQueryAnalyst(schedule), real, k).answers
+    first = next((i for i, (a, b) in enumerate(zip(answers_h, answers_r)) if a != b), -1)
+    switch_round = -1 if hybrid.switch_round is None else hybrid.switch_round
+    return {
+        "trial": trial,
+        "switch_round": switch_round,
+        "first_divergence_round": first,
+        "prefix_identical": first == -1 or first >= (switch_round if switch_round >= 0 else k),
+        "equal_rounds": sum(a == b for a, b in zip(answers_h, answers_r)),
+    }
+
+
+class TestBatchedTrialsMatchPerRound:
+    """The batched answer-blind trials against their per-round references,
+    record for record."""
+
+    @pytest.mark.parametrize(
+        "epsilon_switch, covers",
+        [
+            (0.3, lambda rounds: rounds == {-1}),  # no switch
+            (0.05, lambda rounds: 0 in rounds),  # a switch at round 0
+            (0.1875, lambda rounds: max(rounds) > 0),  # mid-run switches
+        ],
+    )
+    def test_positive(self, epsilon_switch, covers):
+        params = {
+            "eps": 0.25, "gamma": 0.01, "n": 16, "k": 40, "alpha": 0.5,
+            "epsilon_switch": epsilon_switch,
+        }
+        batched = [_positive_trial(params, 9, trial) for trial in range(12)]
+        assert to_json(batched) == to_json([positive_reference(params, 9, t) for t in range(12)])
+        assert covers({record["switch_round"] for record in batched})
+
+    @pytest.mark.parametrize("bad_round", [0, 5])
+    def test_coupling(self, bad_round):
+        params = {"k": 6, "bad_round": bad_round, "epsilon_switch": 0.25}
+        batched = [_coupling_trial(params, 11, trial) for trial in range(12)]
+        assert to_json(batched) == to_json([coupling_reference(params, 11, t) for t in range(12)])
+        assert {record["switch_round"] for record in batched} == {bad_round}
 
 
 class TestParallelism:

@@ -51,17 +51,10 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(grid_step=0.3)
 
-    def test_rejects_clip_not_covering_unit_interval(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(clip_lo=0.1, clip_hi=1.5)
-        with pytest.raises(ValueError):
-            NoiseSpec(clip_lo=-0.5, clip_hi=0.9)
-
     def test_rejects_heavy_stray_tails(self):
         # scale 1.0 leaves far more than 5 percent outside [clip_lo-1, clip_hi]
         with pytest.raises(ValueError, match="exceeds tolerance"):
             NoiseSpec(scale=1.0)
-        NoiseSpec(scale=1.0, tail_tolerance=0.5)
 
     def test_scale_zero_allowed(self):
         assert NoiseSpec(scale=0.0).variance() == 0.0
@@ -189,7 +182,7 @@ class TestOutputDistribution:
             assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / draws.size) + 1e-9
 
     def test_edge_bins_absorb_clipped_tails(self):
-        spec = NoiseSpec(scale=0.1, grid_step=0.25, tail_tolerance=1.0)
+        spec = NoiseSpec(scale=0.1, grid_step=0.25)
         probs = output_distribution(spec, 1.5)
         # mean on the upper clip: at least the upper half of the noise lands there
         assert probs[-1] >= 0.5
