@@ -145,8 +145,8 @@ def new_attack_state(
 
 def make_info_query(inst: HardInstance, table: np.ndarray) -> Query:
     """Query holding a 0/1 table on the first block and 0 elsewhere."""
-    overrides = {int(slot): 1.0 for slot in np.flatnonzero(table)}
-    return Query(0.0, overrides)
+    slots = np.flatnonzero(table)
+    return Query.from_arrays(0.0, slots, np.ones(slots.size))
 
 
 def draw_info_tables(
@@ -219,7 +219,7 @@ def final_query(state: AttackState, inst: HardInstance) -> Query:
     smallest slot."""
     guess = int(np.argmax(state.scores))
     elements = guess + inst.support_size * np.arange(inst.num_blocks, dtype=np.int64)
-    return Query(0.0, {int(e): 1.0 for e in elements})
+    return Query.from_arrays(0.0, elements, np.ones(inst.num_blocks))
 
 
 @dataclass(frozen=True)
@@ -377,7 +377,8 @@ class BlockInstance:
         return self.domain.num_blocks
 
     def query_for_block(self, block: int) -> Query:
-        return Query(0.0, {int(e): 1.0 for e in self.domain.block_elements(block)})
+        elements = self.domain.block_elements(block)
+        return Query.from_arrays(0.0, elements, np.ones(elements.size))
 
 
 def build_block_instance(gamma: float, n: int) -> BlockInstance:

@@ -1,11 +1,20 @@
 """Core value types: partitioned domains, samples, distributions, queries, transcripts.
 
 All types are immutable after construction and all operations are pure, so
-values can be shared freely across threads and processes.
+values can be shared freely across threads and processes. Derived data is
+built on first use and kept: a sample's element array and element counts, a
+distribution's stacked support and element -> row index, and a query's
+override mapping, dense lookup table and hash.
+
+A query stores its overrides as sorted int64 ids and float64 values. The
+means of a query whose values are all 0 or 1 are integer counts read from
+those ids and the element -> row index, divided by the sample size; any
+other query, or a support whose rows share an element, gathers the table.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -75,31 +84,78 @@ class Sample:
             object.__setattr__(self, "_array", cached)
         return cached
 
+    @functools.cached_property
+    def element_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct elements in increasing order, and how often each occurs."""
+        return np.unique(self.as_array(), return_counts=True)
+
 
 class Query:
     """Per-element query table: a default value plus sparse overrides.
 
     Values live in [0, 1] and the table is fixed at construction; queries
     built from random draws cannot be influenced by whoever answers them.
+
+    The overrides are two read-only arrays: ``ids``, the overridden element
+    ids in increasing order without repeats (int64), and ``vals``, their
+    values (float64), with -0.0 stored as 0.0. ``Query(default, mapping)``
+    sorts a mapping into them; ``Query.from_arrays`` takes them as they are.
+    Both check them the same way. ``binary`` says whether the default and
+    every override value are 0 or 1. Built on first use and kept: the
+    ``overrides`` mapping, the dense table ``values_at`` gathers from, and
+    the hash.
     """
 
     def __init__(self, default_value: float = 0.0, overrides: Mapping[int, float] | None = None):
-        default_value = float(default_value)
-        _check_query_value(default_value)
-        table: dict[int, float] = {}
-        for element, value in (overrides or {}).items():
-            element = int(element)
-            if element < 0:
-                raise ValueError("override elements must be non-negative ids")
-            value = float(value)
-            _check_query_value(value)
-            table[element] = value
+        table = overrides or {}
+        ids = np.asarray(list(table.keys()))
+        order = np.argsort(ids, kind="stable")
+        self._store(default_value, ids[order], np.fromiter(table.values(), np.float64, len(table))[order])
+
+    @classmethod
+    def from_arrays(cls, default_value: float, ids, vals) -> "Query":
+        """Query from override ids in strictly increasing order and their values."""
+        query = cls.__new__(cls)
+        query._store(default_value, ids, vals)
+        return query
+
+    def _store(self, default_value: float, ids, vals) -> None:
+        default_value = float(default_value) + 0.0
+        if not 0.0 <= default_value <= 1.0:
+            raise ValueError(f"query values must lie in [0, 1], got {default_value}")
+        ids = _element_ids(ids, "override ids")
+        vals = np.asarray(vals, dtype=np.float64) + 0.0
+        if ids.ndim != 1 or vals.shape != ids.shape:
+            raise ValueError("override ids and values must be 1-D and of one length")
+        outside = ~((vals >= 0.0) & (vals <= 1.0))
+        if np.count_nonzero(outside):
+            raise ValueError(f"query values must lie in [0, 1], got {vals[outside][0]}")
+        unordered = ids[1:] <= ids[:-1]
+        if np.count_nonzero(unordered):
+            raise ValueError(
+                f"override ids must increase strictly; {ids[1:][unordered][0]} repeats or is out of order"
+            )
+        if ids.size and ids[0] < 0:
+            raise ValueError("override elements must be non-negative ids")
+        ids.setflags(write=False)
+        vals.setflags(write=False)
         self.default_value = default_value
-        self.overrides: Mapping[int, float] = MappingProxyType(table)
+        self.ids = ids
+        self.vals = vals
+        self.binary = default_value in (0.0, 1.0) and np.count_nonzero((vals == 0.0) | (vals == 1.0)) == vals.size
         self._dense: np.ndarray | None = None
 
+    @functools.cached_property
+    def overrides(self) -> Mapping[int, float]:
+        """Read-only element id -> value mapping of the overrides."""
+        return MappingProxyType(dict(zip(self.ids.tolist(), self.vals.tolist())))
+
     def value(self, element: int) -> float:
-        return self.overrides.get(int(element), self.default_value)
+        element = int(element)
+        i = int(np.searchsorted(self.ids, element))
+        if i < self.ids.size and self.ids[i] == element:
+            return float(self.vals[i])
+        return self.default_value
 
     def values_at(self, elements: np.ndarray) -> np.ndarray:
         """Vectorized table lookup for an int array of element ids."""
@@ -109,37 +165,47 @@ class Query:
         needed = int(elements.max()) + 1
         if needed <= _DENSE_CACHE_LIMIT:
             if self._dense is None or self._dense.size < needed:
-                self._dense = self._build_dense(max(needed, 2 * len(self.overrides)))
+                self._dense = self._build_dense(max(needed, 2 * self.ids.size))
             return self._dense[elements]
-        out = np.full(elements.shape, self.default_value, dtype=np.float64)
-        for element, value in self.overrides.items():
-            out[elements == element] = value
-        return out
+        if self.ids.size == 0:
+            return np.full(elements.shape, self.default_value)
+        pos = np.minimum(np.searchsorted(self.ids, elements), self.ids.size - 1)
+        return np.where(self.ids[pos] == elements, self.vals[pos], self.default_value)
 
     def _build_dense(self, size: int) -> np.ndarray:
         dense = np.full(size, self.default_value, dtype=np.float64)
-        if self.overrides:
-            idx = np.fromiter(self.overrides.keys(), dtype=np.int64, count=len(self.overrides))
-            vals = np.fromiter(self.overrides.values(), dtype=np.float64, count=len(self.overrides))
-            inside = idx < size
-            dense[idx[inside]] = vals[inside]
+        inside = np.searchsorted(self.ids, size)
+        dense[self.ids[:inside]] = self.vals[:inside]
         return dense
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Query):
             return NotImplemented
-        return self.default_value == other.default_value and dict(self.overrides) == dict(other.overrides)
+        return (
+            self.default_value == other.default_value
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.vals, other.vals)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.default_value, tuple(sorted(self.overrides.items()))))
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.default_value, self.ids.tobytes(), self.vals.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Query(default_value={self.default_value!r}, overrides={len(self.overrides)} entries)"
+        return f"Query(default_value={self.default_value!r}, overrides={self.ids.size} entries)"
 
 
-def _check_query_value(value: float) -> None:
-    if not np.isfinite(value) or not (0.0 <= value <= 1.0):
-        raise ValueError(f"query values must lie in [0, 1], got {value}")
+def _element_ids(raw, what: str) -> np.ndarray:
+    """``raw`` as a new int64 array, when every entry is an integer."""
+    arr = np.asarray(raw)
+    if arr.dtype.kind not in "iu" and arr.size:
+        bad = arr if arr.dtype.kind != "f" else arr[~(np.isfinite(arr) & (arr == np.trunc(arr)))]
+        if bad.size:
+            raise ValueError(f"{what} must be 64-bit integers, got {bad.ravel()[0]}")
+    return arr.astype(np.int64)
 
 
 class FiniteDistribution:
@@ -177,16 +243,61 @@ class FiniteDistribution:
             self._matrix.setflags(write=False)
         return self._matrix
 
+    @functools.cached_property
+    def element_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """(elements, rows, counts, lengths): every element of the support in
+        increasing order, the one support row holding it and its count there,
+        and each row's length. None when an element lies in more than one row
+        or a row is empty."""
+        lengths = np.array([len(s) for s in self.samples])
+        if not lengths.all():
+            return None
+        elements = np.concatenate([s.as_array() for s in self.samples])
+        rows = np.repeat(np.arange(lengths.size), lengths)
+        order = np.argsort(elements, kind="stable")
+        elements, rows = elements[order], rows[order]
+        repeat = elements[1:] == elements[:-1]
+        if (rows[1:] != rows[:-1])[repeat].any():
+            return None
+        starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
+        counts = np.diff(np.append(starts, elements.size))
+        return elements[starts], rows[starts], counts, lengths
+
+
+def _override_hits(query: Query, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the query's override ids occur in ``elements`` (non-empty,
+    increasing, distinct), and those overrides' values."""
+    pos = np.minimum(np.searchsorted(elements, query.ids), elements.size - 1)
+    hit = elements[pos] == query.ids
+    return pos[hit], query.vals[hit]
+
+
+# A query whose values are all 0 or 1 has an integer count as its sum over
+# any sample, which float64 adds exactly in any order, so count / n equals
+# the gathered values' mean bit for bit. Other queries gather.
+
 
 def empirical_mean(query: Query, sample: Sample) -> float:
     """Average of the query table over the sample's elements."""
-    if len(sample) == 0:
+    n = len(sample)
+    if n == 0:
         raise ValueError("degenerate sample: cannot average over zero elements")
-    return float(query.values_at(sample.as_array()).mean())
+    if not query.binary:
+        return float(query.values_at(sample.as_array()).mean())
+    elements, counts = sample.element_counts
+    pos, vals = _override_hits(query, elements)
+    default = query.default_value
+    return float((default * n + ((vals - default) * counts[pos]).sum()) / n)
 
 
 def empirical_means_over_support(query: Query, dist: FiniteDistribution) -> np.ndarray:
     """Empirical mean of ``query`` on every support sample, in support order."""
+    if query.binary and dist.element_rows is not None:
+        elements, rows, counts, lengths = dist.element_rows
+        pos, vals = _override_hits(query, elements)
+        default = query.default_value
+        delta = np.bincount(rows[pos], weights=(vals - default) * counts[pos], minlength=lengths.size)
+        return (default * lengths + delta) / lengths
     matrix = dist.sample_matrix()
     if matrix is not None:
         return query.values_at(matrix).mean(axis=1)
@@ -229,11 +340,14 @@ class Transcript:
 
 
 def sample_from_dict(data: Mapping) -> Sample:
-    return Sample(tuple(data["elements"]))
+    return Sample(tuple(_element_ids(data["elements"], "sample elements")))
 
 
 def query_from_dict(data: Mapping) -> Query:
-    return Query(data["default_value"], {int(e): float(v) for e, v in data["overrides"]})
+    query = Query(data["default_value"], dict(data["overrides"]))
+    if query.ids.size != len(data["overrides"]):
+        raise ValueError("query overrides name an element id more than once")
+    return query
 
 
 def distribution_from_dict(data: Mapping) -> FiniteDistribution:

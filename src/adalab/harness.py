@@ -341,8 +341,11 @@ def _resolve_params(config: ExperimentConfig) -> dict:
     if missing:
         raise ValueError(f"{kind} experiment needs params {missing}")
     if kind == "attack":
-        if params.get("mechanism", "real") not in ("real", "hybrid"):
-            raise ValueError(f"attack mechanism must be real or hybrid, got {params['mechanism']!r}")
+        mechanism = params.get("mechanism", "real")
+        if mechanism not in ("real", "hybrid"):
+            raise ValueError(f"attack mechanism must be real or hybrid, got {mechanism!r}")
+        if mechanism == "real" and "epsilon_switch" in params:
+            raise ValueError("epsilon_switch applies only to the hybrid; attack mechanism is 'real'")
         noise = _noise_from_params(params)
         r, _, _ = instance_shape(float(params["eps"]), float(params["gamma"]))
         if "constant" not in params:
@@ -366,6 +369,9 @@ def _resolve_params(config: ExperimentConfig) -> dict:
     elif kind == "llr":
         params.setdefault("grid_step", 2.0**-5)
         params.setdefault("ones", round(2 * int(params["n"]) * float(params["eps"])))
+    elif kind == "divergence":
+        if "epsilon_switch" in params and "hybrid" not in (params["mech_a"], params["mech_b"]):
+            raise ValueError("epsilon_switch applies only to the hybrid; neither mech_a nor mech_b is 'hybrid'")
     elif kind == "bounds_table":
         if params["mode"] not in ("negative", "positive"):
             raise ValueError("bounds_table mode must be 'negative' or 'positive'")

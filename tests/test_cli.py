@@ -44,6 +44,19 @@ class TestExitCodes:
         assert code == 1
         assert f"attack mechanism must be real or hybrid, got '{mechanism}'" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "attack --eps 0.25 --gamma 0.01 --n 16 --k 5 --epsilon-switch 0.3 --trials 2 --seed 1",
+            "attack --eps 0.25 --gamma 0.01 --n 16 --k 5 --mechanism real --epsilon-switch 0.3",
+            "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2 --epsilon-switch 0.01",
+        ],
+    )
+    def test_epsilon_switch_needs_a_hybrid(self, capsys, argv):
+        code, out, err = run(capsys, argv.split())
+        assert code == 1 and out == ""
+        assert "epsilon_switch applies only to the hybrid" in err
+
 
 @pytest.mark.parametrize("name", sorted(KINDS))
 class TestKindTable:
@@ -256,6 +269,25 @@ class TestCheckConcentration:
         # both samples sit exactly 0.5 from the true mean, under the threshold
         assert report["deviation_mass"] == 0.0
         assert report["max_deviation"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "overrides, samples, message",
+        [
+            ("[[1.5, 1.0]]", "[[0, 0], [1, 1]]", "override ids must be 64-bit integers, got 1.5"),
+            ("[[2, 0.25], [2, 0.75]]", "[[0, 0], [1, 1]]", "name an element id more than once"),
+            ("[[2, 0.25], [2.0, 0.75]]", "[[0, 0], [1, 1]]", "name an element id more than once"),
+            ("[[1, 1.0]]", "[[0.5, 0], [1, 1]]", "sample elements must be 64-bit integers, got 0.5"),
+        ],
+    )
+    def test_bad_ids_in_files_exit_one(self, capsys, tmp_path, overrides, samples, message):
+        qpath, dpath = tmp_path / "q.json", tmp_path / "d.json"
+        qpath.write_text(f'{{"default_value": 0.0, "overrides": {overrides}}}')
+        rows = ", ".join(f'{{"elements": {row}}}' for row in json.loads(samples))
+        dpath.write_text(f'{{"samples": [{rows}], "probabilities": [0.5, 0.5]}}')
+        argv = ["check-concentration", "--query-file", str(qpath), "--dist-file", str(dpath), "--threshold", "0.6"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert message in err
 
     def test_file_flags_must_pair(self, capsys, tmp_path):
         qpath = tmp_path / "q.json"

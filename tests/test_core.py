@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from adalab.attack import build_hard_instance, draw_info_tables, final_query, make_info_query, new_attack_state
 from adalab.core import (
+    _DENSE_CACHE_LIMIT,
     FiniteDistribution,
     PartitionedDomain,
     Query,
@@ -77,11 +81,64 @@ class TestQuery:
         q = Query(0.0, {1: 1.0})
         with pytest.raises(TypeError):
             q.overrides[2] = 0.5
+        with pytest.raises(ValueError):
+            q.ids[0] = 2
+        with pytest.raises(ValueError):
+            q.vals[0] = 0.5
 
     def test_equality_and_hash(self):
         assert Query(0.5, {1: 1.0}) == Query(0.5, {1: 1.0})
         assert Query(0.5, {1: 1.0}) != Query(0.5, {2: 1.0})
+        assert Query(0.5, {1: 1.0}) != Query(0.5, {1: 0.5})
+        assert Query(0.5, {1: 0.5}) != Query(0.5)
         assert hash(Query(0.25)) == hash(Query(0.25))
+
+    def test_dict_and_array_built_queries_are_one_value(self):
+        ids, vals = np.array([2, 7]), np.array([0.5, 1.0])
+        by_arrays = Query.from_arrays(0.25, ids, vals)
+        ids[0], vals[0] = 5, 0.0  # the query keeps its own copies
+        by_dict = Query(0.25, {7: 1.0, 2: 0.5})
+        assert by_dict == by_arrays and hash(by_dict) == hash(by_arrays)
+        np.testing.assert_array_equal(by_dict.ids, [2, 7])
+        assert by_dict.ids.dtype == np.int64 and by_dict.vals.dtype == np.float64
+        assert dict(by_arrays.overrides) == {2: 0.5, 7: 1.0}
+
+    def test_negative_zero_is_zero(self):
+        assert Query(0.0, {1: -0.0}) == Query(0.0, {1: 0.0})
+        assert hash(Query(0.0, {1: -0.0})) == hash(Query(0.0, {1: 0.0}))
+        assert Query(-0.0).default_value.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize(
+        "ids, vals, message",
+        [
+            ([3, 1], [1.0, 1.0], "increase strictly; 1 repeats or is out of order"),
+            ([1, 4, 4], [1.0, 0.5, 1.0], "increase strictly; 4 repeats or is out of order"),
+            ([-2, 1], [1.0, 1.0], "non-negative"),
+            ([1, 2], [np.nan, 1.0], "must lie in"),
+            ([1, 2], [1.0, 1.5], "must lie in"),
+            ([1, 2], [-0.25, 1.0], "must lie in"),
+            ([1.5, 2], [1.0, 1.0], "must be 64-bit integers, got 1.5"),
+            ([1, 2], [1.0], "one length"),
+        ],
+    )
+    def test_from_arrays_rejects_bad_overrides(self, ids, vals, message):
+        with pytest.raises(ValueError, match=message):
+            Query.from_arrays(0.0, np.array(ids), np.array(vals))
+
+    @pytest.mark.parametrize("default", [np.nan, 1.25, -0.5])
+    def test_from_arrays_rejects_bad_default(self, default):
+        with pytest.raises(ValueError, match="must lie in"):
+            Query.from_arrays(default, np.array([], dtype=np.int64), np.array([]))
+
+    def test_sparse_lookup_matches_dense(self):
+        top = _DENSE_CACHE_LIMIT
+        q = Query.from_arrays(0.25, np.array([3, 70, top - 1, top, top + 5]), np.array([1.0, 0.0, 0.5, 0.75, 1.0]))
+        elements = np.array([[0, 3, 70], [top - 1, top, top + 5], [top + 4, 70, 2]])
+        sparse = q.values_at(elements)
+        np.testing.assert_array_equal(sparse, [[q.value(e) for e in row] for row in elements])
+        below = elements < top
+        np.testing.assert_array_equal(q.values_at(elements[below]), sparse[below])
+        np.testing.assert_array_equal(Query(0.5).values_at(np.array([top, 0])), [0.5, 0.5])
 
 
 class TestFiniteDistribution:
@@ -125,6 +182,92 @@ class TestMeans:
     def test_degenerate_sample_raises(self):
         with pytest.raises(ValueError, match="degenerate sample"):
             empirical_mean(Query(0.5), Sample(()))
+        with pytest.raises(ValueError, match="degenerate sample"):
+            empirical_mean(Query(0.0, {1: 1.0}), Sample(()))
+        with_empty = FiniteDistribution([Sample(()), Sample((1,))], [0.5, 0.5])
+        with pytest.raises(ValueError, match="degenerate sample"):
+            true_mean(Query(0.0, {1: 1.0}), with_empty)
+
+
+def gathered_means(query, dist):
+    """Reference: the query table gathered at every support element, then
+    averaged per sample."""
+    matrix = dist.sample_matrix()
+    if matrix is not None:
+        return query.values_at(matrix).mean(axis=1)
+    return np.array([query.values_at(s.as_array()).mean() for s in dist.samples])
+
+
+def assert_means_match_the_gather(query, dist):
+    reference = gathered_means(query, dist)
+    assert empirical_means_over_support(query, dist).tobytes() == reference.tobytes()
+    assert true_mean(query, dist).hex() == float(dist.probabilities @ reference).hex()
+    for sample in dist.samples:
+        assert empirical_mean(query, sample).hex() == float(query.values_at(sample.as_array()).mean()).hex()
+
+
+@st.composite
+def supports(draw, shared: bool, ragged: bool):
+    """Up to five distinct samples with weights; each sample draws its
+    elements from its own eight ids, or all from the same four when
+    ``shared``."""
+    m = draw(st.integers(2 if shared else 1, 5))
+    n = draw(st.integers(1, 6))
+    rows = []
+    for row in range(m):
+        length = draw(st.integers(1, 6)) if ragged else n
+        base = 0 if shared else 8 * row
+        elements = draw(st.lists(st.integers(0, 3 if shared else 7), min_size=length, max_size=length))
+        rows.append(tuple(base + e for e in elements))
+    assume(len(set(rows)) == m)
+    weights = np.array(draw(st.lists(st.floats(0.125, 1.0), min_size=m, max_size=m)))
+    return FiniteDistribution([Sample(r) for r in rows], weights / weights.sum())
+
+
+def queries(default, values):
+    return st.builds(Query, st.just(default), st.dictionaries(st.integers(0, 45), values, max_size=12))
+
+
+ZERO_ONE = st.sampled_from([0.0, -0.0, 1.0])
+
+
+class TestFastMeans:
+    """0/1 queries on supports whose rows share no element take count / n;
+    every mean must equal the gather's bit for bit."""
+
+    @pytest.mark.parametrize("default", [0.0, 1.0])
+    @pytest.mark.parametrize("ragged", [False, True], ids=["uniform", "ragged"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_one_queries(self, default, ragged, data):
+        dist = data.draw(supports(shared=False, ragged=ragged))
+        query = data.draw(queries(default, ZERO_ONE))
+        assert query.binary and dist.element_rows is not None
+        assert_means_match_the_gather(query, dist)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_elements_take_the_gather(self, data):
+        dist = data.draw(supports(shared=True, ragged=data.draw(st.booleans())))
+        assume(dist.element_rows is None)
+        query = data.draw(queries(data.draw(ZERO_ONE), ZERO_ONE))
+        assert_means_match_the_gather(query, dist)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_other_queries_take_the_gather(self, data):
+        dist = data.draw(supports(shared=False, ragged=data.draw(st.booleans())))
+        query = data.draw(queries(data.draw(st.floats(0.0, 1.0)), st.floats(0.0, 1.0)))
+        assert_means_match_the_gather(query, dist)
+
+    def test_hard_instance_queries(self):
+        inst = build_hard_instance(0.25, 0.01, 16)  # four copies of each element per sample
+        rng_p, rng_table = np.random.default_rng(1), np.random.default_rng(2)
+        _, tables = draw_info_tables(inst, rng_p, rng_table, 300)
+        state = new_attack_state(inst, 1, rng_p, rng_table)
+        state.scores[:] = np.arange(inst.support_size) % 17
+        for query in [make_info_query(inst, table) for table in tables] + [final_query(state, inst)]:
+            assert_means_match_the_gather(query, inst.distribution)
 
 
 class TestSerialization:
