@@ -22,9 +22,9 @@ from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean,
 from .mechanisms import (
     MechanismState,
     NoiseSpec,
+    grid_index,
     output_distribution,
     perturbed_mean,
-    quantize,
     sample_noise,
     switches,
 )
@@ -317,6 +317,12 @@ def run_llr_experiment(
     each of which the bound caps by rho. Requires a deterministic analyst
     (the per-round laws are then functions of the transcript prefix) and a
     coarse grid so bin probabilities are well separated from underflow.
+
+    Randomness contract: each direction has its own stream, spawned from
+    ``seed``, and each transcript takes one sized draw of k noise values
+    from it, one value per round in round order. A query's means, switch
+    test and log laws are computed once per distinct query and cached by
+    the query's value, never by object identity.
     """
     if getattr(analyst, "deterministic", False) is not True:
         raise ValueError("log-ratio accounting requires a deterministic analyst")
@@ -329,11 +335,6 @@ def run_llr_experiment(
     switch_at = eps if epsilon_switch is None else epsilon_switch
     threshold = composed_epsilon(k, eps, noise.scale, rho)
 
-    # both caches are keyed by value: a Query by its entries, a law by its mean
-    @functools.cache
-    def means_for(query: Query) -> tuple[float, float]:
-        return empirical_mean(query, sample), true_mean(query, dist)
-
     @functools.cache
     def log_law(mean: float) -> list[float]:
         """Log-probability of each grid value under ``mean``, by grid index;
@@ -341,7 +342,15 @@ def run_llr_experiment(
         with np.errstate(divide="ignore"):
             return np.log(output_distribution(noise, mean)).tolist()
 
-    clip_lo = noise.clip_lo  # read once: a class constant read through an instance is slow
+    @functools.cache
+    def laws_for(query: Query) -> tuple[float, float, bool, list[float], list[float]]:
+        """The query's empirical and true means, whether it trips the switch,
+        and the log laws of both means."""
+        emp, tru = empirical_mean(query, sample), true_mean(query, dist)
+        return emp, tru, switches(emp, tru, switch_at), log_law(emp), log_law(tru)
+
+    # read once: a class constant read through an instance is slow
+    clip_lo, grid_step = noise.clip_lo, noise.grid_step
 
     def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
         exceed = 0
@@ -349,19 +358,18 @@ def run_llr_experiment(
             rounds: list[tuple[Query, float]] = []
             switched = False
             llr = 0.0
-            for _ in range(k):
+            for draw in sample_noise(noise, rng, k).tolist():
                 query = analyst.next_query(tuple(rounds))
-                emp, tru = means_for(query)
-                switched = switched or switches(emp, tru, switch_at)
-                mean_h = tru if switched else emp
-                drawn_mean = mean_h if sample_hybrid else tru
-                observed = quantize(noise, drawn_mean + sample_noise(noise, rng))
-                index = round((observed - clip_lo) / noise.grid_step)
-                log_h = log_law(mean_h)[index]
-                log_o = log_law(tru)[index]
+                emp, tru, trips, law_emp, law_tru = laws_for(query)
+                switched = switched or trips
+                mean_h, law_h = (tru, law_tru) if switched else (emp, law_emp)
+                index = grid_index(noise, (mean_h if sample_hybrid else tru) + draw)
                 # a bin the other law never yields makes the ratio +inf
-                llr += log_h - log_o if sample_hybrid else log_o - log_h
-                rounds.append((query, observed))
+                if sample_hybrid:
+                    llr += law_h[index] - law_tru[index]
+                else:
+                    llr += law_tru[index] - law_h[index]
+                rounds.append((query, clip_lo + index * grid_step))
             if llr > threshold:
                 exceed += 1
         return exceed / trials

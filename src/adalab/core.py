@@ -63,26 +63,30 @@ class PartitionedDomain:
 
 @dataclass(frozen=True)
 class Sample:
-    """Ordered tuple of domain elements; duplicates are expected."""
+    """Ordered tuple of domain elements; duplicates are expected.
+
+    Elements are checked by the rule query override ids follow: integers,
+    or floats with integral values, and never negative.
+    """
 
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        elems = tuple(int(e) for e in self.elements)
-        if any(e < 0 for e in elems):
+        array = _element_ids(self.elements, "sample elements")
+        if array.ndim != 1:
+            raise ValueError("sample elements must be a flat sequence of ids")
+        if np.count_nonzero(array < 0):
             raise ValueError("sample elements must be non-negative ids")
-        object.__setattr__(self, "elements", elems)
+        array.setflags(write=False)
+        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "elements", tuple(array.tolist()))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def as_array(self) -> np.ndarray:
-        cached = getattr(self, "_array", None)
-        if cached is None:
-            cached = np.asarray(self.elements, dtype=np.int64)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_array", cached)
-        return cached
+        """The elements as a read-only int64 array."""
+        return self._array
 
     @functools.cached_property
     def element_counts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +344,7 @@ class Transcript:
 
 
 def sample_from_dict(data: Mapping) -> Sample:
-    return Sample(tuple(_element_ids(data["elements"], "sample elements")))
+    return Sample(data["elements"])
 
 
 def query_from_dict(data: Mapping) -> Query:

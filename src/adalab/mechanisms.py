@@ -111,18 +111,26 @@ def sample_noise(
     return draw(0.0, spec.scale, size)
 
 
-def quantize(spec: NoiseSpec, value: float) -> float:
-    """Clip to the output interval, then round to the nearest grid value.
+def grid_index(spec: NoiseSpec, value: float) -> int:
+    """Index of the grid value ``value`` rounds to: clip to the output
+    interval, then round the offset in grid steps.
 
-    Exact half-bin ties go to the even bin index (banker's rounding on the
-    index), i.e. toward ``clip_lo + even * grid_step``.
+    Exact half-bin ties go to the even index (banker's rounding).
     """
     value = float(value)
     if math.isnan(value):
         raise ValueError("cannot quantize NaN")
     value = min(max(value, _CLIP_LO), _CLIP_HI)
-    index = round((value - _CLIP_LO) / spec.grid_step)
-    return _CLIP_LO + index * spec.grid_step
+    return round((value - _CLIP_LO) / spec.grid_step)
+
+
+def quantize(spec: NoiseSpec, value: float) -> float:
+    """Clip to the output interval, then round to the nearest grid value,
+    ``clip_lo + grid_index(spec, value) * grid_step``.
+
+    Exact half-bin ties go toward ``clip_lo + even * grid_step``.
+    """
+    return _CLIP_LO + grid_index(spec, value) * spec.grid_step
 
 
 def quantize_array(spec: NoiseSpec, values) -> np.ndarray:

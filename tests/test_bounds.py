@@ -1,12 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from adalab.bounds import (
     AccuracyParams,
+    LlrReport,
     accuracy_lower_bound,
     accuracy_noise_scale,
     breaking_rounds,
@@ -22,8 +24,17 @@ from adalab.bounds import (
     transcript_accurate,
 )
 from adalab.attack import FixedQueryAnalyst
-from adalab.core import FiniteDistribution, Query, Sample, Transcript
-from adalab.mechanisms import MechanismKind, MechanismState, NoiseSpec
+from adalab.core import FiniteDistribution, Query, Sample, Transcript, empirical_mean, true_mean
+from adalab.mechanisms import (
+    MechanismKind,
+    MechanismState,
+    NoiseSpec,
+    grid_index,
+    output_distribution,
+    quantize,
+    sample_noise,
+    switches,
+)
 
 IDENTITY = Query(0.0, {1: 1.0})
 
@@ -402,3 +413,116 @@ class TestLlrExperiment:
         )
         assert rep.frac_exceed_hybrid == 0.0
         assert rep.frac_exceed_oracle == 0.0
+
+
+def reference_llr(analyst, sample, dist, k, eps, noise, rho, trials, seed, epsilon_switch=None):
+    """The per-round LLR loop as it stood before the per-transcript draw:
+    one noise draw, one quantize and one grid index recomputed from the
+    answer per round. Returns the report and the number of transcripts,
+    over both directions, in which the hybrid switched."""
+    switch_at = eps if epsilon_switch is None else epsilon_switch
+    threshold = composed_epsilon(k, eps, noise.scale, rho)
+
+    @functools.cache
+    def means_for(query):
+        return empirical_mean(query, sample), true_mean(query, dist)
+
+    @functools.cache
+    def log_law(mean):
+        with np.errstate(divide="ignore"):
+            return np.log(output_distribution(noise, mean)).tolist()
+
+    clip_lo = noise.clip_lo
+    switched_transcripts = 0
+
+    def one_direction(sample_hybrid, rng):
+        nonlocal switched_transcripts
+        exceed = 0
+        for _ in range(trials):
+            rounds = []
+            switched = False
+            llr = 0.0
+            for _ in range(k):
+                query = analyst.next_query(tuple(rounds))
+                emp, tru = means_for(query)
+                switched = switched or switches(emp, tru, switch_at)
+                mean_h = tru if switched else emp
+                drawn_mean = mean_h if sample_hybrid else tru
+                observed = quantize(noise, drawn_mean + sample_noise(noise, rng))
+                index = round((observed - clip_lo) / noise.grid_step)
+                log_h = log_law(mean_h)[index]
+                log_o = log_law(tru)[index]
+                llr += log_h - log_o if sample_hybrid else log_o - log_h
+                rounds.append((query, observed))
+            switched_transcripts += switched
+            if llr > threshold:
+                exceed += 1
+        return exceed / trials
+
+    rng_h = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    rng_o = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    report = LlrReport(
+        threshold=threshold,
+        frac_exceed_hybrid=one_direction(True, rng_h),
+        frac_exceed_oracle=one_direction(False, rng_o),
+        trials=trials,
+        k=k,
+    )
+    return report, switched_transcripts
+
+
+class AnswerReader:
+    """Deterministic analyst whose next query weight depends on the round
+    and the last answer, so queries change mid-transcript. It records, bit
+    for bit, every transcript prefix it is shown."""
+
+    deterministic = True
+    WEIGHTS = (0.125, 0.25, 1.0)
+
+    def __init__(self):
+        self.seen = []
+
+    def next_query(self, rounds):
+        self.seen.append(tuple((query, answer.hex()) for query, answer in rounds))
+        if not rounds:
+            return Query(0.0, {1: 0.25})
+        weight = self.WEIGHTS[(len(rounds) + math.floor(8 * rounds[-1][1])) % 3]
+        return Query(0.0, {1: weight})
+
+
+class TestLlrMatchesReference:
+    # With half the sample on element 1 and a support of it and all zeros,
+    # a query of weight w has emp - tru = w / 4: 1/32, 1/16 and 1/4. So
+    # epsilon_switch None (eps = 0.01) trips on the first query, 0.1 only on
+    # weight 1 (mid-transcript) and 0.5 never; the low threshold makes both
+    # exceed fractions land strictly between 0 and 1 when a transcript runs
+    # unswitched for a while.
+    @pytest.mark.parametrize("grid_step", [2**-5, 0.125, 0.1])
+    @pytest.mark.parametrize("epsilon_switch, trips", [(None, True), (0.1, True), (0.5, False)])
+    def test_reports_and_prefixes_match_bit_for_bit(self, grid_step, epsilon_switch, trips):
+        _, mixed, dist = two_sample_dist(8, 4)
+        common = dict(sample=mixed, dist=dist, k=12, eps=0.01, rho=0.5, trials=80, seed=17)
+        common.update(noise=NoiseSpec(scale=0.15625, grid_step=grid_step), epsilon_switch=epsilon_switch)
+        new_analyst, ref_analyst = AnswerReader(), AnswerReader()
+        report = run_llr_experiment(analyst=new_analyst, **common)
+        expected, switched = reference_llr(analyst=ref_analyst, **common)
+        assert report == expected
+        assert (switched > 0) is trips
+        assert epsilon_switch is None or 0.0 < min(report.frac_exceed_hybrid, report.frac_exceed_oracle)
+        assert new_analyst.seen == ref_analyst.seen
+        assert len({query for prefix in new_analyst.seen for query, _ in prefix}) == 3
+
+    @given(
+        bins=st.integers(1, 2**21),
+        rel=st.floats(-5e-10, 5e-10),
+        value=st.one_of(st.floats(-1.0, 2.0), st.floats(allow_nan=False)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_grid_index_is_the_index_of_the_quantized_value(self, bins, rel, value):
+        try:
+            spec = NoiseSpec(scale=0.1, grid_step=2.0 / bins * (1.0 + rel))
+        except ValueError:
+            reject()
+        index = grid_index(spec, value)
+        assert round((quantize(spec, value) - spec.clip_lo) / spec.grid_step) == index
+        assert 0 <= index <= spec.n_bins

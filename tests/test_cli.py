@@ -203,6 +203,10 @@ README_ATTACKS = {
         "coupling --k 6 --bad-round 2 --epsilon-switch 0.25 --trials 100 --seed 11",
         "8dae84c1e60af4e29e5b68bb6a0911d9fb93cf40f82db0761b51f5e152bd46c3",
     ),
+    "llr": (
+        "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 20 --rho 0.05 --n 64 --trials 5000 --seed 808",
+        "bcc49aff6818733d2ef1f3827546964148a4a4f10697ffcf78746e82f61035e0",
+    ),
     "diagnose-divergence": (
         "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2",
         "2dc8c3688bca9fbf72b887a2823b2c89a2a233b2ef133c54451371f5b799bec4",
@@ -219,8 +223,10 @@ README_ATTACKS = {
 
 
 class TestReadmeAttacks:
-    """README's trial-kind, divergence and bounds commands, pinned by the
-    SHA-256 of their JSONL records."""
+    """README's trial-kind, LLR, divergence and bounds commands, pinned by
+    the SHA-256 of their JSONL records. The LLR command runs 5000 trials,
+    not README's 50 000, because acceptance test_08 already runs the full
+    size."""
 
     @pytest.mark.parametrize("name", sorted(README_ATTACKS))
     def test_records_are_pinned(self, capsys, tmp_path, name):

@@ -57,8 +57,27 @@ class TestSample:
         assert len(s) == 4
 
     def test_rejects_negative_elements(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative ids"):
             Sample((0, -1))
+
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ((1.5, 2), "64-bit integers, got 1.5"),
+            (("3", 2), "64-bit integers, got 3"),
+            (((1, 2), (3, 4)), "flat sequence of ids"),
+        ],
+    )
+    def test_rejects_ids_it_would_have_truncated(self, elements, message):
+        with pytest.raises(ValueError, match=message):
+            Sample(elements)
+
+    def test_integral_floats_are_ids(self):
+        s = Sample((2.0, 1))
+        assert s.elements == (2, 1)
+        assert all(type(e) is int for e in s.elements)
+        assert s == Sample((2, 1)) and hash(s) == hash(Sample((2, 1)))
+        np.testing.assert_array_equal(s.as_array(), [2, 1])
 
 
 class TestQuery:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,14 +370,14 @@ class TestOutputs:
             )
         )
         paths = write_outputs(result, str(tmp_path / "runs" / "demo"))
-        lines = open(paths["jsonl"]).read().splitlines()
+        lines = Path(paths["jsonl"]).read_text().splitlines()
         assert len(lines) == 3
         assert json.loads(lines[0])["trial"] == 0
-        header = open(paths["csv"]).readline().strip().split(",")
+        header = Path(paths["csv"]).read_text().splitlines()[0].split(",")
         assert header == [
             "trial", "held_block", "breaking_query_index", "identified", "worst_deviation"
         ]
-        summary = json.loads(open(paths["summary"]).read())
+        summary = json.loads(Path(paths["summary"]).read_text())
         assert summary["kind"] == "simple_attack"
         assert summary["identification_rate"] == 1.0
 
