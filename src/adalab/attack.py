@@ -96,7 +96,7 @@ class HardInstance:
         if not (0 <= slot < self.support_size):
             raise ValueError(f"slot {slot} out of range")
         base = slot + self.support_size * np.arange(self.num_blocks, dtype=np.int64)
-        return Sample(tuple(np.repeat(base, self.copies_per_block)))
+        return Sample(np.repeat(base, self.copies_per_block))
 
     @property
     def distribution(self) -> FiniteDistribution:
@@ -302,13 +302,21 @@ def run_score_attack_arrays(
     p, tables = draw_info_tables(inst, rng_p, rng_table, k)
     emp, tru = info_query_means(inst, mech, tables)
     observed = answer_batch(mech, emp, tru)
-    increments = (observed - p / inst.num_blocks)[:, None] * (tables - p[:, None])
-    # accumulate adds row after row, as info_round does; at most the sign of
-    # a zero score differs, which argmax does not see
-    scores = np.add.accumulate(increments, axis=0)[-1]
-    guess_index = int(np.argmax(scores))
-    elements = mech.sample.as_array()
-    close_emp = np.count_nonzero(elements % inst.support_size == guess_index) / len(elements)
+    # info_round's (answer - p/r) * (table - p), factors swapped, which
+    # keeps each product's bits; casting the 0/1 tables first, then working
+    # in place, skips numpy's slower mixed bool-float loop and a temporary
+    increments = tables.astype(np.float64)
+    increments -= p[:, None]
+    increments *= (observed - p / inst.num_blocks)[:, None]
+    # numpy sums axis 0 of a C-contiguous (k, m) array with m >= 2 by adding
+    # row after row into zeros, which is info_round's += bit for bit, signed
+    # zeros included. With m = 1 numpy sums pairwise, but then argmax is 0
+    # whatever the one score is.
+    scores = increments.sum(axis=0)
+    guess_index = int(scores.argmax())
+    # every element sits at true_index (_hidden_slot), so the closing
+    # indicator counts all n elements or none
+    close_emp = 1.0 if guess_index == true_index else 0.0
     close_tru = None if tru is None else mech.distribution.probabilities[guess_index : guess_index + 1]
     final_answer = float(answer_batch(mech, np.array([close_emp]), close_tru)[0])
     target = inst.final_true_mean
@@ -369,7 +377,7 @@ class BlockInstance:
             raise ValueError("sample size must be at least 1")
         r = max(1, _ceil(1.0 / gamma))
         self.domain = PartitionedDomain(num_blocks=r, block_size=n)
-        samples = [Sample(tuple(self.domain.block_elements(i))) for i in range(r)]
+        samples = [Sample(self.domain.block_elements(i)) for i in range(r)]
         self.distribution = FiniteDistribution(samples, np.full(r, 1.0 / r))
 
     @property

@@ -290,8 +290,6 @@ def _coupling_trial(params: dict, master: int, trial: int) -> dict:
     n = int(params.get("n", 8))
     k = int(params["k"])
     bad_round = int(params["bad_round"])
-    if not (0 <= bad_round < k):
-        raise ValueError("bad_round must index a round within k")
     noise = _noise_from_params(params, grid_default=2.0**-10)
     _, held, dist = _two_sample_instance(n, n)
     # the schedule asks the good query in every round but bad_round
@@ -357,6 +355,8 @@ def _resolve_params(config: ExperimentConfig) -> dict:
                 float(params.get("beta", 0.1)),
                 float(params["constant"]),
             )
+        if int(params["k"]) < 1:
+            raise ValueError(f"{kind} experiment needs k >= 1 info rounds, got k {params['k']}")
         _hard_instance(float(params["eps"]), float(params["gamma"]), int(params["n"]))
     elif kind == "simple_attack":
         build_block_instance(float(params["gamma"]), int(params["n"]))
@@ -365,7 +365,16 @@ def _resolve_params(config: ExperimentConfig) -> dict:
         params.setdefault("noise_scale", accuracy_noise_scale(alpha, eps))
         if "k" not in params:
             params["k"] = max_accurate_rounds(eps, float(params["gamma"]), alpha, float(params["beta"]))
+        if int(params["k"]) < 0:
+            raise ValueError(f"{kind} experiment needs k >= 0 rounds, got k {params['k']}")
         _hard_instance(eps, float(params["gamma"]), int(params["n"]))
+    elif kind == "coupling":
+        k, bad_round = int(params["k"]), int(params["bad_round"])
+        if not (0 <= bad_round < k):
+            raise ValueError(f"{kind} experiment needs 0 <= bad_round < k, got bad_round {bad_round} and k {k}")
+        # an absent n takes _coupling_trial's default of 8
+        if "n" in params and int(params["n"]) < 1:
+            raise ValueError(f"{kind} experiment needs n >= 1, got n {params['n']}")
     elif kind == "llr":
         params.setdefault("grid_step", 2.0**-5)
         params.setdefault("ones", round(2 * int(params["n"]) * float(params["eps"])))

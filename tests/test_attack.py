@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adalab.attack import (
     FixedQueryAnalyst,
@@ -222,22 +225,28 @@ class TestScoreAttack:
             assert a.next_query(()) == b.next_query(())
 
 
-# (eps, n, k, noise, epsilon_switch or None for the real mechanism, expected switching)
+# (eps, gamma, n, k, noise, epsilon_switch or None for the real mechanism,
+# expected switching); the support-size-1, 2 and 3 instances and k = 1 pin
+# the edges of the row-order score sum
 ARRAY_ATTACK_CONFIGS = {
-    "readme": (0.25, 16, 178, NoiseSpec(), None, "never"),
-    "gaussian": (0.25, 16, 124, NoiseSpec(family="gaussian"), None, "never"),
-    "noiseless": (0.25, 16, 40, NOISELESS, None, "never"),
-    "eps-half": (0.5, 8, 60, NoiseSpec(), None, "never"),
-    "hybrid-closing": (0.25, 16, 178, NoiseSpec(), 0.25, "closing"),
-    "hybrid-early": (0.25, 16, 178, NoiseSpec(), 0.05, "early"),
-    "hybrid-never": (0.25, 16, 178, NoiseSpec(), 1.0, "never"),
-    "hybrid-noiseless": (0.25, 16, 40, NOISELESS, 0.25, "closing"),
+    "readme": (0.25, 0.01, 16, 178, NoiseSpec(), None, "never"),
+    "gaussian": (0.25, 0.01, 16, 124, NoiseSpec(family="gaussian"), None, "never"),
+    "noiseless": (0.25, 0.01, 16, 40, NOISELESS, None, "never"),
+    "eps-half": (0.5, 0.01, 8, 60, NoiseSpec(), None, "never"),
+    "one-round": (0.25, 0.01, 16, 1, NoiseSpec(), None, "never"),
+    "support-1": (1.0, 1.0, 1, 20, NoiseSpec(), None, "never"),
+    "support-2": (0.5, 1.0, 2, 30, NoiseSpec(), None, "never"),
+    "support-3": (1.0, 1 / 3, 3, 30, NoiseSpec(), None, "never"),
+    "hybrid-closing": (0.25, 0.01, 16, 178, NoiseSpec(), 0.25, "closing"),
+    "hybrid-early": (0.25, 0.01, 16, 178, NoiseSpec(), 0.05, "early"),
+    "hybrid-never": (0.25, 0.01, 16, 178, NoiseSpec(), 1.0, "never"),
+    "hybrid-noiseless": (0.25, 0.01, 16, 40, NOISELESS, 0.25, "closing"),
 }
 
 
-def seeded_attack_run(attack, eps, n, k, noise, epsilon_switch, trial, master=1):
+def seeded_attack_run(attack, eps, gamma, n, k, noise, epsilon_switch, trial, master=1):
     """One attack run seeded as the harness seeds trial ``trial``."""
-    inst = build_hard_instance(eps, 0.01, n)
+    inst = build_hard_instance(eps, gamma, n)
     sample = inst.make_sample(int(derive_rng(master, trial, "sample_draw").integers(inst.support_size)))
     real_rng = derive_rng(master, trial, "mech_noise_real")
     if epsilon_switch is None:
@@ -279,7 +288,7 @@ class TestArrayAttack:
     @pytest.mark.parametrize("name", sorted(ARRAY_ATTACK_CONFIGS))
     def test_matches_reference_bit_for_bit(self, name):
         *config, switching = ARRAY_ATTACK_CONFIGS[name]
-        k = config[2]
+        k = config[3]
         switch_rounds = []
         for trial in range(6):
             ref, ref_mech, ref_rngs = seeded_attack_run(run_score_attack, *config, trial)
@@ -301,6 +310,30 @@ class TestArrayAttack:
             assert k in switch_rounds and set(switch_rounds) <= {None, k}
         else:
             assert min(r for r in switch_rounds if r is not None) <= 4
+
+    @given(
+        data=st.data(),
+        k=st.integers(1, 300),
+        m=st.integers(2, 200),
+        r=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_score_sum_adds_rows_in_order(self, data, k, m, r, seed):
+        # the array attack's score sum must equal info_round's running sum
+        # from zeros bit for bit, signed zeros included (accumulate's last
+        # row keeps a -0.0 that this sum does not); this fails if numpy
+        # changes its axis-0 reduction order
+        tables = np.random.default_rng(seed).random((k, m)) < 0.5
+        p = data.draw(hnp.arrays(np.float64, k, elements=st.floats(0.0, 1.0)))
+        observed = data.draw(hnp.arrays(np.float64, k, elements=st.floats(-0.5, 1.5)))
+        increments = tables.astype(np.float64)
+        increments -= p[:, None]
+        increments *= (observed - p / r)[:, None]
+        running = np.zeros(m)
+        for row in increments:
+            running += row
+        assert increments.sum(axis=0).view(np.int64).tolist() == running.view(np.int64).tolist()
 
     def test_rejects_what_the_reference_rejects_and_foreign_distributions(self):
         inst = build_hard_instance(0.25, 0.01, 16)

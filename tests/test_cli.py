@@ -57,6 +57,34 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "epsilon_switch applies only to the hybrid" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta 0.9 --n 400 --k -3",
+                "positive_accuracy experiment needs k >= 0 rounds, got k -3",
+            ),
+            ("attack --eps 0.25 --gamma 0.01 --n 16 --k 0", "attack experiment needs k >= 1 info rounds, got k 0"),
+            (
+                "coupling --k 6 --bad-round 6 --epsilon-switch 0.25",
+                "coupling experiment needs 0 <= bad_round < k, got bad_round 6 and k 6",
+            ),
+            (
+                "coupling --k 6 --bad-round -1 --epsilon-switch 0.25",
+                "coupling experiment needs 0 <= bad_round < k, got bad_round -1 and k 6",
+            ),
+            (
+                "coupling --k 0 --bad-round 0 --epsilon-switch 0.25",
+                "coupling experiment needs 0 <= bad_round < k, got bad_round 0 and k 0",
+            ),
+            ("coupling --k 6 --bad-round 2 --epsilon-switch 0.25 --n 0", "coupling experiment needs n >= 1, got n 0"),
+        ],
+    )
+    def test_bad_round_counts_and_sizes_exit_one(self, capsys, argv, message):
+        code, out, err = run(capsys, argv.split() + ["--trials", "2"])
+        assert code == 1 and out == ""
+        assert message in err
+
 
 @pytest.mark.parametrize("name", sorted(KINDS))
 class TestKindTable:
