@@ -1,0 +1,8 @@
+"""``python -m adalab``: the ``adalab`` command, run from the package."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

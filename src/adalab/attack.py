@@ -398,7 +398,6 @@ class SimpleAttackResult:
     worst_deviation: float
     breaking_query_index: int
     deviations: tuple[float, ...]
-    transcript: Transcript
 
 
 def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttackResult:
@@ -407,30 +406,24 @@ def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttac
     The mechanism must hold a sample drawn from the matching block
     instance. Returns the worst |answer - true mean| over the 1/gamma
     queries and the index of the query whose empirical mean on the held
-    sample equals 1.
+    sample equals 1. The queries never read answers, so they are answered
+    in one ``answer_batch``, as one ``answer`` per block in order would.
     """
     inst = build_block_instance(gamma, n)
     if mech.sample is None:
         raise ValueError("mechanism must hold a sample drawn from the instance")
-    rounds = []
-    deviations = []
-    breaking = -1
-    for block in range(inst.num_candidates):
-        query = inst.query_for_block(block)
-        observed = answer(mech, query)
-        rounds.append((query, observed))
-        deviations.append(abs(observed - true_mean(query, inst.distribution)))
-        if empirical_mean(query, mech.sample) == 1.0:
-            breaking = block
-    if breaking < 0:
+    queries = [inst.query_for_block(block) for block in range(inst.num_candidates)]
+    emp = np.array([empirical_mean(query, mech.sample) for query in queries])
+    tru = np.array([true_mean(query, inst.distribution) for query in queries])
+    held = np.flatnonzero(emp == 1.0)
+    if held.size == 0:
         raise ValueError("held sample matches no candidate block")
-    transcript = Transcript(tuple(rounds), mechanism=mech.kind.name)
-    worst = int(np.argmax(deviations))
+    mech_tru = None if mech.distribution is None else np.array([true_mean(q, mech.distribution) for q in queries])
+    deviations = np.abs(answer_batch(mech, emp, mech_tru) - tru)
     return SimpleAttackResult(
-        worst_deviation=float(deviations[worst]),
-        breaking_query_index=breaking,
-        deviations=tuple(float(d) for d in deviations),
-        transcript=transcript,
+        worst_deviation=float(deviations.max()),
+        breaking_query_index=int(held[-1]),
+        deviations=tuple(deviations.tolist()),
     )
 
 

@@ -183,7 +183,3 @@ def main(argv=None) -> int:
             print(failure, file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

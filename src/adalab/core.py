@@ -3,13 +3,15 @@
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads and processes. Derived data is
 built on first use and kept: a sample's element array and element counts, a
-distribution's stacked support and element -> row index, and a query's
-override mapping, dense lookup table and hash.
+distribution's element -> row index, and a query's override mapping and
+hash.
 
-A query stores its overrides as sorted int64 ids and float64 values. The
-means of a query whose values are all 0 or 1 are integer counts read from
-those ids and the element -> row index, divided by the sample size; any
-other query, or a support whose rows share an element, gathers the table.
+A query stores its overrides as sorted int64 ids and float64 values, and
+one lookup rule reads them: a binary search of the ids. The means of a
+query whose values are all 0 or 1 are integer counts read from those ids
+and the element -> row index, divided by the sample size; any other query,
+or a support whose rows share an element, looks up each sample's elements
+and averages them, one sample at a time.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 PROB_SUM_TOL = 1e-12
-
-# Dense evaluation tables above this domain size would dominate memory for
-# no benefit; larger domains fall back to sparse evaluation.
-_DENSE_CACHE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,7 @@ class Query:
     sorts a mapping into them; ``Query.from_arrays`` takes them as they are.
     Both check them the same way. ``binary`` says whether the default and
     every override value are 0 or 1. Built on first use and kept: the
-    ``overrides`` mapping, the dense table ``values_at`` gathers from, and
-    the hash.
+    ``overrides`` mapping and the hash.
     """
 
     def __init__(self, default_value: float = 0.0, overrides: Mapping[int, float] | None = None):
@@ -147,7 +144,6 @@ class Query:
         self.ids = ids
         self.vals = vals
         self.binary = default_value in (0.0, 1.0) and np.count_nonzero((vals == 0.0) | (vals == 1.0)) == vals.size
-        self._dense: np.ndarray | None = None
 
     @functools.cached_property
     def overrides(self) -> Mapping[int, float]:
@@ -155,32 +151,20 @@ class Query:
         return MappingProxyType(dict(zip(self.ids.tolist(), self.vals.tolist())))
 
     def value(self, element: int) -> float:
-        element = int(element)
-        i = int(np.searchsorted(self.ids, element))
-        if i < self.ids.size and self.ids[i] == element:
-            return float(self.vals[i])
-        return self.default_value
+        return float(self._look_up(int(element)))
 
     def values_at(self, elements: np.ndarray) -> np.ndarray:
-        """Vectorized table lookup for an int array of element ids."""
+        """Table lookup for an int array of element ids, of the same shape."""
+        return self._look_up(elements)
+
+    def _look_up(self, elements) -> np.ndarray:
+        # The one lookup rule. value() calls it directly, not through
+        # values_at, so perfbench's values_at span counts array lookups only.
         elements = np.asarray(elements, dtype=np.int64)
-        if elements.size == 0:
-            return np.empty(elements.shape, dtype=np.float64)
-        needed = int(elements.max()) + 1
-        if needed <= _DENSE_CACHE_LIMIT:
-            if self._dense is None or self._dense.size < needed:
-                self._dense = self._build_dense(max(needed, 2 * self.ids.size))
-            return self._dense[elements]
         if self.ids.size == 0:
             return np.full(elements.shape, self.default_value)
         pos = np.minimum(np.searchsorted(self.ids, elements), self.ids.size - 1)
         return np.where(self.ids[pos] == elements, self.vals[pos], self.default_value)
-
-    def _build_dense(self, size: int) -> np.ndarray:
-        dense = np.full(size, self.default_value, dtype=np.float64)
-        inside = np.searchsorted(self.ids, size)
-        dense[self.ids[:inside]] = self.vals[:inside]
-        return dense
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Query):
@@ -231,21 +215,10 @@ class FiniteDistribution:
         self.samples = samples
         self.probabilities = probs
         self.probabilities.setflags(write=False)
-        self._matrix: np.ndarray | None = None
-        self._uniform_length = len({len(s) for s in samples}) == 1 and len(samples[0]) > 0
 
     @property
     def support_size(self) -> int:
         return len(self.samples)
-
-    def sample_matrix(self) -> np.ndarray | None:
-        """Support stacked as an (m, n) int array when all samples share n."""
-        if not self._uniform_length:
-            return None
-        if self._matrix is None:
-            self._matrix = np.stack([s.as_array() for s in self.samples])
-            self._matrix.setflags(write=False)
-        return self._matrix
 
     @functools.cached_property
     def element_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
@@ -278,7 +251,7 @@ def _override_hits(query: Query, elements: np.ndarray) -> tuple[np.ndarray, np.n
 
 # A query whose values are all 0 or 1 has an integer count as its sum over
 # any sample, which float64 adds exactly in any order, so count / n equals
-# the gathered values' mean bit for bit. Other queries gather.
+# the looked-up values' mean bit for bit. Other queries look up and average.
 
 
 def empirical_mean(query: Query, sample: Sample) -> float:
@@ -302,9 +275,6 @@ def empirical_means_over_support(query: Query, dist: FiniteDistribution) -> np.n
         default = query.default_value
         delta = np.bincount(rows[pos], weights=(vals - default) * counts[pos], minlength=lengths.size)
         return (default * lengths + delta) / lengths
-    matrix = dist.sample_matrix()
-    if matrix is not None:
-        return query.values_at(matrix).mean(axis=1)
     return np.array([empirical_mean(query, s) for s in dist.samples])
 
 

@@ -43,6 +43,7 @@ from .bounds import (
     max_accurate_rounds_details,
     run_llr_experiment,
     score_attack_rounds,
+    simple_attack_rounds,
 )
 from .core import FiniteDistribution, Query, Sample, empirical_mean, true_mean
 from .mechanisms import MechanismKind, MechanismState, NoiseSpec, answer_batch
@@ -179,9 +180,8 @@ def _two_sample_instance(n: int, ones: int) -> tuple[Sample, Sample, FiniteDistr
     The first is all zeros; the second holds ``ones`` copies of element 1.
     The indicator query of element 1 then has true mean ones/(2n) and
     empirical mean ones/n on the mixed sample, an exact gap of ones/(2n).
+    ``_resolve_params`` checks that 1 <= ones <= n.
     """
-    if not (0 < ones <= n):
-        raise ValueError("ones must lie in 1..n")
     zeros = Sample((0,) * n)
     mixed = Sample((1,) * ones + (0,) * (n - ones))
     dist = FiniteDistribution([zeros, mixed], np.array([0.5, 0.5]))
@@ -377,16 +377,26 @@ def _resolve_params(config: ExperimentConfig) -> dict:
             raise ValueError(f"{kind} experiment needs n >= 1, got n {params['n']}")
     elif kind == "llr":
         params.setdefault("grid_step", 2.0**-5)
+        derived = "ones" not in params
         params.setdefault("ones", round(2 * int(params["n"]) * float(params["eps"])))
+        _check_ones(kind, params, " (derived as round(2*n*eps))" if derived else "")
     elif kind == "divergence":
         if "epsilon_switch" in params and "hybrid" not in (params["mech_a"], params["mech_b"]):
             raise ValueError("epsilon_switch applies only to the hybrid; neither mech_a nor mech_b is 'hybrid'")
+        _check_ones(kind, params, "")
     elif kind == "bounds_table":
         if params["mode"] not in ("negative", "positive"):
             raise ValueError("bounds_table mode must be 'negative' or 'positive'")
         if params["mode"] == "positive" and "alpha" not in params:
             raise ValueError(f"{kind} experiment needs params ['alpha']")
     return params
+
+
+def _check_ones(kind: str, params: dict, origin: str) -> None:
+    """The two-sample instance's planted count must lie in 1..n."""
+    n, ones = int(params["n"]), int(params["ones"])
+    if not 1 <= ones <= n:
+        raise ValueError(f"{kind} experiment needs 1 <= ones <= n, got ones {ones}{origin} and n {n}")
 
 
 # --- summary aggregation ----------------------------------------------------------
@@ -431,7 +441,7 @@ def _summarize_simple_attack(records: list[dict], params: dict) -> dict:
         "mean_worst_deviation": worst_mean,
         "worst_deviation_radius": worst_radius,
         "min_worst_deviation": min(r["worst_deviation"] for r in records),
-        "rounds": build_block_instance(float(params["gamma"]), int(params["n"])).num_candidates,
+        "rounds": simple_attack_rounds(float(params["gamma"])),
     }
 
 

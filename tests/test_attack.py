@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from adalab.attack import (
     FixedQueryAnalyst,
     InfoRoundAnalyst,
+    SimpleAttackResult,
     build_block_instance,
     build_hard_instance,
     calibrated_attack_constant,
@@ -25,7 +26,7 @@ from adalab.attack import (
 )
 from adalab.core import Query, Sample, empirical_mean, true_mean
 from adalab.harness import derive_entropy, derive_rng
-from adalab.mechanisms import MechanismKind, MechanismState, NoiseSpec
+from adalab.mechanisms import MechanismKind, MechanismState, NoiseSpec, answer
 
 NOISELESS = NoiseSpec(scale=0.0)
 
@@ -359,6 +360,39 @@ class TestArrayAttack:
             run_score_attack_arrays(inst, hybrid, 2, *rngs())
 
 
+def block_mech(gamma, n, held, epsilon_switch, noise, seed):
+    """A real mechanism (epsilon_switch None) or a hybrid holding block
+    ``held`` of a fresh block instance."""
+    inst = build_block_instance(gamma, n)
+    sample = inst.distribution.samples[held]
+    if epsilon_switch is None:
+        return real_mech(sample, seed, noise)
+    return MechanismState(
+        MechanismKind.hybrid(epsilon_switch),
+        noise,
+        sample=sample,
+        distribution=inst.distribution,
+        real_rng=np.random.default_rng(seed),
+        oracle_seed=seed + 1,
+    )
+
+
+def reference_simple_attack(gamma, n, mech):
+    """The block-scan attack one ``answer`` per block, in block order."""
+    inst = build_block_instance(gamma, n)
+    deviations, breaking = [], -1
+    for block in range(inst.num_candidates):
+        query = inst.query_for_block(block)
+        deviations.append(abs(answer(mech, query) - true_mean(query, inst.distribution)))
+        if empirical_mean(query, mech.sample) == 1.0:
+            breaking = block
+    return SimpleAttackResult(
+        worst_deviation=float(deviations[int(np.argmax(deviations))]),
+        breaking_query_index=breaking,
+        deviations=tuple(float(d) for d in deviations),
+    )
+
+
 class TestBlockAttack:
     def test_instance_layout(self):
         inst = build_block_instance(0.1, 3)
@@ -387,6 +421,35 @@ class TestBlockAttack:
         mech = real_mech(Sample((0, 50)))
         with pytest.raises(ValueError, match="matches no candidate block"):
             run_simple_attack(0.1, 2, mech)
+
+    @pytest.mark.parametrize(
+        "gamma, n, epsilon_switch, switching",
+        [
+            (0.1, 5, None, "never"),
+            (0.125, 3, None, "never"),
+            (0.1, 5, 0.5, "held"),  # only the held block strays (0.9 against 0.1)
+            (1 / 3, 4, 0.5, "held"),
+            (0.1, 5, 0.05, "first"),  # every block strays by at least 0.1
+            (0.1, 5, 0.95, "never"),
+        ],
+    )
+    def test_matches_reference_bit_for_bit(self, gamma, n, epsilon_switch, switching):
+        noise = NoiseSpec(scale=0.1)
+        candidates = build_block_instance(gamma, n).num_candidates
+        for held in sorted({0, candidates - 1, *range(1, candidates, 3)}):
+            ref_mech, mech = (
+                block_mech(gamma, n, held, epsilon_switch, noise, seed=held) for _ in range(2)
+            )
+            ref = reference_simple_attack(gamma, n, ref_mech)
+            got = run_simple_attack(gamma, n, mech)
+            assert [d.hex() for d in got.deviations] == [d.hex() for d in ref.deviations]
+            assert got.worst_deviation.hex() == ref.worst_deviation.hex()
+            assert got.breaking_query_index == ref.breaking_query_index == held
+            for field in ("rounds_answered", "switched", "switch_round"):
+                assert getattr(mech, field) == getattr(ref_mech, field), (held, field)
+            assert mech._real_rng.random() == ref_mech._real_rng.random()
+            expected = {"never": None, "held": held, "first": 0}[switching]
+            assert mech.switch_round == expected
 
 
 class TestAttackConstants:

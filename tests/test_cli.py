@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from adalab.harness import KINDS
 # one parseable value per param type
 FLAG_VALUES = {int: "3", float: "0.5", str: "x"}
 
+ROOT = Path(__file__).resolve().parent.parent
 SIMPLE = ["simple-attack", "--gamma", "0.2", "--n", "10", "--b", "0", "--trials", "2", "--seed", "3"]
 
 
@@ -78,6 +83,26 @@ class TestExitCodes:
                 "coupling experiment needs 0 <= bad_round < k, got bad_round 0 and k 0",
             ),
             ("coupling --k 6 --bad-round 2 --epsilon-switch 0.25 --n 0", "coupling experiment needs n >= 1, got n 0"),
+            (
+                "llr --eps 0.001 --b 0.15625 --grid-step 0.125 --k 2 --rho 0.05 --n 64",
+                "llr experiment needs 1 <= ones <= n, got ones 0 (derived as round(2*n*eps)) and n 64",
+            ),
+            (
+                "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 2 --rho 0.05 --n 0",
+                "llr experiment needs 1 <= ones <= n, got ones 0 (derived as round(2*n*eps)) and n 0",
+            ),
+            (
+                "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 2 --rho 0.05 --n 64 --ones 65",
+                "llr experiment needs 1 <= ones <= n, got ones 65 and n 64",
+            ),
+            (
+                "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 0",
+                "divergence experiment needs 1 <= ones <= n, got ones 0 and n 4",
+            ),
+            (
+                "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 5",
+                "divergence experiment needs 1 <= ones <= n, got ones 5 and n 4",
+            ),
         ],
     )
     def test_bad_round_counts_and_sizes_exit_one(self, capsys, argv, message):
@@ -123,6 +148,16 @@ class TestKindTable:
         assert code == 1
         assert f"{name} experiment has unknown params ['nosie_scale']" in err
         assert str([param.key for param in kind.params]) in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1".split()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "adalab", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert run(capsys, argv) == (0, done.stdout, done.stderr)
 
 
 class TestExperimentCommands:

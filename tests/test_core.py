@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from adalab.attack import build_hard_instance, draw_info_tables, final_query, make_info_query, new_attack_state
 from adalab.core import (
-    _DENSE_CACHE_LIMIT,
     FiniteDistribution,
     PartitionedDomain,
     Query,
@@ -150,14 +149,18 @@ class TestQuery:
             Query.from_arrays(default, np.array([], dtype=np.int64), np.array([]))
 
     def test_sparse_lookup_matches_dense(self):
-        top = _DENSE_CACHE_LIMIT
+        # a 2-D lookup with ids past 2,000,000 and up to 2**40
+        top = 2_000_000
         q = Query.from_arrays(0.25, np.array([3, 70, top - 1, top, top + 5]), np.array([1.0, 0.0, 0.5, 0.75, 1.0]))
-        elements = np.array([[0, 3, 70], [top - 1, top, top + 5], [top + 4, 70, 2]])
-        sparse = q.values_at(elements)
-        np.testing.assert_array_equal(sparse, [[q.value(e) for e in row] for row in elements])
-        below = elements < top
-        np.testing.assert_array_equal(q.values_at(elements[below]), sparse[below])
-        np.testing.assert_array_equal(Query(0.5).values_at(np.array([top, 0])), [0.5, 0.5])
+        elements = np.array([[0, 3, 70], [top - 1, top, top + 5], [top + 4, 70, 2], [top + 6, 1, 2**40]])
+        looked_up = q.values_at(elements)
+        assert looked_up.shape == elements.shape and looked_up.dtype == np.float64
+        by_value = [[q.value(e) for e in row] for row in elements]
+        by_mapping = [[q.overrides.get(int(e), q.default_value) for e in row] for row in elements]
+        assert looked_up.tolist() == by_value == by_mapping
+        np.testing.assert_array_equal(q.values_at(elements[elements < top]), looked_up[elements < top])
+        np.testing.assert_array_equal(Query(0.5).values_at(np.array([[top, 0]])), [[0.5, 0.5]])
+        assert q.values_at(np.array([], dtype=np.int64)).shape == (0,)
 
 
 class TestFiniteDistribution:
@@ -169,12 +172,6 @@ class TestFiniteDistribution:
             FiniteDistribution(s, [1.0, 0.0])
         with pytest.raises(ValueError):
             FiniteDistribution([Sample((0,)), Sample((0,))], [0.5, 0.5])
-
-    def test_sample_matrix_only_for_uniform_lengths(self):
-        uniform = FiniteDistribution([Sample((0, 1)), Sample((2, 3))], [0.5, 0.5])
-        assert uniform.sample_matrix().shape == (2, 2)
-        ragged = FiniteDistribution([Sample((0,)), Sample((1, 2))], [0.5, 0.5])
-        assert ragged.sample_matrix() is None
 
 
 class TestMeans:
@@ -209,20 +206,23 @@ class TestMeans:
 
 
 def gathered_means(query, dist):
-    """Reference: the query table gathered at every support element, then
-    averaged per sample."""
-    matrix = dist.sample_matrix()
-    if matrix is not None:
-        return query.values_at(matrix).mean(axis=1)
-    return np.array([query.values_at(s.as_array()).mean() for s in dist.samples])
+    """Reference: the query as a dense table over the support's ids,
+    gathered at the support stacked as an (m, n) array when every sample
+    has one length (sample by sample otherwise), then averaged per sample."""
+    arrays = [s.as_array() for s in dist.samples]
+    table = np.full(max(int(a.max()) for a in arrays) + 1, query.default_value)
+    inside = query.ids < table.size
+    table[query.ids[inside]] = query.vals[inside]
+    if len({a.size for a in arrays}) == 1:
+        return table[np.stack(arrays)].mean(axis=1)
+    return np.array([table[a].mean() for a in arrays])
 
 
 def assert_means_match_the_gather(query, dist):
     reference = gathered_means(query, dist)
     assert empirical_means_over_support(query, dist).tobytes() == reference.tobytes()
     assert true_mean(query, dist).hex() == float(dist.probabilities @ reference).hex()
-    for sample in dist.samples:
-        assert empirical_mean(query, sample).hex() == float(query.values_at(sample.as_array()).mean()).hex()
+    assert [empirical_mean(query, s).hex() for s in dist.samples] == [float(x).hex() for x in reference]
 
 
 @st.composite
@@ -277,6 +277,19 @@ class TestFastMeans:
     def test_other_queries_take_the_gather(self, data):
         dist = data.draw(supports(shared=False, ragged=data.draw(st.booleans())))
         query = data.draw(queries(data.draw(st.floats(0.0, 1.0)), st.floats(0.0, 1.0)))
+        assert_means_match_the_gather(query, dist)
+
+    @given(m=st.integers(1, 4), n=st.integers(129, 1100), overrides=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_other_queries_on_long_uniform_samples(self, m, n, overrides, seed):
+        # past 128 values numpy sums in pairwise blocks; a sample's own mean
+        # must still equal its row's mean in the stacked gather
+        rng = np.random.default_rng(seed)
+        rows = {tuple(rng.integers(0, 3 * n, n).tolist()) for _ in range(m)}
+        dist = FiniteDistribution([Sample(r) for r in rows], np.full(len(rows), 1.0 / len(rows)))
+        ids = np.unique(rng.integers(0, 3 * n, overrides))
+        query = Query.from_arrays(float(rng.random()), ids, rng.random(ids.size))
+        assert not query.binary
         assert_means_match_the_gather(query, dist)
 
     def test_hard_instance_queries(self):
