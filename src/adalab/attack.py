@@ -20,6 +20,7 @@ per-round reference: one ``info_round`` per query, returning the transcript.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -389,7 +390,10 @@ class BlockInstance:
         return Query.from_arrays(0.0, elements, np.ones(elements.size))
 
 
+@functools.lru_cache(maxsize=1)
 def build_block_instance(gamma: float, n: int) -> BlockInstance:
+    """The block instance of (gamma, n), cached by value: a simple-attack
+    trial draws its held block from it and ``run_simple_attack`` probes it."""
     return BlockInstance(gamma, n)
 
 

@@ -5,13 +5,15 @@ concentration checker. Each experiment subcommand accepts either a JSON
 config (--config) or direct flags; flags override config values. The
 summary is printed to stdout as JSON, file paths and diagnostics go to
 stderr. Exit codes: 0 on success, 2 when an --assert claim fails, 1 on any
-other error.
+other error. A reader that closes stdout early (``adalab ... | head``) is
+not an error: the rest of the run's stdout is dropped.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .attack import build_hard_instance
@@ -75,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                 type=param.type,
                 nargs=param.nargs,
                 default=None,
-                help=param.help,
+                help=param.help if param.default is None else f"{param.help} (default {param.default})",
             )
 
     check = commands.add_parser(
@@ -152,11 +154,22 @@ def _run_check_concentration(args: argparse.Namespace) -> int:
     }
     if len(lengths) == 1:
         out["hoeffding_gamma"] = hoeffding_gamma(lengths.pop(), threshold)
-    print(to_json(out, indent=2, sort_keys=True))
+    _print_stdout(to_json(out, indent=2, sort_keys=True))
     if args.require_holds and not report.holds:
         print("concentration check failed: deviation mass exceeds gamma", file=sys.stderr)
         return 2
     return 0
+
+
+def _print_stdout(text: str) -> None:
+    """Print ``text`` and flush it. If the reader has closed stdout, point
+    stdout at the null device, so neither this print nor the interpreter's
+    final flush ends the run with a BrokenPipeError traceback."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:
@@ -173,7 +186,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(to_json(result.summary, indent=2, sort_keys=True))
+    _print_stdout(to_json(result.summary, indent=2, sort_keys=True))
     if config.out:
         paths = write_outputs(result, config.out)
         print(f"wrote {paths['jsonl']}, {paths['csv']}, {paths['summary']}", file=sys.stderr)

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import operator
 import os
 from collections.abc import Callable
@@ -89,9 +90,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if not isinstance(self.params, dict):
             raise ValueError("params must be a JSON object")
@@ -128,12 +133,12 @@ _hard_instance = functools.lru_cache(maxsize=1)(build_hard_instance)
 _noise_spec = functools.lru_cache(maxsize=1)(NoiseSpec)
 
 
-def _noise_from_params(params: dict, *, grid_default: float = 2.0**-20) -> NoiseSpec:
-    return _noise_spec(
-        family=params.get("noise_family", "laplace"),
-        scale=float(params.get("noise_scale", 0.1)),
-        grid_step=float(params.get("grid_step", grid_default)),
-    )
+# the param behind each NoiseSpec field; a kind without one runs at the field's default
+_NOISE_FIELDS = (("noise_family", "family"), ("noise_scale", "scale"), ("grid_step", "grid_step"))
+
+
+def _noise_from_params(params: dict) -> NoiseSpec:
+    return _noise_spec(**{field: params[key] for key, field in _NOISE_FIELDS if key in params})
 
 
 def _mechanism(
@@ -192,11 +197,11 @@ def _two_sample_instance(n: int, ones: int) -> tuple[Sample, Sample, FiniteDistr
 
 
 def _attack_trial(params: dict, master: int, trial: int) -> dict:
-    inst = _hard_instance(float(params["eps"]), float(params["gamma"]), int(params["n"]))
+    inst = _hard_instance(params["eps"], params["gamma"], params["n"])
     slot = int(derive_rng(master, trial, "sample_draw").integers(inst.support_size))
     sample = inst.make_sample(slot)
     noise = _noise_from_params(params)
-    mech_name = params.get("mechanism", "real")
+    mech_name = params["mechanism"]
     dist = inst.distribution if mech_name == "hybrid" else None
     mech = _mechanism(
         mech_name,
@@ -210,7 +215,7 @@ def _attack_trial(params: dict, master: int, trial: int) -> dict:
     result = run_score_attack_arrays(
         inst,
         mech,
-        int(params["k"]),
+        params["k"],
         rng_p=derive_rng(master, trial, "attack_p"),
         rng_table=derive_rng(master, trial, "attack_bernoulli"),
     )
@@ -229,8 +234,7 @@ def _attack_trial(params: dict, master: int, trial: int) -> dict:
 
 
 def _simple_attack_trial(params: dict, master: int, trial: int) -> dict:
-    gamma = float(params["gamma"])
-    n = int(params["n"])
+    gamma, n = params["gamma"], params["n"]
     inst = build_block_instance(gamma, n)
     held = int(derive_rng(master, trial, "sample_draw").integers(inst.num_candidates))
     sample = inst.distribution.samples[held]
@@ -247,7 +251,7 @@ def _simple_attack_trial(params: dict, master: int, trial: int) -> dict:
 
 
 def _positive_trial(params: dict, master: int, trial: int) -> dict:
-    k = int(params["k"])
+    k = params["k"]
     if k == 0:
         return {
             "trial": trial,
@@ -257,15 +261,15 @@ def _positive_trial(params: dict, master: int, trial: int) -> dict:
             "switched": False,
             "switch_round": -1,
         }
-    eps = float(params["eps"])
-    inst = _hard_instance(eps, float(params["gamma"]), int(params["n"]))
+    eps = params["eps"]
+    inst = _hard_instance(eps, params["gamma"], params["n"])
     slot = int(derive_rng(master, trial, "sample_draw").integers(inst.support_size))
     sample = inst.make_sample(slot)
     noise = _noise_from_params(params)
     mech = _mechanism(
         "hybrid",
         noise,
-        epsilon_switch=params.get("epsilon_switch", eps),
+        epsilon_switch=params["epsilon_switch"],
         sample=sample,
         distribution=inst.distribution,
         master=master,
@@ -279,7 +283,7 @@ def _positive_trial(params: dict, master: int, trial: int) -> dict:
     return {
         "trial": trial,
         "rounds": k,
-        "accurate": bool(np.all(np.abs(answers - tru) <= float(params["alpha"]))),
+        "accurate": bool(np.all(np.abs(answers - tru) <= params["alpha"])),
         "queries_good": bool(np.all(np.abs(emp - tru) <= eps)),
         "switched": mech.switched,
         "switch_round": -1 if mech.switch_round is None else mech.switch_round,
@@ -287,11 +291,9 @@ def _positive_trial(params: dict, master: int, trial: int) -> dict:
 
 
 def _coupling_trial(params: dict, master: int, trial: int) -> dict:
-    n = int(params.get("n", 8))
-    k = int(params["k"])
-    bad_round = int(params["bad_round"])
-    noise = _noise_from_params(params, grid_default=2.0**-10)
-    _, held, dist = _two_sample_instance(n, n)
+    k, bad_round = params["k"], params["bad_round"]
+    noise = _noise_from_params(params)
+    _, held, dist = _two_sample_instance(params["n"], params["n"])
     # the schedule asks the good query in every round but bad_round
     good, bad = Query(0.5), Query(0.0, {1: 1.0})
     is_bad = np.arange(k) == bad_round
@@ -326,59 +328,59 @@ def _coupling_trial(params: dict, master: int, trial: int) -> dict:
 
 
 def _resolve_params(config: ExperimentConfig) -> dict:
-    """Check the params against the kind's table and fill derived defaults,
-    so trial workers see fully explicit params."""
-    params = dict(config.params)
+    """Check the params against the kind's table, give each its declared
+    type, and fill the table's defaults and the kind's derived ones, so
+    runners and summaries read every param as resolved."""
     kind = config.kind
     declared = KINDS[kind].params
     keys = [p.key for p in declared]
-    unknown = sorted(set(params) - set(keys))
+    unknown = sorted(set(config.params) - set(keys))
     if unknown:
         raise ValueError(f"{kind} experiment has unknown params {unknown}; its params are {keys}")
-    missing = [p.key for p in declared if p.required and p.key not in params]
+    missing = [p.key for p in declared if p.required and p.key not in config.params]
     if missing:
         raise ValueError(f"{kind} experiment needs params {missing}")
+    params = {}
+    for p in declared:
+        if p.key in config.params:
+            params[p.key] = _typed(kind, p, config.params[p.key])
+        elif p.default is not None:
+            params[p.key] = p.default
     if kind == "attack":
-        mechanism = params.get("mechanism", "real")
-        if mechanism not in ("real", "hybrid"):
-            raise ValueError(f"attack mechanism must be real or hybrid, got {mechanism!r}")
-        if mechanism == "real" and "epsilon_switch" in params:
+        if params["mechanism"] not in ("real", "hybrid"):
+            raise ValueError(f"attack mechanism must be real or hybrid, got {params['mechanism']!r}")
+        if params["mechanism"] == "real" and "epsilon_switch" in params:
             raise ValueError("epsilon_switch applies only to the hybrid; attack mechanism is 'real'")
         noise = _noise_from_params(params)
-        r, _, _ = instance_shape(float(params["eps"]), float(params["gamma"]))
         if "constant" not in params:
+            r, _, _ = instance_shape(params["eps"], params["gamma"])
             params["constant"] = calibrated_attack_constant(r, noise.variance())
         if "k" not in params:
-            params["k"] = score_attack_rounds(
-                float(params["eps"]),
-                float(params["gamma"]),
-                float(params.get("beta", 0.1)),
-                float(params["constant"]),
-            )
-        if int(params["k"]) < 1:
+            params["k"] = score_attack_rounds(params["eps"], params["gamma"], params["beta"], params["constant"])
+        if params["k"] < 1:
             raise ValueError(f"{kind} experiment needs k >= 1 info rounds, got k {params['k']}")
-        _hard_instance(float(params["eps"]), float(params["gamma"]), int(params["n"]))
+        _hard_instance(params["eps"], params["gamma"], params["n"])
     elif kind == "simple_attack":
-        build_block_instance(float(params["gamma"]), int(params["n"]))
+        build_block_instance(params["gamma"], params["n"])
     elif kind == "positive_accuracy":
-        eps, alpha = float(params["eps"]), float(params["alpha"])
+        eps, alpha = params["eps"], params["alpha"]
         params.setdefault("noise_scale", accuracy_noise_scale(alpha, eps))
+        params.setdefault("epsilon_switch", eps)
         if "k" not in params:
-            params["k"] = max_accurate_rounds(eps, float(params["gamma"]), alpha, float(params["beta"]))
-        if int(params["k"]) < 0:
+            params["k"] = max_accurate_rounds(eps, params["gamma"], alpha, params["beta"])
+        if params["k"] < 0:
             raise ValueError(f"{kind} experiment needs k >= 0 rounds, got k {params['k']}")
-        _hard_instance(eps, float(params["gamma"]), int(params["n"]))
+        _hard_instance(eps, params["gamma"], params["n"])
     elif kind == "coupling":
-        k, bad_round = int(params["k"]), int(params["bad_round"])
+        k, bad_round = params["k"], params["bad_round"]
         if not (0 <= bad_round < k):
             raise ValueError(f"{kind} experiment needs 0 <= bad_round < k, got bad_round {bad_round} and k {k}")
-        # an absent n takes _coupling_trial's default of 8
-        if "n" in params and int(params["n"]) < 1:
+        if params["n"] < 1:
             raise ValueError(f"{kind} experiment needs n >= 1, got n {params['n']}")
     elif kind == "llr":
-        params.setdefault("grid_step", 2.0**-5)
         derived = "ones" not in params
-        params.setdefault("ones", round(2 * int(params["n"]) * float(params["eps"])))
+        params.setdefault("ones", round(2 * params["n"] * params["eps"]))
+        params.setdefault("epsilon_switch", params["eps"])
         _check_ones(kind, params, " (derived as round(2*n*eps))" if derived else "")
     elif kind == "divergence":
         if "epsilon_switch" in params and "hybrid" not in (params["mech_a"], params["mech_b"]):
@@ -392,9 +394,36 @@ def _resolve_params(config: ExperimentConfig) -> dict:
     return params
 
 
+_TYPE_NAMES = {int: "an integer", float: "a real number", str: "a string"}
+
+
+def _typed(kind: str, param: Param, value):
+    """``value`` as ``param``'s declared type, or a non-empty list of it for
+    a list param."""
+    if param.nargs is None:
+        return _as_type(kind, param, value)
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{kind} experiment param {param.key!r} must be a non-empty list, got {value!r}")
+    return [_as_type(kind, param, item) for item in value]
+
+
+def _as_type(kind: str, param: Param, value):
+    """A bool, a non-integral value for an int, or a string where a number
+    belongs is an error naming the kind and the param."""
+    if param.type is str:
+        ok = isinstance(value, str)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        ok = False
+    else:
+        ok = param.type is float or isinstance(value, numbers.Integral) or float(value).is_integer()
+    if not ok:
+        raise ValueError(f"{kind} experiment param {param.key!r} must be {_TYPE_NAMES[param.type]}, got {value!r}")
+    return param.type(value)
+
+
 def _check_ones(kind: str, params: dict, origin: str) -> None:
     """The two-sample instance's planted count must lie in 1..n."""
-    n, ones = int(params["n"]), int(params["ones"])
+    n, ones = params["n"], params["ones"]
     if not 1 <= ones <= n:
         raise ValueError(f"{kind} experiment needs 1 <= ones <= n, got ones {ones}{origin} and n {n}")
 
@@ -427,7 +456,7 @@ def _summarize_attack(records: list[dict], params: dict) -> dict:
         "min_sample_deviation_on_success": min(
             (r["sample_deviation"] for r in records if r["success"]), default=float("nan")
         ),
-        "k": int(params["k"]),
+        "k": params["k"],
     }
     if records and "switched" in records[0]:
         summary["switch_rate"] = _rate(records, "switched")[0]
@@ -441,7 +470,7 @@ def _summarize_simple_attack(records: list[dict], params: dict) -> dict:
         "mean_worst_deviation": worst_mean,
         "worst_deviation_radius": worst_radius,
         "min_worst_deviation": min(r["worst_deviation"] for r in records),
-        "rounds": simple_attack_rounds(float(params["gamma"])),
+        "rounds": simple_attack_rounds(params["gamma"]),
     }
 
 
@@ -452,13 +481,13 @@ def _summarize_positive(records: list[dict], params: dict) -> dict:
         "accuracy_radius": accuracy_radius,
         "queries_good_rate": _rate(records, "queries_good")[0],
         "switch_rate": _rate(records, "switched")[0],
-        "k": int(params["k"]),
-        "noise_scale": float(params.get("noise_scale", 0.0)),
+        "k": params["k"],
+        "noise_scale": params["noise_scale"],
     }
 
 
 def _summarize_coupling(records: list[dict], params: dict) -> dict:
-    bad_round = int(params["bad_round"])
+    bad_round = params["bad_round"]
     switch_hits = sum(r["switch_round"] == bad_round for r in records)
     return {
         "prefix_identical_rate": _rate(records, "prefix_identical")[0],
@@ -472,23 +501,20 @@ def _summarize_coupling(records: list[dict], params: dict) -> dict:
 
 
 def _run_llr(config: ExperimentConfig, params: dict) -> tuple[list[dict], dict]:
-    n = int(params["n"])
-    k = int(params["k"])
-    eps = float(params["eps"])
-    noise = _noise_from_params(params)
-    _, held, dist = _two_sample_instance(n, int(params["ones"]))
+    k = params["k"]
+    _, held, dist = _two_sample_instance(params["n"], params["ones"])
     query = Query(0.0, {1: 1.0})
     report = run_llr_experiment(
         FixedQueryAnalyst([query] * k),
         held,
         dist,
         k,
-        eps,
-        noise,
-        float(params["rho"]),
+        params["eps"],
+        _noise_from_params(params),
+        params["rho"],
         config.trials,
         config.seed,
-        epsilon_switch=params.get("epsilon_switch"),
+        epsilon_switch=params["epsilon_switch"],
     )
     record = {
         "threshold": report.threshold,
@@ -501,8 +527,8 @@ def _run_llr(config: ExperimentConfig, params: dict) -> tuple[list[dict], dict]:
 
 
 def _run_divergence(config: ExperimentConfig, params: dict) -> tuple[list[dict], dict]:
-    noise = _noise_from_params(params, grid_default=2.0**-10)
-    _, held, dist = _two_sample_instance(int(params["n"]), int(params["ones"]))
+    noise = _noise_from_params(params)
+    _, held, dist = _two_sample_instance(params["n"], params["ones"])
     query = Query(0.0, {1: 1.0})
     mechs = []
     for side in ("mech_a", "mech_b"):
@@ -531,16 +557,13 @@ def _run_divergence(config: ExperimentConfig, params: dict) -> tuple[list[dict],
 
 
 def _run_bounds_table(config: ExperimentConfig, params: dict) -> tuple[list[dict], dict]:
-    mode = params["mode"]
-    gamma = float(params["gamma"])
-    beta = float(params["beta"])
+    mode, gamma, beta = params["mode"], params["gamma"], params["beta"]
     rows = []
     for eps in params["eps_values"]:
-        eps = float(eps)
         if mode == "negative":
             row = {"eps": eps, **breaking_rounds_details(eps, gamma, beta, params.get("constant"))}
         else:
-            row = {"eps": eps, **max_accurate_rounds_details(eps, gamma, float(params["alpha"]), beta)}
+            row = {"eps": eps, **max_accurate_rounds_details(eps, gamma, params["alpha"], beta)}
             row["budget"] = json.dumps(row["budget"])
         rows.append(row)
     return rows, {"mode": mode, "rows": len(rows)}
@@ -551,7 +574,8 @@ def _run_bounds_table(config: ExperimentConfig, params: dict) -> tuple[list[dict
 
 @dataclass(frozen=True)
 class Param:
-    """One experiment parameter: its CLI flag, params key, type and help.
+    """One experiment parameter: its CLI flag, params key, type, help and
+    default (None: absent unless given, or derived in ``_resolve_params``).
 
     ``required`` params are checked when a run resolves its params, not by
     argparse, so a --config file can supply them instead of the flag.
@@ -563,6 +587,7 @@ class Param:
     help: str
     required: bool = False
     nargs: str | None = None
+    default: object = None
 
 
 @dataclass(frozen=True)
@@ -581,9 +606,10 @@ class ExperimentKind:
     run_once: Callable[[ExperimentConfig, dict], tuple[list[dict], dict]] | None = None
 
 
-_NOISE_FAMILY = Param("--noise", "noise_family", str, "noise family: laplace or gaussian")
-_NOISE_SCALE = Param("--b", "noise_scale", float, "noise scale")
-_GRID_STEP = Param("--grid-step", "grid_step", float, "output grid step")
+_NOISE_FAMILY = Param("--noise", "noise_family", str, "noise family: laplace or gaussian", default=NoiseSpec.family)
+_NOISE_SCALE = Param("--b", "noise_scale", float, "noise scale", default=NoiseSpec.scale)
+_GRID_STEP = Param("--grid-step", "grid_step", float, "output grid step", default=NoiseSpec.grid_step)
+_COARSE_GRID_STEP = dataclasses.replace(_GRID_STEP, default=2.0**-10)
 _EPSILON_SWITCH = Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold")
 _CONSTANT = Param("--constant", "constant", float, "override the calibrated round constant")
 
@@ -595,10 +621,10 @@ KINDS = {
             Param("--gamma", "gamma", float, "concentration failure chance", True),
             Param("--n", "n", int, "held sample size (multiple of the block count)", True),
             Param("--k", "k", int, "info rounds; derived from the calibrated constant if omitted"),
-            Param("--beta", "beta", float, "target failure chance when deriving k (default 0.1)"),
+            Param("--beta", "beta", float, "target failure chance when deriving k", default=0.1),
             _NOISE_FAMILY,
             _NOISE_SCALE,
-            Param("--mechanism", "mechanism", str, "real (default) or hybrid"),
+            Param("--mechanism", "mechanism", str, "real or hybrid", default="real"),
             _EPSILON_SWITCH,
             _CONSTANT,
             _GRID_STEP,
@@ -627,8 +653,8 @@ KINDS = {
             Param("--beta", "beta", float, "allowed chance of an inaccurate transcript", True),
             Param("--n", "n", int, "held sample size (multiple of the block count)", True),
             Param("--k", "k", int, "rounds; the certified maximum if omitted"),
-            Param("--b", "noise_scale", float, "override the derived noise scale"),
-            Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold (default eps)"),
+            Param("--b", "noise_scale", float, "noise scale; alpha / (2 ln(1/eps)) if omitted"),
+            Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold; eps if omitted"),
         ),
         run_trial=_positive_trial,
         summarize=_summarize_positive,
@@ -640,8 +666,8 @@ KINDS = {
             Param("--bad-round", "bad_round", int, "round index of the planted bad query", True),
             Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold", True),
             _NOISE_SCALE,
-            Param("--n", "n", int, "held sample size"),
-            _GRID_STEP,
+            Param("--n", "n", int, "held sample size", default=8),
+            _COARSE_GRID_STEP,
         ),
         run_trial=_coupling_trial,
         summarize=_summarize_coupling,
@@ -653,10 +679,10 @@ KINDS = {
             Param("--k", "k", int, "rounds per transcript", True),
             Param("--rho", "rho", float, "confidence parameter of the composed bound", True),
             Param("--n", "n", int, "held sample size", True),
-            Param("--ones", "ones", int, "planted count of element 1 (default 2*n*eps)"),
+            Param("--ones", "ones", int, "planted count of element 1; round(2*n*eps) if omitted"),
             _NOISE_SCALE,
-            Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold (default eps)"),
-            Param("--grid-step", "grid_step", float, "output grid step (coarse)"),
+            Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold; eps if omitted"),
+            dataclasses.replace(_GRID_STEP, default=2.0**-5),
         ),
         run_once=_run_llr,
     ),
@@ -670,7 +696,7 @@ KINDS = {
             _NOISE_FAMILY,
             _NOISE_SCALE,
             _EPSILON_SWITCH,
-            _GRID_STEP,
+            _COARSE_GRID_STEP,
         ),
         run_once=_run_divergence,
     ),

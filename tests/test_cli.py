@@ -13,6 +13,19 @@ from adalab.harness import KINDS
 
 # one parseable value per param type
 FLAG_VALUES = {int: "3", float: "0.5", str: "x"}
+# config values of the wrong type for each param type
+WRONG_VALUES = {int: [16.9, "178", True], float: ["0.5", True, None], str: [3, None]}
+WRONG_LISTS = [[], 0.25, ["0.25"]]
+# each kind's required params, at values that run one trial quickly
+MINIMAL = {
+    "attack": {"eps": 0.25, "gamma": 0.01, "n": 16},
+    "simple_attack": {"gamma": 0.2, "n": 10},
+    "positive_accuracy": {"eps": 0.005, "gamma": 0.05, "alpha": 0.9, "beta": 0.9, "n": 400},
+    "coupling": {"k": 6, "bad_round": 2, "epsilon_switch": 0.25},
+    "llr": {"eps": 0.0625, "k": 2, "rho": 0.05, "n": 8},
+    "divergence": {"mech_a": "real", "mech_b": "oracle", "n": 4, "ones": 2},
+    "bounds_table": {"mode": "negative", "gamma": 0.01, "beta": 0.1, "eps_values": [0.25]},
+}
 
 ROOT = Path(__file__).resolve().parent.parent
 SIMPLE = ["simple-attack", "--gamma", "0.2", "--n", "10", "--b", "0", "--trials", "2", "--seed", "3"]
@@ -22,6 +35,12 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_config(capsys, tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return run(capsys, [KINDS[config["kind"]].command, "--config", str(path)])
 
 
 class TestExitCodes:
@@ -138,6 +157,34 @@ class TestKindTable:
             assert code == 1
             assert f"{name} experiment needs params ['{left_out.key}']" in err
 
+    def test_run_reports_each_table_default(self, capsys, tmp_path, name):
+        kind = KINDS[name]
+        assert set(MINIMAL[name]) == {param.key for param in kind.params if param.required}
+        code, out, err = run_config(capsys, tmp_path, {"kind": name, "params": MINIMAL[name]})
+        assert code == 0, err
+        reported = json.loads(out)["params"]
+        defaults = {param.key: param.default for param in kind.params if param.default is not None}
+        assert {key: reported[key] for key in defaults} == defaults
+
+    def test_wrong_param_types_exit_one(self, capsys, tmp_path, name):
+        for param in KINDS[name].params:
+            for value in WRONG_LISTS if param.nargs else WRONG_VALUES[param.type]:
+                params = {**MINIMAL[name], param.key: value}
+                code, out, err = run_config(capsys, tmp_path, {"kind": name, "params": params})
+                assert (code, out) == (1, ""), (param.key, value)
+                assert f"error: {name} experiment param '{param.key}' must be" in err
+                if param.nargs is None:
+                    assert err.rstrip().endswith(f", got {value!r}")
+
+    def test_help_shows_each_table_default(self, capsys, name):
+        kind = KINDS[name]
+        assert main([kind.command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for param in kind.params:
+            if param.default is not None:
+                assert f"(default {param.default})" in text
+        assert text.count("(default ") == sum(param.default is not None for param in kind.params)
+
     def test_undeclared_param_is_rejected(self, capsys, tmp_path, name):
         kind = KINDS[name]
         params = {param.key: param.type(FLAG_VALUES[param.type]) for param in kind.params if param.required}
@@ -148,6 +195,38 @@ class TestKindTable:
         assert code == 1
         assert f"{name} experiment has unknown params ['nosie_scale']" in err
         assert str([param.key for param in kind.params]) in err
+
+
+@pytest.mark.parametrize("field", ["trials", "seed"])
+def test_boolean_trials_or_seed_does_not_run(capsys, tmp_path, field):
+    config = {"kind": "attack", "params": MINIMAL["attack"], field: True}
+    code, out, err = run_config(capsys, tmp_path, config)
+    assert (code, out) == (1, "")
+    assert f"error: {field} must be an integer, got True" in err
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_closed_stdout_ends_quietly(lines_read):
+    """A reader that goes away, as ``| head -1`` does, drops the rest of
+    the summary without a traceback and leaves the exit code alone. With no
+    line read, the pipe closes while the child is still importing, so its
+    first write is certain to fail."""
+    argv = "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 20 --rho 0.05 --n 64 --trials 500 --seed 808"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adalab", *argv.split()],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_python_dash_m_runs_the_cli(capsys):

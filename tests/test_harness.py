@@ -12,6 +12,7 @@ from adalab.harness import (
     ExperimentConfig,
     _coupling_trial,
     _positive_trial,
+    _resolve_params,
     _two_sample_instance,
     derive_entropy,
     derive_rng,
@@ -72,6 +73,10 @@ class TestConfig:
             ExperimentConfig(kind="attack", trials=0)
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(kind="attack", seed=-1)
+        for field in ("trials", "seed"):
+            for value in (True, 2.5, 2.0, "2"):
+                with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+                    ExperimentConfig(kind="attack", **{field: value})
         with pytest.raises(ValueError, match="params"):
             ExperimentConfig(kind="attack", params=[1])
         with pytest.raises(ValueError, match="assertions"):
@@ -324,7 +329,8 @@ def coupling_reference(params, master, trial):
 
 class TestBatchedTrialsMatchPerRound:
     """The batched answer-blind trials against their per-round references,
-    record for record."""
+    record for record. The trials read their params as ``_resolve_params``
+    leaves them, defaults filled."""
 
     @pytest.mark.parametrize(
         "epsilon_switch, covers",
@@ -335,17 +341,19 @@ class TestBatchedTrialsMatchPerRound:
         ],
     )
     def test_positive(self, epsilon_switch, covers):
-        params = {
-            "eps": 0.25, "gamma": 0.01, "n": 16, "k": 40, "alpha": 0.5,
-            "epsilon_switch": epsilon_switch,
+        given = {
+            "eps": 0.25, "gamma": 0.01, "n": 16, "k": 40, "alpha": 0.5, "beta": 0.1,
+            "noise_scale": 0.1, "epsilon_switch": epsilon_switch,
         }
+        params = _resolve_params(ExperimentConfig(kind="positive_accuracy", params=given))
         batched = [_positive_trial(params, 9, trial) for trial in range(12)]
         assert to_json(batched) == to_json([positive_reference(params, 9, t) for t in range(12)])
         assert covers({record["switch_round"] for record in batched})
 
     @pytest.mark.parametrize("bad_round", [0, 5])
     def test_coupling(self, bad_round):
-        params = {"k": 6, "bad_round": bad_round, "epsilon_switch": 0.25}
+        given = {"k": 6, "bad_round": bad_round, "epsilon_switch": 0.25}
+        params = _resolve_params(ExperimentConfig(kind="coupling", params=given))
         batched = [_coupling_trial(params, 11, trial) for trial in range(12)]
         assert to_json(batched) == to_json([coupling_reference(params, 11, t) for t in range(12)])
         assert {record["switch_round"] for record in batched} == {bad_round}
