@@ -3,8 +3,8 @@
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads and processes. Derived data is
 built on first use and kept: a sample's element array and element counts, a
-distribution's element -> row index, and a query's override mapping and
-hash.
+distribution's element -> row index and its last true mean (one entry, keyed
+by the query's value), and a query's override mapping and hash.
 
 A query stores its overrides as sorted int64 ids and float64 values, and
 one lookup rule reads them: a binary search of the ids. The means of a
@@ -215,6 +215,8 @@ class FiniteDistribution:
         self.samples = samples
         self.probabilities = probs
         self.probabilities.setflags(write=False)
+        # query -> true mean of the last query asked, replaced whole on a miss
+        self._last_true_mean: dict[Query, float] = {}
 
     @property
     def support_size(self) -> int:
@@ -279,8 +281,15 @@ def empirical_means_over_support(query: Query, dist: FiniteDistribution) -> np.n
 
 
 def true_mean(query: Query, dist: FiniteDistribution) -> float:
-    """Expected empirical mean of the query under the sampling distribution."""
-    return float(dist.probabilities @ empirical_means_over_support(query, dist))
+    """Expected empirical mean of the query under the sampling distribution.
+
+    The distribution keeps the last query's mean, so asking one query twice
+    in a row computes it once."""
+    mean = dist._last_true_mean.get(query)
+    if mean is None:
+        mean = float(dist.probabilities @ empirical_means_over_support(query, dist))
+        dist._last_true_mean = {query: mean}
+    return mean
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,9 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        threads = self.threads
+        if threads is not None and (isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1):
+            raise ValueError(f"threads must be None or an integer of at least 1, got {threads!r}")
         if not isinstance(self.params, dict):
             raise ValueError("params must be a JSON object")
         if not isinstance(self.assertions, list):
@@ -387,10 +390,14 @@ def _resolve_params(config: ExperimentConfig) -> dict:
             raise ValueError("epsilon_switch applies only to the hybrid; neither mech_a nor mech_b is 'hybrid'")
         _check_ones(kind, params, "")
     elif kind == "bounds_table":
-        if params["mode"] not in ("negative", "positive"):
+        mode = params["mode"]
+        if mode not in ("negative", "positive"):
             raise ValueError("bounds_table mode must be 'negative' or 'positive'")
-        if params["mode"] == "positive" and "alpha" not in params:
+        if mode == "positive" and "alpha" not in params:
             raise ValueError(f"{kind} experiment needs params ['alpha']")
+        other, unread = ("positive", "alpha") if mode == "negative" else ("negative", "constant")
+        if unread in params:
+            raise ValueError(f"{unread} applies only to {other} mode; bounds mode is {mode!r}")
     return params
 
 
@@ -731,7 +738,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if kind.run_once is not None:
         records, summary = kind.run_once(config, params)
     else:
-        threads = max(1, int(config.threads or 1))
+        threads = config.threads or 1
         if threads > 1 and config.trials > 1:
             # imported here: the pool pulls in multiprocessing, sockets and subprocess,
             # which a serial run never uses

@@ -13,11 +13,21 @@ mechanism built from the same seed (their transcripts are then bit
 identical). Oracle-branch draws come from an independent stream keyed by
 the round index, so a switch never desynchronizes later rounds. Exactly one
 noise value is consumed per answer, from the stream of the branch taken.
+
+The oracle's draw for round r is numpy's
+``default_rng(SeedSequence(entropy=oracle_seed, spawn_key=(r,))).laplace(0.0, scale)``,
+bit for bit. adalab computes that chain (SeedSequence's mixing, PCG64's
+seeding and XSL-RR output, ``random_laplace``) with Python ints, so a round
+builds no numpy objects; the run entropy is mixed once per mechanism, on its
+first oracle draw. tests/test_mechanisms.py compares it with numpy over
+seeds, scales and rounds, since numpy keeps bit-generator streams stable
+across versions (NEP 19) but not its distribution methods.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +238,10 @@ class MechanismState:
             raise ValueError(f"{kind.name} mechanism requires a real-noise stream")
         if needs_dist and oracle_seed is None:
             raise ValueError(f"{kind.name} mechanism requires an oracle-noise seed")
+        if oracle_seed is not None and (
+            isinstance(oracle_seed, bool) or not isinstance(oracle_seed, numbers.Integral) or oracle_seed < 0
+        ):
+            raise ValueError(f"oracle_seed must be a non-negative integer, got {oracle_seed!r}")
         if needs_dist and noise.family != "laplace":
             raise ValueError("oracle and hybrid mechanisms support only Laplace noise")
         if needs_sample and len(sample) == 0:
@@ -240,11 +254,105 @@ class MechanismState:
         self.switch_round: int | None = None
         self.rounds_answered = 0
         self._real_rng = real_rng
-        self._oracle_seed = oracle_seed
+        self._oracle_seed = None if oracle_seed is None else int(oracle_seed)
+        self._oracle_pool: tuple[list[int], int] | None = None
 
     def _oracle_noise(self, round_index: int) -> float:
-        seq = np.random.SeedSequence(entropy=self._oracle_seed, spawn_key=(round_index,))
-        return sample_noise(self.noise, np.random.default_rng(seq))
+        if self._oracle_pool is None:
+            self._oracle_pool = _entropy_pool(self._oracle_seed)
+        return _keyed_laplace(self._oracle_pool, round_index, self.noise.scale)
+
+
+# --- the oracle's keyed draw ------------------------------------------------------
+#
+# numpy's SeedSequence -> PCG64 -> Generator.laplace chain in Python ints. The
+# constants are SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit multiplier.
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# generate_state's hash constant before each of its eight output words, and after the last
+_STATE_HASH = tuple(_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9))
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int's 32-bit words, least significant first; [0] for 0."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value: int, const: int) -> tuple[int, int]:
+    value ^= const
+    const = const * _MULT_A & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _mix_in(pool: list[int], const: int, words: list[int]) -> tuple[list[int], int]:
+    """SeedSequence's four-word pool and hash constant after mixing in entropy
+    words that come after the first four."""
+    pool = list(pool)
+    for word in words:
+        for dst in range(4):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, const
+
+
+def _entropy_pool(entropy: int) -> tuple[list[int], int]:
+    """SeedSequence's pool and hash constant after mixing in the run entropy,
+    padded to four words as numpy pads it when a spawn key follows."""
+    words = _uint32_words(entropy)
+    words += [0] * (4 - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:4]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    return _mix_in(pool, const, words[4:])
+
+
+def _keyed_laplace(entropy_pool: tuple[list[int], int], key: int, scale: float) -> float:
+    """``float(default_rng(SeedSequence(entropy, spawn_key=(key,))).laplace(0.0, scale))``,
+    given ``_entropy_pool(entropy)``."""
+    pool, _ = _mix_in(*entropy_pool, _uint32_words(key))
+    # generate_state(4, np.uint64): eight 32-bit words, each uint64 low word first
+    words = []
+    for i, word in enumerate(pool + pool):
+        value = (word ^ _STATE_HASH[i]) * _STATE_HASH[i + 1] & _MASK32
+        words.append(value ^ value >> 16)
+    # PCG64 seeding: uint64s 0-1 are the 128-bit seed and 2-3 the stream, high half first
+    seed = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
+    inc = (words[5] << 97 | words[4] << 65 | words[7] << 33 | words[6] << 1 | 1) & _MASK128
+    state = ((inc + seed) * _PCG_MULT + inc) & _MASK128
+    while True:  # random_laplace draws again on u == 0
+        state = (state * _PCG_MULT + inc) & _MASK128
+        rot = state >> 122
+        out = (state >> 64 ^ state) & _MASK64
+        u = (((out >> rot | out << 64 - rot) & _MASK64) >> 11) * 2.0**-53
+        # numpy's operations in numpy's order: loc = 0.0 keeps signed zeros
+        # alike, and 2.0 - 2.0 * u would round differently from 2.0 - u - u
+        if u >= 0.5:
+            return 0.0 - scale * math.log(2.0 - u - u)
+        if u > 0.0:
+            return 0.0 + scale * math.log(u + u)
 
 
 def switches(emp: float, tru: float, epsilon_switch: float) -> bool:

@@ -82,6 +82,25 @@ class TestExitCodes:
         assert "epsilon_switch applies only to the hybrid" in err
 
     @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--mode positive --alpha 0.1 --constant 99", "constant applies only to negative mode; bounds mode is 'positive'"),
+            ("--mode negative --alpha 0.1", "alpha applies only to positive mode; bounds mode is 'negative'"),
+        ],
+    )
+    def test_bounds_params_the_mode_ignores_exit_one(self, capsys, flag, message):
+        argv = f"bounds {flag} --eps-values 1e-5 --gamma 1e-6 --beta 0.1".split()
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_threads_must_be_an_integer(self, capsys, tmp_path):
+        config = {"kind": "coupling", "threads": 2.5, "params": MINIMAL["coupling"]}
+        code, out, err = run_config(capsys, tmp_path, config)
+        assert code == 1 and out == ""
+        assert "threads must be None or an integer of at least 1, got 2.5" in err
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (

@@ -204,6 +204,22 @@ class TestMeans:
         with pytest.raises(ValueError, match="degenerate sample"):
             true_mean(Query(0.0, {1: 1.0}), with_empty)
 
+    def test_true_mean_keeps_the_last_query_by_value(self):
+        dist = FiniteDistribution([Sample((0, 1)), Sample((2, 2, 3))], [0.25, 0.75])
+
+        def reference(q):
+            return float(dist.probabilities @ empirical_means_over_support(q, dist))
+
+        first = Query(0.0, {1: 1.0, 3: 0.5})
+        stored = true_mean(first, dist)
+        assert stored == reference(first)
+        again = Query(0.0, {3: 0.5, 1: 1.0})  # a new object, equal by value
+        assert true_mean(again, dist) is stored
+        other = Query(0.25, {2: 1.0})
+        assert true_mean(other, dist) == reference(other)
+        assert list(dist._last_true_mean) == [other]
+        assert true_mean(first, dist) == reference(first)
+
 
 def gathered_means(query, dist):
     """Reference: the query as a dense table over the support's ids,

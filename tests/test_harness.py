@@ -77,6 +77,9 @@ class TestConfig:
             for value in (True, 2.5, 2.0, "2"):
                 with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
                     ExperimentConfig(kind="attack", **{field: value})
+        for value in (True, 2.5, 2.0, "2", 0, -1):
+            with pytest.raises(ValueError, match=f"threads must be None or an integer of at least 1, got {value!r}"):
+                ExperimentConfig(kind="coupling", threads=value)
         with pytest.raises(ValueError, match="params"):
             ExperimentConfig(kind="attack", params=[1])
         with pytest.raises(ValueError, match="assertions"):

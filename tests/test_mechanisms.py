@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adalab
+from adalab.bounds import accuracy_noise_scale
 from adalab.core import FiniteDistribution, Query, Sample, empirical_mean, true_mean
+from adalab.harness import derive_entropy
 from adalab.mechanisms import (
     MechanismKind,
     MechanismState,
@@ -261,6 +263,21 @@ class TestMechanismStateConstruction:
         with pytest.raises(ValueError, match="real-noise stream"):
             MechanismState(MechanismKind.real(), COARSE, sample=held)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_oracle_seed_must_be_a_non_negative_integer(self, seed):
+        held, dist = two_point_setup()
+        with pytest.raises(ValueError, match=f"oracle_seed must be a non-negative integer, got {seed!r}"):
+            MechanismState(MechanismKind.oracle(), COARSE, distribution=dist, oracle_seed=seed)
+        with pytest.raises(ValueError, match="oracle_seed must be a non-negative integer"):
+            MechanismState(
+                MechanismKind.hybrid(0.1),
+                COARSE,
+                sample=held,
+                distribution=dist,
+                real_rng=np.random.default_rng(0),
+                oracle_seed=seed,
+            )
+
     def test_oracle_and_hybrid_are_laplace_only(self):
         held, dist = two_point_setup()
         gauss = NoiseSpec(family="gaussian", scale=0.1, grid_step=0.25)
@@ -419,6 +436,36 @@ class TestAnswering:
         )
         with pytest.raises(TypeError):
             answer(mech, 0.5)
+
+
+def numpy_oracle_draw(seed: int, round_index: int, scale: float) -> float:
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(round_index,)))
+    return float(rng.laplace(0.0, scale))
+
+
+class TestOracleStream:
+    """The oracle's keyed draw against numpy's SeedSequence -> PCG64 -> laplace
+    chain, which it computes without building numpy objects."""
+
+    SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64, 2**255 + 3, 5 << 192] + [
+        derive_entropy(master, trial, "mech_noise_oracle") for master, trial in ((0, 0), (9, 1), (123, 4567))
+    ]
+    SCALES = [0.0, 1e-3, NoiseSpec().scale, accuracy_noise_scale(0.3, 0.01)]
+    ROUNDS = [*range(100), 2**32 - 1, 2**32, 10**12, 2**64 + 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_numpy_bit_for_bit(self, seed):
+        _, dist = two_point_setup()
+        for scale in self.SCALES:
+            mech = MechanismState(MechanismKind.oracle(), NoiseSpec(scale=scale), distribution=dist, oracle_seed=seed)
+            for r in self.ROUNDS:
+                got, want = mech._oracle_noise(r), numpy_oracle_draw(seed, r, scale)
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (seed, scale, r)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        _, dist = two_point_setup()
+        make = lambda seed: MechanismState(MechanismKind.oracle(), COARSE, distribution=dist, oracle_seed=seed)
+        assert make(np.uint64(2**64 - 1))._oracle_noise(3) == make(2**64 - 1)._oracle_noise(3)
 
 
 class FixedAnalyst:
