@@ -20,6 +20,7 @@ import numpy as np
 from .attack import calibrated_attack_constant, instance_shape
 from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean, true_mean
 from .mechanisms import (
+    MechanismKind,
     MechanismState,
     NoiseSpec,
     grid_index,
@@ -317,6 +318,8 @@ def run_llr_experiment(
     each of which the bound caps by rho. Requires a deterministic analyst
     (the per-round laws are then functions of the transcript prefix) and a
     coarse grid so bin probabilities are well separated from underflow.
+    The hybrid's switch threshold ``epsilon_switch`` (``eps`` if None) must
+    be positive, as ``MechanismKind.hybrid`` requires.
 
     Randomness contract: each direction has its own stream, spawned from
     ``seed``, and each transcript takes one sized draw of k noise values
@@ -332,7 +335,7 @@ def run_llr_experiment(
         raise ValueError("use a coarse grid (at most 64 bins)")
     if trials < 1:
         raise ValueError("need at least one trial")
-    switch_at = eps if epsilon_switch is None else epsilon_switch
+    switch_at = MechanismKind.hybrid(eps if epsilon_switch is None else epsilon_switch).epsilon_switch
     threshold = composed_epsilon(k, eps, noise.scale, rho)
 
     @functools.cache

@@ -127,6 +127,9 @@ def _run_check_concentration(args: argparse.Namespace) -> int:
     if args.query_file or args.dist_file:
         if not (args.query_file and args.dist_file):
             raise ValueError("--query-file and --dist-file must be given together")
+        for name in ("eps", "n"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} only builds the hard instance; do not pass it with --query-file")
         query = query_from_dict(load_json(args.query_file))
         dist = distribution_from_dict(load_json(args.dist_file))
         if args.threshold is None:

@@ -145,41 +145,25 @@ def _noise_from_params(params: dict) -> NoiseSpec:
 
 
 def _mechanism(
-    kind_name: str,
+    kind: MechanismKind,
     noise: NoiseSpec,
     *,
-    epsilon_switch: float | None = None,
-    sample: Sample | None,
-    distribution: FiniteDistribution | None,
+    sample: Sample,
+    distribution: FiniteDistribution | None = None,
     master: int,
     trial: int,
 ) -> MechanismState:
-    if kind_name == "real":
-        return MechanismState(
-            MechanismKind.real(),
-            noise,
-            sample=sample,
-            real_rng=derive_rng(master, trial, "mech_noise_real"),
-        )
-    if kind_name == "oracle":
-        return MechanismState(
-            MechanismKind.oracle(),
-            noise,
-            distribution=distribution,
-            oracle_seed=derive_entropy(master, trial, "mech_noise_oracle"),
-        )
-    if kind_name == "hybrid":
-        if epsilon_switch is None:
-            raise ValueError("hybrid mechanism requires an epsilon_switch parameter")
-        return MechanismState(
-            MechanismKind.hybrid(epsilon_switch),
-            noise,
-            sample=sample,
-            distribution=distribution,
-            real_rng=derive_rng(master, trial, "mech_noise_real"),
-            oracle_seed=derive_entropy(master, trial, "mech_noise_oracle"),
-        )
-    raise ValueError(f"unknown mechanism {kind_name!r}; expected real, oracle, or hybrid")
+    """``kind``'s mechanism for one trial: of the data given, it holds what
+    ``kind.reads`` names, and it derives only the noise streams that names."""
+    reads = kind.reads
+    return MechanismState(
+        kind,
+        noise,
+        sample=sample if "sample" in reads else None,
+        distribution=distribution if "distribution" in reads else None,
+        real_rng=derive_rng(master, trial, "mech_noise_real") if "real_rng" in reads else None,
+        oracle_seed=derive_entropy(master, trial, "mech_noise_oracle") if "oracle_seed" in reads else None,
+    )
 
 
 def _two_sample_instance(n: int, ones: int) -> tuple[Sample, Sample, FiniteDistribution]:
@@ -204,17 +188,10 @@ def _attack_trial(params: dict, master: int, trial: int) -> dict:
     slot = int(derive_rng(master, trial, "sample_draw").integers(inst.support_size))
     sample = inst.make_sample(slot)
     noise = _noise_from_params(params)
-    mech_name = params["mechanism"]
-    dist = inst.distribution if mech_name == "hybrid" else None
-    mech = _mechanism(
-        mech_name,
-        noise,
-        epsilon_switch=params.get("epsilon_switch"),
-        sample=sample,
-        distribution=dist,
-        master=master,
-        trial=trial,
-    )
+    kind = MechanismKind(params["mechanism"], params.get("epsilon_switch"))
+    # the real attack never builds the instance's support
+    dist = inst.distribution if "distribution" in kind.reads else None
+    mech = _mechanism(kind, noise, sample=sample, distribution=dist, master=master, trial=trial)
     result = run_score_attack_arrays(
         inst,
         mech,
@@ -230,7 +207,7 @@ def _attack_trial(params: dict, master: int, trial: int) -> dict:
         "final_deviation": result.final_deviation,
         "sample_deviation": result.sample_deviation,
     }
-    if mech_name == "hybrid":
+    if kind.name == "hybrid":
         record["switched"] = mech.switched
         record["switch_round"] = -1 if mech.switch_round is None else mech.switch_round
     return record
@@ -242,7 +219,7 @@ def _simple_attack_trial(params: dict, master: int, trial: int) -> dict:
     held = int(derive_rng(master, trial, "sample_draw").integers(inst.num_candidates))
     sample = inst.distribution.samples[held]
     noise = _noise_from_params(params)
-    mech = _mechanism("real", noise, sample=sample, distribution=None, master=master, trial=trial)
+    mech = _mechanism(MechanismKind.real(), noise, sample=sample, master=master, trial=trial)
     result = run_simple_attack(gamma, n, mech)
     return {
         "trial": trial,
@@ -270,9 +247,8 @@ def _positive_trial(params: dict, master: int, trial: int) -> dict:
     sample = inst.make_sample(slot)
     noise = _noise_from_params(params)
     mech = _mechanism(
-        "hybrid",
+        MechanismKind.hybrid(params["epsilon_switch"]),
         noise,
-        epsilon_switch=params["epsilon_switch"],
         sample=sample,
         distribution=inst.distribution,
         master=master,
@@ -302,16 +278,9 @@ def _coupling_trial(params: dict, master: int, trial: int) -> dict:
     is_bad = np.arange(k) == bad_round
     emp = np.where(is_bad, empirical_mean(bad, held), empirical_mean(good, held))
     tru = np.where(is_bad, true_mean(bad, dist), true_mean(good, dist))
-    mech_h = _mechanism(
-        "hybrid",
-        noise,
-        epsilon_switch=params["epsilon_switch"],
-        sample=held,
-        distribution=dist,
-        master=master,
-        trial=trial,
-    )
-    mech_r = _mechanism("real", noise, sample=held, distribution=None, master=master, trial=trial)
+    hybrid = MechanismKind.hybrid(params["epsilon_switch"])
+    mech_h = _mechanism(hybrid, noise, sample=held, distribution=dist, master=master, trial=trial)
+    mech_r = _mechanism(MechanismKind.real(), noise, sample=held, master=master, trial=trial)
     answers_h = answer_batch(mech_h, emp, tru)
     answers_r = answer_batch(mech_r, emp, None)
     differ = np.flatnonzero(answers_h != answers_r)
@@ -540,17 +509,8 @@ def _run_divergence(config: ExperimentConfig, params: dict) -> tuple[list[dict],
     mechs = []
     for side in ("mech_a", "mech_b"):
         name = params[side]
-        mechs.append(
-            _mechanism(
-                name,
-                noise,
-                epsilon_switch=params.get("epsilon_switch"),
-                sample=None if name == "oracle" else held,
-                distribution=None if name == "real" else dist,
-                master=config.seed,
-                trial=0,
-            )
-        )
+        kind = MechanismKind(name, params.get("epsilon_switch") if name == "hybrid" else None)
+        mechs.append(_mechanism(kind, noise, sample=held, distribution=dist, master=config.seed, trial=0))
     report = divergence_diagnostics(mechs[0], mechs[1], query)
     record = {
         "mech_a": params["mech_a"],

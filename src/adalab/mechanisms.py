@@ -175,6 +175,21 @@ def output_distribution(spec: NoiseSpec, mean: float) -> np.ndarray:
     return probs
 
 
+# The MechanismState inputs each kind reads (MechanismKind.reads), and how
+# construction errors name each input.
+_READS = {
+    "real": ("sample", "real_rng"),
+    "oracle": ("distribution", "oracle_seed"),
+    "hybrid": ("sample", "distribution", "real_rng", "oracle_seed"),
+}
+_INPUT_NAMES = {
+    "sample": "a sample",
+    "distribution": "a distribution",
+    "real_rng": "a real-noise stream",
+    "oracle_seed": "an oracle-noise seed",
+}
+
+
 @dataclass(frozen=True)
 class MechanismKind:
     """Which mean a mechanism perturbs: sample, distribution, or switching."""
@@ -183,13 +198,18 @@ class MechanismKind:
     epsilon_switch: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in ("real", "oracle", "hybrid"):
-            raise ValueError(f"unknown mechanism kind {self.name!r}")
+        if self.name not in _READS:
+            raise ValueError(f"unknown mechanism kind {self.name!r}; expected real, oracle, or hybrid")
         if self.name == "hybrid":
             if self.epsilon_switch is None or not (self.epsilon_switch > 0):
                 raise ValueError("hybrid needs epsilon_switch > 0")
         elif self.epsilon_switch is not None:
             raise ValueError(f"{self.name} mechanism takes no epsilon_switch")
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """The ``MechanismState`` inputs this kind reads, by keyword."""
+        return _READS[self.name]
 
     @staticmethod
     def real() -> "MechanismKind":
@@ -207,11 +227,12 @@ class MechanismKind:
 class MechanismState:
     """One mechanism instance: kind, noise spec, data, and noise streams.
 
-    The real mechanism holds only a sample (it can never read a
-    distribution) and the oracle holds only a distribution (it can never
-    read a sample); the hybrid holds both. ``switched`` is monotone: once
-    the hybrid answers a round in oracle mode, all later rounds are oracle
-    rounds.
+    It takes exactly the inputs ``kind.reads`` names and rejects any other:
+    the real mechanism holds only a sample and its sequential stream, so it
+    can never read a distribution, and the oracle only a distribution and
+    its keyed stream, so it can never read a sample; the hybrid holds all
+    four. ``switched`` is monotone: once the hybrid answers a round in
+    oracle mode, all later rounds are oracle rounds.
     """
 
     def __init__(
@@ -224,27 +245,19 @@ class MechanismState:
         real_rng: np.random.Generator | None = None,
         oracle_seed: int | None = None,
     ):
-        needs_sample = kind.name in ("real", "hybrid")
-        needs_dist = kind.name in ("oracle", "hybrid")
-        if needs_sample and sample is None:
-            raise ValueError(f"{kind.name} mechanism requires a sample")
-        if needs_dist and distribution is None:
-            raise ValueError(f"{kind.name} mechanism requires a distribution")
-        if not needs_sample and sample is not None:
-            raise ValueError("oracle mechanism never reads a sample; do not pass one")
-        if not needs_dist and distribution is not None:
-            raise ValueError("real mechanism never reads a distribution; do not pass one")
-        if needs_sample and real_rng is None:
-            raise ValueError(f"{kind.name} mechanism requires a real-noise stream")
-        if needs_dist and oracle_seed is None:
-            raise ValueError(f"{kind.name} mechanism requires an oracle-noise seed")
-        if oracle_seed is not None and (
-            isinstance(oracle_seed, bool) or not isinstance(oracle_seed, numbers.Integral) or oracle_seed < 0
-        ):
-            raise ValueError(f"oracle_seed must be a non-negative integer, got {oracle_seed!r}")
-        if needs_dist and noise.family != "laplace":
-            raise ValueError("oracle and hybrid mechanisms support only Laplace noise")
-        if needs_sample and len(sample) == 0:
+        reads = kind.reads
+        given = {"sample": sample, "distribution": distribution, "real_rng": real_rng, "oracle_seed": oracle_seed}
+        for key, value in given.items():
+            if key in reads and value is None:
+                raise ValueError(f"{kind.name} mechanism requires {_INPUT_NAMES[key]}")
+            if key not in reads and value is not None:
+                raise ValueError(f"{kind.name} mechanism never reads {_INPUT_NAMES[key]}; do not pass one")
+        if oracle_seed is not None:
+            if isinstance(oracle_seed, bool) or not isinstance(oracle_seed, numbers.Integral) or oracle_seed < 0:
+                raise ValueError(f"oracle_seed must be a non-negative integer, got {oracle_seed!r}")
+            if noise.family != "laplace":
+                raise ValueError("oracle and hybrid mechanisms support only Laplace noise")
+        if sample is not None and len(sample) == 0:
             raise ValueError("degenerate sample: mechanism needs at least one element")
         self.kind = kind
         self.noise = noise

@@ -134,6 +134,14 @@ class TestExitCodes:
                 "llr experiment needs 1 <= ones <= n, got ones 65 and n 64",
             ),
             (
+                "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 20 --rho 0.05 --n 64 --epsilon-switch -1",
+                "hybrid needs epsilon_switch > 0",
+            ),
+            (
+                "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 20 --rho 0.05 --n 64 --epsilon-switch 0",
+                "hybrid needs epsilon_switch > 0",
+            ),
+            (
                 "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 0",
                 "divergence experiment needs 1 <= ones <= n, got ones 0 and n 4",
             ),
@@ -465,3 +473,11 @@ class TestCheckConcentration:
         code, _, err = run(capsys, ["check-concentration", "--eps", "0.25"])
         assert code == 1
         assert "--gamma is required" in err
+        dpath = tmp_path / "d.json"
+        dpath.write_text('{"samples": [{"elements": [0, 1]}], "probabilities": [1.0]}')
+        files = ["check-concentration", "--query-file", str(qpath), "--dist-file", str(dpath), "--threshold", "0.1"]
+        for flag, value in (("--eps", "0.3"), ("--n", "99")):
+            code, out, err = run(capsys, files + [flag, value])
+            assert code == 1 and out == ""
+            assert f"{flag} only builds the hard instance; do not pass it with --query-file" in err
+        assert run(capsys, files)[0] == 0

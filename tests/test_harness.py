@@ -11,6 +11,7 @@ from adalab.harness import (
     STREAMS,
     ExperimentConfig,
     _coupling_trial,
+    _mechanism,
     _positive_trial,
     _resolve_params,
     _two_sample_instance,
@@ -63,6 +64,24 @@ class TestSeedDerivation:
     def test_unknown_stream(self):
         with pytest.raises(ValueError, match="unknown stream"):
             derive_seedseq(1, 0, "nope")
+
+    @pytest.mark.parametrize(
+        "kind", [MechanismKind.real(), MechanismKind.oracle(), MechanismKind.hybrid(0.25)], ids=lambda k: k.name
+    )
+    def test_mechanism_holds_what_its_kind_reads(self, kind):
+        """Given all the data, ``_mechanism`` keeps the data ``kind.reads``
+        names and holds exactly the trial streams it names."""
+        _, held, dist = _two_sample_instance(8, 4)
+        mech = _mechanism(kind, NoiseSpec(), sample=held, distribution=dist, master=3, trial=2)
+        reads = set(kind.reads)
+        assert mech.sample is (held if "sample" in reads else None)
+        assert mech.distribution is (dist if "distribution" in reads else None)
+        if "real_rng" in reads:
+            assert mech._real_rng.random() == derive_rng(3, 2, "mech_noise_real").random()
+        else:
+            assert mech._real_rng is None
+        expected_seed = derive_entropy(3, 2, "mech_noise_oracle") if "oracle_seed" in reads else None
+        assert mech._oracle_seed == expected_seed
 
 
 class TestConfig:

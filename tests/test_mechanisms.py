@@ -233,35 +233,36 @@ class TestMechanismKind:
             MechanismKind("weird")
 
 
+# The MechanismState inputs each kind reads, and how its errors name each.
+READS = {
+    "real": {"sample", "real_rng"},
+    "oracle": {"distribution", "oracle_seed"},
+    "hybrid": {"sample", "distribution", "real_rng", "oracle_seed"},
+}
+INPUT_NAMES = {
+    "sample": "a sample",
+    "distribution": "a distribution",
+    "real_rng": "a real-noise stream",
+    "oracle_seed": "an oracle-noise seed",
+}
+MECHANISMS = {"real": MechanismKind.real(), "oracle": MechanismKind.oracle(), "hybrid": MechanismKind.hybrid(0.1)}
+
+
 class TestMechanismStateConstruction:
-    def test_real_rejects_distribution(self):
+    @pytest.mark.parametrize("key", sorted(INPUT_NAMES))
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_inputs_follow_kind_reads(self, name, key):
+        """A read input left out raises "requires"; an input the kind never
+        reads, given, raises "never reads"."""
         held, dist = two_point_setup()
-        with pytest.raises(ValueError, match="never reads a distribution"):
-            MechanismState(
-                MechanismKind.real(),
-                COARSE,
-                sample=held,
-                distribution=dist,
-                real_rng=np.random.default_rng(0),
-            )
-
-    def test_oracle_rejects_sample(self):
-        held, dist = two_point_setup()
-        with pytest.raises(ValueError, match="never reads a sample"):
-            MechanismState(
-                MechanismKind.oracle(), COARSE, sample=held, distribution=dist, oracle_seed=1
-            )
-
-    def test_missing_pieces_raise(self):
-        held, dist = two_point_setup()
-        with pytest.raises(ValueError, match="requires a sample"):
-            MechanismState(MechanismKind.real(), COARSE, real_rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="requires a distribution"):
-            MechanismState(MechanismKind.oracle(), COARSE, oracle_seed=1)
-        with pytest.raises(ValueError, match="oracle-noise seed"):
-            MechanismState(MechanismKind.oracle(), COARSE, distribution=dist)
-        with pytest.raises(ValueError, match="real-noise stream"):
-            MechanismState(MechanismKind.real(), COARSE, sample=held)
+        inputs = dict(sample=held, distribution=dist, real_rng=np.random.default_rng(0), oracle_seed=1)
+        given = {k: inputs[k] for k in READS[name] ^ {key}}
+        if key in READS[name]:
+            message = f"{name} mechanism requires {INPUT_NAMES[key]}"
+        else:
+            message = f"{name} mechanism never reads {INPUT_NAMES[key]}; do not pass one"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MechanismState(MECHANISMS[name], COARSE, **given)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_oracle_seed_must_be_a_non_negative_integer(self, seed):
