@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import (
     FiniteDistribution,
-    PartitionedDomain,
     Query,
     Sample,
     Transcript,
@@ -65,9 +64,10 @@ def instance_shape(eps: float, gamma: float) -> tuple[int, int, int]:
 class HardInstance:
     """Correlated population where one hidden slot determines the sample.
 
-    The domain has r blocks of m slots. Support sample j consists of the
-    slot-j element of every block, each repeated n/r times; the sampling
-    distribution is uniform over the m slots.
+    The domain has r blocks of m slots, and element (block i, slot j) has
+    id ``i * m + j``. Support sample j consists of the slot-j element of
+    every block, each repeated n/r times; the sampling distribution is
+    uniform over the m slots.
     """
 
     def __init__(self, eps: float, gamma: float, n: int):
@@ -77,27 +77,23 @@ class HardInstance:
         if n % r != 0:
             raise ValueError(f"sample size {n} must be a multiple of the block count {r}")
         self.n = int(n)
-        self.domain = PartitionedDomain(num_blocks=r, block_size=m)
+        self.num_blocks = r
+        self.support_size = m
         self.copies_per_block = n // r
         self._distribution: FiniteDistribution | None = None
-
-    @property
-    def num_blocks(self) -> int:
-        return self.domain.num_blocks
-
-    @property
-    def support_size(self) -> int:
-        return self.domain.block_size
 
     @property
     def final_true_mean(self) -> float:
         return 1.0 / self.support_size
 
-    def make_sample(self, slot: int) -> Sample:
+    def slot_elements(self, slot: int) -> np.ndarray:
+        """The ids of one slot's element in every block, in block order."""
         if not (0 <= slot < self.support_size):
             raise ValueError(f"slot {slot} out of range")
-        base = slot + self.support_size * np.arange(self.num_blocks, dtype=np.int64)
-        return Sample(np.repeat(base, self.copies_per_block))
+        return slot + self.support_size * np.arange(self.num_blocks, dtype=np.int64)
+
+    def make_sample(self, slot: int) -> Sample:
+        return Sample(np.repeat(self.slot_elements(slot), self.copies_per_block))
 
     @property
     def distribution(self) -> FiniteDistribution:
@@ -218,8 +214,7 @@ def info_round(state: AttackState, inst: HardInstance, mech: MechanismState) -> 
 def final_query(state: AttackState, inst: HardInstance) -> Query:
     """Indicator of the best-scoring slot across all blocks; ties take the
     smallest slot."""
-    guess = int(np.argmax(state.scores))
-    elements = guess + inst.support_size * np.arange(inst.num_blocks, dtype=np.int64)
+    elements = inst.slot_elements(int(np.argmax(state.scores)))
     return Query.from_arrays(0.0, elements, np.ones(inst.num_blocks))
 
 
@@ -235,8 +230,9 @@ class ScoreAttackResult:
 
 
 def _hidden_slot(inst: HardInstance, sample: Sample) -> int:
-    slots = {inst.domain.slot_of(e) for e in sample.elements}
-    if len(slots) != 1:
+    m = inst.support_size
+    slots = {e % m for e in sample.elements}
+    if len(slots) != 1 or max(sample.elements) >= inst.num_blocks * m:
         raise ValueError("mechanism sample is not a hard-instance support sample")
     return slots.pop()
 
@@ -369,7 +365,10 @@ class FixedQueryAnalyst:
 
 
 class BlockInstance:
-    """1/gamma disjoint candidate samples, one drawn uniformly."""
+    """1/gamma disjoint candidate samples, one drawn uniformly.
+
+    Candidate block i holds the n elements with ids ``i * n .. i * n + n - 1``.
+    """
 
     def __init__(self, gamma: float, n: int):
         if not (0.0 < gamma <= 1.0):
@@ -377,17 +376,15 @@ class BlockInstance:
         if n < 1:
             raise ValueError("sample size must be at least 1")
         r = max(1, _ceil(1.0 / gamma))
-        self.domain = PartitionedDomain(num_blocks=r, block_size=n)
-        samples = [Sample(self.domain.block_elements(i)) for i in range(r)]
+        self.n = int(n)
+        self.num_candidates = r
+        samples = [Sample(np.arange(i * n, (i + 1) * n, dtype=np.int64)) for i in range(r)]
         self.distribution = FiniteDistribution(samples, np.full(r, 1.0 / r))
 
-    @property
-    def num_candidates(self) -> int:
-        return self.domain.num_blocks
-
     def query_for_block(self, block: int) -> Query:
-        elements = self.domain.block_elements(block)
-        return Query.from_arrays(0.0, elements, np.ones(elements.size))
+        if not (0 <= block < self.num_candidates):
+            raise ValueError(f"block {block} out of range")
+        return Query.from_arrays(0.0, self.distribution.samples[block].as_array(), np.ones(self.n))
 
 
 @functools.lru_cache(maxsize=1)

@@ -16,6 +16,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from .attack import build_hard_instance
 from .concentration import check_concentration_exact, hoeffding_gamma
 from .core import Query, distribution_from_dict, load_json, query_from_dict
@@ -140,9 +142,7 @@ def _run_check_concentration(args: argparse.Namespace) -> int:
             if getattr(args, name) is None:
                 raise ValueError(f"--{name} is required when no query file is given")
         inst = build_hard_instance(args.eps, args.gamma, args.n)
-        query = Query(
-            0.0, {b * inst.support_size: 1.0 for b in range(inst.num_blocks)}
-        )
+        query = Query.from_arrays(0.0, inst.slot_elements(0), np.ones(inst.num_blocks))
         dist = inst.distribution
         gamma = args.gamma
     threshold = args.threshold if args.threshold is not None else args.eps

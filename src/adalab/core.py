@@ -1,4 +1,4 @@
-"""Core value types: partitioned domains, samples, distributions, queries, transcripts.
+"""Core value types: samples, distributions, queries, transcripts.
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads and processes. Derived data is
@@ -25,38 +25,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 PROB_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PartitionedDomain:
-    """Finite domain of ``num_blocks * block_size`` elements with dense ids.
-
-    Element (block i, slot j) has id ``i * block_size + j``; ``slot_of``
-    recovers the slot by integer division.
-    """
-
-    num_blocks: int
-    block_size: int
-
-    def __post_init__(self) -> None:
-        if self.num_blocks < 1 or self.block_size < 1:
-            raise ValueError("domain needs at least one block and one slot per block")
-
-    @property
-    def size(self) -> int:
-        return self.num_blocks * self.block_size
-
-    def slot_of(self, element: int) -> int:
-        if not (0 <= element < self.size):
-            raise ValueError(f"element {element} outside domain of size {self.size}")
-        return element % self.block_size
-
-    def block_elements(self, block: int) -> np.ndarray:
-        """All element ids of one block, in slot order."""
-        if not (0 <= block < self.num_blocks):
-            raise ValueError(f"block {block} out of range")
-        start = block * self.block_size
-        return np.arange(start, start + self.block_size, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,12 @@ def _noise_from_params(params: dict) -> NoiseSpec:
     return _noise_spec(**{field: params[key] for key, field in _NOISE_FIELDS if key in params})
 
 
+def _mechanism_kind(params: dict, name: str) -> MechanismKind:
+    """The mechanism kind ``name`` at the run's switch threshold, which only
+    the hybrid reads."""
+    return MechanismKind(name, params.get("epsilon_switch") if name == "hybrid" else None)
+
+
 def _mechanism(
     kind: MechanismKind,
     noise: NoiseSpec,
@@ -188,7 +194,7 @@ def _attack_trial(params: dict, master: int, trial: int) -> dict:
     slot = int(derive_rng(master, trial, "sample_draw").integers(inst.support_size))
     sample = inst.make_sample(slot)
     noise = _noise_from_params(params)
-    kind = MechanismKind(params["mechanism"], params.get("epsilon_switch"))
+    kind = _mechanism_kind(params, params["mechanism"])
     # the real attack never builds the instance's support
     dist = inst.distribution if "distribution" in kind.reads else None
     mech = _mechanism(kind, noise, sample=sample, distribution=dist, master=master, trial=trial)
@@ -247,7 +253,7 @@ def _positive_trial(params: dict, master: int, trial: int) -> dict:
     sample = inst.make_sample(slot)
     noise = _noise_from_params(params)
     mech = _mechanism(
-        MechanismKind.hybrid(params["epsilon_switch"]),
+        _mechanism_kind(params, "hybrid"),
         noise,
         sample=sample,
         distribution=inst.distribution,
@@ -278,7 +284,7 @@ def _coupling_trial(params: dict, master: int, trial: int) -> dict:
     is_bad = np.arange(k) == bad_round
     emp = np.where(is_bad, empirical_mean(bad, held), empirical_mean(good, held))
     tru = np.where(is_bad, true_mean(bad, dist), true_mean(good, dist))
-    hybrid = MechanismKind.hybrid(params["epsilon_switch"])
+    hybrid = _mechanism_kind(params, "hybrid")
     mech_h = _mechanism(hybrid, noise, sample=held, distribution=dist, master=master, trial=trial)
     mech_r = _mechanism(MechanismKind.real(), noise, sample=held, master=master, trial=trial)
     answers_h = answer_batch(mech_h, emp, tru)
@@ -302,7 +308,9 @@ def _coupling_trial(params: dict, master: int, trial: int) -> dict:
 def _resolve_params(config: ExperimentConfig) -> dict:
     """Check the params against the kind's table, give each its declared
     type, and fill the table's defaults and the kind's derived ones, so
-    runners and summaries read every param as resolved."""
+    runners and summaries read every param as resolved. The run's instance,
+    noise spec and mechanism kinds are built here too, so their own checks
+    stop a bad run before its first trial."""
     kind = config.kind
     declared = KINDS[kind].params
     keys = [p.key for p in declared]
@@ -323,6 +331,7 @@ def _resolve_params(config: ExperimentConfig) -> dict:
             raise ValueError(f"attack mechanism must be real or hybrid, got {params['mechanism']!r}")
         if params["mechanism"] == "real" and "epsilon_switch" in params:
             raise ValueError("epsilon_switch applies only to the hybrid; attack mechanism is 'real'")
+        _mechanism_kind(params, params["mechanism"])
         noise = _noise_from_params(params)
         if "constant" not in params:
             r, _, _ = instance_shape(params["eps"], params["gamma"])
@@ -338,6 +347,7 @@ def _resolve_params(config: ExperimentConfig) -> dict:
         eps, alpha = params["eps"], params["alpha"]
         params.setdefault("noise_scale", accuracy_noise_scale(alpha, eps))
         params.setdefault("epsilon_switch", eps)
+        _mechanism_kind(params, "hybrid")
         if "k" not in params:
             params["k"] = max_accurate_rounds(eps, params["gamma"], alpha, params["beta"])
         if params["k"] < 0:
@@ -349,15 +359,19 @@ def _resolve_params(config: ExperimentConfig) -> dict:
             raise ValueError(f"{kind} experiment needs 0 <= bad_round < k, got bad_round {bad_round} and k {k}")
         if params["n"] < 1:
             raise ValueError(f"{kind} experiment needs n >= 1, got n {params['n']}")
+        _mechanism_kind(params, "hybrid")
     elif kind == "llr":
         derived = "ones" not in params
         params.setdefault("ones", round(2 * params["n"] * params["eps"]))
         params.setdefault("epsilon_switch", params["eps"])
         _check_ones(kind, params, " (derived as round(2*n*eps))" if derived else "")
+        _mechanism_kind(params, "hybrid")
     elif kind == "divergence":
         if "epsilon_switch" in params and "hybrid" not in (params["mech_a"], params["mech_b"]):
             raise ValueError("epsilon_switch applies only to the hybrid; neither mech_a nor mech_b is 'hybrid'")
         _check_ones(kind, params, "")
+        for side in ("mech_a", "mech_b"):
+            _mechanism_kind(params, params[side])
     elif kind == "bounds_table":
         mode = params["mode"]
         if mode not in ("negative", "positive"):
@@ -367,6 +381,8 @@ def _resolve_params(config: ExperimentConfig) -> dict:
         other, unread = ("positive", "alpha") if mode == "negative" else ("negative", "constant")
         if unread in params:
             raise ValueError(f"{unread} applies only to {other} mode; bounds mode is {mode!r}")
+    if kind != "bounds_table":
+        _noise_from_params(params)
     return params
 
 
@@ -492,13 +508,7 @@ def _run_llr(config: ExperimentConfig, params: dict) -> tuple[list[dict], dict]:
         config.seed,
         epsilon_switch=params["epsilon_switch"],
     )
-    record = {
-        "threshold": report.threshold,
-        "frac_exceed_hybrid": report.frac_exceed_hybrid,
-        "frac_exceed_oracle": report.frac_exceed_oracle,
-        "trials": report.trials,
-        "k": report.k,
-    }
+    record = dataclasses.asdict(report)
     return [record], dict(record)
 
 
@@ -508,18 +518,10 @@ def _run_divergence(config: ExperimentConfig, params: dict) -> tuple[list[dict],
     query = Query(0.0, {1: 1.0})
     mechs = []
     for side in ("mech_a", "mech_b"):
-        name = params[side]
-        kind = MechanismKind(name, params.get("epsilon_switch") if name == "hybrid" else None)
+        kind = _mechanism_kind(params, params[side])
         mechs.append(_mechanism(kind, noise, sample=held, distribution=dist, master=config.seed, trial=0))
     report = divergence_diagnostics(mechs[0], mechs[1], query)
-    record = {
-        "mech_a": params["mech_a"],
-        "mech_b": params["mech_b"],
-        "max_divergence_ab": report.max_divergence_ab,
-        "max_divergence_ba": report.max_divergence_ba,
-        "kl_ab": report.kl_ab,
-        "kl_ba": report.kl_ba,
-    }
+    record = {"mech_a": params["mech_a"], "mech_b": params["mech_b"], **dataclasses.asdict(report)}
     return [record], dict(record)
 
 

@@ -73,10 +73,20 @@ class TestHardInstance:
         with pytest.raises(ValueError, match="multiple of the block count"):
             build_hard_instance(0.25, 0.01, 18)
 
+    def test_slot_elements_are_block_major(self):
+        inst = build_hard_instance(0.25, 0.01, 16)  # 4 blocks of 100 slots
+        assert (inst.num_blocks, inst.support_size) == (4, 100)
+        for slot, ids in [(0, [0, 100, 200, 300]), (7, [7, 107, 207, 307]), (99, [99, 199, 299, 399])]:
+            np.testing.assert_array_equal(inst.slot_elements(slot), ids)
+            assert inst.make_sample(slot).elements == tuple(np.repeat(ids, 4).tolist())
+
     def test_rejects_bad_slot(self):
         inst = build_hard_instance(0.25, 0.01, 16)
-        with pytest.raises(ValueError):
-            inst.make_sample(100)
+        for slot in (-1, 100):
+            with pytest.raises(ValueError, match=f"slot {slot} out of range"):
+                inst.slot_elements(slot)
+            with pytest.raises(ValueError, match=f"slot {slot} out of range"):
+                inst.make_sample(slot)
 
     def test_distribution_is_uniform_over_slots(self):
         inst = build_hard_instance(0.5, 1.0, 4)
@@ -205,10 +215,12 @@ class TestScoreAttack:
 
     def test_rejects_sample_not_from_instance(self):
         inst = build_hard_instance(0.25, 0.01, 16)
-        stray = Sample((0, 1) * 8)  # mixes slots 0 and 1
-        mech = real_mech(stray)
-        with pytest.raises(ValueError):
-            run_score_attack(inst, mech, 2, np.random.default_rng(0), np.random.default_rng(0))
+        # slots 0 and 1 mixed; one slot, but outside the 4 blocks of 100 slots
+        for stray in ((0, 1) * 8, (400,) * 16):
+            for attack in (run_score_attack, run_score_attack_arrays):
+                mech = real_mech(Sample(stray))
+                with pytest.raises(ValueError, match="not a hard-instance support sample"):
+                    attack(inst, mech, 2, np.random.default_rng(0), np.random.default_rng(0))
 
     def test_analyst_flags(self):
         inst = build_hard_instance(0.25, 0.01, 16)
@@ -401,6 +413,12 @@ class TestBlockAttack:
         q = inst.query_for_block(2)
         assert q.value(6) == 1.0 and q.value(9) == 0.0
         assert true_mean(q, inst.distribution) == pytest.approx(0.1)
+
+    def test_rejects_bad_block(self):
+        inst = build_block_instance(0.1, 3)
+        for block in (-1, inst.num_candidates):
+            with pytest.raises(ValueError, match=f"block {block} out of range"):
+                inst.query_for_block(block)
 
     def test_gamma_reciprocal_rounding(self):
         assert build_block_instance(1 / 3, 2).num_candidates == 3

@@ -424,7 +424,19 @@ class TestCheckConcentration:
         assert "exceeds gamma" in err
 
     def test_require_holds_success_exits_zero(self, capsys):
-        assert main(self.BUILT + ["--require-holds"]) == 0
+        # README's command; its report is pinned byte for byte
+        code, out, _ = run(capsys, self.BUILT + ["--require-holds"])
+        assert code == 0
+        assert out == (
+            "{\n"
+            '  "deviation_mass": 0.01,\n'
+            '  "gamma": 0.01,\n'
+            '  "hoeffding_gamma": 0.2706705664732254,\n'
+            '  "holds": true,\n'
+            '  "max_deviation": 0.99,\n'
+            '  "threshold": 0.25\n'
+            "}\n"
+        )
 
     def test_query_and_dist_files(self, capsys, tmp_path):
         qpath, dpath = tmp_path / "q.json", tmp_path / "d.json"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from adalab.attack import build_hard_instance, draw_info_tables, final_query, make_info_query, new_attack_state
 from adalab.core import (
     FiniteDistribution,
-    PartitionedDomain,
     Query,
     Sample,
     Transcript,
@@ -18,31 +17,6 @@ from adalab.core import (
     sample_from_dict,
     true_mean,
 )
-
-
-class TestPartitionedDomain:
-    def test_element_layout_is_block_major(self):
-        dom = PartitionedDomain(num_blocks=3, block_size=4)
-        assert dom.size == 12
-        assert dom.slot_of(0) == 0
-        assert dom.slot_of(7) == 3
-        assert dom.slot_of(11) == 3
-        np.testing.assert_array_equal(dom.block_elements(1), [4, 5, 6, 7])
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            PartitionedDomain(num_blocks=0, block_size=4)
-        with pytest.raises(ValueError):
-            PartitionedDomain(num_blocks=2, block_size=-1)
-
-    def test_rejects_out_of_range_element(self):
-        dom = PartitionedDomain(num_blocks=2, block_size=2)
-        with pytest.raises(ValueError):
-            dom.slot_of(4)
-        with pytest.raises(ValueError):
-            dom.slot_of(-1)
-        with pytest.raises(ValueError):
-            dom.block_elements(2)
 
 
 class TestSample:

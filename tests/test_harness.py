@@ -26,6 +26,16 @@ from adalab.harness import (
 )
 from adalab.mechanisms import MechanismKind, MechanismState, NoiseSpec, run_interaction
 
+# each trial and one-shot kind's required params, at values that resolve
+RUNNABLE = {
+    "attack": {"eps": 0.25, "gamma": 0.01, "n": 16},
+    "simple_attack": {"gamma": 0.2, "n": 10},
+    "positive_accuracy": {"eps": 0.005, "gamma": 0.05, "alpha": 0.9, "beta": 0.9, "n": 400},
+    "coupling": {"k": 6, "bad_round": 2, "epsilon_switch": 0.25},
+    "llr": {"eps": 0.0625, "k": 2, "rho": 0.05, "n": 8},
+    "divergence": {"mech_a": "real", "mech_b": "oracle", "n": 4, "ones": 2},
+}
+
 
 def attack_config(**over):
     base = dict(
@@ -124,6 +134,26 @@ class TestConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="JSON object"):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "kind, bad, message",
+        [
+            ("attack", {"mechanism": "hybrid"}, "hybrid needs epsilon_switch > 0"),
+            ("positive_accuracy", {"epsilon_switch": -1}, "hybrid needs epsilon_switch > 0"),
+            ("positive_accuracy", {"noise_scale": -1}, "noise scale must be a finite non-negative real"),
+            ("coupling", {"epsilon_switch": 0}, "hybrid needs epsilon_switch > 0"),
+            ("coupling", {"noise_scale": -1}, "noise scale must be a finite non-negative real"),
+            ("simple_attack", {"grid_step": 0.3}, "grid_step must divide the clip interval"),
+            ("divergence", {"mech_a": "reel"}, "unknown mechanism kind 'reel'; expected real, oracle, or hybrid"),
+            ("divergence", {"mech_a": "hybrid"}, "hybrid needs epsilon_switch > 0"),
+            ("llr", {"epsilon_switch": -1}, "hybrid needs epsilon_switch > 0"),
+        ],
+    )
+    def test_resolve_builds_the_runs_noise_and_mechanisms(self, kind, bad, message):
+        """A param the run's NoiseSpec or MechanismKind rejects stops the run
+        at resolve, with the constructor's message, before any trial."""
+        with pytest.raises(ValueError, match=message):
+            _resolve_params(ExperimentConfig(kind=kind, params={**RUNNABLE[kind], **bad}))
 
 
 class TestRunExperimentKinds:
