@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import calibrated_attack_constant, instance_shape
+from .attack import FixedQueryAnalyst, calibrated_attack_constant, instance_shape
 from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean, true_mean
 from .mechanisms import (
     MechanismKind,
@@ -321,11 +321,20 @@ def run_llr_experiment(
     The hybrid's switch threshold ``epsilon_switch`` (``eps`` if None) must
     be positive, as ``MechanismKind.hybrid`` requires.
 
+    A ``FixedQueryAnalyst`` asks its first k queries whatever the answers,
+    so each round's laws are known up front and every transcript's round r
+    is computed at once, as array operations over all transcripts; its list
+    must hold at least k queries. Any other analyst may read answers, so it
+    is shown each transcript's prefix, round by round, in transcript order.
+    Both give the same report for the same queries.
+
     Randomness contract: each direction has its own stream, spawned from
-    ``seed``, and each transcript takes one sized draw of k noise values
-    from it, one value per round in round order. A query's means, switch
-    test and log laws are computed once per distinct query and cached by
-    the query's value, never by object identity.
+    ``seed``, and takes one draw of ``trials * k`` noise values from it,
+    transcript-major: transcript t's round r reads value ``t * k + r``.
+    That equals one draw of k values per transcript, in transcript order.
+    A query's means, switch test and log laws are computed once per
+    distinct query and cached by the query's value, never by object
+    identity.
     """
     if getattr(analyst, "deterministic", False) is not True:
         raise ValueError("log-ratio accounting requires a deterministic analyst")
@@ -335,6 +344,9 @@ def run_llr_experiment(
         raise ValueError("use a coarse grid (at most 64 bins)")
     if trials < 1:
         raise ValueError("need at least one trial")
+    fixed = isinstance(analyst, FixedQueryAnalyst)
+    if fixed and len(analyst.queries) < k:
+        raise ValueError(f"the fixed query list holds {len(analyst.queries)} queries, fewer than k = {k} rounds")
     switch_at = MechanismKind.hybrid(eps if epsilon_switch is None else epsilon_switch).epsilon_switch
     threshold = composed_epsilon(k, eps, noise.scale, rho)
 
@@ -353,29 +365,54 @@ def run_llr_experiment(
         return emp, tru, switches(emp, tru, switch_at), log_law(emp), log_law(tru)
 
     # read once: a class constant read through an instance is slow
-    clip_lo, grid_step = noise.clip_lo, noise.grid_step
+    clip_lo, clip_hi, grid_step = noise.clip_lo, noise.clip_hi, noise.grid_step
 
-    def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
-        exceed = 0
-        for _ in range(trials):
+    def fixed_llrs(sample_hybrid: bool, draws: np.ndarray) -> np.ndarray:
+        """Every transcript's ratio, one round at a time over all of them.
+        Adding round by round keeps each sum in the per-transcript order."""
+        llr = np.zeros(trials)
+        switched = False
+        for r, query in enumerate(analyst.queries[:k]):
+            emp, tru, trips, law_emp, law_tru = laws_for(query)
+            switched = switched or trips
+            mean_h, law_h = (tru, law_tru) if switched else (emp, law_emp)
+            # a bin the other law never yields makes the ratio +inf
+            term = np.subtract(law_h, law_tru) if sample_hybrid else np.subtract(law_tru, law_h)
+            # grid_index of each answer: np.rint, like round, sends ties to the even index
+            values = draws[:, r] + (mean_h if sample_hybrid else tru)
+            np.clip(values, clip_lo, clip_hi, out=values)
+            values -= clip_lo
+            values /= grid_step
+            llr += term[np.rint(values, out=values).astype(np.intp)]
+        return llr
+
+    def adaptive_llrs(sample_hybrid: bool, draws: np.ndarray) -> list[float]:
+        """Every transcript's ratio, asking the analyst round by round."""
+        llrs = []
+        for row in draws.tolist():
             rounds: list[tuple[Query, float]] = []
             switched = False
             llr = 0.0
-            for draw in sample_noise(noise, rng, k).tolist():
+            for draw in row:
                 query = analyst.next_query(tuple(rounds))
                 emp, tru, trips, law_emp, law_tru = laws_for(query)
                 switched = switched or trips
                 mean_h, law_h = (tru, law_tru) if switched else (emp, law_emp)
                 index = grid_index(noise, (mean_h if sample_hybrid else tru) + draw)
-                # a bin the other law never yields makes the ratio +inf
                 if sample_hybrid:
                     llr += law_h[index] - law_tru[index]
                 else:
                     llr += law_tru[index] - law_h[index]
                 rounds.append((query, clip_lo + index * grid_step))
-            if llr > threshold:
-                exceed += 1
-        return exceed / trials
+            llrs.append(llr)
+        return llrs
+
+    def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
+        draws = sample_noise(noise, rng, trials * k).reshape(trials, k)
+        # inf - inf is nan, as in Python float arithmetic, without a warning
+        with np.errstate(invalid="ignore"):
+            llr = (fixed_llrs if fixed else adaptive_llrs)(sample_hybrid, draws)
+            return int(np.count_nonzero(np.greater(llr, threshold))) / trials
 
     rng_h = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     rng_o = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))

@@ -549,7 +549,9 @@ class ExperimentKind:
 
     A trial kind has ``run_trial(run, master, trial) -> record`` and
     ``summarize(records, params) -> summary``; a one-shot kind has
-    ``run_once(config, run) -> (records, summary)``.
+    ``run_once(config, run) -> (records, summary)`` and takes no
+    ``threads`` other than 1. A kind with ``reads_trials`` False runs one
+    exact computation and takes no ``trials`` other than 1.
     """
 
     command: str
@@ -557,6 +559,7 @@ class ExperimentKind:
     run_trial: Callable[[Run, int, int], dict] | None = None
     summarize: Callable[[list[dict], dict], dict] | None = None
     run_once: Callable[[ExperimentConfig, Run], tuple[list[dict], dict]] | None = None
+    reads_trials: bool = True
 
 
 _NOISE_FAMILY = Param("--noise", "noise_family", str, "noise family: laplace or gaussian", default=NoiseSpec.family)
@@ -652,6 +655,7 @@ KINDS = {
             _COARSE_GRID_STEP,
         ),
         run_once=_run_divergence,
+        reads_trials=False,
     ),
     "bounds_table": ExperimentKind(
         "bounds",
@@ -664,6 +668,7 @@ KINDS = {
             Param("--eps-values", "eps_values", float, "thresholds to tabulate", True, nargs="+"),
         ),
         run_once=_run_bounds_table,
+        reads_trials=False,
     ),
 }
 
@@ -681,6 +686,10 @@ def _chunk_worker(kind: str, run: Run, master: int, trials: list[int]) -> list[d
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     run = _resolve_params(config)
     kind = KINDS[config.kind]
+    if not kind.reads_trials and config.trials != 1:
+        raise ValueError(f"{config.kind} experiment reads no trials; got trials {config.trials}, not 1")
+    if kind.run_once is not None and config.threads not in (None, 1):
+        raise ValueError(f"{config.kind} experiment runs once, in one process; got threads {config.threads}, not 1")
     if kind.run_once is not None:
         records, summary = kind.run_once(config, run)
     else:

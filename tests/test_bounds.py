@@ -526,3 +526,89 @@ class TestLlrMatchesReference:
         index = grid_index(spec, value)
         assert round((quantize(spec, value) - spec.clip_lo) / spec.grid_step) == index
         assert 0 <= index <= spec.n_bins
+
+
+def fixed_list(name, k):
+    """``k`` queries of element 1: weight 0.25 each round ("single"), or
+    weights 0.125, 0.25 and 1.0 in turn ("mixed")."""
+    if name == "single":
+        return [Query(0.0, {1: 0.25})] * k
+    return [Query(0.0, {1: AnswerReader.WEIGHTS[r % 3]}) for r in range(k)]
+
+
+class ListReplayer:
+    """Deterministic analyst that replays a fixed list without being a
+    ``FixedQueryAnalyst``, so its runs take the per-transcript path."""
+
+    deterministic = True
+
+    def __init__(self, queries):
+        self.queries = tuple(queries)
+
+    def next_query(self, rounds):
+        return self.queries[len(rounds)]
+
+
+class TestLlrFixedQueries:
+    # The instance and noise of TestLlrMatchesReference: epsilon_switch None
+    # trips on the first query, 0.1 on weight 1 (the mixed list's third
+    # round) and 0.5 never.
+    COMMON = dict(eps=0.01, rho=0.5, noise=NoiseSpec(scale=0.15625, grid_step=0.125), seed=23)
+
+    def run_both(self, name, k, trials, epsilon_switch):
+        _, mixed, dist = two_sample_dist(8, 4)
+        args = dict(sample=mixed, dist=dist, k=k, trials=trials, epsilon_switch=epsilon_switch, **self.COMMON)
+        return (
+            run_llr_experiment(analyst=FixedQueryAnalyst(fixed_list(name, k)), **args),
+            reference_llr(analyst=FixedQueryAnalyst(fixed_list(name, k)), **args)[0],
+            run_llr_experiment(analyst=ListReplayer(fixed_list(name, k)), **args),
+        )
+
+    @pytest.mark.parametrize("k", [0, 1, 20])
+    @pytest.mark.parametrize("trials", [1, 7, 300])
+    @pytest.mark.parametrize("epsilon_switch", [None, 0.1, 0.5])
+    @pytest.mark.parametrize("name", ["single", "mixed"])
+    def test_matches_reference_bit_for_bit(self, name, epsilon_switch, trials, k):
+        fixed, reference, replayed = self.run_both(name, k, trials, epsilon_switch)
+        assert fixed == reference
+        assert replayed == fixed
+        assert type(fixed.frac_exceed_hybrid) is float and type(fixed.frac_exceed_oracle) is float
+
+    @pytest.mark.parametrize("epsilon_switch", [None, 0.1, 0.5])
+    def test_laws_with_empty_bins_match_reference(self, epsilon_switch):
+        # at scale 0.001 the far bins' masses underflow to 0, so the log laws
+        # hold -inf and their differences nan, which must neither warn nor
+        # reach a drawn bin
+        _, mixed, dist = two_sample_dist(8, 4)
+        common = dict(sample=mixed, dist=dist, k=6, eps=1e-4, rho=0.5, trials=50, seed=3)
+        common.update(noise=NoiseSpec(scale=0.001, grid_step=0.0625), epsilon_switch=epsilon_switch)
+        assert min(output_distribution(common["noise"], 0.0)) == 0.0
+        fixed = run_llr_experiment(analyst=FixedQueryAnalyst(fixed_list("mixed", 6)), **common)
+        assert fixed == reference_llr(analyst=FixedQueryAnalyst(fixed_list("mixed", 6)), **common)[0]
+
+    @pytest.mark.parametrize("name, epsilon_switch", [("single", 0.1), ("mixed", 0.5)])
+    def test_unswitched_rounds_give_fractions_inside_zero_one(self, name, epsilon_switch):
+        # so the bit-for-bit comparison above also compares fractions that
+        # are neither 0 nor 1
+        fixed, _, _ = self.run_both(name, 20, 300, epsilon_switch)
+        assert 0.0 < fixed.frac_exceed_hybrid < 1.0 and 0.0 < fixed.frac_exceed_oracle < 1.0
+
+    def test_short_list_fails_before_any_draw(self):
+        _, mixed, dist = two_sample_dist(8, 4)
+        args = dict(sample=mixed, dist=dist, k=5, trials=3, **self.COMMON)
+        with pytest.raises(ValueError, match="holds 4 queries, fewer than k = 5 rounds"):
+            run_llr_experiment(analyst=FixedQueryAnalyst(fixed_list("mixed", 4)), **args)
+
+    def test_long_list_asks_its_first_k_queries(self):
+        _, mixed, dist = two_sample_dist(8, 4)
+        args = dict(sample=mixed, dist=dist, k=5, trials=50, epsilon_switch=0.5, **self.COMMON)
+        longer = run_llr_experiment(analyst=FixedQueryAnalyst(fixed_list("mixed", 9)), **args)
+        assert longer == run_llr_experiment(analyst=FixedQueryAnalyst(fixed_list("mixed", 5)), **args)
+
+    @pytest.mark.parametrize("trials, k", [(1, 1), (7, 5), (300, 20)])
+    def test_one_draw_equals_one_draw_per_transcript(self, trials, k):
+        noise = NoiseSpec(scale=0.15625, grid_step=0.125)
+        whole = np.random.default_rng(5).laplace(0.0, noise.scale, trials * k)
+        rng = np.random.default_rng(5)
+        rows = [sample_noise(noise, rng, k) for _ in range(trials)]
+        assert np.array_equal(whole.reshape(trials, k), np.array(rows))

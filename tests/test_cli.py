@@ -104,6 +104,49 @@ class TestExitCodes:
         "argv, message",
         [
             (
+                "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2 --trials 50",
+                "divergence experiment reads no trials; got trials 50, not 1",
+            ),
+            (
+                "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1 --trials 2",
+                "bounds_table experiment reads no trials; got trials 2, not 1",
+            ),
+            (
+                "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2 --threads 3",
+                "divergence experiment runs once, in one process; got threads 3, not 1",
+            ),
+            (
+                "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1 --threads 4",
+                "bounds_table experiment runs once, in one process; got threads 4, not 1",
+            ),
+            (
+                "llr --eps 0.0625 --k 2 --rho 0.05 --n 8 --trials 5 --threads 2",
+                "llr experiment runs once, in one process; got threads 2, not 1",
+            ),
+        ],
+    )
+    def test_one_shot_kinds_refuse_inputs_they_do_not_read(self, capsys, argv, message):
+        code, out, err = run(capsys, argv.split())
+        assert code == 1 and out == ""
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv, trials",
+        [
+            ("diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2 --trials 1 --threads 1", 1),
+            ("bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1 --trials 1 --threads 1", 1),
+            ("llr --eps 0.0625 --k 2 --rho 0.05 --n 8 --trials 5 --threads 1", 5),
+        ],
+    )
+    def test_one_shot_kinds_accept_the_values_they_run_at(self, capsys, argv, trials):
+        code, out, _ = run(capsys, argv.split())
+        assert code == 0
+        assert json.loads(out)["trials"] == trials
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
                 "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta 0.9 --n 400 --k -3",
                 "positive_accuracy experiment needs k >= 0 rounds, got k -3",
             ),
@@ -382,6 +425,10 @@ README_ATTACKS = {
         "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 20 --rho 0.05 --n 64 --trials 5000 --seed 808",
         "bcc49aff6818733d2ef1f3827546964148a4a4f10697ffcf78746e82f61035e0",
     ),
+    "llr-50000": (
+        "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 20 --rho 0.05 --n 64 --trials 50000 --seed 808",
+        "05f67b732f93c49bc279bed5331e0e80988428d014e3b2d162e759fcc5813ff4",
+    ),
     "diagnose-divergence": (
         "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2",
         "2dc8c3688bca9fbf72b887a2823b2c89a2a233b2ef133c54451371f5b799bec4",
@@ -399,9 +446,8 @@ README_ATTACKS = {
 
 class TestReadmeAttacks:
     """README's trial-kind, LLR, divergence and bounds commands, pinned by
-    the SHA-256 of their JSONL records. The LLR command runs 5000 trials,
-    not README's 50 000, because acceptance test_08 already runs the full
-    size."""
+    the SHA-256 of their JSONL records. The LLR command is pinned at
+    README's 50 000 trials and at 5000 trials."""
 
     @pytest.mark.parametrize("name", sorted(README_ATTACKS))
     def test_records_are_pinned(self, capsys, tmp_path, name):
