@@ -249,18 +249,12 @@ class DivergenceReport:
     kl_ba: float
 
 
-def _max_log_ratio(p: np.ndarray, q: np.ndarray) -> float:
+def _divergences(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     live = p > 0.0
     if np.any(live & (q == 0.0)):
-        return math.inf
-    return float(np.max(np.log(p[live] / q[live])))
-
-
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    live = p > 0.0
-    if np.any(live & (q == 0.0)):
-        return math.inf
-    return float(np.sum(p[live] * np.log(p[live] / q[live])))
+        return math.inf, math.inf
+    log_ratio = np.log(p[live] / q[live])
+    return float(np.max(log_ratio)), float(np.sum(p[live] * log_ratio))
 
 
 def divergence_diagnostics(
@@ -277,12 +271,8 @@ def divergence_diagnostics(
         raise ValueError("mechanisms must share one output grid")
     p = output_distribution(mech_a.noise, perturbed_mean(mech_a, query)[0])
     q = output_distribution(mech_b.noise, perturbed_mean(mech_b, query)[0])
-    return DivergenceReport(
-        max_divergence_ab=_max_log_ratio(p, q),
-        max_divergence_ba=_max_log_ratio(q, p),
-        kl_ab=_kl(p, q),
-        kl_ba=_kl(q, p),
-    )
+    (max_ab, kl_ab), (max_ba, kl_ba) = _divergences(p, q), _divergences(q, p)
+    return DivergenceReport(max_divergence_ab=max_ab, max_divergence_ba=max_ba, kl_ab=kl_ab, kl_ba=kl_ba)
 
 
 # --- composed log-likelihood-ratio experiment -----------------------------------

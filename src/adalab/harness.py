@@ -6,12 +6,12 @@ independent, re-runnable in any order, and stable under parallel
 execution. Experiments are described by a flat JSON config, run to a list
 of per-trial records plus a summary, and written as JSONL (one record per
 line), CSV (same records, flat columns), and a summary JSON. ``KINDS``
-declares each experiment kind once: its CLI command, its params, and its
-runner; the CLI and param validation both read it.
+declares each experiment kind once: its CLI command, its params, its
+resolver and its runner; the CLI and param validation both read it.
 
-A run is resolved once: ``_resolve_params`` builds its params, noise spec,
-mechanism kinds and instance into a ``Run``, which every trial reads, in
-this process or a pool worker, building none of them again.
+A run is resolved once: ``_resolve_params`` and the kind's resolver build its
+params, noise spec, mechanism kinds and instance into a ``Run``, which every
+trial reads, in this process or a pool worker, building none of them again.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ import operator
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .attack import (
+    BlockInstance,
     FixedQueryAnalyst,
     HardInstance,
     build_block_instance,
@@ -134,19 +136,23 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class Run:
-    """One run's resolved params (the summary's), noise spec (None for a
+    """One run's resolved params (the summary's), noise spec (unread by a
     bounds table), every mechanism kind its trials build, in order, and its
     instance: a ``HardInstance`` for attack and positive, a ``BlockInstance``
-    for the simple attack, and ``(held, dist)`` for the two-sample kinds."""
+    for the simple attack, ``(held, dist)`` for the two-sample kinds."""
 
     params: dict
-    noise: NoiseSpec | None = None
-    kinds: tuple[MechanismKind, ...] = ()
-    instance: object = None
+    noise: NoiseSpec
+    kinds: tuple[MechanismKind, ...]
+    instance: object
 
 
 # the param behind each NoiseSpec field; a kind without one runs at the field's default
 _NOISE_FIELDS = (("noise_family", "family"), ("noise_scale", "scale"), ("grid_step", "grid_step"))
+
+
+def _noise_spec(params: dict) -> NoiseSpec:
+    return NoiseSpec(**{field: params[key] for key, field in _NOISE_FIELDS if key in params})
 
 
 def _mechanism(
@@ -177,13 +183,36 @@ def _two_sample_instance(n: int, ones: int) -> tuple[Sample, FiniteDistribution]
 
     The indicator query of element 1 then has true mean ones/(2n) and
     empirical mean ones/n on the held sample, an exact gap of ones/(2n).
-    ``_resolve_params`` checks that 1 <= ones <= n.
+    The kinds' resolvers check that 1 <= ones <= n.
     """
     held = Sample((1,) * ones + (0,) * (n - ones))
     return held, FiniteDistribution([Sample((0,) * n), held], np.array([0.5, 0.5]))
 
 
-# --- per-trial runners ----------------------------------------------------------
+def _check_ones(kind: str, n: int, ones: int, origin: str = "") -> None:
+    """The two-sample instance's planted count must lie in 1..n."""
+    if not 1 <= ones <= n:
+        raise ValueError(f"{kind} experiment needs 1 <= ones <= n, got ones {ones}{origin} and n {n}")
+
+
+# --- per-trial kinds: resolvers and runners ------------------------------------
+
+
+def _resolve_attack(params: dict) -> tuple[tuple[str, ...], HardInstance]:
+    if params["mechanism"] not in ("real", "hybrid"):
+        raise ValueError(f"attack mechanism must be real or hybrid, got {params['mechanism']!r}")
+    if params["mechanism"] == "real" and "epsilon_switch" in params:
+        raise ValueError("epsilon_switch applies only to the hybrid; attack mechanism is 'real'")
+    if "constant" in params and "k" in params:
+        raise ValueError(f"constant applies only when k is derived; attack k is given as {params['k']}")
+    if "constant" not in params:
+        r, _, _ = instance_shape(params["eps"], params["gamma"])
+        params["constant"] = calibrated_attack_constant(r, _noise_spec(params).variance())
+    if "k" not in params:
+        params["k"] = score_attack_rounds(params["eps"], params["gamma"], params["beta"], params["constant"])
+    if params["k"] < 1:
+        raise ValueError(f"attack experiment needs k >= 1 info rounds, got k {params['k']}")
+    return (params["mechanism"],), HardInstance(params["eps"], params["gamma"], params["n"])
 
 
 def _attack_trial(run: Run, master: int, trial: int) -> dict:
@@ -214,6 +243,10 @@ def _attack_trial(run: Run, master: int, trial: int) -> dict:
     return record
 
 
+def _resolve_simple_attack(params: dict) -> tuple[tuple[str, ...], BlockInstance]:
+    return ("real",), build_block_instance(params["gamma"], params["n"])
+
+
 def _simple_attack_trial(run: Run, master: int, trial: int) -> dict:
     inst = run.instance
     held = int(derive_rng(master, trial, "sample_draw").integers(inst.num_candidates))
@@ -227,6 +260,17 @@ def _simple_attack_trial(run: Run, master: int, trial: int) -> dict:
         "identified": result.breaking_query_index == held,
         "worst_deviation": result.worst_deviation,
     }
+
+
+def _resolve_positive(params: dict) -> tuple[tuple[str, ...], HardInstance]:
+    eps = params["eps"]
+    params.setdefault("noise_scale", accuracy_noise_scale(params["alpha"], eps))
+    params.setdefault("epsilon_switch", eps)
+    if "k" not in params:
+        params["k"] = max_accurate_rounds(eps, params["gamma"], params["alpha"], params["beta"])
+    if params["k"] < 0:
+        raise ValueError(f"positive_accuracy experiment needs k >= 0 rounds, got k {params['k']}")
+    return ("hybrid",), HardInstance(eps, params["gamma"], params["n"])
 
 
 def _positive_trial(run: Run, master: int, trial: int) -> dict:
@@ -259,6 +303,15 @@ def _positive_trial(run: Run, master: int, trial: int) -> dict:
     }
 
 
+def _resolve_coupling(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution]]:
+    k, bad_round, n = params["k"], params["bad_round"], params["n"]
+    if not (0 <= bad_round < k):
+        raise ValueError(f"coupling experiment needs 0 <= bad_round < k, got bad_round {bad_round} and k {k}")
+    if n < 1:
+        raise ValueError(f"coupling experiment needs n >= 1, got n {n}")
+    return ("hybrid", "real"), _two_sample_instance(n, n)
+
+
 def _coupling_trial(run: Run, master: int, trial: int) -> dict:
     k, bad_round = run.params["k"], run.params["bad_round"]
     held, dist = run.instance
@@ -289,13 +342,13 @@ def _coupling_trial(run: Run, master: int, trial: int) -> dict:
 
 
 def _resolve_params(config: ExperimentConfig) -> Run:
-    """Check the params against the kind's table, give each its declared
-    type, and fill the table's defaults and the kind's derived ones, so
-    runners and summaries read every param as resolved. Then build the
-    run's noise spec, mechanism kinds and instance, once: their own checks
-    stop a bad run before its first trial, and every trial reads them from
-    the returned ``Run``. The hard instance's support is left to the trials
-    that read it, so the real attack never builds it."""
+    """Type the params by the kind's table and fill its defaults; the kind's
+    ``resolve`` fills the derived ones, so runners and summaries read every
+    param resolved, and builds the instance. Then build the run's noise spec
+    and mechanism kinds, once: their own checks stop a bad run before its
+    first trial, and every trial reads them from the returned ``Run``. The
+    hard instance's support is left to the trials that read it, so the real
+    attack never builds it."""
     kind = config.kind
     declared = KINDS[kind].params
     keys = [p.key for p in declared]
@@ -311,61 +364,8 @@ def _resolve_params(config: ExperimentConfig) -> Run:
             params[p.key] = _typed(kind, p, config.params[p.key])
         elif p.default is not None:
             params[p.key] = p.default
-    if kind == "bounds_table":
-        mode = params["mode"]
-        if mode not in ("negative", "positive"):
-            raise ValueError("bounds_table mode must be 'negative' or 'positive'")
-        if mode == "positive" and "alpha" not in params:
-            raise ValueError(f"{kind} experiment needs params ['alpha']")
-        other, unread = ("positive", "alpha") if mode == "negative" else ("negative", "constant")
-        if unread in params:
-            raise ValueError(f"{unread} applies only to {other} mode; bounds mode is {mode!r}")
-        return Run(params)
-    if kind == "positive_accuracy":
-        params.setdefault("noise_scale", accuracy_noise_scale(params["alpha"], params["eps"]))
-    noise = NoiseSpec(**{field: params[key] for key, field in _NOISE_FIELDS if key in params})
-    if kind == "attack":
-        if params["mechanism"] not in ("real", "hybrid"):
-            raise ValueError(f"attack mechanism must be real or hybrid, got {params['mechanism']!r}")
-        if params["mechanism"] == "real" and "epsilon_switch" in params:
-            raise ValueError("epsilon_switch applies only to the hybrid; attack mechanism is 'real'")
-        if "constant" not in params:
-            r, _, _ = instance_shape(params["eps"], params["gamma"])
-            params["constant"] = calibrated_attack_constant(r, noise.variance())
-        if "k" not in params:
-            params["k"] = score_attack_rounds(params["eps"], params["gamma"], params["beta"], params["constant"])
-        if params["k"] < 1:
-            raise ValueError(f"{kind} experiment needs k >= 1 info rounds, got k {params['k']}")
-        names, instance = (params["mechanism"],), HardInstance(params["eps"], params["gamma"], params["n"])
-    elif kind == "simple_attack":
-        names, instance = ("real",), build_block_instance(params["gamma"], params["n"])
-    elif kind == "positive_accuracy":
-        eps = params["eps"]
-        params.setdefault("epsilon_switch", eps)
-        if "k" not in params:
-            params["k"] = max_accurate_rounds(eps, params["gamma"], params["alpha"], params["beta"])
-        if params["k"] < 0:
-            raise ValueError(f"{kind} experiment needs k >= 0 rounds, got k {params['k']}")
-        names, instance = ("hybrid",), HardInstance(eps, params["gamma"], params["n"])
-    elif kind == "coupling":
-        k, bad_round = params["k"], params["bad_round"]
-        if not (0 <= bad_round < k):
-            raise ValueError(f"{kind} experiment needs 0 <= bad_round < k, got bad_round {bad_round} and k {k}")
-        if params["n"] < 1:
-            raise ValueError(f"{kind} experiment needs n >= 1, got n {params['n']}")
-        names, instance = ("hybrid", "real"), _two_sample_instance(params["n"], params["n"])
-    elif kind == "llr":
-        derived = "ones" not in params
-        params.setdefault("ones", round(2 * params["n"] * params["eps"]))
-        params.setdefault("epsilon_switch", params["eps"])
-        _check_ones(kind, params, " (derived as round(2*n*eps))" if derived else "")
-        names, instance = ("hybrid",), _two_sample_instance(params["n"], params["ones"])
-    else:  # divergence
-        names = (params["mech_a"], params["mech_b"])
-        if "epsilon_switch" in params and "hybrid" not in names:
-            raise ValueError("epsilon_switch applies only to the hybrid; neither mech_a nor mech_b is 'hybrid'")
-        _check_ones(kind, params, "")
-        instance = _two_sample_instance(params["n"], params["ones"])
+    names, instance = KINDS[kind].resolve(params)
+    noise = _noise_spec(params)
     # only the hybrid reads the switch threshold
     kinds = tuple(MechanismKind(name, params.get("epsilon_switch") if name == "hybrid" else None) for name in names)
     for mechanism_kind in kinds:
@@ -398,13 +398,6 @@ def _as_type(kind: str, param: Param, value):
     if not ok:
         raise ValueError(f"{kind} experiment param {param.key!r} must be {_TYPE_NAMES[param.type]}, got {value!r}")
     return param.type(value)
-
-
-def _check_ones(kind: str, params: dict, origin: str) -> None:
-    """The two-sample instance's planted count must lie in 1..n."""
-    n, ones = params["n"], params["ones"]
-    if not 1 <= ones <= n:
-        raise ValueError(f"{kind} experiment needs 1 <= ones <= n, got ones {ones}{origin} and n {n}")
 
 
 # --- summary aggregation ----------------------------------------------------------
@@ -476,7 +469,15 @@ def _summarize_coupling(records: list[dict], params: dict) -> dict:
     }
 
 
-# --- one-shot experiment kinds ---------------------------------------------------
+# --- one-shot kinds: resolvers and runners ---------------------------------------
+
+
+def _resolve_llr(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution]]:
+    derived = "ones" not in params
+    params.setdefault("ones", round(2 * params["n"] * params["eps"]))
+    params.setdefault("epsilon_switch", params["eps"])
+    _check_ones("llr", params["n"], params["ones"], " (derived as round(2*n*eps))" if derived else "")
+    return ("hybrid",), _two_sample_instance(params["n"], params["ones"])
 
 
 def _run_llr(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
@@ -498,6 +499,14 @@ def _run_llr(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
     return [record], dict(record)
 
 
+def _resolve_divergence(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution]]:
+    names = (params["mech_a"], params["mech_b"])
+    if "epsilon_switch" in params and "hybrid" not in names:
+        raise ValueError("epsilon_switch applies only to the hybrid; neither mech_a nor mech_b is 'hybrid'")
+    _check_ones("divergence", params["n"], params["ones"])
+    return names, _two_sample_instance(params["n"], params["ones"])
+
+
 def _run_divergence(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
     held, dist = run.instance
     mech_a, mech_b = (
@@ -506,6 +515,18 @@ def _run_divergence(config: ExperimentConfig, run: Run) -> tuple[list[dict], dic
     report = divergence_diagnostics(mech_a, mech_b, Query(0.0, {1: 1.0}))
     record = {"mech_a": run.params["mech_a"], "mech_b": run.params["mech_b"], **dataclasses.asdict(report)}
     return [record], dict(record)
+
+
+def _resolve_bounds_table(params: dict) -> tuple[tuple[str, ...], None]:
+    mode = params["mode"]
+    if mode not in ("negative", "positive"):
+        raise ValueError("bounds_table mode must be 'negative' or 'positive'")
+    if mode == "positive" and "alpha" not in params:
+        raise ValueError("bounds_table experiment needs params ['alpha']")
+    other, unread = ("positive", "alpha") if mode == "negative" else ("negative", "constant")
+    if unread in params:
+        raise ValueError(f"{unread} applies only to {other} mode; bounds mode is {mode!r}")
+    return (), None
 
 
 def _run_bounds_table(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
@@ -528,7 +549,7 @@ def _run_bounds_table(config: ExperimentConfig, run: Run) -> tuple[list[dict], d
 @dataclass(frozen=True)
 class Param:
     """One experiment parameter: its CLI flag, params key, type, help and
-    default (None: absent unless given, or derived in ``_resolve_params``).
+    default (None: absent unless given, or derived by its kind's resolver).
 
     ``required`` params are checked when a run resolves its params, not by
     argparse, so a --config file can supply them instead of the flag.
@@ -545,8 +566,10 @@ class Param:
 
 @dataclass(frozen=True)
 class ExperimentKind:
-    """One experiment kind's CLI command, its params, and how it runs.
+    """One experiment kind's CLI command, its params, and how it resolves and runs.
 
+    ``resolve(params) -> (mechanism names, instance)`` fills the kind's
+    derived defaults, runs its checks and builds its instance.
     A trial kind has ``run_trial(run, master, trial) -> record`` and
     ``summarize(records, params) -> summary``; a one-shot kind has
     ``run_once(config, run) -> (records, summary)`` and takes no
@@ -556,6 +579,7 @@ class ExperimentKind:
 
     command: str
     params: tuple[Param, ...]
+    resolve: Callable[[dict], tuple[tuple[str, ...], object]]
     run_trial: Callable[[Run, int, int], dict] | None = None
     summarize: Callable[[list[dict], dict], dict] | None = None
     run_once: Callable[[ExperimentConfig, Run], tuple[list[dict], dict]] | None = None
@@ -585,6 +609,7 @@ KINDS = {
             _CONSTANT,
             _GRID_STEP,
         ),
+        resolve=_resolve_attack,
         run_trial=_attack_trial,
         summarize=_summarize_attack,
     ),
@@ -597,6 +622,7 @@ KINDS = {
             _NOISE_SCALE,
             _GRID_STEP,
         ),
+        resolve=_resolve_simple_attack,
         run_trial=_simple_attack_trial,
         summarize=_summarize_simple_attack,
     ),
@@ -612,6 +638,7 @@ KINDS = {
             Param("--b", "noise_scale", float, "noise scale; alpha / (2 ln(1/eps)) if omitted"),
             Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold; eps if omitted"),
         ),
+        resolve=_resolve_positive,
         run_trial=_positive_trial,
         summarize=_summarize_positive,
     ),
@@ -625,6 +652,7 @@ KINDS = {
             Param("--n", "n", int, "held sample size", default=8),
             _COARSE_GRID_STEP,
         ),
+        resolve=_resolve_coupling,
         run_trial=_coupling_trial,
         summarize=_summarize_coupling,
     ),
@@ -640,6 +668,7 @@ KINDS = {
             Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold; eps if omitted"),
             dataclasses.replace(_GRID_STEP, default=2.0**-5),
         ),
+        resolve=_resolve_llr,
         run_once=_run_llr,
     ),
     "divergence": ExperimentKind(
@@ -654,6 +683,7 @@ KINDS = {
             _EPSILON_SWITCH,
             _COARSE_GRID_STEP,
         ),
+        resolve=_resolve_divergence,
         run_once=_run_divergence,
         reads_trials=False,
     ),
@@ -667,6 +697,7 @@ KINDS = {
             _CONSTANT,
             Param("--eps-values", "eps_values", float, "thresholds to tabulate", True, nargs="+"),
         ),
+        resolve=_resolve_bounds_table,
         run_once=_run_bounds_table,
         reads_trials=False,
     ),
@@ -676,11 +707,6 @@ EXPERIMENT_KINDS = tuple(KINDS)
 
 
 # --- driver -----------------------------------------------------------------------
-
-
-def _chunk_worker(kind: str, run: Run, master: int, trials: list[int]) -> list[dict]:
-    run_trial = KINDS[kind].run_trial
-    return [run_trial(run, master, t) for t in trials]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -699,16 +725,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # which a serial run never uses
             from concurrent.futures import ProcessPoolExecutor
 
-            chunks = [list(map(int, c)) for c in np.array_split(range(config.trials), threads) if len(c)]
+            # one chunk, and so one pickled Run, per worker
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_chunk_worker, config.kind, run, config.seed, chunk)
-                    for chunk in chunks
-                ]
-                records = [record for future in futures for record in future.result()]
+                trial = partial(kind.run_trial, run, config.seed)
+                records = list(pool.map(trial, range(config.trials), chunksize=math.ceil(config.trials / threads)))
         else:
             records = [kind.run_trial(run, config.seed, t) for t in range(config.trials)]
-        records.sort(key=lambda r: r["trial"])
         summary = kind.summarize(records, run.params)
     summary["kind"] = config.kind
     summary["trials"] = config.trials

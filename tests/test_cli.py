@@ -152,6 +152,10 @@ class TestExitCodes:
             ),
             ("attack --eps 0.25 --gamma 0.01 --n 16 --k 0", "attack experiment needs k >= 1 info rounds, got k 0"),
             (
+                "attack --eps 0.25 --gamma 0.01 --n 16 --k 3 --constant -1",
+                "constant applies only when k is derived; attack k is given as 3",
+            ),
+            (
                 "coupling --k 6 --bad-round 6 --epsilon-switch 0.25",
                 "coupling experiment needs 0 <= bad_round < k, got bad_round 6 and k 6",
             ),
@@ -443,11 +447,40 @@ README_ATTACKS = {
     ),
 }
 
+# each README command's resolved params, as its summary reports them
+_ATTACK_PARAMS = {
+    "beta": 0.1, "constant": 1.61, "eps": 0.25, "gamma": 0.01, "grid_step": 2.0**-20, "k": 178,
+    "mechanism": "real", "n": 16, "noise_family": "laplace", "noise_scale": 0.1,
+}
+_LLR_PARAMS = {
+    "eps": 0.03125, "epsilon_switch": 0.03125, "grid_step": 0.125, "k": 20, "n": 64, "noise_scale": 0.15625,
+    "ones": 4, "rho": 0.05,
+}
+README_PARAMS = {
+    "attack": _ATTACK_PARAMS,
+    "hybrid": {**_ATTACK_PARAMS, "epsilon_switch": 0.25, "mechanism": "hybrid"},
+    "simple-attack": {"gamma": 0.1, "grid_step": 2.0**-20, "n": 30, "noise_family": "laplace", "noise_scale": 0.0},
+    "positive": {
+        "alpha": 0.9, "beta": 0.9, "eps": 0.005, "epsilon_switch": 0.005, "gamma": 0.05, "k": 4, "n": 400,
+        "noise_scale": 0.08493262461798969,
+    },
+    "coupling": {"bad_round": 2, "epsilon_switch": 0.25, "grid_step": 2.0**-10, "k": 6, "n": 8, "noise_scale": 0.1},
+    "llr": _LLR_PARAMS,
+    "llr-50000": _LLR_PARAMS,
+    "diagnose-divergence": {
+        "grid_step": 2.0**-10, "mech_a": "real", "mech_b": "oracle", "n": 4, "noise_family": "laplace",
+        "noise_scale": 0.1, "ones": 2,
+    },
+    "bounds-negative": {"beta": 0.1, "eps_values": [0.25, 0.1, 0.01], "gamma": 0.01, "mode": "negative"},
+    "bounds-positive": {"alpha": 0.1, "beta": 0.1, "eps_values": [1e-05, 1e-06], "gamma": 1e-06, "mode": "positive"},
+}
+
 
 class TestReadmeAttacks:
     """README's trial-kind, LLR, divergence and bounds commands, pinned by
-    the SHA-256 of their JSONL records. The LLR command is pinned at
-    README's 50 000 trials and at 5000 trials."""
+    the SHA-256 of their JSONL records and by the resolved params their
+    summaries report, which the digests do not cover. The LLR command is
+    pinned at README's 50 000 trials and at 5000 trials."""
 
     @pytest.mark.parametrize("name", sorted(README_ATTACKS))
     def test_records_are_pinned(self, capsys, tmp_path, name):
@@ -455,6 +488,8 @@ class TestReadmeAttacks:
         code, _, _ = run(capsys, command.split() + ["--out", str(tmp_path / name)])
         assert code == 0
         assert hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest() == digest
+        summary = json.loads((tmp_path / f"{name}.summary.json").read_text(encoding="utf-8"))
+        assert summary["params"] == README_PARAMS[name]
 
 
 class TestCheckConcentration:

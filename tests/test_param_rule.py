@@ -1,7 +1,8 @@
 """The harness reads its experiment params as ``_resolve_params`` leaves
 them: no cast of a param and no lookup with a default, so each param's
 type and default live in ``harness.KINDS`` alone. Defaults derived from
-other params are set in ``_resolve_params``."""
+other params are set in the kind's resolver, its ``KINDS`` entry's
+``resolve``."""
 
 import ast
 from pathlib import Path

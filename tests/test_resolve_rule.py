@@ -1,6 +1,10 @@
 """The harness builds each run's noise spec, mechanism kinds and instance
-once, in ``_resolve_params``: no other harness code calls their builders,
-so every trial reads the ``Run`` its run resolved and builds none itself."""
+once, when it resolves the run: only ``_resolve_params``, the kinds'
+resolvers (each ``resolve=`` of ``KINDS``) and the builders themselves call
+a builder, so every trial reads the ``Run`` its run resolved and builds none
+itself. ``_resolve_params`` holds only the steps every kind shares, so it
+compares the kind name with no string literal: a kind's own rules live in
+its resolver."""
 
 import ast
 from pathlib import Path
@@ -16,6 +20,7 @@ BUILDERS = {
     "BlockInstance",
     "build_block_instance",
     "_two_sample_instance",
+    "_noise_spec",
 }
 
 
@@ -29,21 +34,40 @@ def _builds_a_run_input(node: ast.Call) -> bool:
     return _name(func) in BUILDERS or (isinstance(func, ast.Attribute) and _name(func.value) == "MechanismKind")
 
 
+def _compares_the_kind_to_a_literal(node: ast.Compare) -> bool:
+    """``kind == "llr"``, ``config.kind in ("attack", "positive_accuracy")`` and the like."""
+    operands = [node.left, *node.comparators]
+    literals = [item for o in operands for item in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
+    return any(_name(o) == "kind" for o in operands) and any(
+        isinstance(o, ast.Constant) and isinstance(o.value, str) for o in literals
+    )
+
+
 def resolve_rule_breaks(source: str) -> list[str]:
     """Each call that builds a run's noise spec, mechanism kind or instance
-    outside ``_resolve_params``, by line."""
+    outside ``_resolve_params``, the kinds' resolvers and the builders, and
+    each comparison of the kind name with a string literal in
+    ``_resolve_params``, by line."""
     tree = ast.parse(source)
-    inside = {
-        id(node)
-        for resolver in tree.body
-        if isinstance(resolver, ast.FunctionDef) and resolver.name == RESOLVER
-        for node in ast.walk(resolver)
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    resolvers = {
+        _name(node.value) for node in ast.walk(tree) if isinstance(node, ast.keyword) and node.arg == "resolve"
     }
-    return [
-        f"line {node.lineno}: {ast.unparse(node)}"
+    allowed = {RESOLVER} | resolvers | BUILDERS
+    inside = {id(node) for function in functions if function.name in allowed for node in ast.walk(function)}
+    builds = [
+        node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and id(node) not in inside and _builds_a_run_input(node)
     ]
+    branches = [
+        node
+        for function in functions
+        if function.name == RESOLVER
+        for node in ast.walk(function)
+        if isinstance(node, ast.Compare) and _compares_the_kind_to_a_literal(node)
+    ]
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in sorted(builds + branches, key=lambda n: n.lineno)]
 
 
 def test_harness_builds_run_inputs_once():
@@ -72,4 +96,42 @@ def test_detects_builds_outside_the_resolver():
         "line 9: _two_sample_instance(n, ones)",
         "line 10: _mechanism_kind(params, 'real')",
         "line 10: MechanismKind.real()",
+    ]
+
+
+def test_allows_builds_in_the_kinds_resolvers_and_the_builders():
+    source = (
+        "def _noise_spec(params):\n"
+        "    return NoiseSpec(**params)\n"
+        "def _resolve_llr(params):\n"
+        "    return ('hybrid',), _two_sample_instance(8, 4), _noise_spec(params)\n"
+        "def _resolve_unlisted(params):\n"
+        "    return ('real',), build_block_instance(0.1, 30)\n"
+        "def _trial(run):\n"
+        "    return _noise_spec(run.params)\n"
+        "KINDS = {'llr': ExperimentKind('llr', (), resolve=_resolve_llr)}\n"
+    )
+    assert resolve_rule_breaks(source) == [
+        "line 6: build_block_instance(0.1, 30)",
+        "line 8: _noise_spec(run.params)",
+    ]
+
+
+def test_detects_kind_branches_in_the_resolver():
+    source = (
+        "def _resolve_params(config):\n"
+        "    kind = config.kind\n"
+        "    if kind == 'bounds_table':\n"
+        "        return Run(params, NoiseSpec(), (), None)\n"
+        "    if 'llr' != config.kind or kind in ('attack', 'positive_accuracy'):\n"
+        "        pass\n"
+        "    ok = kind == other, mode == 'negative', name == 'hybrid'\n"
+        "def _resolve_attack(params):\n"
+        "    if params['mechanism'] == 'real' and kind == 'attack':\n"
+        "        pass\n"
+    )
+    assert resolve_rule_breaks(source) == [
+        "line 3: kind == 'bounds_table'",
+        "line 5: 'llr' != config.kind",
+        "line 5: kind in ('attack', 'positive_accuracy')",
     ]
