@@ -23,11 +23,12 @@ from .mechanisms import (
     MechanismKind,
     MechanismState,
     NoiseSpec,
+    _grid_indices,
     grid_index,
     output_distribution,
     perturbed_mean,
+    quantize,
     sample_noise,
-    switches,
 )
 
 logger = logging.getLogger(__name__)
@@ -312,19 +313,19 @@ def run_llr_experiment(
     be positive, as ``MechanismKind.hybrid`` requires.
 
     A ``FixedQueryAnalyst`` asks its first k queries whatever the answers,
-    so each round's laws are known up front and every transcript's round r
-    is computed at once, as array operations over all transcripts; its list
+    so the switch round (``MechanismKind.sample_rounds``) is found once and
+    every transcript's round r is computed at once, as array operations over
+    all transcripts on the grid of ``mechanisms._grid_indices``; its list
     must hold at least k queries. Any other analyst may read answers, so it
-    is shown each transcript's prefix, round by round, in transcript order.
-    Both give the same report for the same queries.
+    is shown each transcript's ``quantize``d prefix, round by round, in
+    transcript order. Both give the same report for the same queries.
 
     Randomness contract: each direction has its own stream, spawned from
     ``seed``, and takes one draw of ``trials * k`` noise values from it,
     transcript-major: transcript t's round r reads value ``t * k + r``.
     That equals one draw of k values per transcript, in transcript order.
-    A query's means, switch test and log laws are computed once per
-    distinct query and cached by the query's value, never by object
-    identity.
+    A query's means and log laws are computed once per distinct query and
+    cached by the query's value, never by object identity.
     """
     if getattr(analyst, "deterministic", False) is not True:
         raise ValueError("log-ratio accounting requires a deterministic analyst")
@@ -337,7 +338,7 @@ def run_llr_experiment(
     fixed = isinstance(analyst, FixedQueryAnalyst)
     if fixed and len(analyst.queries) < k:
         raise ValueError(f"the fixed query list holds {len(analyst.queries)} queries, fewer than k = {k} rounds")
-    switch_at = MechanismKind.hybrid(eps if epsilon_switch is None else epsilon_switch).epsilon_switch
+    hybrid = MechanismKind.hybrid(eps if epsilon_switch is None else epsilon_switch)
     threshold = composed_epsilon(k, eps, noise.scale, rho)
 
     @functools.cache
@@ -348,32 +349,25 @@ def run_llr_experiment(
             return np.log(output_distribution(noise, mean)).tolist()
 
     @functools.cache
-    def laws_for(query: Query) -> tuple[float, float, bool, list[float], list[float]]:
-        """The query's empirical and true means, whether it trips the switch,
-        and the log laws of both means."""
+    def laws_for(query: Query) -> tuple[float, float, list[float], list[float]]:
+        """The query's empirical and true means, and the log laws of both."""
         emp, tru = empirical_mean(query, sample), true_mean(query, dist)
-        return emp, tru, switches(emp, tru, switch_at), log_law(emp), log_law(tru)
+        return emp, tru, log_law(emp), log_law(tru)
 
-    # read once: a class constant read through an instance is slow
-    clip_lo, clip_hi, grid_step = noise.clip_lo, noise.clip_hi, noise.grid_step
+    if fixed:
+        fixed_laws = [laws_for(query) for query in analyst.queries[:k]]
+        emps, trus = (np.array([laws[i] for laws in fixed_laws]) for i in (0, 1))
+        switch_round = hybrid.sample_rounds(emps, trus, k)
 
     def fixed_llrs(sample_hybrid: bool, draws: np.ndarray) -> np.ndarray:
         """Every transcript's ratio, one round at a time over all of them.
         Adding round by round keeps each sum in the per-transcript order."""
         llr = np.zeros(trials)
-        switched = False
-        for r, query in enumerate(analyst.queries[:k]):
-            emp, tru, trips, law_emp, law_tru = laws_for(query)
-            switched = switched or trips
-            mean_h, law_h = (tru, law_tru) if switched else (emp, law_emp)
+        for r, (emp, tru, law_emp, law_tru) in enumerate(fixed_laws):
+            mean_h, law_h = (tru, law_tru) if r >= switch_round else (emp, law_emp)
             # a bin the other law never yields makes the ratio +inf
             term = np.subtract(law_h, law_tru) if sample_hybrid else np.subtract(law_tru, law_h)
-            # grid_index of each answer: np.rint, like round, sends ties to the even index
-            values = draws[:, r] + (mean_h if sample_hybrid else tru)
-            np.clip(values, clip_lo, clip_hi, out=values)
-            values -= clip_lo
-            values /= grid_step
-            llr += term[np.rint(values, out=values).astype(np.intp)]
+            llr += term[_grid_indices(noise, draws[:, r] + (mean_h if sample_hybrid else tru))]
         return llr
 
     def adaptive_llrs(sample_hybrid: bool, draws: np.ndarray) -> list[float]:
@@ -385,15 +379,14 @@ def run_llr_experiment(
             llr = 0.0
             for draw in row:
                 query = analyst.next_query(tuple(rounds))
-                emp, tru, trips, law_emp, law_tru = laws_for(query)
-                switched = switched or trips
+                emp, tru, law_emp, law_tru = laws_for(query)
+                switched = not hybrid.sample_rounds(emp, tru, 1, switched)
                 mean_h, law_h = (tru, law_tru) if switched else (emp, law_emp)
-                index = grid_index(noise, (mean_h if sample_hybrid else tru) + draw)
-                if sample_hybrid:
-                    llr += law_h[index] - law_tru[index]
-                else:
-                    llr += law_tru[index] - law_h[index]
-                rounds.append((query, clip_lo + index * grid_step))
+                drawn, other = (law_h, law_tru) if sample_hybrid else (law_tru, law_h)
+                value = (mean_h if sample_hybrid else tru) + draw
+                index = grid_index(noise, value)
+                llr += drawn[index] - other[index]
+                rounds.append((query, quantize(noise, value)))
             llrs.append(llr)
         return llrs
 

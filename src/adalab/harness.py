@@ -177,6 +177,11 @@ def _mechanism(
     )
 
 
+def _switch_round(mech: MechanismState) -> int:
+    """The record's ``switch_round``: -1 if ``mech`` never switched."""
+    return -1 if mech.switch_round is None else mech.switch_round
+
+
 def _two_sample_instance(n: int, ones: int) -> tuple[Sample, FiniteDistribution]:
     """A held sample of ``ones`` copies of element 1 and n - ones zeros, and
     the distribution that draws it or the all-zeros sample equally often.
@@ -239,7 +244,7 @@ def _attack_trial(run: Run, master: int, trial: int) -> dict:
     }
     if kind.name == "hybrid":
         record["switched"] = mech.switched
-        record["switch_round"] = -1 if mech.switch_round is None else mech.switch_round
+        record["switch_round"] = _switch_round(mech)
     return record
 
 
@@ -276,15 +281,6 @@ def _resolve_positive(params: dict) -> tuple[tuple[str, ...], HardInstance]:
 def _positive_trial(run: Run, master: int, trial: int) -> dict:
     params, inst = run.params, run.instance
     k = params["k"]
-    if k == 0:
-        return {
-            "trial": trial,
-            "rounds": 0,
-            "accurate": True,
-            "queries_good": True,
-            "switched": False,
-            "switch_round": -1,
-        }
     slot = int(derive_rng(master, trial, "sample_draw").integers(inst.support_size))
     sample = inst.make_sample(slot)
     mech = _mechanism(run.kinds[0], run.noise, sample=sample, distribution=inst.distribution, master=master, trial=trial)
@@ -299,7 +295,7 @@ def _positive_trial(run: Run, master: int, trial: int) -> dict:
         "accurate": bool(np.all(np.abs(answers - tru) <= params["alpha"])),
         "queries_good": bool(np.all(np.abs(emp - tru) <= params["eps"])),
         "switched": mech.switched,
-        "switch_round": -1 if mech.switch_round is None else mech.switch_round,
+        "switch_round": _switch_round(mech),
     }
 
 
@@ -327,7 +323,7 @@ def _coupling_trial(run: Run, master: int, trial: int) -> dict:
     answers_r = answer_batch(mech_r, emp, None)
     differ = np.flatnonzero(answers_h != answers_r)
     first_divergence = int(differ[0]) if differ.size else -1
-    switch_round = -1 if mech_h.switch_round is None else mech_h.switch_round
+    switch_round = _switch_round(mech_h)
     cutoff = switch_round if switch_round >= 0 else k
     return {
         "trial": trial,

@@ -5,7 +5,10 @@ grid. The real mechanism perturbs the sample's empirical mean, the oracle
 perturbs the distribution's true mean, and the hybrid behaves like the real
 mechanism until it sees a query whose empirical mean strays from the true
 mean by more than ``epsilon_switch``, after which it permanently answers
-like the oracle.
+like the oracle. That switch rule lives in ``MechanismKind.sample_rounds``,
+and only ``MechanismState._advance`` sets the switch flag and round count;
+the output grid lives in ``grid_index`` and, for arrays, ``_grid_indices``.
+Every answer path here and the LLR in ``bounds`` reads them.
 
 Randomness contract: real and hybrid draw from one sequential noise stream,
 so a hybrid that never switches consumes draws in lockstep with a real
@@ -143,14 +146,22 @@ def quantize(spec: NoiseSpec, value: float) -> float:
     return _CLIP_LO + grid_index(spec, value) * spec.grid_step
 
 
+def _grid_indices(spec: NoiseSpec, values: np.ndarray) -> np.ndarray:
+    """``grid_index`` of each value, bit for bit (``np.rint`` also sends ties
+    to the even index), but without its NaN check."""
+    values = np.maximum(values, _CLIP_LO)  # a copy, worked on in place
+    np.minimum(values, _CLIP_HI, out=values)
+    values -= _CLIP_LO
+    values /= spec.grid_step
+    return np.rint(values, out=values).astype(np.intp)
+
+
 def quantize_array(spec: NoiseSpec, values) -> np.ndarray:
-    """``quantize`` applied elementwise, equal to it bit for bit (``np.rint``
-    also rounds half-bin ties to the even index)."""
+    """``quantize`` applied elementwise, equal to it bit for bit."""
     values = np.asarray(values, dtype=np.float64)
     if np.isnan(values).any():
         raise ValueError("cannot quantize NaN")
-    values = np.minimum(np.maximum(values, _CLIP_LO), _CLIP_HI)
-    return _CLIP_LO + np.rint((values - _CLIP_LO) / spec.grid_step) * spec.grid_step
+    return _CLIP_LO + _grid_indices(spec, values) * spec.grid_step
 
 
 def output_distribution(spec: NoiseSpec, mean: float) -> np.ndarray:
@@ -210,6 +221,19 @@ class MechanismKind:
     def reads(self) -> tuple[str, ...]:
         """The ``MechanismState`` inputs this kind reads, by keyword."""
         return _READS[self.name]
+
+    def sample_rounds(self, emp, tru, rounds: int, switched: bool = False) -> int:
+        """How many of the next ``rounds`` rounds, whose queries have means
+        ``emp`` and ``tru`` (arrays, or floats for one round), this kind
+        answers from the sample before its first oracle-side round: all for
+        real, none for the oracle or a ``switched`` hybrid, and for another
+        hybrid the rounds before the first query that ``switches``."""
+        if self.name != "hybrid" or switched:
+            return rounds if self.name == "real" else 0
+        trips = switches(emp, tru, self.epsilon_switch)
+        if isinstance(trips, np.ndarray):
+            return int(trips.argmax()) if trips.any() else rounds
+        return 0 if trips else rounds
 
     def check_noise(self, noise: NoiseSpec) -> None:
         """A kind with a keyed oracle stream draws Laplace noise only."""
@@ -273,6 +297,15 @@ class MechanismState:
         self._real_rng = real_rng
         self._oracle_seed = None if oracle_seed is None else int(oracle_seed)
         self._oracle_pool: tuple[list[int], int] | None = None
+
+    def _advance(self, rounds: int, sample_rounds: int) -> int:
+        """Count ``rounds`` answered rounds, the first ``sample_rounds`` from the
+        sample (a hybrid switches at the next, for good); return the first's index."""
+        first = self.rounds_answered
+        if sample_rounds < rounds and self.kind.name == "hybrid" and not self.switched:
+            self.switched, self.switch_round = True, first + sample_rounds
+        self.rounds_answered = first + rounds
+        return first
 
     def _oracle_noise(self, round_index: int) -> float:
         if self._oracle_pool is None:
@@ -380,38 +413,24 @@ def switches(emp: float, tru: float, epsilon_switch: float) -> bool:
 
 def perturbed_mean(state: MechanismState, query: Query) -> tuple[float, bool]:
     """The mean ``state`` perturbs to answer ``query``, and whether that
-    answer comes from the oracle side. Reads no noise and changes no state.
-
-    A hybrid answers oracle-side once it has switched, or when ``query``
-    trips the switch rule.
+    answer comes from the oracle side (``MechanismKind.sample_rounds``).
+    Reads no noise and changes no state.
     """
-    kind = state.kind.name
-    if kind == "real":
-        return empirical_mean(query, state.sample), False
-    if kind == "oracle":
-        return true_mean(query, state.distribution), True
-    emp = empirical_mean(query, state.sample)
-    tru = true_mean(query, state.distribution)
-    if state.switched or switches(emp, tru, state.kind.epsilon_switch):
-        return tru, True
-    return emp, False
+    emp = None if state.sample is None else empirical_mean(query, state.sample)
+    tru = None if state.distribution is None else true_mean(query, state.distribution)
+    if state.kind.sample_rounds(emp, tru, 1, state.switched):
+        return emp, False
+    return tru, True
 
 
 def answer(state: MechanismState, query: Query) -> float:
     """Answer one query, mutating the state (round counter, switch flag)."""
     if not isinstance(query, Query):
         raise TypeError(f"expected a Query, got {type(query).__name__}")
-    round_index = state.rounds_answered
     mean, oracle_side = perturbed_mean(state, query)
-    if oracle_side:
-        if state.kind.name == "hybrid" and not state.switched:
-            state.switched = True
-            state.switch_round = round_index
-        raw = mean + state._oracle_noise(round_index)
-    else:
-        raw = mean + sample_noise(state.noise, state._real_rng)
-    state.rounds_answered = round_index + 1
-    return quantize(state.noise, raw)
+    round_index = state._advance(1, 0 if oracle_side else 1)
+    noise = state._oracle_noise(round_index) if oracle_side else sample_noise(state.noise, state._real_rng)
+    return quantize(state.noise, mean + noise)
 
 
 def answer_batch(state: MechanismState, emp: np.ndarray | None, tru: np.ndarray | None) -> np.ndarray:
@@ -420,28 +439,25 @@ def answer_batch(state: MechanismState, emp: np.ndarray | None, tru: np.ndarray 
     the same state afterwards.
 
     ``emp`` holds the queries' empirical means on the held sample and
-    ``tru`` their true means; each is read only by the kinds that hold that
-    data, and may be None for the others. Only queries that do not depend
-    on earlier answers can be answered as one batch.
+    ``tru`` their true means. A kind reads only the means of the data it
+    holds, which must be 1-D arrays of one length; the others may be None.
+    Only queries that do not depend on earlier answers can be answered as
+    one batch.
     """
-    kind = state.kind.name
-    means = emp if kind == "real" else tru
-    first = state.rounds_answered
-    real_rounds = len(means)
-    if kind == "oracle" or state.switched:
-        real_rounds = 0
-    elif kind == "hybrid":
-        trips = switches(emp, tru, state.kind.epsilon_switch)
-        if trips.any():
-            real_rounds = int(np.argmax(trips))
-            state.switched = True
-            state.switch_round = first + real_rounds
-    raw = np.empty(len(means), dtype=np.float64)
-    if real_rounds:
-        raw[:real_rounds] = emp[:real_rounds] + sample_noise(state.noise, state._real_rng, real_rounds)
-    for offset in range(real_rounds, len(means)):
+    kind = state.kind
+    pairs = (("emp", emp, "sample"), ("tru", tru, "distribution"))
+    read = {name: means for name, means, data in pairs if data in kind.reads}
+    lengths = {len(means) if np.ndim(means) == 1 else None for means in read.values()}
+    if len(lengths) != 1 or None in lengths:
+        raise ValueError(f"{kind.name} mechanism reads {' and '.join(read)} as 1-D means arrays of one length")
+    (rounds,) = lengths
+    sample_rounds = kind.sample_rounds(emp, tru, rounds, state.switched)
+    first = state._advance(rounds, sample_rounds)
+    raw = np.empty(rounds, dtype=np.float64)
+    if sample_rounds:
+        raw[:sample_rounds] = emp[:sample_rounds] + sample_noise(state.noise, state._real_rng, sample_rounds)
+    for offset in range(sample_rounds, rounds):
         raw[offset] = tru[offset] + state._oracle_noise(first + offset)
-    state.rounds_answered = first + len(means)
     return quantize_array(state.noise, raw)
 
 

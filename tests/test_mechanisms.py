@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adalab
@@ -16,8 +16,10 @@ from adalab.mechanisms import (
     MechanismKind,
     MechanismState,
     NoiseSpec,
+    _grid_indices,
     answer,
     answer_batch,
+    grid_index,
     noise_cdf,
     output_distribution,
     quantize,
@@ -152,6 +154,7 @@ class TestQuantize:
             values = np.concatenate([ties, edges, noisy])
             scalar = np.array([quantize(spec, v) for v in values])
             assert quantize_array(spec, values).tobytes() == scalar.tobytes()
+            assert list(_grid_indices(spec, values)) == [grid_index(spec, v) for v in values]
         assert list(quantize_array(COARSE, ties)) == [-0.5, 0.0, 0.0, 0.5, 1.5, 1.0]
 
     def test_array_rejects_nan(self):
@@ -429,6 +432,71 @@ class TestAnswering:
             assert batched.switch_round == 2
         if one._real_rng is not None:
             assert batched._real_rng.uniform() == one._real_rng.uniform()
+
+    # indicator query ids per round: 0 the good query (no switch), 1 a
+    # constant, 2 the bad query (emp 1.0 vs tru 0.5 trips 0.25)
+    QUERIES = (Query(0.5), Query(0.25), Query(0.0, {1: 1.0}))
+
+    @given(
+        kind=st.sampled_from(["real", "oracle", "hybrid"]),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=12),
+        cuts=st.sets(st.integers(1, 11)),
+    )
+    @example(kind="hybrid", picks=[0, 1, 2, 0], cuts={2})  # switch at a batch's first round
+    @example(kind="hybrid", picks=[0, 2, 1, 2], cuts={3})  # switch mid-batch
+    @example(kind="hybrid", picks=[2, 0, 1, 0], cuts={1, 2})  # switch in an earlier batch
+    @settings(max_examples=150, deadline=None)
+    def test_any_split_into_batches_matches_one_answer_per_query(self, kind, picks, cuts):
+        held, dist = two_point_setup()
+        queries = [self.QUERIES[pick] for pick in picks]
+
+        def make():
+            data = dict(sample=held, real_rng=np.random.default_rng(11), distribution=dist, oracle_seed=4)
+            mech_kind = MechanismKind.hybrid(0.25) if kind == "hybrid" else MechanismKind(kind)
+            return MechanismState(mech_kind, COARSE, **{key: data[key] for key in mech_kind.reads})
+
+        one, batched = make(), make()
+        bounds = [0, *sorted(cut for cut in cuts if cut < len(queries)), len(queries)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            expected = [answer(one, q) for q in queries[lo:hi]]
+            emp = np.array([empirical_mean(q, held) for q in queries[lo:hi]])
+            tru = np.array([true_mean(q, dist) for q in queries[lo:hi]])
+            assert list(answer_batch(batched, emp, tru)) == expected
+            for field in ("rounds_answered", "switched", "switch_round"):
+                assert getattr(batched, field) == getattr(one, field)
+        if kind == "hybrid" and 2 in picks:
+            assert batched.switch_round == picks.index(2)
+        if one._real_rng is not None:
+            assert batched._real_rng.uniform() == one._real_rng.uniform()
+
+    @pytest.mark.parametrize(
+        "kind, emp, tru",
+        [
+            ("hybrid", [0.5], [0.5] * 5),  # lengths differ
+            ("hybrid", [0.5] * 5, None),  # tru missing
+            ("hybrid", None, [0.5] * 5),  # emp missing
+            ("hybrid", [[0.5, 0.5]], [[0.5, 0.5]]),  # not 1-D
+            ("real", 0.5, None),  # not 1-D
+            ("real", None, [0.5]),  # the one array it reads missing
+            ("oracle", [0.5], None),
+        ],
+    )
+    def test_answer_batch_rejects_missing_or_misshapen_means(self, kind, emp, tru):
+        held, dist = two_point_setup()
+        data = dict(sample=held, real_rng=np.random.default_rng(0), distribution=dist, oracle_seed=1)
+        mech_kind = MechanismKind.hybrid(0.25) if kind == "hybrid" else MechanismKind(kind)
+        mech = MechanismState(mech_kind, COARSE, **{key: data[key] for key in mech_kind.reads})
+        as_array = lambda means: None if means is None else np.array(means)
+        with pytest.raises(ValueError, match="1-D means arrays of one length"):
+            answer_batch(mech, as_array(emp), as_array(tru))
+        assert mech.rounds_answered == 0 and not mech.switched
+
+    def test_answer_batch_ignores_means_the_kind_does_not_read(self):
+        held, dist = two_point_setup()
+        real = MechanismState(MechanismKind.real(), COARSE, sample=held, real_rng=np.random.default_rng(0))
+        oracle = MechanismState(MechanismKind.oracle(), COARSE, distribution=dist, oracle_seed=1)
+        assert len(answer_batch(real, np.array([0.5, 0.5]), np.array([0.5]))) == 2
+        assert len(answer_batch(oracle, None, np.array([0.5, 0.5, 0.5]))) == 3
 
     def test_rejects_non_query(self):
         held, _ = two_point_setup()
