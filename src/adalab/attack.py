@@ -120,7 +120,6 @@ class AttackState:
     """Per-run attacker state: one score per candidate slot."""
 
     scores: np.ndarray
-    rounds_done: int
     rng_p: np.random.Generator
     rng_table: np.random.Generator
     rounds: list[tuple[Query, float]] = field(default_factory=list)
@@ -134,7 +133,6 @@ def new_attack_state(
         raise ValueError("round budget must be non-negative")
     return AttackState(
         scores=np.zeros(inst.support_size, dtype=np.float64),
-        rounds_done=0,
         rng_p=rng_p,
         rng_table=rng_table,
     )
@@ -207,7 +205,6 @@ def info_round(state: AttackState, inst: HardInstance, mech: MechanismState) -> 
     state.scores += increments
     state.last_increments = increments
     state.rounds.append((query, observed))
-    state.rounds_done += 1
     return state
 
 

@@ -2,11 +2,12 @@
 
 One subcommand per experiment kind (built from ``harness.KINDS``), plus a
 concentration checker. Each experiment subcommand accepts either a JSON
-config (--config) or direct flags; flags override config values. The
-summary is printed to stdout as JSON, file paths and diagnostics go to
-stderr. Exit codes: 0 on success, 2 when an --assert claim fails, 1 on any
-other error. A reader that closes stdout early (``adalab ... | head``) is
-not an error: the rest of the run's stdout is dropped.
+config (--config) or direct flags; flags override config values. Every
+subcommand prints its summary to stdout as JSON (file paths and
+diagnostics go to stderr) and takes --assert claims on it, which
+``harness.check_claim`` checks before anything runs. Exit codes: 0 on
+success, 2 when a claim fails, 1 on any other error, a malformed claim too.
+A reader that closes stdout early (``adalab ... | head``) is not an error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import Query, distribution_from_dict, load_json, query_from_dict
 from .harness import (
     KINDS,
     ExperimentConfig,
+    check_claim,
     evaluate_assertions,
     load_config,
     run_experiment,
@@ -39,18 +41,14 @@ def _parse_assertion(text: str) -> dict:
         )
     metric, op, raw = parts
     try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"assertion value {raw!r} is not a number") from None
-    return {"metric": metric, "op": op, "value": value}
+        claim = {"metric": metric, "op": op, "value": float(raw)}
+        check_claim(claim)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return claim
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON experiment config; flags override its values")
-    sub.add_argument("--trials", type=int, default=None, help="number of trials")
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--out", default=None, help="output path prefix (.jsonl/.csv/.summary.json)")
-    sub.add_argument("--threads", type=int, default=None, help="worker processes for trials")
+def _add_assert(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--assert",
         dest="assertions",
@@ -60,6 +58,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         metavar="METRIC:OP:VALUE",
         help="summary claim to enforce (op: ge, gt, le, lt, eq); repeatable",
     )
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", help="JSON experiment config; flags override its values")
+    sub.add_argument("--trials", type=int, default=None, help="number of trials")
+    sub.add_argument("--seed", type=int, default=None, help="master seed")
+    sub.add_argument("--out", default=None, help="output path prefix (.jsonl/.csv/.summary.json)")
+    sub.add_argument("--threads", type=int, default=None, help="worker processes for trials")
+    _add_assert(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,11 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--threshold", type=float, default=None, help="deviation threshold (default eps)")
     check.add_argument("--query-file", help="JSON query to check instead of the built one")
     check.add_argument("--dist-file", help="JSON distribution to check against")
-    check.add_argument(
-        "--require-holds",
-        action="store_true",
-        help="exit 2 when the deviation mass exceeds gamma",
-    )
+    _add_assert(check)
     return parser
 
 
@@ -125,7 +128,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _run_check_concentration(args: argparse.Namespace) -> int:
+def _check_concentration(args: argparse.Namespace) -> dict:
+    if args.threshold is not None and not args.threshold > 0:
+        raise ValueError(f"--threshold must be positive, got {args.threshold}")
     if args.query_file or args.dist_file:
         if not (args.query_file and args.dist_file):
             raise ValueError("--query-file and --dist-file must be given together")
@@ -148,20 +153,10 @@ def _run_check_concentration(args: argparse.Namespace) -> int:
     threshold = args.threshold if args.threshold is not None else args.eps
     report = check_concentration_exact(query, dist, threshold, gamma)
     lengths = {len(s) for s in dist.samples}
-    out = {
-        "holds": report.holds,
-        "deviation_mass": report.deviation_mass,
-        "max_deviation": report.max_deviation,
-        "threshold": threshold,
-        "gamma": gamma,
-    }
+    out = {**dataclasses.asdict(report), "threshold": threshold, "gamma": gamma}
     if len(lengths) == 1:
         out["hoeffding_gamma"] = hoeffding_gamma(lengths.pop(), threshold)
-    _print_stdout(to_json(out, indent=2, sort_keys=True))
-    if args.require_holds and not report.holds:
-        print("concentration check failed: deviation mass exceeds gamma", file=sys.stderr)
-        return 2
-    return 0
+    return out
 
 
 def _print_stdout(text: str) -> None:
@@ -181,21 +176,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    result, out = None, None
     try:
         if args.command == "check-concentration":
-            return _run_check_concentration(args)
-        config = _config_from_args(args)
-        result = run_experiment(config)
+            summary, claims = _check_concentration(args), args.assertions
+        else:
+            config = _config_from_args(args)
+            result = run_experiment(config)
+            summary, claims, out = result.summary, config.assertions, config.out
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _print_stdout(to_json(result.summary, indent=2, sort_keys=True))
-    if config.out:
-        paths = write_outputs(result, config.out)
+    _print_stdout(to_json(summary, indent=2, sort_keys=True))
+    if out:
+        paths = write_outputs(result, out)
         print(f"wrote {paths['jsonl']}, {paths['csv']}, {paths['summary']}", file=sys.stderr)
-    failures = evaluate_assertions(result.summary, config.assertions)
-    if failures:
-        for failure in failures:
-            print(failure, file=sys.stderr)
-        return 2
-    return 0
+    failures = evaluate_assertions(summary, claims)
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 2 if failures else 0

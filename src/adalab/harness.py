@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ValueError("params must be a JSON object")
         if not isinstance(self.assertions, list):
             raise ValueError("assertions must be a list")
+        for claim in self.assertions:
+            check_claim(claim)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -126,7 +128,6 @@ def load_config(path: str) -> ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    kind: str
     records: list[dict]
     summary: dict
 
@@ -138,8 +139,8 @@ class ExperimentResult:
 class Run:
     """One run's resolved params (the summary's), noise spec (unread by a
     bounds table), every mechanism kind its trials build, in order, and its
-    instance: a ``HardInstance`` for attack and positive, a ``BlockInstance``
-    for the simple attack, ``(held, dist)`` for the two-sample kinds."""
+    instance: a ``HardInstance`` for attack and positive, a ``BlockInstance`` for
+    the simple attack, ``(held, dist, indicator)`` for the two-sample kinds."""
 
     params: dict
     noise: NoiseSpec
@@ -182,16 +183,17 @@ def _switch_round(mech: MechanismState) -> int:
     return -1 if mech.switch_round is None else mech.switch_round
 
 
-def _two_sample_instance(n: int, ones: int) -> tuple[Sample, FiniteDistribution]:
-    """A held sample of ``ones`` copies of element 1 and n - ones zeros, and
-    the distribution that draws it or the all-zeros sample equally often.
+def _two_sample_instance(n: int, ones: int) -> tuple[Sample, FiniteDistribution, Query]:
+    """A held sample of ``ones`` copies of element 1 and n - ones zeros, the
+    distribution that draws it or the all-zeros sample equally often, and
+    the indicator query of element 1.
 
-    The indicator query of element 1 then has true mean ones/(2n) and
-    empirical mean ones/n on the held sample, an exact gap of ones/(2n).
-    The kinds' resolvers check that 1 <= ones <= n.
+    The indicator then has true mean ones/(2n) and empirical mean ones/n on
+    the held sample, an exact gap of ones/(2n). The kinds' resolvers check
+    that 1 <= ones <= n.
     """
     held = Sample((1,) * ones + (0,) * (n - ones))
-    return held, FiniteDistribution([Sample((0,) * n), held], np.array([0.5, 0.5]))
+    return held, FiniteDistribution([Sample((0,) * n), held], np.array([0.5, 0.5])), Query(0.0, {1: 1.0})
 
 
 def _check_ones(kind: str, n: int, ones: int, origin: str = "") -> None:
@@ -299,7 +301,7 @@ def _positive_trial(run: Run, master: int, trial: int) -> dict:
     }
 
 
-def _resolve_coupling(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution]]:
+def _resolve_coupling(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution, Query]]:
     k, bad_round, n = params["k"], params["bad_round"], params["n"]
     if not (0 <= bad_round < k):
         raise ValueError(f"coupling experiment needs 0 <= bad_round < k, got bad_round {bad_round} and k {k}")
@@ -310,9 +312,9 @@ def _resolve_coupling(params: dict) -> tuple[tuple[str, ...], tuple[Sample, Fini
 
 def _coupling_trial(run: Run, master: int, trial: int) -> dict:
     k, bad_round = run.params["k"], run.params["bad_round"]
-    held, dist = run.instance
+    held, dist, bad = run.instance
     # the schedule asks the good query in every round but bad_round
-    good, bad = Query(0.5), Query(0.0, {1: 1.0})
+    good = Query(0.5)
     is_bad = np.arange(k) == bad_round
     emp = np.where(is_bad, empirical_mean(bad, held), empirical_mean(good, held))
     tru = np.where(is_bad, true_mean(bad, dist), true_mean(good, dist))
@@ -468,7 +470,7 @@ def _summarize_coupling(records: list[dict], params: dict) -> dict:
 # --- one-shot kinds: resolvers and runners ---------------------------------------
 
 
-def _resolve_llr(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution]]:
+def _resolve_llr(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution, Query]]:
     derived = "ones" not in params
     params.setdefault("ones", round(2 * params["n"] * params["eps"]))
     params.setdefault("epsilon_switch", params["eps"])
@@ -477,10 +479,10 @@ def _resolve_llr(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDis
 
 
 def _run_llr(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
-    params, (held, dist) = run.params, run.instance
+    params, (held, dist, indicator) = run.params, run.instance
     k = params["k"]
     report = run_llr_experiment(
-        FixedQueryAnalyst([Query(0.0, {1: 1.0})] * k),
+        FixedQueryAnalyst([indicator] * k),
         held,
         dist,
         k,
@@ -495,7 +497,7 @@ def _run_llr(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
     return [record], dict(record)
 
 
-def _resolve_divergence(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution]]:
+def _resolve_divergence(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution, Query]]:
     names = (params["mech_a"], params["mech_b"])
     if "epsilon_switch" in params and "hybrid" not in names:
         raise ValueError("epsilon_switch applies only to the hybrid; neither mech_a nor mech_b is 'hybrid'")
@@ -504,11 +506,11 @@ def _resolve_divergence(params: dict) -> tuple[tuple[str, ...], tuple[Sample, Fi
 
 
 def _run_divergence(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
-    held, dist = run.instance
+    held, dist, indicator = run.instance
     mech_a, mech_b = (
         _mechanism(kind, run.noise, sample=held, distribution=dist, master=config.seed, trial=0) for kind in run.kinds
     )
-    report = divergence_diagnostics(mech_a, mech_b, Query(0.0, {1: 1.0}))
+    report = divergence_diagnostics(mech_a, mech_b, indicator)
     record = {"mech_a": run.params["mech_a"], "mech_b": run.params["mech_b"], **dataclasses.asdict(report)}
     return [record], dict(record)
 
@@ -732,7 +734,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     summary["trials"] = config.trials
     summary["seed"] = config.seed
     summary["params"] = run.params
-    return ExperimentResult(kind=config.kind, records=records, summary=summary)
+    return ExperimentResult(records=records, summary=summary)
 
 
 # --- output + assertions -----------------------------------------------------------
@@ -790,6 +792,24 @@ def write_outputs(result: ExperimentResult, out_prefix: str) -> dict[str, str]:
 _OPS = {"ge": operator.ge, "gt": operator.gt, "le": operator.le, "lt": operator.lt, "eq": operator.eq}
 
 
+def check_claim(claim) -> None:
+    """Raise a ValueError naming ``claim`` and its fault unless it is a dict of exactly
+    ``metric`` (a non-empty string), ``op`` (in ``_OPS``) and ``value`` (a finite real, not a bool)."""
+    if not isinstance(claim, dict) or set(claim) != {"metric", "op", "value"}:
+        fault = "needs exactly the keys metric, op, value"
+    elif not isinstance(claim["metric"], str) or not claim["metric"]:
+        fault = "metric must be a non-empty string"
+    elif not isinstance(claim["op"], str) or claim["op"] not in _OPS:
+        fault = f"unknown op {claim['op']!r}; ops are {', '.join(_OPS)}"
+    elif isinstance(claim["value"], bool) or not isinstance(claim["value"], numbers.Real):
+        fault = "value must be a real number"
+    elif not math.isfinite(claim["value"]):
+        fault = "value must be finite"
+    else:
+        return
+    raise ValueError(f"malformed assertion {claim!r}: {fault}")
+
+
 def _lookup_metric(summary: dict, metric: str):
     node = summary
     for part in metric.split("."):
@@ -800,20 +820,11 @@ def _lookup_metric(summary: dict, metric: str):
 
 
 def evaluate_assertions(summary: dict, assertions: list[dict]) -> list[str]:
-    """Check each {metric, op, value} claim; return failure descriptions."""
+    """Check each claim (a malformed one raises) against the summary; return failure descriptions."""
     failures = []
     for claim in assertions:
-        try:
-            metric, op_name, target = claim["metric"], claim["op"], claim["value"]
-        except (TypeError, KeyError):
-            failures.append(f"malformed assertion {claim!r}: needs metric, op, value")
-            continue
-        if isinstance(target, bool) or not isinstance(target, numbers.Real):
-            failures.append(f"malformed assertion {claim!r}: value must be a real number")
-            continue
-        if op_name not in _OPS:
-            failures.append(f"assertion on {metric!r}: unknown op {op_name!r}")
-            continue
+        check_claim(claim)
+        metric, op_name, target = claim["metric"], claim["op"], claim["value"]
         try:
             actual = _lookup_metric(summary, metric)
         except KeyError:
@@ -821,7 +832,6 @@ def evaluate_assertions(summary: dict, assertions: list[dict]) -> list[str]:
             continue
         if not isinstance(actual, numbers.Real):
             failures.append(f"assertion on {metric!r}: metric is not a number")
-            continue
-        if not _OPS[op_name](actual, target):
+        elif not _OPS[op_name](actual, target):
             failures.append(f"assertion failed: {metric} = {actual!r} not {op_name} {target!r}")
     return failures

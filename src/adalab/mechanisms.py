@@ -414,9 +414,9 @@ def switches(emp: float, tru: float, epsilon_switch: float) -> bool:
 def perturbed_mean(state: MechanismState, query: Query) -> tuple[float, bool]:
     """The mean ``state`` perturbs to answer ``query``, and whether that
     answer comes from the oracle side (``MechanismKind.sample_rounds``).
-    Reads no noise and changes no state.
-    """
-    emp = None if state.sample is None else empirical_mean(query, state.sample)
+    Reads no noise, changes no state, and skips a switched hybrid's unread
+    empirical mean."""
+    emp = None if state.sample is None or state.switched else empirical_mean(query, state.sample)
     tru = None if state.distribution is None else true_mean(query, state.distribution)
     if state.kind.sample_rounds(emp, tru, 1, state.switched):
         return emp, False

@@ -130,7 +130,7 @@ class TestInfoRounds:
         np.testing.assert_allclose(z, scale * (table - p), atol=1e-12)
         np.testing.assert_allclose(observed - p / 4, scale, atol=1e-12)
         assert state.scores == pytest.approx(z)
-        assert state.rounds_done == 1
+        assert len(state.rounds) == 1
 
     def test_scores_accumulate(self):
         inst = build_hard_instance(0.25, 0.01, 16)

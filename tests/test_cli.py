@@ -505,14 +505,14 @@ class TestCheckConcentration:
         assert report["hoeffding_gamma"] == pytest.approx(2 * 2.718281828459045**-2)
 
     def test_require_holds_failure_exits_two(self, capsys):
-        code, out, err = run(capsys, self.BUILT + ["--threshold", "0.005", "--require-holds"])
+        code, out, err = run(capsys, self.BUILT + ["--threshold", "0.005", "--assert", "holds:eq:1"])
         assert code == 2
         assert json.loads(out)["holds"] is False
-        assert "exceeds gamma" in err
+        assert err == "assertion failed: holds = False not eq 1.0\n"
 
     def test_require_holds_success_exits_zero(self, capsys):
         # README's command; its report is pinned byte for byte
-        code, out, _ = run(capsys, self.BUILT + ["--require-holds"])
+        code, out, _ = run(capsys, self.BUILT + ["--assert", "holds:eq:1"])
         assert code == 0
         assert out == (
             "{\n"
@@ -563,6 +563,13 @@ class TestCheckConcentration:
         assert code == 1 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("threshold", ["-1", "0", "nan"])
+    def test_threshold_must_be_positive(self, capsys, monkeypatch, threshold):
+        monkeypatch.setattr("adalab.cli.build_hard_instance", refuse_to_run)
+        code, out, err = run(capsys, self.BUILT + ["--threshold", threshold])
+        assert (code, out) == (1, "")
+        assert err == f"error: --threshold must be positive, got {float(threshold)}\n"
+
     def test_file_flags_must_pair(self, capsys, tmp_path):
         qpath = tmp_path / "q.json"
         qpath.write_text('{"default_value": 0.5, "overrides": []}')
@@ -580,3 +587,61 @@ class TestCheckConcentration:
             assert code == 1 and out == ""
             assert f"{flag} only builds the hard instance; do not pass it with --query-file" in err
         assert run(capsys, files)[0] == 0
+
+
+def minimal_argv(name):
+    """``name``'s command with its ``MINIMAL`` params as flags."""
+    kind = KINDS[name]
+    argv = [kind.command]
+    for param in kind.params:
+        if param.key in MINIMAL[name]:
+            value = MINIMAL[name][param.key]
+            argv += [param.flag, *map(str, value if param.nargs else [value])]
+    return argv
+
+
+def refuse_to_run(*args):
+    raise AssertionError("a malformed claim must stop the command before it runs")
+
+
+class TestClaims:
+    """Every command checks each claim with ``check_claim`` before it runs:
+    a malformed one exits 1 with nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv", [minimal_argv(name) for name in sorted(KINDS)] + [TestCheckConcentration.BUILT], ids=lambda a: a[0]
+    )
+    @pytest.mark.parametrize("claim", ["x:zz:1", "rows:ge:nan", "rows:ge:inf", ":ge:1"])
+    def test_malformed_flag_claim_is_a_usage_error(self, capsys, monkeypatch, argv, claim):
+        monkeypatch.setattr("adalab.cli.run_experiment", refuse_to_run)
+        monkeypatch.setattr("adalab.cli.build_hard_instance", refuse_to_run)
+        code, out, err = run(capsys, argv + ["--assert", claim])
+        assert (code, out) == (1, "")
+        assert "malformed assertion" in err
+        if claim == "x:zz:1":
+            assert "unknown op 'zz'" in err
+
+    @pytest.mark.parametrize(
+        "claim, message",
+        [
+            ({"metric": 5, "op": "ge", "value": 1}, "metric must be a non-empty string"),
+            ({"metric": "rows", "op": ["ge"], "value": 1}, "unknown op ['ge']"),
+            ({"metric": "rows", "op": "ge", "value": float("nan")}, "value must be finite"),
+            ({"metric": "rows", "op": "ge", "value": 1, "why": "x"}, "needs exactly the keys metric, op, value"),
+            ({"metric": "rows", "value": 1}, "needs exactly the keys metric, op, value"),
+        ],
+    )
+    def test_malformed_config_claim_stops_before_the_run(self, capsys, monkeypatch, tmp_path, claim, message):
+        monkeypatch.setattr("adalab.cli.run_experiment", refuse_to_run)
+        prefix = tmp_path / "run"
+        config = {"kind": "bounds_table", "params": MINIMAL["bounds_table"], "assertions": [claim], "out": str(prefix)}
+        code, out, err = run_config(capsys, tmp_path, config)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed assertion") and message in err
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("run*")) == []
+
+    def test_require_holds_is_gone(self, capsys):
+        code, out, err = run(capsys, TestCheckConcentration.BUILT + ["--require-holds"])
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --require-holds" in err

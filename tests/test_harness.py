@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from adalab.harness import (
     _positive_trial,
     _resolve_params,
     _two_sample_instance,
+    check_claim,
     derive_entropy,
     derive_rng,
     derive_seedseq,
@@ -81,7 +83,7 @@ class TestSeedDerivation:
     def test_mechanism_holds_what_its_kind_reads(self, kind):
         """Given all the data, ``_mechanism`` keeps the data ``kind.reads``
         names and holds exactly the trial streams it names."""
-        held, dist = _two_sample_instance(8, 4)
+        held, dist, _ = _two_sample_instance(8, 4)
         mech = _mechanism(kind, NoiseSpec(), sample=held, distribution=dist, master=3, trial=2)
         reads = set(kind.reads)
         assert mech.sample is (held if "sample" in reads else None)
@@ -373,7 +375,7 @@ def coupling_reference(params, master, trial):
     """``_coupling_trial`` one round at a time: the fixed good/bad schedule
     against the hybrid and the real mechanism."""
     k, bad_round = params["k"], params["bad_round"]
-    held, dist = _two_sample_instance(8, 8)
+    held, dist, _ = _two_sample_instance(8, 8)
     schedule = [Query(0.5)] * k
     schedule[bad_round] = Query(0.0, {1: 1.0})
     noise = NoiseSpec(grid_step=2.0**-10)
@@ -495,20 +497,47 @@ class TestAssertions:
         out = evaluate_assertions(
             summary,
             [
-                {"metric": "x"},
-                {"metric": "x", "op": "between", "value": 1},
                 {"metric": "y", "op": "ge", "value": 0},
-                "not a dict",
-                {"metric": "x", "op": "ge", "value": "0.9"},
-                {"metric": "x", "op": "ge", "value": True},
                 {"metric": "params", "op": "ge", "value": 1},
             ],
         )
-        assert len(out) == 7
-        assert "malformed" in out[0]
-        assert "unknown op" in out[1]
-        assert "not found" in out[2]
-        assert "malformed" in out[3]
-        assert out[4] == "malformed assertion {'metric': 'x', 'op': 'ge', 'value': '0.9'}: value must be a real number"
-        assert "malformed" in out[5]
-        assert out[6] == "assertion on 'params': metric is not a number"
+        assert len(out) == 2
+        assert "not found" in out[0]
+        assert out[1] == "assertion on 'params': metric is not a number"
+
+    @pytest.mark.parametrize(
+        "claim, message",
+        [
+            ({"metric": "x"}, "malformed"),
+            ({"metric": "x", "op": "between", "value": 1}, "unknown op"),
+            ("not a dict", "malformed"),
+            (
+                {"metric": "x", "op": "ge", "value": "0.9"},
+                "malformed assertion {'metric': 'x', 'op': 'ge', 'value': '0.9'}: value must be a real number",
+            ),
+            ({"metric": "x", "op": "ge", "value": True}, "malformed"),
+            ({"metric": 5, "op": "ge", "value": 1}, "metric must be a non-empty string"),
+            ({"metric": "", "op": "ge", "value": 1}, "metric must be a non-empty string"),
+            ({"metric": "x", "op": ["ge"], "value": 1}, "unknown op ['ge']"),
+            ({"metric": "x", "op": "ge", "value": float("nan")}, "value must be finite"),
+            ({"metric": "x", "op": "ge", "value": float("-inf")}, "value must be finite"),
+            ({"metric": "x", "op": "ge", "value": 1, "note": "extra"}, "needs exactly the keys metric, op, value"),
+        ],
+    )
+    def test_check_claim_rejects_malformed_claims(self, claim, message):
+        """Each malformed claim raises, naming the claim; ``evaluate_assertions``
+        raises on it too, rather than reporting a failed claim."""
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            check_claim(claim)
+        assert repr(claim) in str(info.value)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_assertions({"x": 1}, [claim])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(kind="attack", assertions=[claim])
+
+    def test_check_claim_accepts_well_formed_claims(self):
+        for claim in (
+            {"metric": "params.k", "op": "eq", "value": 178},
+            {"metric": "x", "op": "lt", "value": np.float64(-0.5)},
+        ):
+            check_claim(claim)

@@ -311,6 +311,31 @@ class TestAnswering:
         assert answer(mech, Query(0.0, {1: 1.0})) == 0.25
         assert mech.rounds_answered == 1
 
+    def test_switched_hybrid_takes_no_empirical_mean(self, monkeypatch):
+        """Once switched, a hybrid answers from the oracle side alone: it takes
+        no empirical mean, and its answers are the oracle's at the same rounds."""
+        held, dist = two_point_setup()
+        hybrid = MechanismState(
+            MechanismKind.hybrid(0.25),
+            COARSE,
+            sample=held,
+            distribution=dist,
+            real_rng=np.random.default_rng(1),
+            oracle_seed=7,
+        )
+        bad = Query(0.0, {1: 1.0})  # empirical mean 1, true mean 0.5
+        queries = [bad, Query(0.5), bad, Query(0.25, {0: 1.0})]
+        first = answer(hybrid, queries[0])
+        assert hybrid.switched
+        calls = []
+        monkeypatch.setattr(
+            "adalab.mechanisms.empirical_mean", lambda *args: calls.append(args) or empirical_mean(*args)
+        )
+        answers = [first] + [answer(hybrid, q) for q in queries[1:]]
+        assert calls == []
+        oracle = MechanismState(MechanismKind.oracle(), COARSE, distribution=dist, oracle_seed=7)
+        assert answers == [answer(oracle, q) for q in queries]
+
     def test_real_stream_is_sequential_and_reproducible(self):
         held, _ = two_point_setup()
         make = lambda: MechanismState(
