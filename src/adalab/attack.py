@@ -183,15 +183,6 @@ def info_query_means(
     return emp, np.array([probs @ row for row in support_means])  # true_mean's dot, row by row
 
 
-def _draw_info_query(
-    inst: HardInstance, rng_p: np.random.Generator, rng_table: np.random.Generator
-) -> tuple[float, np.ndarray, Query]:
-    """Draw one info query: its p, its 0/1 table and the query."""
-    p, tables = draw_info_tables(inst, rng_p, rng_table, 1)
-    table = tables[0].astype(np.float64)
-    return float(p[0]), table, make_info_query(table)
-
-
 def info_round(state: AttackState, inst: HardInstance, mech: MechanismState) -> AttackState:
     """One info round: random table on block one, then a score update.
 
@@ -199,7 +190,9 @@ def info_round(state: AttackState, inst: HardInstance, mech: MechanismState) -> 
     is 1/(6r) on the hidden slot and 0 elsewhere. With p = 0 the table is
     all zeros and every increment vanishes.
     """
-    p, table, query = _draw_info_query(inst, state.rng_p, state.rng_table)
+    ps, tables = draw_info_tables(inst, state.rng_p, state.rng_table, 1)
+    p, table = float(ps[0]), tables[0].astype(np.float64)
+    query = make_info_query(table)
     observed = answer(mech, query)
     increments = (observed - p / inst.num_blocks) * (table - p)
     state.scores += increments
@@ -325,12 +318,22 @@ def run_score_attack_arrays(
     )
 
 
+# InfoRoundAnalyst draws this many rounds' tables in one draw_info_tables call
+_INFO_BLOCK_ROUNDS = 16
+
+
 class InfoRoundAnalyst:
     """Analyst issuing only the attack's oblivious info queries.
 
     Never reads answers, so two instances built from identically seeded
     generators produce identical query sequences: the per-round
     counterpart of ``draw_info_tables``, for ``run_interaction``.
+
+    The analyst owns its two generators; nothing else may draw from them.
+    It draws ``_INFO_BLOCK_ROUNDS`` rounds' tables in one call whenever the
+    last block is used up, so it may have drawn up to 15 rounds ahead of the
+    query it returns. A Generator's draw of N values equals N single draws,
+    so the queries are the ones per-round draws give.
     """
 
     deterministic = False
@@ -341,9 +344,15 @@ class InfoRoundAnalyst:
         self.inst = inst
         self.rng_p = rng_p
         self.rng_table = rng_table
+        self._tables = iter(())
 
     def next_query(self, rounds) -> Query:
-        return _draw_info_query(self.inst, self.rng_p, self.rng_table)[2]
+        table = next(self._tables, None)
+        if table is None:
+            _, tables = draw_info_tables(self.inst, self.rng_p, self.rng_table, _INFO_BLOCK_ROUNDS)
+            self._tables = iter(tables)
+            table = next(self._tables)
+        return make_info_query(table)
 
 
 class FixedQueryAnalyst:
@@ -413,14 +422,15 @@ def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttac
     queries = [inst.query_for_block(block) for block in range(inst.num_candidates)]
     emp = np.array([empirical_mean(query, mech.sample) for query in queries])
     tru = np.array([true_mean(query, inst.distribution) for query in queries])
-    held = np.flatnonzero(emp == 1.0)
-    if held.size == 0:
+    # the blocks are disjoint, so at most one holds every element of the sample
+    held = int(emp.argmax())
+    if emp[held] != 1.0:
         raise ValueError("held sample matches no candidate block")
     mech_tru = None if mech.distribution is None else np.array([true_mean(q, mech.distribution) for q in queries])
     deviations = np.abs(answer_batch(mech, emp, mech_tru) - tru)
     return SimpleAttackResult(
         worst_deviation=float(deviations.max()),
-        breaking_query_index=int(held[-1]),
+        breaking_query_index=held,
         deviations=tuple(deviations.tolist()),
     )
 

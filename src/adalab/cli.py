@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check-concentration", help="deviation mass of a query against a threshold"
     )
     check.add_argument("--eps", type=float, help="hard-instance threshold (builds the instance)")
-    check.add_argument("--gamma", type=float, help="hard-instance failure chance")
+    check.add_argument("--gamma", type=float, help="holds when the deviation mass is at most gamma (optional with files)")
     check.add_argument("--n", type=int, help="sample size for the built instance")
     check.add_argument("--threshold", type=float, default=None, help="deviation threshold (default eps)")
     check.add_argument("--query-file", help="JSON query to check instead of the built one")
@@ -141,7 +141,6 @@ def _check_concentration(args: argparse.Namespace) -> dict:
         dist = distribution_from_dict(load_json(args.dist_file))
         if args.threshold is None:
             raise ValueError("--threshold is required with --query-file")
-        gamma = args.gamma if args.gamma is not None else 1.0
     else:
         for name in ("eps", "gamma", "n"):
             if getattr(args, name) is None:
@@ -149,11 +148,15 @@ def _check_concentration(args: argparse.Namespace) -> dict:
         inst = build_hard_instance(args.eps, args.gamma, args.n)
         query = Query.from_arrays(0.0, inst.slot_elements(0), np.ones(inst.num_blocks))
         dist = inst.distribution
-        gamma = args.gamma
+    gamma = args.gamma
     threshold = args.threshold if args.threshold is not None else args.eps
-    report = check_concentration_exact(query, dist, threshold, gamma)
-    lengths = {len(s) for s in dist.samples}
+    # with no gamma there is no mass to hold under: the report leaves out
+    # holds and gamma, and gives the deviations alone
+    report = check_concentration_exact(query, dist, threshold, 1.0 if gamma is None else gamma)
     out = {**dataclasses.asdict(report), "threshold": threshold, "gamma": gamma}
+    if gamma is None:
+        del out["holds"], out["gamma"]
+    lengths = {len(s) for s in dist.samples}
     if len(lengths) == 1:
         out["hoeffding_gamma"] = hoeffding_gamma(lengths.pop(), threshold)
     return out

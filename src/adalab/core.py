@@ -11,7 +11,10 @@ one lookup rule reads them: a binary search of the ids. The means of a
 query whose values are all 0 or 1 are integer counts read from those ids
 and the element -> row index, divided by the sample size; any other query,
 or a support whose rows share an element, looks up each sample's elements
-and averages them, one sample at a time.
+and averages them, one sample at a time. The counts are found by a binary
+search of the ids among the sorted distinct elements, except where those
+elements are exactly 0 .. size - 1 (a dense support, such as the hard
+instance's) and every id lies below size: then each id is its own position.
 """
 
 from __future__ import annotations
@@ -96,8 +99,9 @@ class Query:
         vals = np.asarray(vals, dtype=np.float64) + 0.0
         if ids.ndim != 1 or vals.shape != ids.shape:
             raise ValueError("override ids and values must be 1-D and of one length")
-        outside = ~((vals >= 0.0) & (vals <= 1.0))
-        if np.count_nonzero(outside):
+        lo, hi = (vals.min(), vals.max()) if vals.size else (default_value, default_value)
+        if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
+            outside = ~((vals >= 0.0) & (vals <= 1.0))
             raise ValueError(f"query values must lie in [0, 1], got {vals[outside][0]}")
         unordered = ids[1:] <= ids[:-1]
         if np.count_nonzero(unordered):
@@ -111,7 +115,12 @@ class Query:
         self.default_value = default_value
         self.ids = ids
         self.vals = vals
-        self.binary = default_value in (0.0, 1.0) and np.count_nonzero((vals == 0.0) | (vals == 1.0)) == vals.size
+        # equal bounds mean one value throughout; otherwise count the 0s and 1s
+        if lo == hi:
+            vals_binary = lo in (0.0, 1.0)
+        else:
+            vals_binary = bool(np.count_nonzero((vals == 0.0) | (vals == 1.0)) == vals.size)
+        self.binary = default_value in (0.0, 1.0) and vals_binary
 
     @functools.cached_property
     def overrides(self) -> Mapping[int, float]:
@@ -213,9 +222,13 @@ class FiniteDistribution:
 
 def _override_hits(query: Query, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where the query's override ids occur in ``elements`` (non-empty,
-    increasing, distinct), and those overrides' values."""
-    pos = np.minimum(np.searchsorted(elements, query.ids), elements.size - 1)
-    hit = elements[pos] == query.ids
+    increasing, distinct, non-negative), and those overrides' values."""
+    ids, size = query.ids, elements.size
+    if elements[-1] == size - 1 and (ids.size == 0 or ids[-1] < size):
+        # the elements are exactly 0 .. size - 1: each id is its own position
+        return ids, query.vals
+    pos = np.minimum(np.searchsorted(elements, ids), size - 1)
+    hit = elements[pos] == ids
     return pos[hit], query.vals[hit]
 
 

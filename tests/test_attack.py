@@ -236,6 +236,16 @@ class TestScoreAttack:
         for _ in range(5):
             assert a.next_query(()) == b.next_query(())
 
+    @pytest.mark.parametrize("k", [1, 15, 16, 17, 50])
+    def test_analyst_issues_the_drawn_tables_across_block_edges(self, k):
+        # the analyst draws its tables in blocks; its queries must be the
+        # ones one k-round draw gives, through the one table-to-query rule
+        inst = build_hard_instance(0.25, 0.01, 16)
+        analyst = InfoRoundAnalyst(inst, np.random.default_rng(4), np.random.default_rng(5))
+        _, tables = draw_info_tables(inst, np.random.default_rng(4), np.random.default_rng(5), k)
+        issued = [analyst.next_query(()) for _ in range(k)]
+        assert issued == [make_info_query(table) for table in tables]
+
 
 # (eps, gamma, n, k, noise, epsilon_switch or None for the real mechanism,
 # expected switching); the support-size-1, 2 and 3 instances and k = 1 pin

@@ -544,6 +544,28 @@ class TestCheckConcentration:
         assert report["deviation_mass"] == 0.0
         assert report["max_deviation"] == pytest.approx(0.5)
 
+    def test_files_without_gamma_make_no_holds_claim(self, capsys, tmp_path):
+        # every sample deviates by 0.5 >= the threshold, so the mass is 1.0;
+        # with no gamma there is nothing to hold it under
+        qpath, dpath = tmp_path / "q.json", tmp_path / "d.json"
+        qpath.write_text('{"default_value": 0.0, "overrides": [[1, 1.0]]}')
+        dpath.write_text(
+            '{"samples": [{"elements": [0, 0]}, {"elements": [1, 1]}], "probabilities": [0.5, 0.5]}'
+        )
+        argv = ["check-concentration", "--query-file", str(qpath), "--dist-file", str(dpath), "--threshold", "0.1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["deviation_mass"] == 1.0
+        assert "holds" not in report and "gamma" not in report
+        code, out, err = run(capsys, argv + ["--assert", "holds:eq:1"])
+        assert code == 2 and json.loads(out) == report
+        assert err == "assertion on 'holds': metric not found in summary\n"
+        code, out, err = run(capsys, argv + ["--gamma", "0.5", "--assert", "holds:eq:1"])
+        assert code == 2
+        assert json.loads(out) == {**report, "holds": False, "gamma": 0.5}
+        assert err == "assertion failed: holds = False not eq 1.0\n"
+
     @pytest.mark.parametrize(
         "overrides, samples, message",
         [

@@ -9,6 +9,7 @@ from adalab.core import (
     Query,
     Sample,
     Transcript,
+    _override_hits,
     distribution_from_dict,
     empirical_mean,
     empirical_means_over_support,
@@ -116,6 +117,41 @@ class TestQuery:
     def test_from_arrays_rejects_bad_overrides(self, ids, vals, message):
         with pytest.raises(ValueError, match=message):
             Query.from_arrays(0.0, np.array(ids), np.array(vals))
+
+    @pytest.mark.parametrize(
+        "vals, first",
+        [
+            ([0.5, np.nan, 1.5, -0.1], "nan"),
+            ([0.5, -0.1, np.nan, 1.5], "-0.1"),
+            ([1.0, 1.5, -0.1, np.nan], "1.5"),
+            ([np.nan, np.nan, 0.25, 0.25], "nan"),
+        ],
+    )
+    def test_range_error_names_the_first_offender(self, vals, first):
+        with pytest.raises(ValueError, match=rf"must lie in \[0, 1\], got {first}$"):
+            Query.from_arrays(0.0, np.arange(4), np.array(vals))
+
+    @pytest.mark.parametrize(
+        "default, vals, binary",
+        [
+            (0.0, [], True),
+            (1.0, [], True),
+            (0.5, [], False),
+            (0.0, [-0.0, -0.0], True),
+            (1.0, [0.0, 0.0, 0.0], True),
+            (0.0, [1.0, 1.0, 1.0], True),
+            (0.0, [1.0, 0.0, 1.0], True),
+            (1.0, [0.0, 0.5, 1.0], False),
+            (0.0, [0.5, 0.5], False),
+            (0.0, [0.5], False),
+            (0.5, [0.0, 1.0], False),
+            (0.5, [1.0, 1.0], False),
+        ],
+    )
+    def test_binary_reads_the_default_and_every_value(self, default, vals, binary):
+        query = Query.from_arrays(default, np.arange(len(vals)), np.array(vals))
+        assert query.binary == binary == all(v in (0.0, 1.0) for v in [default, *vals])
+        assert query.vals.tolist() == [v + 0.0 for v in vals]
 
     @pytest.mark.parametrize("default", [np.nan, 1.25, -0.5])
     def test_from_arrays_rejects_bad_default(self, default):
@@ -290,6 +326,53 @@ class TestFastMeans:
         state.scores[:] = np.arange(inst.support_size) % 17
         for query in [make_info_query(table) for table in tables] + [final_query(state, inst)]:
             assert_means_match_the_gather(query, inst.distribution)
+
+
+@st.composite
+def dense_supports(draw):
+    """Samples whose distinct elements are exactly 0 .. size - 1, each in
+    one row and repeated at random, with weights."""
+    size = draw(st.integers(1, 40))
+    row_of = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    repeats = draw(st.lists(st.integers(0, size - 1), max_size=12))
+    rows = {}
+    for e in [*range(size), *repeats]:
+        rows.setdefault(row_of[e], []).append(e)
+    weights = np.array(draw(st.lists(st.floats(0.125, 1.0), min_size=len(rows), max_size=len(rows))))
+    return list(rows.values()), weights / weights.sum()
+
+
+class TestDenseLookup:
+    """On a support whose elements are exactly 0 .. size - 1 a 0/1 query's
+    ids are their own positions; the means must equal, bit for bit, those
+    of the same support and query with every id moved up by one, which
+    take the binary search."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_direct_lookup_matches_the_search(self, data):
+        rows, probabilities = data.draw(dense_supports())
+        default = data.draw(ZERO_ONE)
+        query = data.draw(queries(default, ZERO_ONE))  # ids up to 45 reach past the support
+        shifted_query = Query.from_arrays(default, query.ids + 1, query.vals)
+        dist = FiniteDistribution([Sample(r) for r in rows], probabilities)
+        shifted = FiniteDistribution([Sample([e + 1 for e in r]) for r in rows], probabilities)
+        size = sum(len(set(r)) for r in rows)
+        elements = dist.element_rows[0]
+        assert query.binary and elements.tolist() == list(range(size))
+        if query.ids.size == 0 or query.ids[-1] < size:
+            assert _override_hits(query, elements)[0] is query.ids
+        else:
+            assert _override_hits(query, elements)[0] is not query.ids
+        assert _override_hits(shifted_query, shifted.element_rows[0])[0] is not shifted_query.ids
+        means = empirical_means_over_support(query, dist)
+        assert means.tobytes() == empirical_means_over_support(shifted_query, shifted).tobytes()
+        assert true_mean(query, dist).hex() == true_mean(shifted_query, shifted).hex()
+        # one sample holding every element is dense by itself
+        whole, whole_shifted = Sample(sum(rows, [])), Sample([e + 1 for r in rows for e in r])
+        for sample, moved in [*zip(dist.samples, shifted.samples), (whole, whole_shifted)]:
+            assert empirical_mean(query, sample).hex() == empirical_mean(shifted_query, moved).hex()
+        assert_means_match_the_gather(query, dist)
 
 
 class TestSerialization:
