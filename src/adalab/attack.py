@@ -171,7 +171,7 @@ def info_query_means(
     """
     if mech.distribution is not None and mech.distribution is not inst.distribution:
         raise ValueError("mechanism distribution must be the instance's own")
-    elements = mech.sample.as_array()
+    elements = mech.sample.elements
     # An info query is the table on block one and 0 elsewhere; its 0/1 sums
     # are exact, so dividing them by the sample size gives the means exactly.
     emp = tables[:, elements[elements < inst.support_size]].sum(axis=1) / len(elements)
@@ -220,11 +220,11 @@ class ScoreAttackResult:
 
 
 def _hidden_slot(inst: HardInstance, sample: Sample) -> int:
-    m = inst.support_size
-    slots = {e % m for e in sample.elements}
-    if len(slots) != 1 or max(sample.elements) >= inst.num_blocks * m:
+    elements, m = sample.elements, inst.support_size
+    slots = elements % m
+    if not elements.size or np.count_nonzero(slots != slots[0]) or elements.max() >= inst.num_blocks * m:
         raise ValueError("mechanism sample is not a hard-instance support sample")
-    return slots.pop()
+    return int(slots[0])
 
 
 def run_score_attack(
@@ -390,7 +390,7 @@ class BlockInstance:
     def query_for_block(self, block: int) -> Query:
         if not (0 <= block < self.num_candidates):
             raise ValueError(f"block {block} out of range")
-        return Query.from_arrays(0.0, self.distribution.samples[block].as_array(), np.ones(self.n))
+        return Query.from_arrays(0.0, self.distribution.samples[block].elements, np.ones(self.n))
 
 
 @functools.lru_cache(maxsize=1)

@@ -52,7 +52,14 @@ def composed_epsilon(k: int, eps: float, b: float, rho: float) -> float:
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
     ratio = eps / b
-    return math.sqrt(2.0 * k * math.log(1.0 / rho)) * ratio + k * ratio * math.expm1(ratio)
+    try:
+        growth = math.expm1(ratio)
+    except OverflowError:
+        growth = math.inf
+    bound = math.sqrt(2.0 * k * math.log(1.0 / rho)) * ratio + k * ratio * growth
+    if not math.isfinite(bound):
+        raise ValueError(f"composed bound overflows a float at eps/b = {ratio:g} (eps {eps}, b {b})")
+    return bound
 
 
 def noise_escape_mass(k: int, alpha: float, b: float) -> float:
@@ -184,8 +191,8 @@ def score_attack_rounds(eps: float, gamma: float, beta: float, constant: float) 
     """
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
-    if constant <= 0:
-        raise ValueError("constant must be positive")
+    if not 0.0 < constant < math.inf:
+        raise ValueError(f"constant must be positive and finite, got {constant}")
     r, population, _ = instance_shape(eps, gamma)
     return math.ceil(constant * r * r * math.log(population / (r * beta)))
 

@@ -2,9 +2,9 @@
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads and processes. Derived data is
-built on first use and kept: a sample's element array and element counts, a
-distribution's element -> row index and its last true mean (one entry, keyed
-by the query's value), and a query's override mapping and hash.
+built on first use and kept: a sample's element counts, a distribution's
+element -> row index and its last true mean (one entry, keyed by the
+query's value), and a query's override mapping and hash.
 
 A query stores its overrides as sorted int64 ids and float64 values, and
 one lookup rule reads them: a binary search of the ids. The means of a
@@ -30,15 +30,17 @@ import numpy as np
 PROB_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """Ordered tuple of domain elements; duplicates are expected.
+    """Ordered sequence of domain elements; duplicates are expected.
 
+    ``elements`` is kept as one read-only int64 array, whatever sequence of
+    ids it is given; equality and hashing read the array's contents.
     Elements are checked by the rule query override ids follow: integers,
     or floats with integral values, and never negative.
     """
 
-    elements: tuple[int, ...]
+    elements: np.ndarray
 
     def __post_init__(self) -> None:
         array = _element_ids(self.elements, "sample elements")
@@ -47,20 +49,23 @@ class Sample:
         if np.count_nonzero(array < 0):
             raise ValueError("sample elements must be non-negative ids")
         array.setflags(write=False)
-        object.__setattr__(self, "_array", array)
-        object.__setattr__(self, "elements", tuple(array.tolist()))
+        object.__setattr__(self, "elements", array)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.elements.size
 
-    def as_array(self) -> np.ndarray:
-        """The elements as a read-only int64 array."""
-        return self._array
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sample):
+            return NotImplemented
+        return np.array_equal(self.elements, other.elements)
+
+    def __hash__(self) -> int:
+        return hash(self.elements.tobytes())
 
     @functools.cached_property
     def element_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct elements in increasing order, and how often each occurs."""
-        return np.unique(self.as_array(), return_counts=True)
+        return np.unique(self.elements, return_counts=True)
 
 
 class Query:
@@ -187,7 +192,7 @@ class FiniteDistribution:
             raise ValueError("probabilities must be positive and finite")
         if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        if len({s.elements for s in samples}) != len(samples):
+        if len(set(samples)) != len(samples):
             raise ValueError("support entries must be distinct")
         self.samples = samples
         self.probabilities = probs
@@ -208,7 +213,7 @@ class FiniteDistribution:
         lengths = np.array([len(s) for s in self.samples])
         if not lengths.all():
             return None
-        elements = np.concatenate([s.as_array() for s in self.samples])
+        elements = np.concatenate([s.elements for s in self.samples])
         rows = np.repeat(np.arange(lengths.size), lengths)
         order = np.argsort(elements, kind="stable")
         elements, rows = elements[order], rows[order]
@@ -243,7 +248,7 @@ def empirical_mean(query: Query, sample: Sample) -> float:
     if n == 0:
         raise ValueError("degenerate sample: cannot average over zero elements")
     if not query.binary:
-        return float(query.values_at(sample.as_array()).mean())
+        return float(query.values_at(sample.elements).mean())
     elements, counts = sample.element_counts
     pos, vals = _override_hits(query, elements)
     default = query.default_value

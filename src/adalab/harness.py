@@ -273,6 +273,8 @@ def _resolve_positive(params: dict) -> tuple[tuple[str, ...], HardInstance]:
     eps = params["eps"]
     params.setdefault("noise_scale", accuracy_noise_scale(params["alpha"], eps))
     params.setdefault("epsilon_switch", eps)
+    if not 0.0 < params["beta"] < 1.0:
+        raise ValueError(f"positive_accuracy experiment needs 0 < beta < 1, got beta {params['beta']}")
     if "k" not in params:
         params["k"] = max_accurate_rounds(eps, params["gamma"], params["alpha"], params["beta"])
     if params["k"] < 0:

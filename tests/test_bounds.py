@@ -87,6 +87,10 @@ class TestComposedEpsilon:
             composed_epsilon(1, 0.01, 0.0, 0.5)
         with pytest.raises(ValueError, match="rho"):
             composed_epsilon(1, 0.01, 0.1, 1.0)
+        # e^(eps/b) overflows, and a finite e^(eps/b) whose bound overflows
+        for k, eps in [(4, 1e7), (100, 70.0)]:
+            with pytest.raises(ValueError, match="composed bound overflows a float at eps/b"):
+                composed_epsilon(k, eps, 0.1, 0.5)
 
 
 class TestNoiseEscapeMass:
@@ -180,8 +184,9 @@ class TestAttackRoundCounts:
     def test_score_rounds_validation(self):
         with pytest.raises(ValueError, match="beta"):
             score_attack_rounds(0.25, 0.01, 1.0, 1.0)
-        with pytest.raises(ValueError, match="constant"):
-            score_attack_rounds(0.25, 0.01, 0.1, 0.0)
+        for constant in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"constant must be positive and finite, got {constant}"):
+                score_attack_rounds(0.25, 0.01, 0.1, constant)
 
     def test_simple_rounds(self):
         assert simple_attack_rounds(1 / 3) == 3

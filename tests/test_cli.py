@@ -196,11 +196,29 @@ class TestExitCodes:
                 "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 5",
                 "divergence experiment needs 1 <= ones <= n, got ones 5 and n 4",
             ),
+            (
+                "attack --eps 0.25 --gamma 0.01 --n 16 --constant inf --trials 2",
+                "constant must be positive and finite, got inf",
+            ),
+            (
+                "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1 --constant inf --trials 1",
+                "constant must be positive and finite, got inf",
+            ),
+            (
+                "llr --eps 0.03125 --b 1e-9 --grid-step 0.125 --k 4 --rho 0.05 --n 64 --trials 10",
+                "composed bound overflows a float at eps/b = 3.125e+07",
+            ),
+            (
+                "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta nan --n 400 --k 3 --trials 2",
+                "positive_accuracy experiment needs 0 < beta < 1, got beta nan",
+            ),
         ],
     )
     def test_bad_round_counts_and_sizes_exit_one(self, capsys, argv, message):
-        code, out, err = run(capsys, argv.split() + ["--trials", "2"])
+        # two trials unless the case names its own count (one-shot kinds read one)
+        code, out, err = run(capsys, argv.split() + ([] if "--trials" in argv else ["--trials", "2"]))
         assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
 

@@ -1,0 +1,340 @@
+"""Every "one home" rule of the package (ROADMAP aim 2) is one row of
+``RULES``, and one AST walker checks them all.
+
+A row names the aim-2 "Done" entry it guards, the modules it scans, what it
+forbids there, and its homes: the functions where that is allowed, written
+``module.py::Class.method``, plus each function the scanned module names by
+a keyword in ``keyword_homes`` (every ``resolve=`` of ``harness.KINDS``). A
+row with ``within`` scans only those functions. A new rule is a new row, and
+a home or callee that no longer exists fails ``test_every_name_exists``.
+"""
+
+import ast
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "adalab"
+EVERY = tuple(sorted(path.name for path in SRC.glob("*.py")))
+
+
+@dataclass(frozen=True)
+class Rule:
+    done: str  # the aim-2 "Done" entry the rule guards
+    says: str
+    modules: tuple[str, ...]
+    calls: tuple[str, ...] = ()  # f(...) or x.f(...)
+    method_calls: tuple[str, ...] = ()  # x.f(...) only
+    calls_on: tuple[str, ...] = ()  # C.f(...) for a class C
+    writes: tuple[str, ...] = ()  # x.a = ..., x.a += ... and the like
+    loads: tuple[str, ...] = ()  # a read of a name or an attribute
+    literal_prefix: str | None = None  # a call given a string literal with this prefix
+    param_reads: bool = False  # int(...) or float(...) of a param, or params.get with a default
+    kind_literals: bool = False  # the kind name compared with a string literal
+    homes: tuple[str, ...] = ()
+    keyword_homes: tuple[str, ...] = ()
+    within: tuple[str, ...] = ()
+
+
+BUILDERS = (
+    "NoiseSpec", "MechanismKind", "HardInstance", "build_hard_instance", "BlockInstance", "build_block_instance",
+    "_two_sample_instance", "_noise_spec",
+)
+SWITCH, INFO = "hybrid switch and output grid", "info queries"
+
+RULES = (
+    Rule("param defaults", "harness reads params as resolved: no param cast, no defaulted params.get",
+         ("harness.py",), param_reads=True),
+    Rule("mechanism inputs", "only _mechanism builds a MechanismState or derives a mech_noise_* stream",
+         ("harness.py",), calls=("MechanismState",), literal_prefix="mech_noise_", homes=("harness.py::_mechanism",)),
+    Rule("run inputs", "a run's noise spec, mechanism kinds and instance are built when it resolves",
+         ("harness.py",), calls=BUILDERS, calls_on=("MechanismKind",), keyword_homes=("resolve",),
+         homes=("harness.py::_resolve_params", "harness.py::_two_sample_instance", "harness.py::_noise_spec")),
+    Rule("run inputs", "_resolve_params holds only shared steps: no kind name compared with a literal",
+         ("harness.py",), kind_literals=True, within=("harness.py::_resolve_params",)),
+    Rule(SWITCH, "only MechanismKind.sample_rounds calls switches",
+         EVERY, calls=("switches",), homes=("mechanisms.py::MechanismKind.sample_rounds",)),
+    Rule(SWITCH, "only MechanismState.__init__ and _advance set the switch flags and round count",
+         EVERY, writes=("switched", "switch_round", "rounds_answered"),
+         homes=("mechanisms.py::MechanismState.__init__", "mechanisms.py::MechanismState._advance")),
+    Rule(SWITCH, "bounds.py rounds onto the grid through mechanisms alone",
+         ("bounds.py",), loads=("rint", "clip", "clip_lo")),
+    Rule(INFO, "only draw_info_tables draws uniform doubles",
+         EVERY, method_calls=("random",), homes=("attack.py::draw_info_tables",)),
+    Rule(INFO, "only make_info_query turns a table into override ids",
+         ("attack.py",), calls=("nonzero", "flatnonzero"), homes=("attack.py::make_info_query",)),
+)
+
+
+# --- the walker -------------------------------------------------------------------
+
+
+def _name(node: ast.AST) -> str | None:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _functions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Module-level functions and class methods, by ``Class.method`` name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found[f"{node.name}.{item.name}"] = item
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found[node.name] = node
+    return found
+
+
+def _in(module: str, entries: tuple[str, ...]) -> set[str]:
+    """The names among ``module.py::name`` entries that live in ``module``."""
+    return {name for entry in entries for where, name in [entry.split("::")] if where == module}
+
+
+def _is_params(node: ast.AST) -> bool:
+    """``params``, or the ``params`` of a resolved run such as ``run.params``."""
+    return (isinstance(node, ast.Name) and node.id == "params") or (
+        isinstance(node, ast.Attribute) and node.attr == "params"
+    )
+
+
+def _reads_a_param(node: ast.AST) -> bool:
+    """``params[...]``, ``params.get(...)``, or either on ``<x>.params``."""
+    if isinstance(node, ast.Subscript):
+        return _is_params(node.value)
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and _is_params(node.func.value)
+
+
+def _compares_the_kind_to_a_literal(node: ast.Compare) -> bool:
+    """``kind == "llr"``, ``config.kind in ("attack", "positive_accuracy")`` and the like."""
+    operands = [node.left, *node.comparators]
+    literals = [item for o in operands for item in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
+    return any(_name(o) == "kind" for o in operands) and any(
+        isinstance(o, ast.Constant) and isinstance(o.value, str) for o in literals
+    )
+
+
+def _call_breaks(rule: Rule, node: ast.Call) -> bool:
+    func, args = node.func, [*node.args, *(kw.value for kw in node.keywords)]
+    method = isinstance(func, ast.Attribute)
+    strings = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    return (
+        _name(func) in rule.calls
+        or (method and (func.attr in rule.method_calls or _name(func.value) in rule.calls_on))
+        or (rule.literal_prefix is not None and any(s.startswith(rule.literal_prefix) for s in strings))
+        or (
+            rule.param_reads
+            and (
+                (isinstance(func, ast.Name) and func.id in ("int", "float") and any(map(_reads_a_param, node.args)))
+                or (method and _is_params(func.value) and func.attr == "get" and len(args) > 1)
+            )
+        )
+    )
+
+
+def _breaks_at(rule: Rule, node: ast.AST) -> list[ast.AST]:
+    """What breaks ``rule`` at ``node``: the node itself, or the attributes
+    an assignment writes."""
+    if isinstance(node, ast.Call):
+        return [node] if _call_breaks(rule, node) else []
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        leaves = [leaf for target in targets for leaf in ast.walk(target)]
+        return [leaf for leaf in leaves if isinstance(leaf, ast.Attribute) and leaf.attr in rule.writes]
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        return [node] if _name(node) in rule.loads else []
+    if isinstance(node, ast.Compare) and rule.kind_literals:
+        return [node] if _compares_the_kind_to_a_literal(node) else []
+    return []
+
+
+def breaks(source: str, module: str, rules) -> list[str]:
+    """Each break, by line, of the rules that scan ``module``, in ``source``."""
+    tree = ast.parse(source)
+    functions = _functions(tree)
+    found = []
+    for rule in (rule for rule in rules if module in rule.modules):
+        keywords = [kw for kw in ast.walk(tree) if isinstance(kw, ast.keyword) and kw.arg in rule.keyword_homes]
+        named = {_name(kw.value) for kw in keywords}
+        homes = [functions[name] for name in _in(module, rule.homes) | named if name in functions]
+        allowed = {id(node) for home in homes for node in ast.walk(home)}
+        scope = [functions[name] for name in _in(module, rule.within) if name in functions] if rule.within else [tree]
+        nodes = [node for root in scope for node in ast.walk(root) if id(node) not in allowed]
+        found += [hit for node in nodes for hit in _breaks_at(rule, node)]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+# --- the package ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule", RULES, ids=[rule.says for rule in RULES])
+def test_package_keeps_each_home(rule):
+    found = {module: breaks((SRC / module).read_text(encoding="utf-8"), module, [rule]) for module in rule.modules}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_every_name_exists():
+    """A rule whose module, home or forbidden callee names nothing guards nothing."""
+    trees = {module: ast.parse((SRC / module).read_text(encoding="utf-8")) for module in EVERY}
+    tops = [node for tree in trees.values() for node in tree.body]
+    defined = {node.name for node in tops if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    functions = {module: _functions(tree) for module, tree in trees.items()}
+    missing = [module for rule in RULES for module in rule.modules if module not in trees]
+    missing += [
+        entry
+        for rule in RULES
+        for entry in rule.homes + rule.within
+        if entry.split("::")[1] not in functions.get(entry.split("::")[0], {})
+    ]
+    callees = {name for rule in RULES for name in rule.calls + rule.calls_on}
+    missing += sorted(name for name in callees if name not in defined and not hasattr(np, name))
+    assert missing == []
+
+
+# --- the walker on sources with known breaks ----------------------------------------
+
+PARAM_SOURCE = (
+    "n = int(params['n'])\n"
+    "b = float(params.get('noise_scale'))\n"
+    "beta = params.get('beta', 0.1)\n"
+    "n = params.get('n', None)\n"
+    "ok = params['k'], params.get('constant'), int(config.trials), float(eps), other.get('x', 1)\n"
+    "k, beta = int(run.params['k']), run.params.get('beta', 0.1)\n"
+)
+MECHANISM_SOURCE = (
+    "def _mechanism(kind):\n"
+    "    return MechanismState(kind, real_rng=derive_rng(m, t, 'mech_noise_real'))\n"
+    "def _trial(kind):\n"
+    "    mech = MechanismState(kind, sample=s)\n"
+    "    seed = derive_entropy(m, t, stream='mech_noise_oracle')\n"
+    "    rng = derive_rng(m, t, 'attack_p')\n"
+    "    return mechanisms.MechanismState(kind)\n"
+)
+RESOLVE_BUILDS_SOURCE = (
+    "def _resolve_params(config):\n"
+    "    kinds = tuple(MechanismKind(name, None) for name in names)\n"
+    "    return Run(params, NoiseSpec(scale=0.1), kinds, _two_sample_instance(8, 8))\n"
+    "def _trial(run):\n"
+    "    noise = NoiseSpec(**fields)\n"
+    "    kind = mechanisms.MechanismKind.hybrid(0.25)\n"
+    "    inst = build_hard_instance(eps, gamma, n)\n"
+    "    blocks = attack.BlockInstance(gamma, n)\n"
+    "    held, dist = _two_sample_instance(n, ones)\n"
+    "    real = _mechanism_kind(params, 'real'), MechanismKind.real()\n"
+    "    return run.noise.variance(), NoiseSpec.family, _mechanism(run.kinds[0], run.noise)\n"
+)
+RESOLVE_HOMES_SOURCE = (
+    "def _noise_spec(params):\n"
+    "    return NoiseSpec(**params)\n"
+    "def _resolve_llr(params):\n"
+    "    return ('hybrid',), _two_sample_instance(8, 4), _noise_spec(params)\n"
+    "def _resolve_unlisted(params):\n"
+    "    return ('real',), build_block_instance(0.1, 30)\n"
+    "def _trial(run):\n"
+    "    return _noise_spec(run.params)\n"
+    "KINDS = {'llr': ExperimentKind('llr', (), resolve=_resolve_llr)}\n"
+)
+RESOLVE_BRANCHES_SOURCE = (
+    "def _resolve_params(config):\n"
+    "    kind = config.kind\n"
+    "    if kind == 'bounds_table':\n"
+    "        return Run(params, NoiseSpec(), (), None)\n"
+    "    if 'llr' != config.kind or kind in ('attack', 'positive_accuracy'):\n"
+    "        pass\n"
+    "    ok = kind == other, mode == 'negative', name == 'hybrid'\n"
+    "def _resolve_attack(params):\n"
+    "    if params['mechanism'] == 'real' and kind == 'attack':\n"
+    "        pass\n"
+)
+SWITCH_SOURCE = (
+    "class MechanismKind:\n"
+    "    def sample_rounds(self, emp, tru, rounds, switched=False):\n"
+    "        return 0 if switches(emp, tru, self.epsilon_switch) else rounds\n"
+    "class MechanismState:\n"
+    "    def __init__(self, kind):\n"
+    "        self.switched = False\n"
+    "        self.switch_round: int | None = None\n"
+    "        self.rounds_answered = 0\n"
+    "    def _advance(self, rounds, sample_rounds):\n"
+    "        self.switched, self.switch_round = True, 0\n"
+    "        self.rounds_answered += rounds\n"
+    "def answer(state, query):\n"
+    "    if state.switched or mechanisms.switches(emp, tru, eps):\n"
+    "        state.switched = True\n"
+    "    state.rounds_answered += 1\n"
+    "    switched = switched or trips\n"
+    "    record['switch_round'] = state.switch_round\n"
+    "def sample_rounds(emp, tru):\n"
+    "    return switches(emp, tru, 0.1)\n"
+)
+GRID_SOURCE = (
+    "clip_lo, grid_step = noise.clip_lo, noise.grid_step\n"
+    "np.clip(values, lo, hi, out=values)\n"
+    "index = np.rint(values).astype(np.intp)\n"
+    "value = values.clip(0, 1)\n"
+    "index = _grid_indices(noise, values) + grid_index(noise, 0.5)\n"
+)
+INFO_SOURCE = (
+    "def draw_info_tables(inst, rng_p, rng_table, rounds):\n"
+    "    p = rng_p.random(rounds)\n"
+    "    return p, rng_table.random((rounds, inst.support_size)) < p[:, None]\n"
+    "def make_info_query(table):\n"
+    "    slots = np.flatnonzero(table)\n"
+    "    return Query.from_arrays(0.0, slots, np.ones(slots.size))\n"
+    "class InfoRoundAnalyst:\n"
+    "    def next_query(self, rounds):\n"
+    "        table = self.rng_table.random(self.inst.support_size) < self.rng_p.random()\n"
+    "        return Query.from_arrays(0.0, table.nonzero()[0], np.ones(table.sum()))\n"
+    "def run_simple_attack(emp):\n"
+    "    held = np.count_nonzero(emp == 1.0) + random()\n"
+    "    return nonzero(emp)\n"
+)
+INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: self.rng_p.random()"]
+
+
+@pytest.mark.parametrize(
+    "done, module, source, expected",
+    [
+        pytest.param("param defaults", "harness.py", PARAM_SOURCE, [
+            "line 1: int(params['n'])", "line 2: float(params.get('noise_scale'))", "line 3: params.get('beta', 0.1)",
+            "line 4: params.get('n', None)", "line 6: int(run.params['k'])", "line 6: run.params.get('beta', 0.1)",
+        ], id="param casts and fallbacks"),
+        pytest.param("mechanism inputs", "harness.py", MECHANISM_SOURCE, [
+            "line 4: MechanismState(kind, sample=s)", "line 5: derive_entropy(m, t, stream='mech_noise_oracle')",
+            "line 7: mechanisms.MechanismState(kind)",
+        ], id="builds and streams outside the builder"),
+        pytest.param("run inputs", "harness.py", RESOLVE_BUILDS_SOURCE, [
+            "line 5: NoiseSpec(**fields)", "line 6: mechanisms.MechanismKind.hybrid(0.25)",
+            "line 7: build_hard_instance(eps, gamma, n)", "line 8: attack.BlockInstance(gamma, n)",
+            "line 9: _two_sample_instance(n, ones)", "line 10: MechanismKind.real()",
+        ], id="builds outside the resolver"),
+        pytest.param("run inputs", "harness.py", RESOLVE_HOMES_SOURCE, [
+            "line 6: build_block_instance(0.1, 30)", "line 8: _noise_spec(run.params)",
+        ], id="builds in the kinds' resolvers and the builders"),
+        pytest.param("run inputs", "harness.py", RESOLVE_BRANCHES_SOURCE, [
+            "line 3: kind == 'bounds_table'", "line 5: 'llr' != config.kind",
+            "line 5: kind in ('attack', 'positive_accuracy')",
+        ], id="kind branches in the resolver"),
+        pytest.param(SWITCH, "mechanisms.py", SWITCH_SOURCE, [
+            "line 13: mechanisms.switches(emp, tru, eps)", "line 14: state.switched", "line 15: state.rounds_answered",
+            "line 19: switches(emp, tru, 0.1)",
+        ], id="switch tests and flag writes outside their homes"),
+        pytest.param(SWITCH, "mechanisms.py", GRID_SOURCE, [], id="grid rounding outside bounds"),
+        pytest.param(SWITCH, "bounds.py", GRID_SOURCE, [
+            "line 1: noise.clip_lo", "line 2: np.clip", "line 3: np.rint", "line 4: values.clip",
+        ], id="grid rounding in bounds"),
+        pytest.param(INFO, "attack.py", INFO_SOURCE, [
+            *INFO_DRAWS, "line 10: table.nonzero()", "line 13: nonzero(emp)",
+        ], id="draws and table reads in attack"),
+        # outside attack.py every .random( call breaks the rule, and the
+        # table-to-query names are free
+        pytest.param(INFO, "mechanisms.py", INFO_SOURCE, [
+            "line 2: rng_p.random(rounds)", "line 3: rng_table.random((rounds, inst.support_size))", *INFO_DRAWS,
+        ], id="draws outside attack"),
+    ],
+)
+def test_walker_finds_each_break(done, module, source, expected):
+    assert breaks(source, module, [rule for rule in RULES if rule.done == done]) == expected
