@@ -140,7 +140,7 @@ def new_attack_state(
 
 def make_info_query(table: np.ndarray) -> Query:
     """Query holding a 0/1 table on the first block and 0 elsewhere."""
-    slots = np.flatnonzero(table)
+    slots = table.nonzero()[0]
     return Query.from_arrays(0.0, slots, np.ones(slots.size))
 
 
@@ -382,6 +382,11 @@ class BlockInstance:
         if n < 1:
             raise ValueError("sample size must be at least 1")
         r = max(1, _ceil(1.0 / gamma))
+        if r * n > _SUPPORT_ELEMENT_LIMIT:
+            raise ValueError(
+                f"block instance of gamma {gamma} and n {n} holds {r} * {n} elements, "
+                f"above the limit of {_SUPPORT_ELEMENT_LIMIT}"
+            )
         self.n = int(n)
         self.num_candidates = r
         samples = [Sample(np.arange(i * n, (i + 1) * n, dtype=np.int64)) for i in range(r)]

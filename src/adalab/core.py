@@ -4,12 +4,16 @@ All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads and processes. Derived data is
 built on first use and kept: a sample's element counts, a distribution's
 element -> row index and its last true mean (one entry, keyed by the
-query's value), and a query's override mapping and hash.
+query's value), and a query's override mapping and hash. The hash, read on
+every true mean, is a plain attribute rather than a ``cached_property``,
+whose every miss takes a lock under Python 3.11.
 
 A query stores its overrides as sorted int64 ids and float64 values, and
 one lookup rule reads them: a binary search of the ids. The means of a
 query whose values are all 0 or 1 are integer counts read from those ids
-and the element -> row index, divided by the sample size; any other query,
+and the element -> row index, divided by the sample size. The counts and
+row lengths are kept as float64: integers below 2**53 are exact there, so
+every product and sum keeps the bits integer counts give. Any other query,
 or a support whose rows share an element, looks up each sample's elements
 and averages them, one sample at a time. The counts are found by a binary
 search of the ids among the sorted distinct elements, except where those
@@ -64,8 +68,10 @@ class Sample:
 
     @functools.cached_property
     def element_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct elements in increasing order, and how often each occurs."""
-        return np.unique(self.elements, return_counts=True)
+        """The distinct elements in increasing order, and how often each
+        occurs, as float64 (exact below 2**53)."""
+        elements, counts = np.unique(self.elements, return_counts=True)
+        return elements, counts.astype(np.float64)
 
 
 class Query:
@@ -80,7 +86,8 @@ class Query:
     sorts a mapping into them; ``Query.from_arrays`` takes them as they are.
     Both check them the same way. ``binary`` says whether the default and
     every override value are 0 or 1. Built on first use and kept: the
-    ``overrides`` mapping and the hash.
+    ``overrides`` mapping, and the hash in the plain attribute ``_hash``,
+    which ``_store`` sets to None.
     """
 
     def __init__(self, default_value: float = 0.0, overrides: Mapping[int, float] | None = None):
@@ -104,7 +111,7 @@ class Query:
         vals = np.asarray(vals, dtype=np.float64) + 0.0
         if ids.ndim != 1 or vals.shape != ids.shape:
             raise ValueError("override ids and values must be 1-D and of one length")
-        lo, hi = (vals.min(), vals.max()) if vals.size else (default_value, default_value)
+        lo, hi = (np.minimum.reduce(vals), np.maximum.reduce(vals)) if vals.size else (default_value, default_value)
         if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
             outside = ~((vals >= 0.0) & (vals <= 1.0))
             raise ValueError(f"query values must lie in [0, 1], got {vals[outside][0]}")
@@ -120,6 +127,7 @@ class Query:
         self.default_value = default_value
         self.ids = ids
         self.vals = vals
+        self._hash = None
         # equal bounds mean one value throughout; otherwise count the 0s and 1s
         if lo == hi:
             vals_binary = lo in (0.0, 1.0)
@@ -158,11 +166,9 @@ class Query:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.default_value, self.ids.tobytes(), self.vals.tobytes()))
         return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.default_value, self.ids.tobytes(), self.vals.tobytes()))
 
     def __repr__(self) -> str:
         return f"Query(default_value={self.default_value!r}, overrides={self.ids.size} entries)"
@@ -208,8 +214,9 @@ class FiniteDistribution:
     def element_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
         """(elements, rows, counts, lengths): every element of the support in
         increasing order, the one support row holding it and its count there,
-        and each row's length. None when an element lies in more than one row
-        or a row is empty."""
+        and each row's length, counts and lengths as float64 (exact below
+        2**53). None when an element lies in more than one row or a row is
+        empty."""
         lengths = np.array([len(s) for s in self.samples])
         if not lengths.all():
             return None
@@ -222,7 +229,7 @@ class FiniteDistribution:
             return None
         starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
         counts = np.diff(np.append(starts, elements.size))
-        return elements[starts], rows[starts], counts, lengths
+        return elements[starts], rows[starts], counts.astype(np.float64), lengths.astype(np.float64)
 
 
 def _override_hits(query: Query, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +239,7 @@ def _override_hits(query: Query, elements: np.ndarray) -> tuple[np.ndarray, np.n
     if elements[-1] == size - 1 and (ids.size == 0 or ids[-1] < size):
         # the elements are exactly 0 .. size - 1: each id is its own position
         return ids, query.vals
-    pos = np.minimum(np.searchsorted(elements, ids), size - 1)
+    pos = np.minimum(elements.searchsorted(ids), size - 1)
     hit = elements[pos] == ids
     return pos[hit], query.vals[hit]
 
@@ -252,7 +259,7 @@ def empirical_mean(query: Query, sample: Sample) -> float:
     elements, counts = sample.element_counts
     pos, vals = _override_hits(query, elements)
     default = query.default_value
-    return float((default * n + ((vals - default) * counts[pos]).sum()) / n)
+    return float((default * n + np.add.reduce((vals - default) * counts[pos])) / n)
 
 
 def empirical_means_over_support(query: Query, dist: FiniteDistribution) -> np.ndarray:

@@ -30,6 +30,7 @@ from functools import partial
 import numpy as np
 
 from .attack import (
+    _SUPPORT_ELEMENT_LIMIT,
     BlockInstance,
     FixedQueryAnalyst,
     HardInstance,
@@ -212,13 +213,18 @@ def _resolve_attack(params: dict) -> tuple[tuple[str, ...], HardInstance]:
         raise ValueError("epsilon_switch applies only to the hybrid; attack mechanism is 'real'")
     if "constant" in params and "k" in params:
         raise ValueError(f"constant applies only when k is derived; attack k is given as {params['k']}")
+    r, _, m = instance_shape(params["eps"], params["gamma"])
     if "constant" not in params:
-        r, _, _ = instance_shape(params["eps"], params["gamma"])
         params["constant"] = calibrated_attack_constant(r, _noise_spec(params).variance())
     if "k" not in params:
         params["k"] = score_attack_rounds(params["eps"], params["gamma"], params["beta"], params["constant"])
     if params["k"] < 1:
         raise ValueError(f"attack experiment needs k >= 1 info rounds, got k {params['k']}")
+    if params["k"] * m > _SUPPORT_ELEMENT_LIMIT:
+        raise ValueError(
+            f"attack experiment's info tables hold k * m = {params['k']} * {m} elements (m from eps "
+            f"{params['eps']} and gamma {params['gamma']}), above the limit of {_SUPPORT_ELEMENT_LIMIT}"
+        )
     return (params["mechanism"],), HardInstance(params["eps"], params["gamma"], params["n"])
 
 

@@ -22,7 +22,10 @@ The oracle's draw for round r is numpy's
 bit for bit. adalab computes that chain (SeedSequence's mixing, PCG64's
 seeding and XSL-RR output, ``random_laplace``) with Python ints, so a round
 builds no numpy objects; the run entropy is mixed once per mechanism, on its
-first oracle draw. tests/test_mechanisms.py compares it with numpy over
+first oracle draw. A round index of one 32-bit word (every index below
+2**32) is mixed in, and generate_state's eight words are formed, by steps
+unrolled into local variables; a longer key goes through ``_mix_in``.
+tests/test_mechanisms.py compares it with numpy over
 seeds, scales and rounds, since numpy keeps bit-generator streams stable
 across versions (NEP 19) but not its distribution methods.
 """
@@ -212,8 +215,9 @@ class MechanismKind:
         if self.name not in _READS:
             raise ValueError(f"unknown mechanism kind {self.name!r}; expected real, oracle, or hybrid")
         if self.name == "hybrid":
-            if self.epsilon_switch is None or not (self.epsilon_switch > 0):
-                raise ValueError("hybrid needs epsilon_switch > 0")
+            # an infinite threshold never switches: the real mechanism under another name
+            if self.epsilon_switch is None or not (0 < self.epsilon_switch < math.inf):
+                raise ValueError(f"hybrid needs epsilon_switch > 0 and finite, got {self.epsilon_switch}")
         elif self.epsilon_switch is not None:
             raise ValueError(f"{self.name} mechanism takes no epsilon_switch")
 
@@ -345,11 +349,6 @@ def _hashmix(value: int, const: int) -> tuple[int, int]:
     return value ^ value >> 16, const
 
 
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
 def _mix_in(pool: list[int], const: int, words: list[int]) -> tuple[list[int], int]:
     """SeedSequence's four-word pool and hash constant after mixing in entropy
     words that come after the first four."""
@@ -357,7 +356,8 @@ def _mix_in(pool: list[int], const: int, words: list[int]) -> tuple[list[int], i
     for word in words:
         for dst in range(4):
             value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
+            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _MASK32
+            pool[dst] = mixed ^ mixed >> 16
     return pool, const
 
 
@@ -375,22 +375,50 @@ def _entropy_pool(entropy: int) -> tuple[list[int], int]:
         for dst in range(4):
             if src != dst:
                 value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
+                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
     return _mix_in(pool, const, words[4:])
 
 
 def _keyed_laplace(entropy_pool: tuple[list[int], int], key: int, scale: float) -> float:
     """``float(default_rng(SeedSequence(entropy, spawn_key=(key,))).laplace(0.0, scale))``,
     given ``_entropy_pool(entropy)``."""
-    pool, _ = _mix_in(*entropy_pool, _uint32_words(key))
-    # generate_state(4, np.uint64): eight 32-bit words, each uint64 low word first
-    words = []
-    for i, word in enumerate(pool + pool):
-        value = (word ^ _STATE_HASH[i]) * _STATE_HASH[i + 1] & _MASK32
-        words.append(value ^ value >> 16)
+    pool, const = entropy_pool
+    if key > _MASK32:
+        p0, p1, p2, p3 = _mix_in(pool, const, _uint32_words(key))[0]
+    else:
+        # _mix_in(pool, const, [key]): four _hashmix steps, each mixed into one pool word
+        p0, p1, p2, p3 = pool
+        c1 = const * _MULT_A & _MASK32
+        c2 = c1 * _MULT_A & _MASK32
+        c3 = c2 * _MULT_A & _MASK32
+        c4 = c3 * _MULT_A & _MASK32
+        v = (key ^ const) * c1 & _MASK32
+        v = (_MIX_MULT_L * p0 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+        p0 = v ^ v >> 16
+        v = (key ^ c1) * c2 & _MASK32
+        v = (_MIX_MULT_L * p1 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+        p1 = v ^ v >> 16
+        v = (key ^ c2) * c3 & _MASK32
+        v = (_MIX_MULT_L * p2 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+        p2 = v ^ v >> 16
+        v = (key ^ c3) * c4 & _MASK32
+        v = (_MIX_MULT_L * p3 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+        p3 = v ^ v >> 16
+    # generate_state(4, np.uint64): eight 32-bit words from the pool read twice,
+    # each uint64 low word first
+    h0, h1, h2, h3, h4, h5, h6, h7, h8 = _STATE_HASH
+    w0 = (p0 ^ h0) * h1 & _MASK32
+    w1 = (p1 ^ h1) * h2 & _MASK32
+    w2 = (p2 ^ h2) * h3 & _MASK32
+    w3 = (p3 ^ h3) * h4 & _MASK32
+    w4 = (p0 ^ h4) * h5 & _MASK32
+    w5 = (p1 ^ h5) * h6 & _MASK32
+    w6 = (p2 ^ h6) * h7 & _MASK32
+    w7 = (p3 ^ h7) * h8 & _MASK32
     # PCG64 seeding: uint64s 0-1 are the 128-bit seed and 2-3 the stream, high half first
-    seed = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
-    inc = (words[5] << 97 | words[4] << 65 | words[7] << 33 | words[6] << 1 | 1) & _MASK128
+    seed = (w1 ^ w1 >> 16) << 96 | (w0 ^ w0 >> 16) << 64 | (w3 ^ w3 >> 16) << 32 | w2 ^ w2 >> 16
+    inc = ((w5 ^ w5 >> 16) << 97 | (w4 ^ w4 >> 16) << 65 | (w7 ^ w7 >> 16) << 33 | (w6 ^ w6 >> 16) << 1 | 1) & _MASK128
     state = ((inc + seed) * _PCG_MULT + inc) & _MASK128
     while True:  # random_laplace draws again on u == 0
         state = (state * _PCG_MULT + inc) & _MASK128

@@ -212,6 +212,28 @@ class TestExitCodes:
                 "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta nan --n 400 --k 3 --trials 2",
                 "positive_accuracy experiment needs 0 < beta < 1, got beta nan",
             ),
+            (
+                "attack --eps 0.25 --gamma 1e-9 --n 16 --k 5",
+                "attack experiment's info tables hold k * m = 5 * 1000000000 elements (m from eps 0.25 and "
+                "gamma 1e-09), above the limit of 20000000",
+            ),
+            (
+                "simple-attack --gamma 1e-9 --n 16",
+                "block instance of gamma 1e-09 and n 16 holds 1000000000 * 16 elements, above the limit of 20000000",
+            ),
+            # a hybrid that never switches is the real mechanism, and each claim holds vacuously
+            (
+                "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta 0.9 --n 400 --epsilon-switch inf",
+                "hybrid needs epsilon_switch > 0 and finite, got inf",
+            ),
+            (
+                "coupling --k 5 --bad-round 2 --n 20 --epsilon-switch inf",
+                "hybrid needs epsilon_switch > 0 and finite, got inf",
+            ),
+            (
+                "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 20 --rho 0.05 --n 64 --epsilon-switch inf",
+                "hybrid needs epsilon_switch > 0 and finite, got inf",
+            ),
         ],
     )
     def test_bad_round_counts_and_sizes_exit_one(self, capsys, argv, message):

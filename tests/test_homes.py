@@ -42,7 +42,7 @@ BUILDERS = (
     "NoiseSpec", "MechanismKind", "HardInstance", "build_hard_instance", "BlockInstance", "build_block_instance",
     "_two_sample_instance", "_noise_spec",
 )
-SWITCH, INFO = "hybrid switch and output grid", "info queries"
+SWITCH, INFO, KEYED = "hybrid switch and output grid", "info queries", "keyed oracle draw"
 
 RULES = (
     Rule("param defaults", "harness reads params as resolved: no param cast, no defaulted params.get",
@@ -65,6 +65,9 @@ RULES = (
          EVERY, method_calls=("random",), homes=("attack.py::draw_info_tables",)),
     Rule(INFO, "only make_info_query turns a table into override ids",
          ("attack.py",), calls=("nonzero", "flatnonzero"), homes=("attack.py::make_info_query",)),
+    Rule(KEYED, "only _entropy_pool, _mix_in and _keyed_laplace read the keyed chain's constants",
+         EVERY, loads=("_STATE_HASH", "_PCG_MULT", "_MIX_MULT_L", "_MIX_MULT_R"),
+         homes=("mechanisms.py::_entropy_pool", "mechanisms.py::_mix_in", "mechanisms.py::_keyed_laplace")),
 )
 
 
@@ -292,6 +295,17 @@ INFO_SOURCE = (
     "    held = np.count_nonzero(emp == 1.0) + random()\n"
     "    return nonzero(emp)\n"
 )
+KEYED_SOURCE = (
+    "_PCG_MULT = 3\n"
+    "def _mix_in(pool, const, words):\n"
+    "    return (_MIX_MULT_L * pool[0] - _MIX_MULT_R * words[0]) & _MASK32\n"
+    "def _keyed_laplace(entropy_pool, key, scale):\n"
+    "    return _STATE_HASH[0] * _PCG_MULT\n"
+    "def _mix(x, y):\n"
+    "    return (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32\n"
+    "def _oracle_noise(self, round_index):\n"
+    "    return mechanisms._PCG_MULT * round_index, _STATE_HASH\n"
+)
 INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: self.rng_p.random()"]
 
 
@@ -334,6 +348,9 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
         pytest.param(INFO, "mechanisms.py", INFO_SOURCE, [
             "line 2: rng_p.random(rounds)", "line 3: rng_table.random((rounds, inst.support_size))", *INFO_DRAWS,
         ], id="draws outside attack"),
+        pytest.param(KEYED, "mechanisms.py", KEYED_SOURCE, [
+            "line 7: _MIX_MULT_L", "line 7: _MIX_MULT_R", "line 9: mechanisms._PCG_MULT", "line 9: _STATE_HASH",
+        ], id="keyed chain constants outside their homes"),
     ],
 )
 def test_walker_finds_each_break(done, module, source, expected):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -9,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adalab
+from adalab.attack import InfoRoundAnalyst, build_hard_instance
 from adalab.bounds import accuracy_noise_scale
 from adalab.core import FiniteDistribution, Query, Sample, empirical_mean, true_mean
-from adalab.harness import derive_entropy
+from adalab.harness import derive_entropy, derive_rng
 from adalab.mechanisms import (
     MechanismKind,
     MechanismState,
@@ -230,6 +232,10 @@ class TestMechanismKind:
     def test_hybrid_requires_positive_switch(self):
         with pytest.raises(ValueError):
             MechanismKind.hybrid(0.0)
+        for threshold in (math.inf, math.nan):
+            # a hybrid that never switches is the real mechanism
+            with pytest.raises(ValueError, match=f"epsilon_switch > 0 and finite, got {threshold}"):
+                MechanismKind.hybrid(threshold)
         with pytest.raises(ValueError):
             MechanismKind("real", epsilon_switch=0.1)
         with pytest.raises(ValueError):
@@ -560,6 +566,32 @@ class TestOracleStream:
         _, dist = two_point_setup()
         make = lambda seed: MechanismState(MechanismKind.oracle(), COARSE, distribution=dist, oracle_seed=seed)
         assert make(np.uint64(2**64 - 1))._oracle_noise(3) == make(2**64 - 1)._oracle_noise(3)
+
+
+def test_oracle_loop_keeps_its_bits():
+    """Acceptance test_09's adaptive loop (seed 9), 20 trials of 50 rounds
+    without its early stop: a digest of every round's answer, true mean and
+    empirical mean, each as ``float.hex``. A change to the query build, the
+    means or the keyed noise that moves one bit fails here, not only through
+    test_09's statistical floor."""
+    inst = build_hard_instance(0.01, 0.01, 100)
+    dist = inst.distribution
+    noise = NoiseSpec(scale=accuracy_noise_scale(0.3, 0.01))
+    digest = hashlib.sha256()
+    for trial in range(20):
+        sample = inst.make_sample(int(derive_rng(9, trial, "sample_draw").integers(inst.support_size)))
+        mech = MechanismState(
+            MechanismKind.oracle(), noise, distribution=dist, oracle_seed=derive_entropy(9, trial, "mech_noise_oracle")
+        )
+        analyst = InfoRoundAnalyst(inst, derive_rng(9, trial, "attack_p"), derive_rng(9, trial, "attack_bernoulli"))
+        rounds = []
+        for _ in range(50):
+            query = analyst.next_query(tuple(rounds))
+            observed = answer(mech, query)
+            rounds.append((query, observed))
+            for value in (observed, true_mean(query, dist), empirical_mean(query, sample)):
+                digest.update(value.hex().encode())
+    assert digest.hexdigest() == "ba6c8592257e2e4a9b5e6c4527f9b87388fdd373b01556d9e1e1e869a5cc7e7e"
 
 
 class FixedAnalyst:
