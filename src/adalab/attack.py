@@ -43,6 +43,9 @@ from .mechanisms import MechanismState, answer, answer_batch
 # needs k >= 72*Var*r^2*ln(support/(blocks*beta)).
 _NOISELESS_GAP_VARIANCE = 13.0 / 180.0
 _SUPPORT_ELEMENT_LIMIT = 20_000_000
+# run_simple_attack's true means sweep every block once per block, so a trial
+# costs blocks**2: about 0.8 s at this limit on a 2-vCPU x86-64 VM
+_BLOCK_LIMIT = 10_000
 
 
 def _ceil(x: float) -> int:
@@ -386,6 +389,11 @@ class BlockInstance:
             raise ValueError(
                 f"block instance of gamma {gamma} and n {n} holds {r} * {n} elements, "
                 f"above the limit of {_SUPPORT_ELEMENT_LIMIT}"
+            )
+        if r > _BLOCK_LIMIT:
+            raise ValueError(
+                f"block instance of gamma {gamma} holds {r} blocks, above the limit of {_BLOCK_LIMIT}: "
+                "the simple attack's cost grows as the square of the block count"
             )
         self.n = int(n)
         self.num_candidates = r

@@ -3,7 +3,12 @@
 Every random choice in an experiment draws from a stream derived as
 SeedSequence(master, spawn_key=(trial, stream_index)), so trials are
 independent, re-runnable in any order, and stable under parallel
-execution. Experiments are described by a flat JSON config, run to a list
+execution. No SeedSequence is built: the state words of every stream of 64
+consecutive trials are computed at once with array arithmetic
+(``mechanisms._spawned_state_words``) and the latest such table is cached,
+so a trial's streams cost a table lookup and a PCG64 seeding each;
+tests/test_harness.py::TestStreams checks them against numpy bit for bit.
+Experiments are described by a flat JSON config, run to a list
 of per-trial records plus a summary, and written as JSONL (one record per
 line), CSV (same records, flat columns), and a summary JSON. ``KINDS``
 declares each experiment kind once: its CLI command, its params, its
@@ -25,7 +30,7 @@ import operator
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -53,7 +58,7 @@ from .bounds import (
     simple_attack_rounds,
 )
 from .core import FiniteDistribution, Query, Sample, empirical_mean, true_mean
-from .mechanisms import MechanismKind, MechanismState, NoiseSpec, answer_batch
+from .mechanisms import MechanismKind, MechanismState, NoiseSpec, _spawned_state_words, answer_batch
 
 STREAMS = (
     "sample_draw",
@@ -64,23 +69,52 @@ STREAMS = (
 )
 
 
-def derive_seedseq(master: int, trial: int, stream: str) -> np.random.SeedSequence:
-    """Seed for one named stream of one trial under one master seed."""
+# trials per cached table of stream words; a multiple of 64 never crosses a
+# multiple of 2**32, so the trials of one table share their 32-bit word count
+_BLOCK_TRIALS = 64
+
+
+@lru_cache(maxsize=1)
+def _stream_block(master: int, block: int) -> np.ndarray:
+    """The state words of every stream of trials ``block * 64`` to ``block * 64 + 63``."""
+    return _spawned_state_words(master, block * _BLOCK_TRIALS, _BLOCK_TRIALS, len(STREAMS))
+
+
+def _stream_words(master: int, trial: int, stream: str) -> np.ndarray:
+    """``SeedSequence(master, spawn_key=(trial, stream_index)).generate_state(4, np.uint64)``."""
     try:
         index = STREAMS.index(stream)
     except ValueError:
         raise ValueError(f"unknown stream {stream!r}; expected one of {STREAMS}") from None
-    return np.random.SeedSequence(entropy=master, spawn_key=(trial, index))
+    master, trial = operator.index(master), operator.index(trial)
+    if master < 0 or trial < 0:
+        raise ValueError("expected non-negative integer")
+    block, row = divmod(trial, _BLOCK_TRIALS)
+    return _stream_block(master, block)[row, index]
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Four ready uint64 state words, handed to ``PCG64`` as its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 state words only; asked for {n_words} of {np.dtype(dtype)}")
+        return self.words
 
 
 def derive_rng(master: int, trial: int, stream: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seedseq(master, trial, stream))
+    """The Generator ``default_rng(SeedSequence(master, spawn_key=(trial,
+    stream_index)))``, bit for bit. Its ``bit_generator.seed_seq`` holds only
+    the four state words, so ``spawn()`` is unsupported."""
+    return np.random.Generator(np.random.PCG64(_StateWords(_stream_words(master, trial, stream))))
 
 
 def derive_entropy(master: int, trial: int, stream: str) -> int:
     """256-bit integer seed, for mechanisms that key per-round streams."""
-    words = derive_seedseq(master, trial, stream).generate_state(4, np.uint64)
-    return int.from_bytes(words.tobytes(), "little")
+    return int.from_bytes(_stream_words(master, trial, stream).tobytes(), "little")
 
 
 @dataclass

@@ -28,6 +28,8 @@ unrolled into local variables; a longer key goes through ``_mix_in``.
 tests/test_mechanisms.py compares it with numpy over
 seeds, scales and rounds, since numpy keeps bit-generator streams stable
 across versions (NEP 19) but not its distribution methods.
+``_spawned_state_words`` runs the same mixing on uint64 arrays for the
+harness's per-trial streams; tests/test_harness.py compares those with numpy.
 """
 
 from __future__ import annotations
@@ -342,16 +344,20 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, const: int) -> tuple[int, int]:
-    value ^= const
+def _hashmix(value, const: int) -> tuple:
+    """One SeedSequence hashmix step of a 32-bit word, or elementwise of a
+    uint64 array of words; an array argument is left unchanged."""
+    value = value ^ const
     const = const * _MULT_A & _MASK32
     value = value * const & _MASK32
     return value ^ value >> 16, const
 
 
-def _mix_in(pool: list[int], const: int, words: list[int]) -> tuple[list[int], int]:
+def _mix_in(pool: list, const: int, words: list) -> tuple[list, int]:
     """SeedSequence's four-word pool and hash constant after mixing in entropy
-    words that come after the first four."""
+    words that come after the first four. A word may be a uint64 array of
+    32-bit words: the pool words then become arrays, one pool per element
+    of the words' broadcast shape."""
     pool = list(pool)
     for word in words:
         for dst in range(4):
@@ -378,6 +384,25 @@ def _entropy_pool(entropy: int) -> tuple[list[int], int]:
                 mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _MASK32
                 pool[dst] = mixed ^ mixed >> 16
     return _mix_in(pool, const, words[4:])
+
+
+def _spawned_state_words(entropy: int, first: int, trials: int, streams: int) -> np.ndarray:
+    """``SeedSequence(entropy, spawn_key=(first + t, s)).generate_state(4, np.uint64)``
+    for every ``t < trials`` and ``s < streams``, as a read-only (trials,
+    streams, 4) uint64 array computed with array arithmetic. The trials must
+    share one 32-bit word count: the range may not cross a multiple of 2**32."""
+    low, *high = _uint32_words(first)
+    if low + trials - 1 > _MASK32:
+        raise ValueError(f"trials {first} to {first + trials - 1} cross a multiple of 2**32")
+    pool, const = _entropy_pool(entropy)
+    trial_words = np.arange(low, low + trials, dtype=np.uint64)[:, None]
+    pool = _mix_in(pool, const, [trial_words, *high, np.arange(streams, dtype=np.uint64)])[0]
+    # generate_state's eight 32-bit words, as in _keyed_laplace, paired low word first
+    words = [(pool[i % 4] ^ _STATE_HASH[i]) * _STATE_HASH[i + 1] & _MASK32 for i in range(8)]
+    words = [word ^ word >> 16 for word in words]
+    table = np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
+    table.flags.writeable = False
+    return table
 
 
 def _keyed_laplace(entropy_pool: tuple[list[int], int], key: int, scale: float) -> float:

@@ -433,6 +433,11 @@ class TestBlockAttack:
         assert build_block_instance(1 / 3, 2).num_candidates == 3
         assert build_block_instance(0.01, 2).num_candidates == 100
 
+    def test_block_count_limit(self):
+        assert build_block_instance(1e-4, 1).num_candidates == 10_000
+        with pytest.raises(ValueError, match="holds 10001 blocks, above the limit of 10000"):
+            build_block_instance(1 / 10_001, 1)
+
     def test_noiseless_attack_is_exact(self):
         inst = build_block_instance(0.1, 5)
         held = 6

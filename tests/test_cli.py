@@ -221,6 +221,10 @@ class TestExitCodes:
                 "simple-attack --gamma 1e-9 --n 16",
                 "block instance of gamma 1e-09 and n 16 holds 1000000000 * 16 elements, above the limit of 20000000",
             ),
+            (
+                "simple-attack --gamma 1e-5 --n 2 --trials 1 --b 0",
+                "block instance of gamma 1e-05 holds 100000 blocks, above the limit of 10000",
+            ),
             # a hybrid that never switches is the real mechanism, and each claim holds vacuously
             (
                 "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta 0.9 --n 400 --epsilon-switch inf",

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adalab.attack import FixedQueryAnalyst, InfoRoundAnalyst, build_hard_instance
 from adalab.bounds import composed_epsilon, transcript_accurate
@@ -19,7 +21,6 @@ from adalab.harness import (
     check_claim,
     derive_entropy,
     derive_rng,
-    derive_seedseq,
     evaluate_assertions,
     load_config,
     run_experiment,
@@ -54,16 +55,12 @@ class TestSeedDerivation:
     def test_deterministic_and_stream_separated(self):
         states = {}
         for stream in STREAMS:
-            seq = derive_seedseq(42, 3, stream)
-            again = derive_seedseq(42, 3, stream)
-            assert np.array_equal(seq.generate_state(4), again.generate_state(4))
-            states[stream] = tuple(seq.generate_state(4))
+            states[stream] = derive_entropy(42, 3, stream)
+            assert derive_entropy(42, 3, stream) == states[stream]
         assert len(set(states.values())) == len(STREAMS)
 
     def test_trials_do_not_collide(self):
-        a = derive_seedseq(42, 0, "sample_draw").generate_state(4)
-        b = derive_seedseq(42, 1, "sample_draw").generate_state(4)
-        assert not np.array_equal(a, b)
+        assert derive_entropy(42, 0, "sample_draw") != derive_entropy(42, 1, "sample_draw")
 
     def test_rng_and_entropy(self):
         x = derive_rng(7, 0, "mech_noise_real").standard_normal(3)
@@ -75,7 +72,7 @@ class TestSeedDerivation:
 
     def test_unknown_stream(self):
         with pytest.raises(ValueError, match="unknown stream"):
-            derive_seedseq(1, 0, "nope")
+            derive_entropy(1, 0, "nope")
 
     @pytest.mark.parametrize(
         "kind", [MechanismKind.real(), MechanismKind.oracle(), MechanismKind.hybrid(0.25)], ids=lambda k: k.name
@@ -94,6 +91,75 @@ class TestSeedDerivation:
             assert mech._real_rng is None
         expected_seed = derive_entropy(3, 2, "mech_noise_oracle") if "oracle_seed" in reads else None
         assert mech._oracle_seed == expected_seed
+
+
+# block edges (64 trials a table) and word-count edges (2**32, 2**64)
+EDGE_TRIALS = (0, 1, 63, 64, 127, 128, 2**32 - 65, 2**32 - 1, 2**32, 2**32 + 63, 2**64 - 1, 2**64 + 5)
+EDGE_MASTERS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1, 2**130, np.int64(5), np.uint64(2**64 - 1))
+
+
+class TestStreams:
+    """``derive_rng`` and ``derive_entropy`` read their words from a cached
+    block table; each must equal numpy's SeedSequence chain bit for bit."""
+
+    @staticmethod
+    def check(master, trial):
+        for index, stream in enumerate(STREAMS):
+            seq = np.random.SeedSequence(entropy=master, spawn_key=(trial, index))
+            words = seq.generate_state(4, np.uint64)
+            ours, theirs = derive_rng(master, trial, stream), np.random.default_rng(seq)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            np.testing.assert_array_equal(ours.random(8), theirs.random(8))
+            assert derive_entropy(master, trial, stream) == int.from_bytes(words.tobytes(), "little")
+
+    @pytest.mark.parametrize("master", EDGE_MASTERS, ids=repr)
+    def test_edge_trials_match_numpy(self, master):
+        for trial in EDGE_TRIALS:
+            self.check(master, trial)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**130),
+        st.one_of(st.integers(0, 1000), st.integers(2**32 - 200, 2**32 + 200), st.integers(0, 2**70)),
+    )
+    def test_random_masters_and_trials_match_numpy(self, master, trial):
+        self.check(master, trial)
+
+    def test_switching_masters_and_blocks_reads_fresh_tables(self):
+        for master, trial in ((1, 0), (2, 0), (1, 0), (1, 64), (1, 5), (2, 64)):
+            self.check(master, trial)
+
+    def test_true_is_one(self):
+        assert derive_entropy(True, True, "attack_p") == derive_entropy(1, 1, "attack_p")
+        assert derive_rng(True, True, "attack_p").random() == derive_rng(1, 1, "attack_p").random()
+
+    @pytest.mark.parametrize("master, trial", [(-1, 0), (0, -1)])
+    @pytest.mark.parametrize("derive", [derive_rng, derive_entropy])
+    def test_negative_values_raise(self, derive, master, trial):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            derive(master, trial, "sample_draw")
+
+    @pytest.mark.parametrize("master, trial", [(1.5, 0), (2.0, 0), (0, 1.5), (0, 2.0), (0, np.float64(2.0))])
+    @pytest.mark.parametrize("derive", [derive_rng, derive_entropy])
+    def test_non_integers_raise(self, derive, master, trial):
+        with pytest.raises((TypeError, ValueError)):
+            derive(master, trial, "sample_draw")
+
+    @pytest.mark.parametrize("derive", [derive_rng, derive_entropy])
+    def test_unknown_stream_message(self, derive):
+        message = f"unknown stream 'nope'; expected one of {STREAMS}"
+        with pytest.raises(ValueError) as raised:
+            derive(1, 0, "nope")
+        assert str(raised.value) == message
+
+    def test_seed_words_are_read_only_and_do_not_spawn(self):
+        rng = derive_rng(3, 4, "attack_p")
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.generate_state(8)
+        with pytest.raises(TypeError):
+            rng.spawn(1)
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.words[0] = 0
 
 
 class TestConfig:

@@ -65,9 +65,10 @@ RULES = (
          EVERY, method_calls=("random",), homes=("attack.py::draw_info_tables",)),
     Rule(INFO, "only make_info_query turns a table into override ids",
          ("attack.py",), calls=("nonzero", "flatnonzero"), homes=("attack.py::make_info_query",)),
-    Rule(KEYED, "only _entropy_pool, _mix_in and _keyed_laplace read the keyed chain's constants",
+    Rule(KEYED, "only _entropy_pool, _mix_in, _keyed_laplace and _spawned_state_words read the keyed chain's constants",
          EVERY, loads=("_STATE_HASH", "_PCG_MULT", "_MIX_MULT_L", "_MIX_MULT_R"),
-         homes=("mechanisms.py::_entropy_pool", "mechanisms.py::_mix_in", "mechanisms.py::_keyed_laplace")),
+         homes=("mechanisms.py::_entropy_pool", "mechanisms.py::_mix_in", "mechanisms.py::_keyed_laplace",
+                "mechanisms.py::_spawned_state_words")),
 )
 
 
@@ -305,6 +306,10 @@ KEYED_SOURCE = (
     "    return (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32\n"
     "def _oracle_noise(self, round_index):\n"
     "    return mechanisms._PCG_MULT * round_index, _STATE_HASH\n"
+    "def _spawned_state_words(entropy, first, trials, streams):\n"
+    "    return [(pool[i % 4] ^ _STATE_HASH[i]) * _STATE_HASH[i + 1] for i in range(8)]\n"
+    "def _stream_block(master, block):\n"
+    "    return _STATE_HASH[0] ^ block\n"
 )
 INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: self.rng_p.random()"]
 
@@ -350,6 +355,7 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
         ], id="draws outside attack"),
         pytest.param(KEYED, "mechanisms.py", KEYED_SOURCE, [
             "line 7: _MIX_MULT_L", "line 7: _MIX_MULT_R", "line 9: mechanisms._PCG_MULT", "line 9: _STATE_HASH",
+            "line 13: _STATE_HASH",
         ], id="keyed chain constants outside their homes"),
     ],
 )

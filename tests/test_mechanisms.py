@@ -18,7 +18,10 @@ from adalab.mechanisms import (
     MechanismKind,
     MechanismState,
     NoiseSpec,
+    _entropy_pool,
     _grid_indices,
+    _mix_in,
+    _spawned_state_words,
     answer,
     answer_batch,
     grid_index,
@@ -561,6 +564,27 @@ class TestOracleStream:
             for r in self.ROUNDS:
                 got, want = mech._oracle_noise(r), numpy_oracle_draw(seed, r, scale)
                 assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (seed, scale, r)
+
+    @pytest.mark.parametrize("entropy", [0, 5, 2**32 - 1, 2**160 + 9])
+    def test_mix_in_on_arrays_matches_int_mixing(self, entropy):
+        """``_mix_in`` over uint64 word arrays gives, element by element, the
+        pool and constant of the Python-int mixing, and leaves the arrays as
+        they were (an in-place ``^=`` in ``_hashmix`` would change them)."""
+        pool, const = _entropy_pool(entropy)
+        first = np.array([0, 1, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint64)
+        second = np.array([2**32 - 1, 0, 7, 2**32 - 1, 12345], dtype=np.uint64)
+        words = [first.copy(), 2**32 - 1, second.copy()]
+        arrays, array_const = _mix_in(pool, const, words)
+        np.testing.assert_array_equal(words[0], first)
+        np.testing.assert_array_equal(words[2], second)
+        for i in range(first.size):
+            ints, int_const = _mix_in(pool, const, [int(first[i]), 2**32 - 1, int(second[i])])
+            assert [int(word[i]) for word in arrays] == ints and array_const == int_const
+
+    def test_state_words_refuse_a_range_across_a_word_count(self):
+        """Trials 2**32 - 1 and 2**32 have one and two 32-bit words."""
+        with pytest.raises(ValueError, match=r"cross a multiple of 2\*\*32"):
+            _spawned_state_words(1, 2**32 - 1, 2, 5)
 
     def test_numpy_integer_seed_draws_as_its_int(self):
         _, dist = two_point_setup()
