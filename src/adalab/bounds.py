@@ -17,18 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import FixedQueryAnalyst, calibrated_attack_constant, instance_shape
+from .attack import _SUPPORT_ELEMENT_LIMIT, FixedQueryAnalyst, calibrated_attack_constant, instance_shape
 from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean, true_mean
 from .mechanisms import (
     MechanismKind,
     MechanismState,
     NoiseSpec,
-    _grid_indices,
+    _laplace_from_uniform,
     grid_index,
+    laplace_grid_indices,
+    laplace_uniforms,
     output_distribution,
     perturbed_mean,
     quantize,
-    sample_noise,
 )
 
 logger = logging.getLogger(__name__)
@@ -295,6 +296,16 @@ class LlrReport:
     k: int
 
 
+def check_llr_draw(trials: int, k: int) -> None:
+    """Each LLR direction draws ``trials * k`` values at once: at most
+    ``_SUPPORT_ELEMENT_LIMIT`` of them."""
+    if trials * k > _SUPPORT_ELEMENT_LIMIT:
+        raise ValueError(
+            f"llr experiment draws trials * k = {trials} * {k} noise values per direction, "
+            f"above the limit of {_SUPPORT_ELEMENT_LIMIT}"
+        )
+
+
 def run_llr_experiment(
     analyst,
     sample: Sample,
@@ -322,17 +333,24 @@ def run_llr_experiment(
     A ``FixedQueryAnalyst`` asks its first k queries whatever the answers,
     so the switch round (``MechanismKind.sample_rounds``) is found once and
     every transcript's round r is computed at once, as array operations over
-    all transcripts on the grid of ``mechanisms._grid_indices``; its list
-    must hold at least k queries. Any other analyst may read answers, so it
-    is shown each transcript's ``quantize``d prefix, round by round, in
-    transcript order. Both give the same report for the same queries.
+    all transcripts: ``mechanisms.laplace_grid_indices`` gives each answer's
+    grid index straight from the uniform doubles, and the ratios are summed
+    round by round. Its list must hold at least k queries. Any other analyst
+    may read answers, so it is shown each transcript's ``quantize``d prefix,
+    round by round, in transcript order, each draw computed from its double
+    by ``mechanisms._laplace_from_uniform``. Both give the same report for
+    the same queries.
 
     Randomness contract: each direction has its own stream, spawned from
-    ``seed``, and takes one draw of ``trials * k`` noise values from it,
-    transcript-major: transcript t's round r reads value ``t * k + r``.
-    That equals one draw of k values per transcript, in transcript order.
-    A query's means and log laws are computed once per distinct query and
-    cached by the query's value, never by object identity.
+    ``seed``, and reads from it the ``trials * k`` uniform doubles that
+    numpy's ``laplace(0.0, scale, trials * k)`` reads, zeros skipped
+    (``mechanisms.laplace_uniforms``), transcript-major: transcript t's
+    round r reads double ``t * k + r``. Its noise values equal that draw's
+    bit for bit, which equals one draw of k values per transcript, in
+    transcript order. ``trials * k`` may not exceed
+    ``_SUPPORT_ELEMENT_LIMIT`` (``check_llr_draw``). A query's means and log
+    laws are computed once per distinct query and cached by the query's
+    value, never by object identity.
     """
     if getattr(analyst, "deterministic", False) is not True:
         raise ValueError("log-ratio accounting requires a deterministic analyst")
@@ -342,6 +360,7 @@ def run_llr_experiment(
         raise ValueError("use a coarse grid (at most 64 bins)")
     if trials < 1:
         raise ValueError("need at least one trial")
+    check_llr_draw(trials, k)
     fixed = isinstance(analyst, FixedQueryAnalyst)
     if fixed and len(analyst.queries) < k:
         raise ValueError(f"the fixed query list holds {len(analyst.queries)} queries, fewer than k = {k} rounds")
@@ -366,31 +385,35 @@ def run_llr_experiment(
         emps, trus = (np.array([laws[i] for laws in fixed_laws]) for i in (0, 1))
         switch_round = hybrid.sample_rounds(emps, trus, k)
 
-    def fixed_llrs(sample_hybrid: bool, draws: np.ndarray) -> np.ndarray:
+    def fixed_llrs(sample_hybrid: bool, uniforms: np.ndarray) -> np.ndarray:
         """Every transcript's ratio, one round at a time over all of them.
         Adding round by round keeps each sum in the per-transcript order."""
-        llr = np.zeros(trials)
+        means, terms = [], []
         for r, (emp, tru, law_emp, law_tru) in enumerate(fixed_laws):
             mean_h, law_h = (tru, law_tru) if r >= switch_round else (emp, law_emp)
+            means.append(mean_h if sample_hybrid else tru)
             # a bin the other law never yields makes the ratio +inf
-            term = np.subtract(law_h, law_tru) if sample_hybrid else np.subtract(law_tru, law_h)
-            llr += term[_grid_indices(noise, draws[:, r] + (mean_h if sample_hybrid else tru))]
+            terms.append(np.subtract(law_h, law_tru) if sample_hybrid else np.subtract(law_tru, law_h))
+        indices = laplace_grid_indices(noise, uniforms, means)
+        llr = np.zeros(trials)
+        for r, term in enumerate(terms):
+            llr += term[indices[:, r]]
         return llr
 
-    def adaptive_llrs(sample_hybrid: bool, draws: np.ndarray) -> list[float]:
+    def adaptive_llrs(sample_hybrid: bool, uniforms: np.ndarray) -> list[float]:
         """Every transcript's ratio, asking the analyst round by round."""
         llrs = []
-        for row in draws.tolist():
+        for row in uniforms.tolist():
             rounds: list[tuple[Query, float]] = []
             switched = False
             llr = 0.0
-            for draw in row:
+            for u in row:
                 query = analyst.next_query(tuple(rounds))
                 emp, tru, law_emp, law_tru = laws_for(query)
                 switched = not hybrid.sample_rounds(emp, tru, 1, switched)
                 mean_h, law_h = (tru, law_tru) if switched else (emp, law_emp)
                 drawn, other = (law_h, law_tru) if sample_hybrid else (law_tru, law_h)
-                value = (mean_h if sample_hybrid else tru) + draw
+                value = (mean_h if sample_hybrid else tru) + _laplace_from_uniform(u, noise.scale)
                 index = grid_index(noise, value)
                 llr += drawn[index] - other[index]
                 rounds.append((query, quantize(noise, value)))
@@ -398,10 +421,10 @@ def run_llr_experiment(
         return llrs
 
     def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
-        draws = sample_noise(noise, rng, trials * k).reshape(trials, k)
+        uniforms = laplace_uniforms(rng, trials * k).reshape(trials, k)
         # inf - inf is nan, as in Python float arithmetic, without a warning
         with np.errstate(invalid="ignore"):
-            llr = (fixed_llrs if fixed else adaptive_llrs)(sample_hybrid, draws)
+            llr = (fixed_llrs if fixed else adaptive_llrs)(sample_hybrid, uniforms)
             return int(np.count_nonzero(np.greater(llr, threshold))) / trials
 
     rng_h = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))

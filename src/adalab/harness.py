@@ -50,6 +50,7 @@ from .attack import (
 from .bounds import (
     accuracy_noise_scale,
     breaking_rounds_details,
+    check_llr_draw,
     divergence_diagnostics,
     max_accurate_rounds,
     max_accurate_rounds_details,
@@ -513,9 +514,15 @@ def _summarize_coupling(records: list[dict], params: dict) -> dict:
 
 
 def _resolve_llr(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution, Query]]:
+    eps = params["eps"]
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"llr experiment needs eps > 0 and finite, got eps {eps}")
     derived = "ones" not in params
-    params.setdefault("ones", round(2 * params["n"] * params["eps"]))
-    params.setdefault("epsilon_switch", params["eps"])
+    if derived:
+        twice = 2 * params["n"] * eps
+        # round() cannot take an overflowed product; the check below rejects it as inf
+        params["ones"] = round(twice) if twice < math.inf else twice
+    params.setdefault("epsilon_switch", eps)
     _check_ones("llr", params["n"], params["ones"], " (derived as round(2*n*eps))" if derived else "")
     return ("hybrid",), _two_sample_instance(params["n"], params["ones"])
 
@@ -523,6 +530,7 @@ def _resolve_llr(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDis
 def _run_llr(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
     params, (held, dist, indicator) = run.params, run.instance
     k = params["k"]
+    check_llr_draw(config.trials, k)
     report = run_llr_experiment(
         FixedQueryAnalyst([indicator] * k),
         held,

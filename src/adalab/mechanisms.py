@@ -30,6 +30,15 @@ seeds, scales and rounds, since numpy keeps bit-generator streams stable
 across versions (NEP 19) but not its distribution methods.
 ``_spawned_state_words`` runs the same mixing on uint64 arrays for the
 harness's per-trial streams; tests/test_harness.py compares those with numpy.
+
+numpy's Laplace formula (``random_laplace`` at loc 0.0 for one uniform
+double) lives in ``_laplace_from_uniform``, which the keyed draw calls. For
+the LLR in ``bounds``, which reads only each answer's grid index,
+``laplace_uniforms`` reads the doubles numpy's Laplace draw would read and
+``laplace_grid_indices`` turns them into grid indices in blocks, with a
+vectorized ``np.log``; it recomputes with ``_laplace_from_uniform`` every
+value near a bin edge, so each index equals the one of numpy's draw.
+tests/test_mechanisms.py compares both with numpy.
 """
 
 from __future__ import annotations
@@ -129,6 +138,96 @@ def sample_noise(
     return draw(0.0, spec.scale, size)
 
 
+def _laplace_from_uniform(u: float, scale: float) -> float:
+    """numpy's ``random_laplace`` at loc 0.0 for the nonzero double ``u``, in
+    numpy's operations and order: loc 0.0 keeps signed zeros alike, and
+    ``2.0 - 2.0 * u`` would round differently from ``2.0 - u - u``."""
+    if u >= 0.5:
+        return 0.0 - scale * math.log(2.0 - u - u)
+    return 0.0 + scale * math.log(u + u)
+
+
+def laplace_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The ``size`` uniform doubles that ``rng.laplace(0.0, scale, size)``
+    would read, leaving ``rng`` in the state that draw leaves it in.
+    ``random_laplace`` draws again on 0.0, so zeros are dropped and the
+    stream is read further."""
+    u = rng.random(size)
+    while size and not u.min():  # the doubles are never negative, so a zero is the minimum
+        kept = u[u != 0.0]
+        u = np.concatenate((kept, rng.random(size - kept.size)))
+    return u
+
+
+# Uniform doubles per block of laplace_grid_indices: 64 KiB per float64
+# temporary, which the allocator hands back and reuses block after block. One
+# pass over a 40,000-value LLR direction took fresh pages on every call (404
+# minor faults per llr-exact call) and ran a fifth to a quarter slower than
+# blocks of this size, which took none.
+_BLOCK_VALUES = 8192
+# Values within this distance (in value units, not grid steps) of a bin edge
+# are recomputed with libm; see laplace_grid_indices for why it suffices.
+_EDGE_BAND = 2.0**-40
+
+
+def laplace_grid_indices(spec: NoiseSpec, u: np.ndarray, means) -> np.ndarray:
+    """``_grid_indices(spec, laplace + means)`` bit for bit, where ``laplace``
+    holds ``_laplace_from_uniform(u, spec.scale)`` of each double of ``u``,
+    a (rows, k) array of nonzero doubles (``laplace_uniforms``), and
+    ``means`` has one value per column.
+
+    Blocks of about ``_BLOCK_VALUES`` doubles are turned into noise with a
+    vectorized ``np.log`` of numpy's branch value ``min(u + u, (2.0 - u) - u)``,
+    which is not libm's ``log`` and differs from it in the last bit of about
+    one value in 300. Every step after the log (the scale, the sign of
+    ``u - 0.5``, the mean, the clip, the shift and the division) is monotone,
+    so such a difference can change a value's grid index only if the value
+    lies within the difference's reach of a bin edge (a half step). Those
+    values, exact ties included, are recomputed with ``_laplace_from_uniform``
+    and ``grid_index``.
+
+    That reach is far inside ``_EDGE_BAND`` (2**-40) on every grid
+    ``NoiseSpec`` accepts. A nonzero double gives a branch value of at least
+    2**-53, so ``|log| < 37`` and one ulp of it is at most 2**-47. numpy's
+    vectorized log and libm's differed by at most one ulp over 2e7 doubles
+    (numpy 2.4, AVX-512), and even 64 ulps would move the noise by less than
+    0.51 * 64 * 2**-47 < 2**-41, since the tail tolerance caps a Laplace
+    scale at 1.5 / ln 20 < 0.51. The product's rounding adds at most 2**-48,
+    and the mean, the shift and the division one rounding each of a value
+    below 4 (2**-51 in value units). The band counts value units, not grid
+    steps, so it holds at any step; at a step of 2**-39 or less every value
+    is recomputed.
+    """
+    rows, k = u.shape
+    means = np.broadcast_to(np.asarray(means, dtype=np.float64), (k,))
+    scale = spec.scale
+    # a position this far or farther from the nearest whole one lies within the band of a half step
+    near_edge = 0.5 - _EDGE_BAND / spec.grid_step
+    indices = np.empty((rows, k), dtype=np.intp)
+    block_rows = max(1, _BLOCK_VALUES // max(k, 1))
+    for start in range(0, rows, block_rows):
+        block = u[start : start + block_rows]
+        noise = block + block
+        other = 2.0 - block
+        other -= block
+        np.minimum(noise, other, out=noise)  # u + u below 0.5, (2.0 - u) - u from 0.5 up
+        np.log(noise, out=noise)
+        noise *= scale
+        np.subtract(block, 0.5, out=other)
+        np.copysign(noise, other, out=noise)  # 0.0 + scale * log below 0.5, 0.0 - scale * log from 0.5 up
+        noise += means
+        positions = _grid_positions(spec, noise)
+        np.rint(positions, out=noise)
+        indices[start : start + block_rows] = noise
+        positions -= noise
+        near = np.abs(positions, out=positions) >= near_edge
+        if near.any():
+            for row, col in zip(*np.nonzero(near)):
+                value = _laplace_from_uniform(float(block[row, col]), scale) + means[col]
+                indices[start + row, col] = grid_index(spec, value)
+    return indices
+
+
 def grid_index(spec: NoiseSpec, value: float) -> int:
     """Index of the grid value ``value`` rounds to: clip to the output
     interval, then round the offset in grid steps.
@@ -151,14 +250,21 @@ def quantize(spec: NoiseSpec, value: float) -> float:
     return _CLIP_LO + grid_index(spec, value) * spec.grid_step
 
 
+def _grid_positions(spec: NoiseSpec, values: np.ndarray) -> np.ndarray:
+    """Each value's offset from ``clip_lo`` in grid steps after clipping, as
+    ``grid_index`` computes it before rounding, in a new array."""
+    positions = np.maximum(values, _CLIP_LO)  # a copy, worked on in place
+    np.minimum(positions, _CLIP_HI, out=positions)
+    positions -= _CLIP_LO
+    positions /= spec.grid_step
+    return positions
+
+
 def _grid_indices(spec: NoiseSpec, values: np.ndarray) -> np.ndarray:
     """``grid_index`` of each value, bit for bit (``np.rint`` also sends ties
     to the even index), but without its NaN check."""
-    values = np.maximum(values, _CLIP_LO)  # a copy, worked on in place
-    np.minimum(values, _CLIP_HI, out=values)
-    values -= _CLIP_LO
-    values /= spec.grid_step
-    return np.rint(values, out=values).astype(np.intp)
+    positions = _grid_positions(spec, values)
+    return np.rint(positions, out=positions).astype(np.intp)
 
 
 def quantize_array(spec: NoiseSpec, values) -> np.ndarray:
@@ -450,12 +556,8 @@ def _keyed_laplace(entropy_pool: tuple[list[int], int], key: int, scale: float) 
         rot = state >> 122
         out = (state >> 64 ^ state) & _MASK64
         u = (((out >> rot | out << 64 - rot) & _MASK64) >> 11) * 2.0**-53
-        # numpy's operations in numpy's order: loc = 0.0 keeps signed zeros
-        # alike, and 2.0 - 2.0 * u would round differently from 2.0 - u - u
-        if u >= 0.5:
-            return 0.0 - scale * math.log(2.0 - u - u)
         if u > 0.0:
-            return 0.0 + scale * math.log(u + u)
+            return _laplace_from_uniform(u, scale)
 
 
 def switches(emp: float, tru: float, epsilon_switch: float) -> bool:

@@ -29,7 +29,9 @@ from adalab.mechanisms import (
     MechanismKind,
     MechanismState,
     NoiseSpec,
+    _laplace_from_uniform,
     grid_index,
+    laplace_uniforms,
     output_distribution,
     quantize,
     sample_noise,
@@ -348,6 +350,9 @@ class TestLlrExperiment:
             run_llr_experiment(**self.make_args(noise=NoiseSpec(scale=0.3125)))
         with pytest.raises(ValueError, match="at least one trial"):
             run_llr_experiment(**self.make_args(trials=0))
+        # before the fixed list's length is read, any law is computed or anything is drawn
+        with pytest.raises(ValueError, match=r"trials \* k = 1000000 \* 21 noise values .* limit of 20000000"):
+            run_llr_experiment(**self.make_args(trials=10**6, k=21))
 
     def test_bound_holds_on_small_instance(self):
         args = self.make_args()
@@ -570,7 +575,8 @@ class TestLlrFixedQueries:
         )
 
     @pytest.mark.parametrize("k", [0, 1, 20])
-    @pytest.mark.parametrize("trials", [1, 7, 300])
+    # 410 transcripts of 20 rounds run one row past laplace_grid_indices' first block of 409
+    @pytest.mark.parametrize("trials", [1, 7, 300, 410])
     @pytest.mark.parametrize("epsilon_switch", [None, 0.1, 0.5])
     @pytest.mark.parametrize("name", ["single", "mixed"])
     def test_matches_reference_bit_for_bit(self, name, epsilon_switch, trials, k):
@@ -612,8 +618,11 @@ class TestLlrFixedQueries:
 
     @pytest.mark.parametrize("trials, k", [(1, 1), (7, 5), (300, 20)])
     def test_one_draw_equals_one_draw_per_transcript(self, trials, k):
+        # a direction's one read of uniform doubles gives each transcript's
+        # noise as numpy's draw of k values per transcript, bit for bit
         noise = NoiseSpec(scale=0.15625, grid_step=0.125)
-        whole = np.random.default_rng(5).laplace(0.0, noise.scale, trials * k)
+        whole = laplace_uniforms(np.random.default_rng(5), trials * k)
         rng = np.random.default_rng(5)
         rows = [sample_noise(noise, rng, k) for _ in range(trials)]
-        assert np.array_equal(whole.reshape(trials, k), np.array(rows))
+        drawn = np.array([_laplace_from_uniform(u, noise.scale) for u in whole.tolist()])
+        assert drawn.reshape(trials, k).tobytes() == np.array(rows).tobytes()

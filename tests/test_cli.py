@@ -180,6 +180,24 @@ class TestExitCodes:
                 "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 2 --rho 0.05 --n 64 --ones 65",
                 "llr experiment needs 1 <= ones <= n, got ones 65 and n 64",
             ),
+            # eps is checked before ones or epsilon_switch is derived from it
+            *(
+                (
+                    f"llr --eps {eps} --grid-step 0.125 --k 20 --rho 0.05 --n 64{ones}",
+                    f"llr experiment needs eps > 0 and finite, got eps {shown}",
+                )
+                for eps, shown in (("inf", "inf"), ("nan", "nan"), ("-1", "-1.0"), ("0", "0.0"))
+                for ones in ("", " --ones 4")
+            ),
+            (
+                "llr --eps 1e308 --grid-step 0.125 --k 20 --rho 0.05 --n 64",
+                "llr experiment needs 1 <= ones <= n, got ones inf (derived as round(2*n*eps)) and n 64",
+            ),
+            (
+                "llr --eps 0.03125 --k 1000000 --rho 0.05 --n 64 --trials 1000000 --grid-step 0.125",
+                "llr experiment draws trials * k = 1000000 * 1000000 noise values per direction, above the limit "
+                "of 20000000",
+            ),
             (
                 "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 20 --rho 0.05 --n 64 --epsilon-switch -1",
                 "hybrid needs epsilon_switch > 0",

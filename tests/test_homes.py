@@ -43,6 +43,7 @@ BUILDERS = (
     "_two_sample_instance", "_noise_spec",
 )
 SWITCH, INFO, KEYED = "hybrid switch and output grid", "info queries", "keyed oracle draw"
+LAPLACE = "numpy's Laplace formula"
 
 RULES = (
     Rule("param defaults", "harness reads params as resolved: no param cast, no defaulted params.get",
@@ -61,14 +62,17 @@ RULES = (
          homes=("mechanisms.py::MechanismState.__init__", "mechanisms.py::MechanismState._advance")),
     Rule(SWITCH, "bounds.py rounds onto the grid through mechanisms alone",
          ("bounds.py",), loads=("rint", "clip", "clip_lo")),
-    Rule(INFO, "only draw_info_tables draws uniform doubles",
-         EVERY, method_calls=("random",), homes=("attack.py::draw_info_tables",)),
+    Rule(INFO, "only draw_info_tables and laplace_uniforms draw uniform doubles",
+         EVERY, method_calls=("random",), homes=("attack.py::draw_info_tables", "mechanisms.py::laplace_uniforms")),
     Rule(INFO, "only make_info_query turns a table into override ids",
          ("attack.py",), calls=("nonzero", "flatnonzero"), homes=("attack.py::make_info_query",)),
     Rule(KEYED, "only _entropy_pool, _mix_in, _keyed_laplace and _spawned_state_words read the keyed chain's constants",
          EVERY, loads=("_STATE_HASH", "_PCG_MULT", "_MIX_MULT_L", "_MIX_MULT_R"),
          homes=("mechanisms.py::_entropy_pool", "mechanisms.py::_mix_in", "mechanisms.py::_keyed_laplace",
                 "mechanisms.py::_spawned_state_words")),
+    Rule(LAPLACE, "in mechanisms.py only _laplace_from_uniform and laplace_grid_indices take a log",
+         ("mechanisms.py",), loads=("log",),
+         homes=("mechanisms.py::_laplace_from_uniform", "mechanisms.py::laplace_grid_indices")),
 )
 
 
@@ -311,6 +315,18 @@ KEYED_SOURCE = (
     "def _stream_block(master, block):\n"
     "    return _STATE_HASH[0] ^ block\n"
 )
+LAPLACE_SOURCE = (
+    "def _laplace_from_uniform(u, scale):\n"
+    "    return 0.0 - scale * math.log(2.0 - u - u) if u >= 0.5 else 0.0 + scale * math.log(u + u)\n"
+    "def laplace_grid_indices(spec, u, means):\n"
+    "    return np.log(np.minimum(u + u, (2.0 - u) - u), out=u)\n"
+    "def _keyed_laplace(entropy_pool, key, scale):\n"
+    "    return 0.0 + scale * math.log(u + u)\n"
+    "def laplace_uniforms(rng, size):\n"
+    "    return np.log(rng.random(size)), log\n"
+    "def noise_cdf(spec, x):\n"
+    "    return np.log1p(x), _laplace_from_uniform(x, spec.scale)\n"
+)
 INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: self.rng_p.random()"]
 
 
@@ -357,6 +373,10 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 7: _MIX_MULT_L", "line 7: _MIX_MULT_R", "line 9: mechanisms._PCG_MULT", "line 9: _STATE_HASH",
             "line 13: _STATE_HASH",
         ], id="keyed chain constants outside their homes"),
+        pytest.param(LAPLACE, "mechanisms.py", LAPLACE_SOURCE, [
+            "line 6: math.log", "line 8: np.log", "line 8: log",
+        ], id="logs outside the Laplace formula's homes"),
+        pytest.param(LAPLACE, "bounds.py", LAPLACE_SOURCE, [], id="logs outside mechanisms"),
     ],
 )
 def test_walker_finds_each_break(done, module, source, expected):

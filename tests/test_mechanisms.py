@@ -15,16 +15,20 @@ from adalab.bounds import accuracy_noise_scale
 from adalab.core import FiniteDistribution, Query, Sample, empirical_mean, true_mean
 from adalab.harness import derive_entropy, derive_rng
 from adalab.mechanisms import (
+    _BLOCK_VALUES,
     MechanismKind,
     MechanismState,
     NoiseSpec,
     _entropy_pool,
     _grid_indices,
+    _laplace_from_uniform,
     _mix_in,
     _spawned_state_words,
     answer,
     answer_batch,
     grid_index,
+    laplace_grid_indices,
+    laplace_uniforms,
     noise_cdf,
     output_distribution,
     quantize,
@@ -590,6 +594,114 @@ class TestOracleStream:
         _, dist = two_point_setup()
         make = lambda seed: MechanismState(MechanismKind.oracle(), COARSE, distribution=dist, oracle_seed=seed)
         assert make(np.uint64(2**64 - 1))._oracle_noise(3) == make(2**64 - 1)._oracle_noise(3)
+
+
+# PCG64's 128-bit multiplier, as numpy's pcg64.h defines it
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def pcg64_with_a_zero_at(seed: int, position: int) -> np.random.Generator:
+    """A PCG64 Generator whose double number ``position`` (from 0) is 0.0:
+    numpy's PCG64 steps its 128-bit state, then outputs the rotated xor of
+    its halves, which is 0 when the halves are equal."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    half = int(np.random.default_rng(seed + 1).integers(2**63))
+    target = half << 64 | half  # the state after ``position + 1`` steps
+    inverse = pow(_PCG64_MULT, -1, 2**128)
+    for _ in range(position + 1):
+        target = (target - inc) * inverse % 2**128
+    state["state"]["state"] = target
+    rng.bit_generator.state = state
+    return rng
+
+
+class StubStream:
+    """Hands out fixed doubles in order through ``random(size)``."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+        self.read = 0
+
+    def random(self, size):
+        out = np.array(self.doubles[self.read : self.read + size])
+        self.read += size
+        return out
+
+
+class TestLaplaceGrid:
+    """The uniform doubles numpy's Laplace draw reads, and the grid indices
+    of their noise computed in blocks, against numpy's own draw."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("size", [0, 1, 7, 8193, 40_000])
+    def test_uniforms_leave_the_state_of_numpys_draw(self, seed, size):
+        drawn, read = np.random.default_rng(seed), np.random.default_rng(seed)
+        laplace = drawn.laplace(0.0, 0.15625, size)
+        u = laplace_uniforms(read, size)
+        assert read.bit_generator.state == drawn.bit_generator.state
+        assert np.array([_laplace_from_uniform(x, 0.15625) for x in u.tolist()]).tobytes() == laplace.tobytes()
+
+    @pytest.mark.parametrize("position", [0, 3, 9])
+    def test_a_zero_double_is_skipped_as_numpy_skips_it(self, position):
+        drawn, read = pcg64_with_a_zero_at(5, position), pcg64_with_a_zero_at(5, position)
+        assert pcg64_with_a_zero_at(5, position).random(position + 1)[-1] == 0.0
+        laplace = drawn.laplace(0.0, 0.1, 10)
+        u = laplace_uniforms(read, 10)
+        assert read.bit_generator.state == drawn.bit_generator.state
+        assert 0.0 not in u
+        assert [_laplace_from_uniform(x, 0.1) for x in u.tolist()] == laplace.tolist()
+
+    def test_zeros_in_the_refill_are_skipped_too(self):
+        stream = StubStream([0.25, 0.0, 0.5, 0.0, 0.0, 0.75, 0.0, 0.125, 0.375])
+        assert laplace_uniforms(stream, 3).tolist() == [0.25, 0.5, 0.75]
+        assert stream.read == 6  # the third nonzero double was the stream's sixth
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.0, 0.01, 0.1, 0.15625, 0.5]),
+        grid_step=st.sampled_from([0.125, 0.1, 1 / 32, 2.0**-20]),
+        k=st.sampled_from([0, 1, 3, 20, 41]),
+        edge=st.sampled_from([-1, 0, 1]),
+        spread=st.sampled_from([0.0, 0.5, 3.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_indices_equal_numpys_draw_on_its_grid(self, seed, scale, grid_step, k, edge, spread):
+        spec = NoiseSpec(scale=scale, grid_step=grid_step)
+        rows = max(1, _BLOCK_VALUES // max(k, 1)) + edge  # a row short of a block edge, on it, or past it
+        # means inside the clip interval at spread 0.5, and mostly outside it at 3.0
+        means = 0.5 + np.random.default_rng(seed).uniform(-spread, spread, k)
+        drawn, read = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _grid_indices(spec, drawn.laplace(0.0, scale, rows * k).reshape(rows, k) + means)
+        got = laplace_grid_indices(spec, laplace_uniforms(read, rows * k).reshape(rows, k), means)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_more_rounds_than_a_block_holds(self):
+        spec = NoiseSpec(scale=0.1, grid_step=0.125)
+        k = _BLOCK_VALUES + 1
+        means = np.linspace(-0.7, 1.7, k)
+        expected = _grid_indices(spec, np.random.default_rng(3).laplace(0.0, 0.1, 2 * k).reshape(2, k) + means)
+        u = laplace_uniforms(np.random.default_rng(3), 2 * k).reshape(2, k)
+        assert laplace_grid_indices(spec, u, means).tobytes() == expected.tobytes()
+
+    def test_values_on_a_bin_edge_are_recomputed(self, monkeypatch):
+        # u = 0.5 gives noise 0.0, so mean 1/16 sits on position 4.5 of the
+        # 1/8 grid, a tie that goes to the even index; its neighbours land
+        # within a few ulps of it, on either side
+        spec = NoiseSpec(scale=0.15625, grid_step=0.125)
+        u = np.array([[np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]])
+        recomputed = []
+
+        def counted(x, scale):
+            recomputed.append(x)
+            return _laplace_from_uniform(x, scale)
+
+        monkeypatch.setattr(adalab.mechanisms, "_laplace_from_uniform", counted)
+        indices = laplace_grid_indices(spec, u, [1 / 16] * 3)
+        assert recomputed == u[0].tolist()
+        expected = [grid_index(spec, _laplace_from_uniform(x, spec.scale) + 1 / 16) for x in u[0].tolist()]
+        assert indices.tolist() == [expected] and expected[1] == 4
 
 
 def test_oracle_loop_keeps_its_bits():
