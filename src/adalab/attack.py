@@ -14,8 +14,11 @@ breaking the mechanism cannot be blamed on pathological queries.
 
 The score attack has two implementations with equal results. The harness
 runs each trial through ``run_score_attack_arrays``, which draws and
-answers all k info rounds as array operations. ``run_score_attack`` is the
-per-round reference: one ``info_round`` per query, returning the transcript.
+answers all k info rounds as array operations, takes its guess from one
+matrix-vector product when a rounding bound certifies it (else from the
+running score sums, ``_score_sums``), and answers the closing query with
+the scalar ``answer_means``. ``run_score_attack`` is the per-round
+reference: one ``info_round`` per query, returning the transcript.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .core import (
     empirical_mean,
     true_mean,
 )
-from .mechanisms import MechanismState, answer, answer_batch
+from .mechanisms import MechanismState, answer, answer_batch, answer_means
 
 # Variance of one score increment, decomposed as the noiseless part plus the
 # noise contribution: Var(W_t) = (13/180)/r^2 + Var(noise)/3, obtained by
@@ -269,6 +272,22 @@ def run_score_attack(
     )
 
 
+def _score_sums(increments: np.ndarray, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``info_round``'s running score sums after all k rounds, bit for bit
+    (for m >= 2; see below), from the 0/1 tables as a (k, m) float array,
+    which this overwrites; ``weights`` holds each round's ``answer - p / r``."""
+    # info_round's (answer - p/r) * (table - p), factors swapped, which
+    # keeps each product's bits; tables already cast to floats, worked on
+    # in place, skip numpy's slower mixed bool-float loop and a temporary
+    increments -= p[:, None]
+    increments *= weights[:, None]
+    # numpy sums axis 0 of a C-contiguous (k, m) array with m >= 2 by adding
+    # row after row into zeros, which is info_round's += bit for bit, signed
+    # zeros included. With m = 1 numpy sums pairwise, but then argmax is 0
+    # whatever the one score is.
+    return increments.sum(axis=0)
+
+
 def run_score_attack_arrays(
     inst: HardInstance,
     mech: MechanismState,
@@ -283,6 +302,27 @@ def run_score_attack_arrays(
     answered in one batch; the result equals ``run_score_attack``'s field
     for field, with no transcript. A mechanism that reads a distribution
     must hold ``inst.distribution`` (see ``info_query_means``).
+
+    The guess is the argmax of the scores S_j that ``info_round`` adds row
+    by row from zeros, found from one matrix-vector product and certified.
+    With weights w_t = answer_t - p_t / r as computed, round t adds
+    fl(fl(table_tj - p_t) * w_t) to S_j: the exact a_tj = w_t (table_tj - p_t)
+    within two roundings, and |a_tj| <= |w_t| since 0 <= p_t <= 1. The k - 1
+    additions round once more each, so S_j lies within e(k + 1) * sum|w| of
+    A_j = sum_t a_tj, where e(n) = n u / (1 - n u) and u = 2**-53. A_j is
+    B_j - C, with B_j = sum_t w_t table_tj and C = sum_t w_t p_t the same
+    for every slot. ``w @ tables`` sums B_j's exact products; a dot product
+    of length k in any order, with or without FMA, lies within e(k) * sum|w|
+    of B_j. So if the top slot g of the product beats every other slot j by
+    more than 4 e(k + 1) * sum|w|, then S_g > S_j for every j: g is the
+    running sum's argmax, and no tie can arise. The bound used,
+    8 (k + 2) u * sum|w|, exceeds that by more than the roundings of
+    computing sum|w|, the bound and the top value minus the bound; a further
+    (k + 2) * 2**-1074 covers products that underflow, which err by up to
+    2**-1075 each, absolutely rather than relatively. When another slot lies
+    within the bound of the top value (ties, as in a noiseless run of few
+    rounds), the running sums are computed (``_score_sums``) and their argmax
+    taken, ties to the smallest slot.
     """
     if k < 1:
         raise ValueError("score attack needs at least one info round")
@@ -291,24 +331,18 @@ def run_score_attack_arrays(
     true_index = _hidden_slot(inst, mech.sample)
     p, tables = draw_info_tables(inst, rng_p, rng_table, k)
     emp, tru = info_query_means(inst, mech, tables)
-    observed = answer_batch(mech, emp, tru)
-    # info_round's (answer - p/r) * (table - p), factors swapped, which
-    # keeps each product's bits; casting the 0/1 tables first, then working
-    # in place, skips numpy's slower mixed bool-float loop and a temporary
-    increments = tables.astype(np.float64)
-    increments -= p[:, None]
-    increments *= (observed - p / inst.num_blocks)[:, None]
-    # numpy sums axis 0 of a C-contiguous (k, m) array with m >= 2 by adding
-    # row after row into zeros, which is info_round's += bit for bit, signed
-    # zeros included. With m = 1 numpy sums pairwise, but then argmax is 0
-    # whatever the one score is.
-    scores = increments.sum(axis=0)
-    guess_index = int(scores.argmax())
+    weights = answer_batch(mech, emp, tru) - p / inst.num_blocks
+    tables = tables.astype(np.float64)
+    approx = weights @ tables
+    guess_index = int(approx.argmax())
+    bound = 8 * (k + 2) * 2.0**-53 * np.abs(weights).sum() + (k + 2) * 2.0**-1074
+    if np.count_nonzero(approx >= approx[guess_index] - bound) > 1:
+        guess_index = int(_score_sums(tables, p, weights).argmax())
     # every element sits at true_index (_hidden_slot), so the closing
     # indicator counts all n elements or none
     close_emp = 1.0 if guess_index == true_index else 0.0
-    close_tru = None if tru is None else mech.distribution.probabilities[guess_index : guess_index + 1]
-    final_answer = float(answer_batch(mech, np.array([close_emp]), close_tru)[0])
+    close_tru = None if tru is None else float(mech.distribution.probabilities[guess_index])
+    final_answer = answer_means(mech, close_emp, close_tru)
     target = inst.final_true_mean
     return ScoreAttackResult(
         true_index=true_index,

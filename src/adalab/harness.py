@@ -228,6 +228,10 @@ def _two_sample_instance(n: int, ones: int) -> tuple[Sample, FiniteDistribution,
     the held sample, an exact gap of ones/(2n). The kinds' resolvers check
     that 1 <= ones <= n.
     """
+    if 2 * n > _SUPPORT_ELEMENT_LIMIT:
+        raise ValueError(
+            f"two-sample instance of n {n} holds 2 * {n} elements, above the limit of {_SUPPORT_ELEMENT_LIMIT}"
+        )
     held = Sample((1,) * ones + (0,) * (n - ones))
     return held, FiniteDistribution([Sample((0,) * n), held], np.array([0.5, 0.5])), Query(0.0, {1: 1.0})
 

@@ -8,7 +8,10 @@ mean by more than ``epsilon_switch``, after which it permanently answers
 like the oracle. That switch rule lives in ``MechanismKind.sample_rounds``,
 and only ``MechanismState._advance`` sets the switch flag and round count;
 the output grid lives in ``grid_index`` and, for arrays, ``_grid_indices``.
-Every answer path here and the LLR in ``bounds`` reads them.
+Every answer path here and the LLR in ``bounds`` reads them. One round rule,
+``answer_means``, and one batch rule, ``answer_batch``, answer queries from
+their means and alone call ``_advance``; ``answer`` takes a query's means
+and calls ``answer_means``.
 
 Randomness contract: real and hybrid draw from one sequential noise stream,
 so a hybrid that never switches consumes draws in lockstep with a real
@@ -82,8 +85,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise family {self.family!r}")
         if self.scale < 0 or not math.isfinite(self.scale):
             raise ValueError("noise scale must be a finite non-negative real")
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be positive")
+        if not 0.0 < self.grid_step < math.inf:  # NaN fails this too
+            raise ValueError(f"grid_step must be positive and finite, got {self.grid_step}")
         span = self.clip_hi - self.clip_lo
         bins = span / self.grid_step
         if abs(bins - round(bins)) > _GRID_REL_TOL * bins or round(bins) < 1:
@@ -566,13 +569,19 @@ def switches(emp: float, tru: float, epsilon_switch: float) -> bool:
     return abs(emp - tru) > epsilon_switch
 
 
+def _query_means(state: MechanismState, query: Query) -> tuple[float | None, float | None]:
+    """The empirical and true means of ``query`` that ``state`` holds the
+    data for (else None), skipping a switched hybrid's unread empirical mean."""
+    emp = None if state.sample is None or state.switched else empirical_mean(query, state.sample)
+    tru = None if state.distribution is None else true_mean(query, state.distribution)
+    return emp, tru
+
+
 def perturbed_mean(state: MechanismState, query: Query) -> tuple[float, bool]:
     """The mean ``state`` perturbs to answer ``query``, and whether that
     answer comes from the oracle side (``MechanismKind.sample_rounds``).
-    Reads no noise, changes no state, and skips a switched hybrid's unread
-    empirical mean."""
-    emp = None if state.sample is None or state.switched else empirical_mean(query, state.sample)
-    tru = None if state.distribution is None else true_mean(query, state.distribution)
+    Reads no noise and changes no state."""
+    emp, tru = _query_means(state, query)
     if state.kind.sample_rounds(emp, tru, 1, state.switched):
         return emp, False
     return tru, True
@@ -582,10 +591,22 @@ def answer(state: MechanismState, query: Query) -> float:
     """Answer one query, mutating the state (round counter, switch flag)."""
     if not isinstance(query, Query):
         raise TypeError(f"expected a Query, got {type(query).__name__}")
-    mean, oracle_side = perturbed_mean(state, query)
-    round_index = state._advance(1, 0 if oracle_side else 1)
-    noise = state._oracle_noise(round_index) if oracle_side else sample_noise(state.noise, state._real_rng)
-    return quantize(state.noise, mean + noise)
+    return answer_means(state, *_query_means(state, query))
+
+
+def answer_means(state: MechanismState, emp: float | None, tru: float | None) -> float:
+    """Answer one query given only its means, as ``answer`` would: the
+    one-round form of ``answer_batch``, with the scalar ``quantize``.
+
+    ``emp`` is the query's empirical mean on the held sample and ``tru``
+    its true mean; a kind reads only the means of the data it holds, and
+    a switched hybrid reads no ``emp``.
+    """
+    sample_side = state.kind.sample_rounds(emp, tru, 1, state.switched)
+    round_index = state._advance(1, sample_side)
+    if sample_side:
+        return quantize(state.noise, emp + sample_noise(state.noise, state._real_rng))
+    return quantize(state.noise, tru + state._oracle_noise(round_index))
 
 
 def answer_batch(state: MechanismState, emp: np.ndarray | None, tru: np.ndarray | None) -> np.ndarray:

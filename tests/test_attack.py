@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import adalab.attack
 from adalab.attack import (
     FixedQueryAnalyst,
     InfoRoundAnalyst,
     SimpleAttackResult,
+    _score_sums,
     build_block_instance,
     build_hard_instance,
     calibrated_attack_constant,
@@ -286,6 +288,43 @@ def seeded_attack_run(attack, eps, gamma, n, k, noise, epsilon_switch, trial, ma
     return attack(inst, mech, k, *rngs), mech, rngs
 
 
+class ReplayedDraws:
+    """Stands in for a Generator's ``random``, serving ``values`` in order;
+    a Generator's draw of N values equals N single draws, so any split of
+    the draws reads the same values."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=np.float64).ravel(), 0
+
+    def random(self, size):
+        count = int(np.prod(size))
+        drawn = self.values[self.used : self.used + count]
+        assert drawn.size == count, "more draws than values"
+        self.used += count
+        return drawn.reshape(size)
+
+
+def replayed_attack_pair(inst, held, noise, epsilon_switch, p, uniforms, seed):
+    """``run_score_attack`` and ``run_score_attack_arrays`` on mechanisms built
+    alike, each with the info tables' p values and uniforms replayed."""
+    results = []
+    for attack in (run_score_attack, run_score_attack_arrays):
+        sample = inst.make_sample(held)
+        if epsilon_switch is None:
+            mech = real_mech(sample, seed, noise)
+        else:
+            mech = MechanismState(
+                MechanismKind.hybrid(epsilon_switch),
+                noise,
+                sample=sample,
+                distribution=inst.distribution,
+                real_rng=np.random.default_rng(seed),
+                oracle_seed=seed + 1,
+            )
+        results.append(attack(inst, mech, len(p), ReplayedDraws(p), ReplayedDraws(uniforms)))
+    return results
+
+
 class TestArrayAttack:
     @pytest.mark.parametrize("eps, n", [(0.25, 16), (0.5, 8)])
     def test_info_query_means_match_the_gathers_bit_for_bit(self, eps, n):
@@ -356,6 +395,71 @@ class TestArrayAttack:
         for row in increments:
             running += row
         assert increments.sum(axis=0).view(np.int64).tolist() == running.view(np.int64).tolist()
+
+    @given(
+        data=st.data(),
+        shape=st.sampled_from([(1.0, 1), (1.0, 2), (1.0, 3), (1.0, 5), (0.5, 2), (0.5, 3)]),
+        k=st.integers(1, 12),
+        noise=st.sampled_from([NOISELESS, NoiseSpec(scale=0.0, grid_step=0.125), NoiseSpec()]),
+        epsilon_switch=st.sampled_from([None, 0.25]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_guess_is_the_running_sums_argmax(self, data, shape, k, noise, epsilon_switch, seed):
+        # few slots, few rounds and p values and uniforms from small sets make
+        # ties common; a slot's uniforms copied from another slot's give it
+        # the same table column, so the two tie exactly in every round
+        eps, slots = shape
+        inst = build_hard_instance(eps, 1.0 / slots, round(1.0 / eps))
+        m = inst.support_size
+        levels = st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.7]) | st.floats(0.0, 1.0, exclude_max=True)
+        p = data.draw(st.lists(levels, min_size=k, max_size=k))
+        uniforms = np.array(data.draw(st.lists(st.lists(levels, min_size=m, max_size=m), min_size=k, max_size=k)))
+        copies = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+        uniforms = uniforms[:, copies]
+        held = data.draw(st.integers(0, m - 1))
+        ref, got = replayed_attack_pair(inst, held, noise, epsilon_switch, p, uniforms, seed)
+        for field in ("true_index", "guess_index", "success", "final_answer", "final_deviation", "sample_deviation"):
+            assert getattr(got, field) == getattr(ref, field), field
+
+    def test_only_near_ties_take_the_running_sum(self, monkeypatch):
+        summed = []
+
+        def counted(*args):
+            summed.append(args)
+            return _score_sums(*args)
+
+        monkeypatch.setattr(adalab.attack, "_score_sums", counted)
+        # two slots with one table column tie exactly: the running sum
+        # decides, and its argmax takes the smaller slot
+        inst = build_hard_instance(1.0, 0.5, 1)
+        p, uniforms = [0.5, 0.25, 0.75], [[0.25, 0.25], [0.5, 0.5], [0.0, 0.0]]
+        ref, got = replayed_attack_pair(inst, 1, NOISELESS, None, p, uniforms, 0)
+        assert len(summed) == 1 and got.guess_index == ref.guess_index == 0
+        # slots 3 and 4 tie in the running sums, but the product puts slot 4
+        # one rounding ahead: the product alone would guess 4, not 3
+        inst = build_hard_instance(1.0, 0.2, 1)
+        p = [0.1, 0.1, 0.7, 0.9, 1 / 3, 1 / 3]
+        uniforms = [
+            [0.1, 0.7, 1 / 3, 0.7, 0.7],
+            [0.25, 0.9, 0.9, 1 / 3, 0.1],
+            [0.9, 0.25, 0.7, 0.25, 0.25],
+            [0.1, 1 / 3, 0.7, 0.1, 0.25],
+            [0.9, 0.9, 0.1, 0.1, 0.1],
+            [0.9, 0.9, 1 / 3, 0.1, 0.25],
+        ]
+        tables = np.array(uniforms) < np.array(p)[:, None]
+        assert ((tables[:, 3] - np.array(p)) @ tables).argmax() == 4  # the noiseless answers are column 3
+        ref, got = replayed_attack_pair(inst, 3, NOISELESS, None, p, uniforms, 0)
+        assert len(summed) == 2 and got.guess_index == ref.guess_index == 3
+        # the README config's trials are decided by the product alone
+        summed.clear()
+        *config, _ = ARRAY_ATTACK_CONFIGS["readme"]
+        for trial in range(20):
+            got, _, _ = seeded_attack_run(run_score_attack_arrays, *config, trial)
+            ref, _, _ = seeded_attack_run(run_score_attack, *config, trial)
+            assert got.guess_index == ref.guess_index
+        assert summed == []
 
     def test_rejects_what_the_reference_rejects_and_foreign_distributions(self):
         inst = build_hard_instance(0.25, 0.01, 16)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,15 @@ def run_config(capsys, tmp_path, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     return run(capsys, [KINDS[config["kind"]].command, "--config", str(path)])
+
+
+# two-sample instances one element past _SUPPORT_ELEMENT_LIMIT's 2 * 10**7
+TWO_SAMPLE_PAST_LIMIT = "two-sample instance of n 10000001 holds 2 * 10000001 elements, above the limit of 20000000"
+TWO_SAMPLE_PAST_LIMIT_ARGV = (
+    "llr --eps 0.03125 --rho 0.05 --n 10000001 --ones 4 --k 2 --grid-step 0.125",
+    "coupling --k 5 --bad-round 2 --n 10000001 --epsilon-switch 0.25",
+    "diagnose-divergence --mech-a real --mech-b oracle --n 10000001 --ones 2 --trials 1",
+)
 
 
 class TestExitCodes:
@@ -243,6 +253,14 @@ class TestExitCodes:
                 "simple-attack --gamma 1e-5 --n 2 --trials 1 --b 0",
                 "block instance of gamma 1e-05 holds 100000 blocks, above the limit of 10000",
             ),
+            *(
+                (
+                    f"llr --eps 0.03125 --rho 0.05 --n 64 --k 2 --grid-step {step}",
+                    f"grid_step must be positive and finite, got {shown}",
+                )
+                for step, shown in (("nan", "nan"), ("inf", "inf"), ("-0.125", "-0.125"), ("0", "0.0"))
+            ),
+            *((argv, TWO_SAMPLE_PAST_LIMIT) for argv in TWO_SAMPLE_PAST_LIMIT_ARGV),
             # a hybrid that never switches is the real mechanism, and each claim holds vacuously
             (
                 "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta 0.9 --n 400 --epsilon-switch inf",
@@ -265,6 +283,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+
+    @pytest.mark.parametrize("argv", TWO_SAMPLE_PAST_LIMIT_ARGV)
+    def test_two_sample_instance_past_the_limit_allocates_nothing(self, capsys, argv):
+        # the size is checked before either sample is built: without the
+        # check each sample alone would take 80 MB
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == "" and TWO_SAMPLE_PAST_LIMIT in err
+        assert peak < 2**20
 
 @pytest.mark.parametrize("name", sorted(KINDS))
 class TestKindTable:

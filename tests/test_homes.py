@@ -60,6 +60,8 @@ RULES = (
     Rule(SWITCH, "only MechanismState.__init__ and _advance set the switch flags and round count",
          EVERY, writes=("switched", "switch_round", "rounds_answered"),
          homes=("mechanisms.py::MechanismState.__init__", "mechanisms.py::MechanismState._advance")),
+    Rule(SWITCH, "only answer_means and answer_batch advance the round counter",
+         EVERY, method_calls=("_advance",), homes=("mechanisms.py::answer_means", "mechanisms.py::answer_batch")),
     Rule(SWITCH, "bounds.py rounds onto the grid through mechanisms alone",
          ("bounds.py",), loads=("rint", "clip", "clip_lo")),
     Rule(INFO, "only draw_info_tables and laplace_uniforms draw uniform doubles",
@@ -278,6 +280,16 @@ SWITCH_SOURCE = (
     "def sample_rounds(emp, tru):\n"
     "    return switches(emp, tru, 0.1)\n"
 )
+ADVANCE_SOURCE = (
+    "def answer_means(state, emp, tru):\n"
+    "    return state._advance(1, 1)\n"
+    "def answer_batch(state, emp, tru):\n"
+    "    first = state._advance(len(emp), 0)\n"
+    "def answer(state, query):\n"
+    "    round_index = state._advance(1, 0)\n"
+    "def _close(mech):\n"
+    "    return mech._advance(1, 1), mechanisms.MechanismState._advance(mech, 1, 0), _advance(1, 1)\n"
+)
 GRID_SOURCE = (
     "clip_lo, grid_step = noise.clip_lo, noise.grid_step\n"
     "np.clip(values, lo, hi, out=values)\n"
@@ -357,6 +369,10 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 13: mechanisms.switches(emp, tru, eps)", "line 14: state.switched", "line 15: state.rounds_answered",
             "line 19: switches(emp, tru, 0.1)",
         ], id="switch tests and flag writes outside their homes"),
+        pytest.param(SWITCH, "mechanisms.py", ADVANCE_SOURCE, [
+            "line 6: state._advance(1, 0)", "line 8: mech._advance(1, 1)",
+            "line 8: mechanisms.MechanismState._advance(mech, 1, 0)",
+        ], id="round counter advanced outside the answer rules"),
         pytest.param(SWITCH, "mechanisms.py", GRID_SOURCE, [], id="grid rounding outside bounds"),
         pytest.param(SWITCH, "bounds.py", GRID_SOURCE, [
             "line 1: noise.clip_lo", "line 2: np.clip", "line 3: np.rint", "line 4: values.clip",

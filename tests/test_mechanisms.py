@@ -26,6 +26,7 @@ from adalab.mechanisms import (
     _spawned_state_words,
     answer,
     answer_batch,
+    answer_means,
     grid_index,
     laplace_grid_indices,
     laplace_uniforms,
@@ -464,12 +465,17 @@ class TestAnswering:
         emp = np.array([empirical_mean(q, held) for q in queries]) if one.sample is not None else None
         tru = np.array([true_mean(q, dist) for q in queries]) if one.distribution is not None else None
         assert list(answer_batch(batched, emp, tru)) == expected
-        for field in ("rounds_answered", "switched", "switch_round"):
-            assert getattr(batched, field) == getattr(one, field)
+        # the one-round rule, given each query's means as floats
+        scalar = make()
+        means = zip(*(m.tolist() if m is not None else [None] * len(queries) for m in (emp, tru)))
+        assert [answer_means(scalar, e, t) for e, t in means] == expected
+        for mech in (batched, scalar):
+            for field in ("rounds_answered", "switched", "switch_round"):
+                assert getattr(mech, field) == getattr(one, field)
         if kind == "hybrid":
             assert batched.switch_round == 2
         if one._real_rng is not None:
-            assert batched._real_rng.uniform() == one._real_rng.uniform()
+            assert batched._real_rng.uniform() == scalar._real_rng.uniform() == one._real_rng.uniform()
 
     # indicator query ids per round: 0 the good query (no switch), 1 a
     # constant, 2 the bad query (emp 1.0 vs tru 0.5 trips 0.25)
