@@ -5,8 +5,9 @@ SeedSequence(master, spawn_key=(trial, stream_index)), so trials are
 independent, re-runnable in any order, and stable under parallel
 execution. No SeedSequence is built: the state words of every stream of 64
 consecutive trials are computed at once with array arithmetic
-(``mechanisms._spawned_state_words``) and the latest such table is cached,
-so a trial's streams cost a table lookup and a PCG64 seeding each;
+(``mechanisms._spawned_state_words``, which also gives the oracle its round
+words) and the latest such table is cached, so a trial's streams cost a
+table lookup and a PCG64 seeding each (``mechanisms._StateWords``);
 tests/test_harness.py::TestStreams checks them against numpy bit for bit.
 Experiments are described by a flat JSON config, run to a list
 of per-trial records plus a summary, and written as JSONL (one record per
@@ -59,7 +60,15 @@ from .bounds import (
     simple_attack_rounds,
 )
 from .core import FiniteDistribution, Query, Sample, empirical_mean, true_mean
-from .mechanisms import MechanismKind, MechanismState, NoiseSpec, _spawned_state_words, answer_batch
+from .mechanisms import (
+    _BLOCK_TRIALS,
+    MechanismKind,
+    MechanismState,
+    NoiseSpec,
+    _StateWords,
+    _spawned_state_words,
+    answer_batch,
+)
 
 STREAMS = (
     "sample_draw",
@@ -68,11 +77,6 @@ STREAMS = (
     "attack_bernoulli",
     "attack_p",
 )
-
-
-# trials per cached table of stream words; a multiple of 64 never crosses a
-# multiple of 2**32, so the trials of one table share their 32-bit word count
-_BLOCK_TRIALS = 64
 
 
 @lru_cache(maxsize=1)
@@ -92,18 +96,6 @@ def _stream_words(master: int, trial: int, stream: str) -> np.ndarray:
         raise ValueError("expected non-negative integer")
     block, row = divmod(trial, _BLOCK_TRIALS)
     return _stream_block(master, block)[row, index]
-
-
-class _StateWords(np.random.bit_generator.ISeedSequence):
-    """Four ready uint64 state words, handed to ``PCG64`` as its seed sequence."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"holds 4 uint64 state words only; asked for {n_words} of {np.dtype(dtype)}")
-        return self.words
 
 
 def derive_rng(master: int, trial: int, stream: str) -> np.random.Generator:
@@ -250,6 +242,8 @@ def _resolve_attack(params: dict) -> tuple[tuple[str, ...], HardInstance]:
         raise ValueError(f"attack mechanism must be real or hybrid, got {params['mechanism']!r}")
     if params["mechanism"] == "real" and "epsilon_switch" in params:
         raise ValueError("epsilon_switch applies only to the hybrid; attack mechanism is 'real'")
+    if not 0.0 < params["beta"] < 1.0:
+        raise ValueError(f"attack experiment needs 0 < beta < 1, got beta {params['beta']}")
     if "constant" in params and "k" in params:
         raise ValueError(f"constant applies only when k is derived; attack k is given as {params['k']}")
     r, _, m = instance_shape(params["eps"], params["gamma"])
@@ -551,11 +545,22 @@ def _run_llr(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
     return [record], dict(record)
 
 
+# output-grid bins a divergence run's exact laws may hold: those of the
+# default 2**-20 grid, where a run peaked at 180 MB
+_GRID_BIN_LIMIT = 2**21
+
+
 def _resolve_divergence(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution, Query]]:
     names = (params["mech_a"], params["mech_b"])
     if "epsilon_switch" in params and "hybrid" not in names:
         raise ValueError("epsilon_switch applies only to the hybrid; neither mech_a nor mech_b is 'hybrid'")
     _check_ones("divergence", params["n"], params["ones"])
+    bins = _noise_spec(params).n_bins
+    if bins > _GRID_BIN_LIMIT:
+        raise ValueError(
+            f"divergence experiment's grid_step {params['grid_step']} divides the output interval into {bins} "
+            f"bins, above the limit of {_GRID_BIN_LIMIT}"
+        )
     return names, _two_sample_instance(params["n"], params["ones"])
 
 

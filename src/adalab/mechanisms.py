@@ -22,26 +22,25 @@ noise value is consumed per answer, from the stream of the branch taken.
 
 The oracle's draw for round r is numpy's
 ``default_rng(SeedSequence(entropy=oracle_seed, spawn_key=(r,))).laplace(0.0, scale)``,
-bit for bit. adalab computes that chain (SeedSequence's mixing, PCG64's
-seeding and XSL-RR output, ``random_laplace``) with Python ints, so a round
-builds no numpy objects; the run entropy is mixed once per mechanism, on its
-first oracle draw. A round index of one 32-bit word (every index below
-2**32) is mixed in, and generate_state's eight words are formed, by steps
-unrolled into local variables; a longer key goes through ``_mix_in``.
-tests/test_mechanisms.py compares it with numpy over
-seeds, scales and rounds, since numpy keeps bit-generator streams stable
-across versions (NEP 19) but not its distribution methods.
-``_spawned_state_words`` runs the same mixing on uint64 arrays for the
-harness's per-trial streams; tests/test_harness.py compares those with numpy.
+bit for bit. No SeedSequence is built: ``_spawned_state_words`` computes the
+state words SeedSequence hands PCG64 (its mixing and ``generate_state``)
+with uint64 array arithmetic for 64 spawn keys at a time (``_BLOCK_TRIALS``),
+the rounds of one block for the oracle and the trials of one block for the
+harness's per-trial streams. A mechanism caches its latest block of round
+words, filled on its first oracle draw; each round seeds a PCG64 with its
+four words (``_StateWords``) and draws numpy's own ``laplace(0.0, scale)``.
+tests/test_mechanisms.py compares the draws with numpy over seeds, scales
+and rounds, and tests/test_harness.py the trial streams.
 
 numpy's Laplace formula (``random_laplace`` at loc 0.0 for one uniform
-double) lives in ``_laplace_from_uniform``, which the keyed draw calls. For
-the LLR in ``bounds``, which reads only each answer's grid index,
-``laplace_uniforms`` reads the doubles numpy's Laplace draw would read and
-``laplace_grid_indices`` turns them into grid indices in blocks, with a
-vectorized ``np.log``; it recomputes with ``_laplace_from_uniform`` every
-value near a bin edge, so each index equals the one of numpy's draw.
-tests/test_mechanisms.py compares both with numpy.
+double) lives in ``_laplace_from_uniform``. For the LLR in ``bounds``, which
+reads only each answer's grid index, ``laplace_uniforms`` reads the doubles
+numpy's Laplace draw would read and ``laplace_grid_indices`` turns them into
+grid indices in blocks, with a vectorized ``np.log``; it recomputes with
+``_laplace_from_uniform`` every value near a bin edge, so each index equals
+the one of numpy's draw. The LLR's per-transcript path calls
+``_laplace_from_uniform`` too. tests/test_mechanisms.py compares both with
+numpy.
 """
 
 from __future__ import annotations
@@ -411,7 +410,7 @@ class MechanismState:
         self.rounds_answered = 0
         self._real_rng = real_rng
         self._oracle_seed = None if oracle_seed is None else int(oracle_seed)
-        self._oracle_pool: tuple[list[int], int] | None = None
+        self._oracle_block: tuple[int, np.ndarray] | None = None
 
     def _advance(self, rounds: int, sample_rounds: int) -> int:
         """Count ``rounds`` answered rounds, the first ``sample_rounds`` from the
@@ -423,24 +422,33 @@ class MechanismState:
         return first
 
     def _oracle_noise(self, round_index: int) -> float:
-        if self._oracle_pool is None:
-            self._oracle_pool = _entropy_pool(self._oracle_seed)
-        return _keyed_laplace(self._oracle_pool, round_index, self.noise.scale)
+        """Round ``round_index``'s oracle noise: numpy's Laplace draw from a
+        PCG64 seeded with the round's state words, read from the cached block
+        of the 64 rounds that holds it."""
+        block, row = divmod(round_index, _BLOCK_TRIALS)
+        if self._oracle_block is None or self._oracle_block[0] != block:
+            words = _spawned_state_words(self._oracle_seed, block * _BLOCK_TRIALS, _BLOCK_TRIALS)
+            self._oracle_block = block, words
+        bit_generator = np.random.PCG64(_StateWords(self._oracle_block[1][row]))
+        return sample_noise(self.noise, np.random.Generator(bit_generator))
 
 
-# --- the oracle's keyed draw ------------------------------------------------------
+# --- the keyed chain ---------------------------------------------------------------
 #
-# numpy's SeedSequence -> PCG64 -> Generator.laplace chain in Python ints. The
-# constants are SeedSequence's hash constants (numpy/random/bit_generator.pyx)
-# and PCG64's 128-bit multiplier.
+# numpy's SeedSequence mixing and generate_state, on Python ints for the run
+# entropy and on uint64 arrays for a block of spawn keys. The constants are
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 # generate_state's hash constant before each of its eight output words, and after the last
 _STATE_HASH = tuple(_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9))
+# spawn keys per block of state words: trials for the harness's streams, rounds
+# for the oracle; a block aligned to a multiple of 64 never crosses a multiple
+# of 2**32, so the keys of one block share their 32-bit word count
+_BLOCK_TRIALS = 64
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -495,18 +503,21 @@ def _entropy_pool(entropy: int) -> tuple[list[int], int]:
     return _mix_in(pool, const, words[4:])
 
 
-def _spawned_state_words(entropy: int, first: int, trials: int, streams: int) -> np.ndarray:
-    """``SeedSequence(entropy, spawn_key=(first + t, s)).generate_state(4, np.uint64)``
-    for every ``t < trials`` and ``s < streams``, as a read-only (trials,
-    streams, 4) uint64 array computed with array arithmetic. The trials must
-    share one 32-bit word count: the range may not cross a multiple of 2**32."""
+def _spawned_state_words(entropy: int, first: int, count: int, streams: int = 0) -> np.ndarray:
+    """``SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64)``
+    for the keys ``(first + i,)``, ``i < count``, as a read-only (count, 4)
+    uint64 array or, given ``streams``, for the keys ``(first + i, s)``,
+    ``s < streams``, as a (count, streams, 4) array; computed with array
+    arithmetic. The keys must share one 32-bit word count: the range may
+    not cross a multiple of 2**32."""
     low, *high = _uint32_words(first)
-    if low + trials - 1 > _MASK32:
-        raise ValueError(f"trials {first} to {first + trials - 1} cross a multiple of 2**32")
+    if low + count - 1 > _MASK32:
+        raise ValueError(f"keys {first} to {first + count - 1} cross a multiple of 2**32")
     pool, const = _entropy_pool(entropy)
-    trial_words = np.arange(low, low + trials, dtype=np.uint64)[:, None]
-    pool = _mix_in(pool, const, [trial_words, *high, np.arange(streams, dtype=np.uint64)])[0]
-    # generate_state's eight 32-bit words, as in _keyed_laplace, paired low word first
+    keys = np.arange(low, low + count, dtype=np.uint64)
+    key_words = [keys[:, None], *high, np.arange(streams, dtype=np.uint64)] if streams else [keys, *high]
+    pool = _mix_in(pool, const, key_words)[0]
+    # generate_state's eight 32-bit words from the pool read twice, paired low word first
     words = [(pool[i % 4] ^ _STATE_HASH[i]) * _STATE_HASH[i + 1] & _MASK32 for i in range(8)]
     words = [word ^ word >> 16 for word in words]
     table = np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
@@ -514,53 +525,16 @@ def _spawned_state_words(entropy: int, first: int, trials: int, streams: int) ->
     return table
 
 
-def _keyed_laplace(entropy_pool: tuple[list[int], int], key: int, scale: float) -> float:
-    """``float(default_rng(SeedSequence(entropy, spawn_key=(key,))).laplace(0.0, scale))``,
-    given ``_entropy_pool(entropy)``."""
-    pool, const = entropy_pool
-    if key > _MASK32:
-        p0, p1, p2, p3 = _mix_in(pool, const, _uint32_words(key))[0]
-    else:
-        # _mix_in(pool, const, [key]): four _hashmix steps, each mixed into one pool word
-        p0, p1, p2, p3 = pool
-        c1 = const * _MULT_A & _MASK32
-        c2 = c1 * _MULT_A & _MASK32
-        c3 = c2 * _MULT_A & _MASK32
-        c4 = c3 * _MULT_A & _MASK32
-        v = (key ^ const) * c1 & _MASK32
-        v = (_MIX_MULT_L * p0 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-        p0 = v ^ v >> 16
-        v = (key ^ c1) * c2 & _MASK32
-        v = (_MIX_MULT_L * p1 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-        p1 = v ^ v >> 16
-        v = (key ^ c2) * c3 & _MASK32
-        v = (_MIX_MULT_L * p2 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-        p2 = v ^ v >> 16
-        v = (key ^ c3) * c4 & _MASK32
-        v = (_MIX_MULT_L * p3 - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-        p3 = v ^ v >> 16
-    # generate_state(4, np.uint64): eight 32-bit words from the pool read twice,
-    # each uint64 low word first
-    h0, h1, h2, h3, h4, h5, h6, h7, h8 = _STATE_HASH
-    w0 = (p0 ^ h0) * h1 & _MASK32
-    w1 = (p1 ^ h1) * h2 & _MASK32
-    w2 = (p2 ^ h2) * h3 & _MASK32
-    w3 = (p3 ^ h3) * h4 & _MASK32
-    w4 = (p0 ^ h4) * h5 & _MASK32
-    w5 = (p1 ^ h5) * h6 & _MASK32
-    w6 = (p2 ^ h6) * h7 & _MASK32
-    w7 = (p3 ^ h7) * h8 & _MASK32
-    # PCG64 seeding: uint64s 0-1 are the 128-bit seed and 2-3 the stream, high half first
-    seed = (w1 ^ w1 >> 16) << 96 | (w0 ^ w0 >> 16) << 64 | (w3 ^ w3 >> 16) << 32 | w2 ^ w2 >> 16
-    inc = ((w5 ^ w5 >> 16) << 97 | (w4 ^ w4 >> 16) << 65 | (w7 ^ w7 >> 16) << 33 | (w6 ^ w6 >> 16) << 1 | 1) & _MASK128
-    state = ((inc + seed) * _PCG_MULT + inc) & _MASK128
-    while True:  # random_laplace draws again on u == 0
-        state = (state * _PCG_MULT + inc) & _MASK128
-        rot = state >> 122
-        out = (state >> 64 ^ state) & _MASK64
-        u = (((out >> rot | out << 64 - rot) & _MASK64) >> 11) * 2.0**-53
-        if u > 0.0:
-            return _laplace_from_uniform(u, scale)
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Four ready uint64 state words, handed to ``PCG64`` as its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 state words only; asked for {n_words} of {np.dtype(dtype)}")
+        return self.words
 
 
 def switches(emp: float, tru: float, epsilon_switch: float) -> bool:

@@ -436,8 +436,9 @@ class TestArrayAttack:
         p, uniforms = [0.5, 0.25, 0.75], [[0.25, 0.25], [0.5, 0.5], [0.0, 0.0]]
         ref, got = replayed_attack_pair(inst, 1, NOISELESS, None, p, uniforms, 0)
         assert len(summed) == 1 and got.guess_index == ref.guess_index == 0
-        # slots 3 and 4 tie in the running sums, but the product puts slot 4
-        # one rounding ahead: the product alone would guess 4, not 3
+        # slots 3 and 4 tie in the running sums, and the product puts them
+        # within the certified bound of each other, whichever one the BLAS
+        # kernel's rounding puts ahead: the running sums decide, for 3
         inst = build_hard_instance(1.0, 0.2, 1)
         p = [0.1, 0.1, 0.7, 0.9, 1 / 3, 1 / 3]
         uniforms = [
@@ -448,8 +449,11 @@ class TestArrayAttack:
             [0.9, 0.9, 0.1, 0.1, 0.1],
             [0.9, 0.9, 1 / 3, 0.1, 0.25],
         ]
-        tables = np.array(uniforms) < np.array(p)[:, None]
-        assert ((tables[:, 3] - np.array(p)) @ tables).argmax() == 4  # the noiseless answers are column 3
+        tables = (np.array(uniforms) < np.array(p)[:, None]).astype(np.float64)
+        weights = tables[:, 3] - np.array(p) / inst.num_blocks  # the noiseless answers are column 3
+        approx, sums = weights @ tables, _score_sums(tables.copy(), np.array(p), weights)
+        bound = 8 * (len(p) + 2) * 2.0**-53 * np.abs(weights).sum() + (len(p) + 2) * 2.0**-1074  # as in the attack
+        assert sums[3] == sums[4] == sums.max() and np.flatnonzero(approx >= approx.max() - bound).tolist() == [3, 4]
         ref, got = replayed_attack_pair(inst, 3, NOISELESS, None, p, uniforms, 0)
         assert len(summed) == 2 and got.guess_index == ref.guess_index == 3
         # the README config's trials are decided by the product alone

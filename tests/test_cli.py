@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from adalab.cli import _config_from_args, build_parser, main
-from adalab.harness import KINDS
+from adalab.harness import _GRID_BIN_LIMIT, KINDS
+from adalab.mechanisms import NoiseSpec
 
 # one parseable value per param type
 FLAG_VALUES = {int: "3", float: "0.5", str: "x"}
@@ -51,6 +52,22 @@ TWO_SAMPLE_PAST_LIMIT_ARGV = (
     "coupling --k 5 --bad-round 2 --n 10000001 --epsilon-switch 0.25",
     "diagnose-divergence --mech-a real --mech-b oracle --n 10000001 --ones 2 --trials 1",
 )
+GRID_PAST_LIMIT_ARGV = "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2 --grid-step 1e-9 --trials 1"
+GRID_PAST_LIMIT = (
+    "divergence experiment's grid_step 1e-09 divides the output interval into 2000000000 bins, above the limit "
+    "of 2097152"
+)
+
+
+def run_traced(capsys, argv: str):
+    """``run``'s exit code, output and error, and the peak of the memory
+    Python and numpy allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv.split())
+        return code, out, err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestExitCodes:
@@ -261,6 +278,16 @@ class TestExitCodes:
                 for step, shown in (("nan", "nan"), ("inf", "inf"), ("-0.125", "-0.125"), ("0", "0.0"))
             ),
             *((argv, TWO_SAMPLE_PAST_LIMIT) for argv in TWO_SAMPLE_PAST_LIMIT_ARGV),
+            (GRID_PAST_LIMIT_ARGV, GRID_PAST_LIMIT),
+            # beta is checked whether k is given or derived from it
+            *(
+                (
+                    f"attack --eps 0.25 --gamma 0.01 --n 16{k} --beta {beta}",
+                    f"attack experiment needs 0 < beta < 1, got beta {shown}",
+                )
+                for beta, shown in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("2", "2.0"), ("-1", "-1.0"))
+                for k in (" --k 5", "")
+            ),
             # a hybrid that never switches is the real mechanism, and each claim holds vacuously
             (
                 "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta 0.9 --n 400 --epsilon-switch inf",
@@ -288,14 +315,17 @@ class TestExitCodes:
     def test_two_sample_instance_past_the_limit_allocates_nothing(self, capsys, argv):
         # the size is checked before either sample is built: without the
         # check each sample alone would take 80 MB
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, argv.split())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, out, err, peak = run_traced(capsys, argv)
         assert code == 1 and out == "" and TWO_SAMPLE_PAST_LIMIT in err
         assert peak < 2**20
+
+    def test_grid_past_the_bin_limit_allocates_nothing(self, capsys):
+        # the bin count is checked at resolve: without the check the exact
+        # laws of 2e9 bins would ask for 14.9 GiB
+        code, out, err, peak = run_traced(capsys, GRID_PAST_LIMIT_ARGV)
+        assert code == 1 and out == "" and GRID_PAST_LIMIT in err
+        assert peak < 2**20
+        assert NoiseSpec().n_bins <= _GRID_BIN_LIMIT  # the default 2**-20 grid still runs
 
 @pytest.mark.parametrize("name", sorted(KINDS))
 class TestKindTable:

@@ -68,10 +68,9 @@ RULES = (
          EVERY, method_calls=("random",), homes=("attack.py::draw_info_tables", "mechanisms.py::laplace_uniforms")),
     Rule(INFO, "only make_info_query turns a table into override ids",
          ("attack.py",), calls=("nonzero", "flatnonzero"), homes=("attack.py::make_info_query",)),
-    Rule(KEYED, "only _entropy_pool, _mix_in, _keyed_laplace and _spawned_state_words read the keyed chain's constants",
-         EVERY, loads=("_STATE_HASH", "_PCG_MULT", "_MIX_MULT_L", "_MIX_MULT_R"),
-         homes=("mechanisms.py::_entropy_pool", "mechanisms.py::_mix_in", "mechanisms.py::_keyed_laplace",
-                "mechanisms.py::_spawned_state_words")),
+    Rule(KEYED, "only _entropy_pool, _mix_in and _spawned_state_words read the keyed chain's constants",
+         EVERY, loads=("_STATE_HASH", "_MIX_MULT_L", "_MIX_MULT_R"),
+         homes=("mechanisms.py::_entropy_pool", "mechanisms.py::_mix_in", "mechanisms.py::_spawned_state_words")),
     Rule(LAPLACE, "in mechanisms.py only _laplace_from_uniform and laplace_grid_indices take a log",
          ("mechanisms.py",), loads=("log",),
          homes=("mechanisms.py::_laplace_from_uniform", "mechanisms.py::laplace_grid_indices")),
@@ -313,16 +312,16 @@ INFO_SOURCE = (
     "    return nonzero(emp)\n"
 )
 KEYED_SOURCE = (
-    "_PCG_MULT = 3\n"
+    "def _entropy_pool(entropy):\n"
+    "    return (_MIX_MULT_L * _hashmix(entropy, _INIT_A)[0]) & _MASK32, _STATE_HASH\n"
     "def _mix_in(pool, const, words):\n"
     "    return (_MIX_MULT_L * pool[0] - _MIX_MULT_R * words[0]) & _MASK32\n"
-    "def _keyed_laplace(entropy_pool, key, scale):\n"
-    "    return _STATE_HASH[0] * _PCG_MULT\n"
     "def _mix(x, y):\n"
     "    return (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32\n"
-    "def _oracle_noise(self, round_index):\n"
-    "    return mechanisms._PCG_MULT * round_index, _STATE_HASH\n"
-    "def _spawned_state_words(entropy, first, trials, streams):\n"
+    "class MechanismState:\n"
+    "    def _oracle_noise(self, round_index):\n"
+    "        return mechanisms._STATE_HASH[round_index % 9], _MIX_MULT_R\n"
+    "def _spawned_state_words(entropy, first, count, streams=0):\n"
     "    return [(pool[i % 4] ^ _STATE_HASH[i]) * _STATE_HASH[i + 1] for i in range(8)]\n"
     "def _stream_block(master, block):\n"
     "    return _STATE_HASH[0] ^ block\n"
@@ -332,7 +331,7 @@ LAPLACE_SOURCE = (
     "    return 0.0 - scale * math.log(2.0 - u - u) if u >= 0.5 else 0.0 + scale * math.log(u + u)\n"
     "def laplace_grid_indices(spec, u, means):\n"
     "    return np.log(np.minimum(u + u, (2.0 - u) - u), out=u)\n"
-    "def _keyed_laplace(entropy_pool, key, scale):\n"
+    "def _oracle_noise(self, round_index):\n"
     "    return 0.0 + scale * math.log(u + u)\n"
     "def laplace_uniforms(rng, size):\n"
     "    return np.log(rng.random(size)), log\n"
@@ -386,7 +385,7 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 2: rng_p.random(rounds)", "line 3: rng_table.random((rounds, inst.support_size))", *INFO_DRAWS,
         ], id="draws outside attack"),
         pytest.param(KEYED, "mechanisms.py", KEYED_SOURCE, [
-            "line 7: _MIX_MULT_L", "line 7: _MIX_MULT_R", "line 9: mechanisms._PCG_MULT", "line 9: _STATE_HASH",
+            "line 6: _MIX_MULT_L", "line 6: _MIX_MULT_R", "line 9: mechanisms._STATE_HASH", "line 9: _MIX_MULT_R",
             "line 13: _STATE_HASH",
         ], id="keyed chain constants outside their homes"),
         pytest.param(LAPLACE, "mechanisms.py", LAPLACE_SOURCE, [

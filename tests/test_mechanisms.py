@@ -489,6 +489,10 @@ class TestAnswering:
     @example(kind="hybrid", picks=[0, 1, 2, 0], cuts={2})  # switch at a batch's first round
     @example(kind="hybrid", picks=[0, 2, 1, 2], cuts={3})  # switch mid-batch
     @example(kind="hybrid", picks=[2, 0, 1, 0], cuts={1, 2})  # switch in an earlier batch
+    # oracle words come in blocks of 64 rounds: a batch over rounds 60-70
+    @example(kind="oracle", picks=[0, 1, 2] * 24, cuts={60, 71})
+    # a switch at round 66, in a batch from round 64, and a later batch across round 128
+    @example(kind="hybrid", picks=[0, 1] * 33 + [2] + [1, 0] * 32, cuts={64, 70, 127})
     @settings(max_examples=150, deadline=None)
     def test_any_split_into_batches_matches_one_answer_per_query(self, kind, picks, cuts):
         held, dist = two_point_setup()
@@ -558,7 +562,7 @@ def numpy_oracle_draw(seed: int, round_index: int, scale: float) -> float:
 
 class TestOracleStream:
     """The oracle's keyed draw against numpy's SeedSequence -> PCG64 -> laplace
-    chain, which it computes without building numpy objects."""
+    chain, whose state words it reads from blocks of 64 rounds."""
 
     SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64, 2**255 + 3, 5 << 192] + [
         derive_entropy(master, trial, "mech_noise_oracle") for master, trial in ((0, 0), (9, 1), (123, 4567))
