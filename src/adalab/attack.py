@@ -35,6 +35,7 @@ from .core import (
     Sample,
     Transcript,
     empirical_mean,
+    mean_under,
     true_mean,
 )
 from .mechanisms import MechanismState, answer, answer_batch, answer_means
@@ -171,9 +172,9 @@ def info_query_means(
     with these (rounds, m) 0/1 tables, and their true means when the
     mechanism holds a distribution (else None).
 
-    Both equal ``empirical_mean``'s and ``true_mean``'s bit for bit. A
-    mechanism that reads a distribution must hold ``inst.distribution``,
-    whose true means follow from the instance layout.
+    Both equal ``empirical_mean``'s and ``true_mean``'s bit for bit (one
+    ``mean_under`` call for all rows). A mechanism that reads a distribution
+    must hold ``inst.distribution``, whose true means follow from the layout.
     """
     if mech.distribution is not None and mech.distribution is not inst.distribution:
         raise ValueError("mechanism distribution must be the instance's own")
@@ -184,9 +185,7 @@ def info_query_means(
     if mech.distribution is None:
         return emp, None
     # support sample j holds slot j of block one copies_per_block times
-    support_means = tables * inst.copies_per_block / inst.n
-    probs = mech.distribution.probabilities
-    return emp, np.array([probs @ row for row in support_means])  # true_mean's dot, row by row
+    return emp, mean_under(mech.distribution.probabilities, tables * inst.copies_per_block / inst.n)
 
 
 def info_round(state: AttackState, inst: HardInstance, mech: MechanismState) -> AttackState:

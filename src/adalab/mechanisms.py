@@ -435,8 +435,8 @@ class MechanismState:
 
 # --- the keyed chain ---------------------------------------------------------------
 #
-# numpy's SeedSequence mixing and generate_state, on Python ints for the run
-# entropy and on uint64 arrays for a block of spawn keys. The constants are
+# numpy's SeedSequence mixing and generate_state, on Python ints for the first
+# four entropy words and on uint64 arrays for later words and spawn keys. The constants are
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 
 _MASK32 = (1 << 32) - 1
@@ -444,7 +444,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # generate_state's hash constant before each of its eight output words, and after the last
-_STATE_HASH = tuple(_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9))
+_STATE_HASH = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)], dtype=np.uint64)
+# a hash constant times these: the constants a word meets before each of the pool's four words
+_MULT_A_POWERS = np.array([pow(_MULT_A, i, 1 << 32) for i in range(4)], dtype=np.uint64)
 # spawn keys per block of state words: trials for the harness's streams, rounds
 # for the oracle; a block aligned to a multiple of 64 never crosses a multiple
 # of 2**32, so the keys of one block share their 32-bit word count
@@ -453,17 +455,12 @@ _BLOCK_TRIALS = 64
 
 def _uint32_words(value: int) -> list[int]:
     """A non-negative int's 32-bit words, least significant first; [0] for 0."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
-def _hashmix(value, const: int) -> tuple:
-    """One SeedSequence hashmix step of a 32-bit word, or elementwise of a
-    uint64 array of words; an array argument is left unchanged."""
+def _hashmix(value, const) -> tuple:
+    """One SeedSequence hashmix step of 32-bit words, elementwise for uint64
+    arrays of words or of constants; an array argument is left unchanged."""
     value = value ^ const
     const = const * _MULT_A & _MASK32
     value = value * const & _MASK32
@@ -471,20 +468,18 @@ def _hashmix(value, const: int) -> tuple:
 
 
 def _mix_in(pool: list, const: int, words: list) -> tuple[list, int]:
-    """SeedSequence's four-word pool and hash constant after mixing in entropy
-    words that come after the first four. A word may be a uint64 array of
-    32-bit words: the pool words then become arrays, one pool per element
-    of the words' broadcast shape."""
-    pool = list(pool)
+    """SeedSequence's pool and hash constant after mixing in entropy words past the
+    first four, each into all four pool words at once; array words give arrays."""
+    pool = np.asarray(pool, dtype=np.uint64)
     for word in words:
-        for dst in range(4):
-            value, const = _hashmix(word, const)
-            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _MASK32
-            pool[dst] = mixed ^ mixed >> 16
-    return pool, const
+        value, consts = _hashmix(np.asarray(word, dtype=np.uint64)[..., None], const * _MULT_A_POWERS & _MASK32)
+        mixed = (_MIX_MULT_L * pool - _MIX_MULT_R * value) & _MASK32
+        pool = mixed ^ mixed >> 16
+        const = int(consts[-1])
+    return [pool[..., i] for i in range(4)], const
 
 
-def _entropy_pool(entropy: int) -> tuple[list[int], int]:
+def _entropy_pool(entropy: int) -> tuple[list, int]:
     """SeedSequence's pool and hash constant after mixing in the run entropy,
     padded to four words as numpy pads it when a spawn key follows."""
     words = _uint32_words(entropy)
@@ -518,9 +513,9 @@ def _spawned_state_words(entropy: int, first: int, count: int, streams: int = 0)
     key_words = [keys[:, None], *high, np.arange(streams, dtype=np.uint64)] if streams else [keys, *high]
     pool = _mix_in(pool, const, key_words)[0]
     # generate_state's eight 32-bit words from the pool read twice, paired low word first
-    words = [(pool[i % 4] ^ _STATE_HASH[i]) * _STATE_HASH[i + 1] & _MASK32 for i in range(8)]
-    words = [word ^ word >> 16 for word in words]
-    table = np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
+    words = (np.stack(pool * 2, axis=-1) ^ _STATE_HASH[:8]) * _STATE_HASH[1:] & _MASK32
+    words ^= words >> 16
+    table = words[..., 0::2] | words[..., 1::2] << 32
     table.flags.writeable = False
     return table
 

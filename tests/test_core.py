@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -217,7 +222,7 @@ class TestMeans:
         dist = FiniteDistribution([Sample((0, 1)), Sample((2, 2, 3))], [0.25, 0.75])
 
         def reference(q):
-            return float(dist.probabilities @ empirical_means_over_support(q, dist))
+            return float(np.add.reduce(empirical_means_over_support(q, dist) * dist.probabilities))
 
         first = Query(0.0, {1: 1.0, 3: 0.5})
         stored = true_mean(first, dist)
@@ -246,7 +251,7 @@ def gathered_means(query, dist):
 def assert_means_match_the_gather(query, dist):
     reference = gathered_means(query, dist)
     assert empirical_means_over_support(query, dist).tobytes() == reference.tobytes()
-    assert true_mean(query, dist).hex() == float(dist.probabilities @ reference).hex()
+    assert true_mean(query, dist).hex() == float(np.add.reduce(reference * dist.probabilities)).hex()
     assert [empirical_mean(query, s).hex() for s in dist.samples] == [float(x).hex() for x in reference]
 
 
@@ -372,6 +377,30 @@ class TestDenseLookup:
         for sample, moved in [*zip(dist.samples, shifted.samples), (whole, whole_shifted)]:
             assert empirical_mean(query, sample).hex() == empirical_mean(shifted_query, moved).hex()
         assert_means_match_the_gather(query, dist)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+BIT_PINS = ["tests/test_mechanisms.py::test_oracle_loop_keeps_its_bits", "tests/test_core.py::TestFastMeans"]
+
+
+def blas_is_openblas() -> bool:
+    try:  # numpy before 1.25 has no mode argument; some builds list no dependencies
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.get("name", "").lower()
+
+
+@pytest.mark.skipif(not blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_means_keep_their_bits_under_other_blas_kernels(coretype):
+    """OpenBLAS picks its kernels from the CPU at run time. Forced to another
+    CPU's kernels in a child process, the tests that pin means and the oracle
+    loop's digest bit for bit still pass: no mean reads the BLAS."""
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *BIT_PINS]
+    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestSerialization:

@@ -33,6 +33,7 @@ class Rule:
     literal_prefix: str | None = None  # a call given a string literal with this prefix
     param_reads: bool = False  # int(...) or float(...) of a param, or params.get with a default
     kind_literals: bool = False  # the kind name compared with a string literal
+    matmult: bool = False  # a @ b or a @= b
     homes: tuple[str, ...] = ()
     keyword_homes: tuple[str, ...] = ()
     within: tuple[str, ...] = ()
@@ -43,7 +44,7 @@ BUILDERS = (
     "_two_sample_instance", "_noise_spec",
 )
 SWITCH, INFO, KEYED = "hybrid switch and output grid", "info queries", "keyed oracle draw"
-LAPLACE = "numpy's Laplace formula"
+LAPLACE, MEANS = "numpy's Laplace formula", "means"
 
 RULES = (
     Rule("param defaults", "harness reads params as resolved: no param cast, no defaulted params.get",
@@ -74,6 +75,9 @@ RULES = (
     Rule(LAPLACE, "in mechanisms.py only _laplace_from_uniform and laplace_grid_indices take a log",
          ("mechanisms.py",), loads=("log",),
          homes=("mechanisms.py::_laplace_from_uniform", "mechanisms.py::laplace_grid_indices")),
+    Rule(MEANS, "only run_score_attack_arrays, whose guess is certified for any order of its sums, takes a matrix product",
+         EVERY, calls=("dot", "matmul", "inner", "vdot", "tensordot", "einsum"), matmult=True,
+         homes=("attack.py::run_score_attack_arrays",)),
 )
 
 
@@ -146,6 +150,8 @@ def _call_breaks(rule: Rule, node: ast.Call) -> bool:
 def _breaks_at(rule: Rule, node: ast.AST) -> list[ast.AST]:
     """What breaks ``rule`` at ``node``: the node itself, or the attributes
     an assignment writes."""
+    if rule.matmult and isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return [node]
     if isinstance(node, ast.Call):
         return [node] if _call_breaks(rule, node) else []
     if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -338,6 +344,23 @@ LAPLACE_SOURCE = (
     "def noise_cdf(spec, x):\n"
     "    return np.log1p(x), _laplace_from_uniform(x, spec.scale)\n"
 )
+PRODUCT_SOURCE = (
+    "def run_score_attack_arrays(weights, tables):\n"
+    "    approx = weights @ tables\n"
+    "    approx @= np.dot(tables, weights)\n"
+    "def true_mean(probs, means):\n"
+    "    mean = probs @ means\n"
+    "    means @= probs\n"
+    "    return np.dot(probs, means), probs.dot(means), np.matmul(probs, means), np.inner(probs, means)\n"
+    "def info_query_means(probs, rows):\n"
+    "    ok = mean_under(probs, rows), np.add.reduce(rows * probs, axis=-1), probs * rows\n"
+    "    return np.vdot(probs, rows), np.tensordot(rows, probs, 1), np.einsum('ij,j->i', rows, probs)\n"
+)
+PRODUCT_BREAKS = [
+    "line 5: probs @ means", "line 6: means @= probs", "line 7: np.dot(probs, means)", "line 7: probs.dot(means)",
+    "line 7: np.matmul(probs, means)", "line 7: np.inner(probs, means)", "line 10: np.vdot(probs, rows)",
+    "line 10: np.tensordot(rows, probs, 1)", "line 10: np.einsum('ij,j->i', rows, probs)",
+]
 INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: self.rng_p.random()"]
 
 
@@ -392,6 +415,11 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 6: math.log", "line 8: np.log", "line 8: log",
         ], id="logs outside the Laplace formula's homes"),
         pytest.param(LAPLACE, "bounds.py", LAPLACE_SOURCE, [], id="logs outside mechanisms"),
+        pytest.param(MEANS, "attack.py", PRODUCT_SOURCE, PRODUCT_BREAKS, id="products outside the certified guess"),
+        pytest.param(MEANS, "core.py", PRODUCT_SOURCE, [
+            "line 2: weights @ tables", "line 3: approx @= np.dot(tables, weights)", "line 3: np.dot(tables, weights)",
+            *PRODUCT_BREAKS,
+        ], id="products in a module without the guess"),
     ],
 )
 def test_walker_finds_each_break(done, module, source, expected):
