@@ -23,6 +23,7 @@ from .mechanisms import (
     MechanismKind,
     MechanismState,
     NoiseSpec,
+    _BLOCK_VALUES,
     _laplace_from_uniform,
     grid_index,
     laplace_grid_indices,
@@ -278,8 +279,8 @@ def divergence_diagnostics(
     """
     if mech_a.noise.grid_step != mech_b.noise.grid_step:
         raise ValueError("mechanisms must share one output grid")
-    p = output_distribution(mech_a.noise, perturbed_mean(mech_a, query)[0])
-    q = output_distribution(mech_b.noise, perturbed_mean(mech_b, query)[0])
+    p = output_distribution(mech_a.noise, perturbed_mean(mech_a, query))
+    q = output_distribution(mech_b.noise, perturbed_mean(mech_b, query))
     (max_ab, kl_ab), (max_ba, kl_ba) = _divergences(p, q), _divergences(q, p)
     return DivergenceReport(max_divergence_ab=max_ab, max_divergence_ba=max_ba, kl_ab=kl_ab, kl_ba=kl_ba)
 
@@ -297,8 +298,8 @@ class LlrReport:
 
 
 def check_llr_draw(trials: int, k: int) -> None:
-    """Each LLR direction draws ``trials * k`` values at once: at most
-    ``_SUPPORT_ELEMENT_LIMIT`` of them."""
+    """At most ``_SUPPORT_ELEMENT_LIMIT`` values per LLR direction, read in
+    blocks: a bound on run length and on ``harness._run_llr``'s k queries."""
     if trials * k > _SUPPORT_ELEMENT_LIMIT:
         raise ValueError(
             f"llr experiment draws trials * k = {trials} * {k} noise values per direction, "
@@ -331,11 +332,12 @@ def run_llr_experiment(
     be positive, as ``MechanismKind.hybrid`` requires.
 
     A ``FixedQueryAnalyst`` asks its first k queries whatever the answers,
-    so the switch round (``MechanismKind.sample_rounds``) is found once and
-    every transcript's round r is computed at once, as array operations over
-    all transcripts: ``mechanisms.laplace_grid_indices`` gives each answer's
-    grid index straight from the uniform doubles, and the ratios are summed
-    round by round. Its list must hold at least k queries. Any other analyst
+    so the switch round (``MechanismKind.sample_rounds``) and each round's
+    mean and log-ratio terms are found once, and a block's round r is
+    computed at once, as array operations over the block's transcripts:
+    ``mechanisms.laplace_grid_indices`` gives each answer's grid index
+    straight from the uniform doubles, and the ratios are summed round by
+    round. Its list must hold at least k queries. Any other analyst
     may read answers, so it is shown each transcript's ``quantize``d prefix,
     round by round, in transcript order, each draw computed from its double
     by ``mechanisms._laplace_from_uniform``. Both give the same report for
@@ -345,12 +347,14 @@ def run_llr_experiment(
     ``seed``, and reads from it the ``trials * k`` uniform doubles that
     numpy's ``laplace(0.0, scale, trials * k)`` reads, zeros skipped
     (``mechanisms.laplace_uniforms``), transcript-major: transcript t's
-    round r reads double ``t * k + r``. Its noise values equal that draw's
-    bit for bit, which equals one draw of k values per transcript, in
-    transcript order. ``trials * k`` may not exceed
-    ``_SUPPORT_ELEMENT_LIMIT`` (``check_llr_draw``). A query's means and log
-    laws are computed once per distinct query and cached by the query's
-    value, never by object identity.
+    round r reads double ``t * k + r``. It reads them in blocks of about
+    ``mechanisms._BLOCK_VALUES``, so its memory stays flat in trials; the
+    blocks read the same doubles, zeros skipped alike, as one draw of all of
+    them. Its noise values equal that draw's bit for bit, which equals one
+    draw of k values per transcript, in transcript order.
+    ``trials * k`` may not exceed ``_SUPPORT_ELEMENT_LIMIT``
+    (``check_llr_draw``). A query's means and log laws are computed once per
+    distinct query and cached by the query's value, never by object identity.
     """
     if getattr(analyst, "deterministic", False) is not True:
         raise ValueError("log-ratio accounting requires a deterministic analyst")
@@ -382,22 +386,19 @@ def run_llr_experiment(
 
     if fixed:
         fixed_laws = [laws_for(query) for query in analyst.queries[:k]]
-        emps, trus = (np.array([laws[i] for laws in fixed_laws]) for i in (0, 1))
+        emps, trus, law_emps, law_trus = (np.array([laws[i] for laws in fixed_laws]) for i in range(4))
         switch_round = hybrid.sample_rounds(emps, trus, k)
+        # the hybrid's mean and log law of each round
+        hybrid_means = np.concatenate((emps[:switch_round], trus[switch_round:]))
+        hybrid_laws = np.concatenate((law_emps[:switch_round], law_trus[switch_round:]))
 
-    def fixed_llrs(sample_hybrid: bool, uniforms: np.ndarray) -> np.ndarray:
-        """Every transcript's ratio, one round at a time over all of them.
+    def fixed_llrs(means: np.ndarray, terms: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """A block's ratios, one round at a time over all its transcripts.
         Adding round by round keeps each sum in the per-transcript order."""
-        means, terms = [], []
-        for r, (emp, tru, law_emp, law_tru) in enumerate(fixed_laws):
-            mean_h, law_h = (tru, law_tru) if r >= switch_round else (emp, law_emp)
-            means.append(mean_h if sample_hybrid else tru)
-            # a bin the other law never yields makes the ratio +inf
-            terms.append(np.subtract(law_h, law_tru) if sample_hybrid else np.subtract(law_tru, law_h))
         indices = laplace_grid_indices(noise, uniforms, means)
-        llr = np.zeros(trials)
-        for r, term in enumerate(terms):
-            llr += term[indices[:, r]]
+        llr = np.zeros(len(uniforms))
+        for column, term in zip(indices.T, terms):
+            llr += term[column]
         return llr
 
     def adaptive_llrs(sample_hybrid: bool, uniforms: np.ndarray) -> list[float]:
@@ -421,11 +422,23 @@ def run_llr_experiment(
         return llrs
 
     def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
-        uniforms = laplace_uniforms(rng, trials * k).reshape(trials, k)
+        block_rows = max(1, _BLOCK_VALUES // max(k, 1))
+        exceed = 0
         # inf - inf is nan, as in Python float arithmetic, without a warning
         with np.errstate(invalid="ignore"):
-            llr = (fixed_llrs if fixed else adaptive_llrs)(sample_hybrid, uniforms)
-            return int(np.count_nonzero(np.greater(llr, threshold))) / trials
+            if fixed:
+                # each round's drawn mean, and its log ratio by grid index: +inf
+                # on a bin the other law never yields
+                if sample_hybrid:
+                    means, terms = hybrid_means, hybrid_laws - law_trus
+                else:
+                    means, terms = trus, law_trus - hybrid_laws
+            for start in range(0, trials, block_rows):
+                rows = min(block_rows, trials - start)
+                uniforms = laplace_uniforms(rng, rows * k).reshape(rows, k)
+                llr = fixed_llrs(means, terms, uniforms) if fixed else adaptive_llrs(sample_hybrid, uniforms)
+                exceed += int(np.count_nonzero(np.greater(llr, threshold)))
+        return exceed / trials
 
     rng_h = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     rng_o = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))

@@ -3,8 +3,8 @@
 Every random choice in an experiment draws from a stream derived as
 SeedSequence(master, spawn_key=(trial, stream_index)), so trials are
 independent, re-runnable in any order, and stable under parallel
-execution. No SeedSequence is built: the state words of every stream of 64
-consecutive trials are computed at once with array arithmetic
+execution. The state words of every stream of 64 consecutive trials are
+computed at once from one SeedSequence pool with array arithmetic
 (``mechanisms._spawned_state_words``, which also gives the oracle its round
 words) and the latest such table is cached, so a trial's streams cost a
 table lookup and a PCG64 seeding each (``mechanisms._StateWords``);

@@ -22,11 +22,12 @@ noise value is consumed per answer, from the stream of the branch taken.
 
 The oracle's draw for round r is numpy's
 ``default_rng(SeedSequence(entropy=oracle_seed, spawn_key=(r,))).laplace(0.0, scale)``,
-bit for bit. No SeedSequence is built: ``_spawned_state_words`` computes the
-state words SeedSequence hands PCG64 (its mixing and ``generate_state``)
-with uint64 array arithmetic for 64 spawn keys at a time (``_BLOCK_TRIALS``),
-the rounds of one block for the oracle and the trials of one block for the
-harness's per-trial streams. A mechanism caches its latest block of round
+bit for bit. numpy's own ``SeedSequence`` mixes the seed, once per block of
+64 spawn keys (``_BLOCK_TRIALS``); ``_spawned_state_words`` mixes in the
+block's keys and computes the state words SeedSequence hands PCG64 (its
+``generate_state``) with the same arithmetic on uint64 arrays: the rounds of
+one block for the oracle and the trials of one block for the harness's
+per-trial streams. A mechanism caches its latest block of round
 words, filled on its first oracle draw; each round seeds a PCG64 with its
 four words (``_StateWords``) and draws numpy's own ``laplace(0.0, scale)``.
 tests/test_mechanisms.py compares the draws with numpy over seeds, scales
@@ -35,8 +36,8 @@ and rounds, and tests/test_harness.py the trial streams.
 numpy's Laplace formula (``random_laplace`` at loc 0.0 for one uniform
 double) lives in ``_laplace_from_uniform``. For the LLR in ``bounds``, which
 reads only each answer's grid index, ``laplace_uniforms`` reads the doubles
-numpy's Laplace draw would read and ``laplace_grid_indices`` turns them into
-grid indices in blocks, with a vectorized ``np.log``; it recomputes with
+numpy's Laplace draw would read and ``laplace_grid_indices`` turns a block of
+them into grid indices, with a vectorized ``np.log``; it recomputes with
 ``_laplace_from_uniform`` every value near a bin edge, so each index equals
 the one of numpy's draw. The LLR's per-transcript path calls
 ``_laplace_from_uniform`` too. tests/test_mechanisms.py compares both with
@@ -161,11 +162,10 @@ def laplace_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
     return u
 
 
-# Uniform doubles per block of laplace_grid_indices: 64 KiB per float64
-# temporary, which the allocator hands back and reuses block after block. One
-# pass over a 40,000-value LLR direction took fresh pages on every call (404
-# minor faults per llr-exact call) and ran a fifth to a quarter slower than
-# blocks of this size, which took none.
+# Uniform doubles per block the LLR hands laplace_grid_indices: 64 KiB per
+# float64 temporary, which the allocator hands back and reuses block after
+# block. Arrays of a whole 2,000 x 20 direction (320 KB each) lie above glibc's
+# mmap and trim thresholds and took 248 minor page faults per llr-exact call.
 _BLOCK_VALUES = 8192
 # Values within this distance (in value units, not grid steps) of a bin edge
 # are recomputed with libm; see laplace_grid_indices for why it suffices.
@@ -176,17 +176,17 @@ def laplace_grid_indices(spec: NoiseSpec, u: np.ndarray, means) -> np.ndarray:
     """``_grid_indices(spec, laplace + means)`` bit for bit, where ``laplace``
     holds ``_laplace_from_uniform(u, spec.scale)`` of each double of ``u``,
     a (rows, k) array of nonzero doubles (``laplace_uniforms``), and
-    ``means`` has one value per column.
+    ``means`` has one value per column. Its temporaries are the size of
+    ``u``, so a caller passes blocks of about ``_BLOCK_VALUES`` doubles.
 
-    Blocks of about ``_BLOCK_VALUES`` doubles are turned into noise with a
-    vectorized ``np.log`` of numpy's branch value ``min(u + u, (2.0 - u) - u)``,
-    which is not libm's ``log`` and differs from it in the last bit of about
-    one value in 300. Every step after the log (the scale, the sign of
-    ``u - 0.5``, the mean, the clip, the shift and the division) is monotone,
-    so such a difference can change a value's grid index only if the value
-    lies within the difference's reach of a bin edge (a half step). Those
-    values, exact ties included, are recomputed with ``_laplace_from_uniform``
-    and ``grid_index``.
+    The doubles are turned into noise with a vectorized ``np.log`` of numpy's
+    branch value ``min(u + u, (2.0 - u) - u)``, which is not libm's ``log``
+    and differs from it in the last bit of about one value in 300. Every step
+    after the log (the scale, the sign of ``u - 0.5``, the mean, the clip,
+    the shift and the division) is monotone, so such a difference can change
+    a value's grid index only if the value lies within the difference's reach
+    of a bin edge (a half step). Those values, exact ties included, are
+    recomputed with ``_laplace_from_uniform`` and ``grid_index``.
 
     That reach is far inside ``_EDGE_BAND`` (2**-40) on every grid
     ``NoiseSpec`` accepts. A nonzero double gives a branch value of at least
@@ -200,33 +200,28 @@ def laplace_grid_indices(spec: NoiseSpec, u: np.ndarray, means) -> np.ndarray:
     steps, so it holds at any step; at a step of 2**-39 or less every value
     is recomputed.
     """
-    rows, k = u.shape
-    means = np.broadcast_to(np.asarray(means, dtype=np.float64), (k,))
+    means = np.asarray(means, dtype=np.float64)
     scale = spec.scale
     # a position this far or farther from the nearest whole one lies within the band of a half step
     near_edge = 0.5 - _EDGE_BAND / spec.grid_step
-    indices = np.empty((rows, k), dtype=np.intp)
-    block_rows = max(1, _BLOCK_VALUES // max(k, 1))
-    for start in range(0, rows, block_rows):
-        block = u[start : start + block_rows]
-        noise = block + block
-        other = 2.0 - block
-        other -= block
-        np.minimum(noise, other, out=noise)  # u + u below 0.5, (2.0 - u) - u from 0.5 up
-        np.log(noise, out=noise)
-        noise *= scale
-        np.subtract(block, 0.5, out=other)
-        np.copysign(noise, other, out=noise)  # 0.0 + scale * log below 0.5, 0.0 - scale * log from 0.5 up
-        noise += means
-        positions = _grid_positions(spec, noise)
-        np.rint(positions, out=noise)
-        indices[start : start + block_rows] = noise
-        positions -= noise
-        near = np.abs(positions, out=positions) >= near_edge
-        if near.any():
-            for row, col in zip(*np.nonzero(near)):
-                value = _laplace_from_uniform(float(block[row, col]), scale) + means[col]
-                indices[start + row, col] = grid_index(spec, value)
+    noise = u + u
+    other = 2.0 - u
+    other -= u
+    np.minimum(noise, other, out=noise)  # u + u below 0.5, (2.0 - u) - u from 0.5 up
+    np.log(noise, out=noise)
+    noise *= scale
+    np.subtract(u, 0.5, out=other)
+    np.copysign(noise, other, out=noise)  # 0.0 + scale * log below 0.5, 0.0 - scale * log from 0.5 up
+    noise += means
+    positions = _grid_positions(spec, noise)
+    np.rint(positions, out=noise)
+    indices = noise.astype(np.intp)
+    positions -= noise
+    near = np.abs(positions, out=positions) >= near_edge
+    if near.any():
+        for row, col in zip(*np.nonzero(near)):
+            value = _laplace_from_uniform(float(u[row, col]), scale) + means[col]
+            indices[row, col] = grid_index(spec, value)
     return indices
 
 
@@ -435,9 +430,9 @@ class MechanismState:
 
 # --- the keyed chain ---------------------------------------------------------------
 #
-# numpy's SeedSequence mixing and generate_state, on Python ints for the first
-# four entropy words and on uint64 arrays for later words and spawn keys. The constants are
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+# numpy's SeedSequence mixes the run entropy (_entropy_pool); its mixing of
+# spawn-key words and its generate_state run here on uint64 arrays. The constants
+# are SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 
 _MASK32 = (1 << 32) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -445,8 +440,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # generate_state's hash constant before each of its eight output words, and after the last
 _STATE_HASH = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)], dtype=np.uint64)
-# a hash constant times these: the constants a word meets before each of the pool's four words
-_MULT_A_POWERS = np.array([pow(_MULT_A, i, 1 << 32) for i in range(4)], dtype=np.uint64)
+# a hash constant times these: the constants a spawn-key word meets in its four hashmix steps
+_MULT_A_POWERS = np.array([pow(_MULT_A, i, 1 << 32) for i in range(5)], dtype=np.uint64)
 # spawn keys per block of state words: trials for the harness's streams, rounds
 # for the oracle; a block aligned to a multiple of 64 never crosses a multiple
 # of 2**32, so the keys of one block share their 32-bit word count
@@ -458,44 +453,30 @@ def _uint32_words(value: int) -> list[int]:
     return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
-def _hashmix(value, const) -> tuple:
-    """One SeedSequence hashmix step of 32-bit words, elementwise for uint64
-    arrays of words or of constants; an array argument is left unchanged."""
-    value = value ^ const
-    const = const * _MULT_A & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix_in(pool: list, const: int, words: list) -> tuple[list, int]:
-    """SeedSequence's pool and hash constant after mixing in entropy words past the
-    first four, each into all four pool words at once; array words give arrays."""
+def _mix_in(pool: np.ndarray, const: int, words: list) -> tuple[list, int]:
+    """SeedSequence's pool and hash constant after mixing in spawn-key words,
+    each hashed and mixed into all four pool words at once; array words give
+    arrays, elementwise, and are left unchanged."""
     pool = np.asarray(pool, dtype=np.uint64)
     for word in words:
-        value, consts = _hashmix(np.asarray(word, dtype=np.uint64)[..., None], const * _MULT_A_POWERS & _MASK32)
+        # hashmix step i xors with consts[i], then multiplies by consts[i + 1]
+        consts = const * _MULT_A_POWERS & _MASK32
+        value = (np.asarray(word, dtype=np.uint64)[..., None] ^ consts[:4]) * consts[1:] & _MASK32
+        value ^= value >> 16
         mixed = (_MIX_MULT_L * pool - _MIX_MULT_R * value) & _MASK32
         pool = mixed ^ mixed >> 16
-        const = int(consts[-1])
+        const = int(consts[4])
     return [pool[..., i] for i in range(4)], const
 
 
-def _entropy_pool(entropy: int) -> tuple[list, int]:
+def _entropy_pool(entropy: int) -> tuple[np.ndarray, int]:
     """SeedSequence's pool and hash constant after mixing in the run entropy,
-    padded to four words as numpy pads it when a spawn key follows."""
-    words = _uint32_words(entropy)
-    words += [0] * (4 - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:4]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _MASK32
-                pool[dst] = mixed ^ mixed >> 16
-    return _mix_in(pool, const, words[4:])
+    padded to four words as numpy pads it when a spawn key follows (numpy
+    hashes missing words as zeros). The constant has met one multiply per
+    hashmix: 16 for the first four words and their cross-mix, then 4 for
+    each later word."""
+    steps = 16 + 4 * max(0, len(_uint32_words(entropy)) - 4)
+    return np.random.SeedSequence(entropy).pool, _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
 
 
 def _spawned_state_words(entropy: int, first: int, count: int, streams: int = 0) -> np.ndarray:
@@ -546,14 +527,12 @@ def _query_means(state: MechanismState, query: Query) -> tuple[float | None, flo
     return emp, tru
 
 
-def perturbed_mean(state: MechanismState, query: Query) -> tuple[float, bool]:
-    """The mean ``state`` perturbs to answer ``query``, and whether that
-    answer comes from the oracle side (``MechanismKind.sample_rounds``).
+def perturbed_mean(state: MechanismState, query: Query) -> float:
+    """The mean ``state`` perturbs to answer ``query``: the empirical mean on
+    a sample-side round (``MechanismKind.sample_rounds``), else the true mean.
     Reads no noise and changes no state."""
     emp, tru = _query_means(state, query)
-    if state.kind.sample_rounds(emp, tru, 1, state.switched):
-        return emp, False
-    return tru, True
+    return emp if state.kind.sample_rounds(emp, tru, 1, state.switched) else tru
 
 
 def answer(state: MechanismState, query: Query) -> float:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -615,6 +616,22 @@ class TestLlrFixedQueries:
         args = dict(sample=mixed, dist=dist, k=5, trials=50, epsilon_switch=0.5, **self.COMMON)
         longer = run_llr_experiment(analyst=FixedQueryAnalyst(fixed_list("mixed", 9)), **args)
         assert longer == run_llr_experiment(analyst=FixedQueryAnalyst(fixed_list("mixed", 5)), **args)
+
+    def test_memory_stays_flat_in_trials(self):
+        # each direction reads its doubles one block at a time, so ten times
+        # the trials of README's llr run peak no higher
+        _, mixed, dist = two_sample_dist(64, 4)
+
+        def peak(trials):
+            args = dict(sample=mixed, dist=dist, k=20, trials=trials, epsilon_switch=0.5, **self.COMMON)
+            tracemalloc.start()
+            try:
+                run_llr_experiment(analyst=FixedQueryAnalyst(fixed_list("mixed", 20)), **args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_000) <= 1.1 * peak(2_000)
 
     @pytest.mark.parametrize("trials, k", [(1, 1), (7, 5), (300, 20)])
     def test_one_draw_equals_one_draw_per_transcript(self, trials, k):

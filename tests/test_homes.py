@@ -69,9 +69,9 @@ RULES = (
          EVERY, method_calls=("random",), homes=("attack.py::draw_info_tables", "mechanisms.py::laplace_uniforms")),
     Rule(INFO, "only make_info_query turns a table into override ids",
          ("attack.py",), calls=("nonzero", "flatnonzero"), homes=("attack.py::make_info_query",)),
-    Rule(KEYED, "only _entropy_pool, _mix_in and _spawned_state_words read the keyed chain's constants",
+    Rule(KEYED, "only _mix_in and _spawned_state_words read the keyed chain's constants",
          EVERY, loads=("_STATE_HASH", "_MIX_MULT_L", "_MIX_MULT_R"),
-         homes=("mechanisms.py::_entropy_pool", "mechanisms.py::_mix_in", "mechanisms.py::_spawned_state_words")),
+         homes=("mechanisms.py::_mix_in", "mechanisms.py::_spawned_state_words")),
     Rule(LAPLACE, "in mechanisms.py only _laplace_from_uniform and laplace_grid_indices take a log",
          ("mechanisms.py",), loads=("log",),
          homes=("mechanisms.py::_laplace_from_uniform", "mechanisms.py::laplace_grid_indices")),
@@ -319,7 +319,7 @@ INFO_SOURCE = (
 )
 KEYED_SOURCE = (
     "def _entropy_pool(entropy):\n"
-    "    return (_MIX_MULT_L * _hashmix(entropy, _INIT_A)[0]) & _MASK32, _STATE_HASH\n"
+    "    return (_MIX_MULT_L * SeedSequence(entropy).pool) & _MASK32, _STATE_HASH\n"
     "def _mix_in(pool, const, words):\n"
     "    return (_MIX_MULT_L * pool[0] - _MIX_MULT_R * words[0]) & _MASK32\n"
     "def _mix(x, y):\n"
@@ -408,6 +408,7 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 2: rng_p.random(rounds)", "line 3: rng_table.random((rounds, inst.support_size))", *INFO_DRAWS,
         ], id="draws outside attack"),
         pytest.param(KEYED, "mechanisms.py", KEYED_SOURCE, [
+            "line 2: _MIX_MULT_L", "line 2: _STATE_HASH",
             "line 6: _MIX_MULT_L", "line 6: _MIX_MULT_R", "line 9: mechanisms._STATE_HASH", "line 9: _MIX_MULT_R",
             "line 13: _STATE_HASH",
         ], id="keyed chain constants outside their homes"),
