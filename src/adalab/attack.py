@@ -46,10 +46,17 @@ from .mechanisms import MechanismState, answer, answer_batch, answer_means
 # noise. The Chernoff exponent k*mu^2/(2*Var) with signal mu = 1/(6r) then
 # needs k >= 72*Var*r^2*ln(support/(blocks*beta)).
 _NOISELESS_GAP_VARIANCE = 13.0 / 180.0
+# elements any one array of a run may hold, sized from its params
 _SUPPORT_ELEMENT_LIMIT = 20_000_000
 # run_simple_attack's true means sweep every block once per block, so a trial
 # costs blocks**2: about 0.8 s at this limit on a 2-vCPU x86-64 VM
 _BLOCK_LIMIT = 10_000
+
+
+def check_elements(what: str, count: int) -> None:
+    """Raise ``what`` and the limit if ``count`` elements exceed it."""
+    if count > _SUPPORT_ELEMENT_LIMIT:
+        raise ValueError(f"{what}, above the limit of {_SUPPORT_ELEMENT_LIMIT}")
 
 
 def _ceil(x: float) -> int:
@@ -83,6 +90,7 @@ class HardInstance:
             raise ValueError("sample too small for 1/eps blocks")
         if n % r != 0:
             raise ValueError(f"sample size {n} must be a multiple of the block count {r}")
+        check_elements(f"hard instance's held sample holds n = {n} elements", n)
         self.n = int(n)
         self.num_blocks = r
         self.support_size = m
@@ -106,16 +114,16 @@ class HardInstance:
     def distribution(self) -> FiniteDistribution:
         """Explicit uniform support; built lazily, large instances stay cheap."""
         if self._distribution is None:
+            self.check_support()
             m = self.support_size
-            if m * self.n > _SUPPORT_ELEMENT_LIMIT:
-                raise ValueError(
-                    f"instance support holds {m} samples of {self.n} elements, "
-                    "too large to materialize; closed-form calculators cover this scale"
-                )
             self._distribution = FiniteDistribution(
                 [self.make_sample(j) for j in range(m)], np.full(m, 1.0 / m)
             )
         return self._distribution
+
+    def check_support(self) -> None:
+        m, n = self.support_size, self.n
+        check_elements(f"hard instance support holds m * n = {m} * {n} elements", m * n)
 
 
 def build_hard_instance(eps: float, gamma: float, n: int) -> HardInstance:
@@ -418,11 +426,7 @@ class BlockInstance:
         if n < 1:
             raise ValueError("sample size must be at least 1")
         r = max(1, _ceil(1.0 / gamma))
-        if r * n > _SUPPORT_ELEMENT_LIMIT:
-            raise ValueError(
-                f"block instance of gamma {gamma} and n {n} holds {r} * {n} elements, "
-                f"above the limit of {_SUPPORT_ELEMENT_LIMIT}"
-            )
+        check_elements(f"block instance of gamma {gamma} and n {n} holds {r} * {n} elements", r * n)
         if r > _BLOCK_LIMIT:
             raise ValueError(
                 f"block instance of gamma {gamma} holds {r} blocks, above the limit of {_BLOCK_LIMIT}: "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import _SUPPORT_ELEMENT_LIMIT, FixedQueryAnalyst, calibrated_attack_constant, instance_shape
+from .attack import FixedQueryAnalyst, calibrated_attack_constant, check_elements, instance_shape
 from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean, true_mean
 from .mechanisms import (
     MechanismKind,
@@ -298,13 +298,9 @@ class LlrReport:
 
 
 def check_llr_draw(trials: int, k: int) -> None:
-    """At most ``_SUPPORT_ELEMENT_LIMIT`` values per LLR direction, read in
+    """At most the element limit of values per LLR direction, read in
     blocks: a bound on run length and on ``harness._run_llr``'s k queries."""
-    if trials * k > _SUPPORT_ELEMENT_LIMIT:
-        raise ValueError(
-            f"llr experiment draws trials * k = {trials} * {k} noise values per direction, "
-            f"above the limit of {_SUPPORT_ELEMENT_LIMIT}"
-        )
+    check_elements(f"llr experiment draws trials * k = {trials} * {k} noise values per direction", trials * k)
 
 
 def run_llr_experiment(
@@ -352,9 +348,9 @@ def run_llr_experiment(
     blocks read the same doubles, zeros skipped alike, as one draw of all of
     them. Its noise values equal that draw's bit for bit, which equals one
     draw of k values per transcript, in transcript order.
-    ``trials * k`` may not exceed ``_SUPPORT_ELEMENT_LIMIT``
-    (``check_llr_draw``). A query's means and log laws are computed once per
-    distinct query and cached by the query's value, never by object identity.
+    ``trials * k`` may not exceed the element limit (``check_llr_draw``).
+    A query's means and log laws are computed once per distinct query and
+    cached by the query's value, never by object identity.
     """
     if getattr(analyst, "deterministic", False) is not True:
         raise ValueError("log-ratio accounting requires a deterministic analyst")

@@ -18,6 +18,9 @@ resolver and its runner; the CLI and param validation both read it.
 A run is resolved once: ``_resolve_params`` and the kind's resolver build its
 params, noise spec, mechanism kinds and instance into a ``Run``, which every
 trial reads, in this process or a pool worker, building none of them again.
+Resolving checks every array a trial sizes from the params with
+``attack.check_elements``, the hard instance's support (m * n) too, which no
+resolve builds; the LLR checks its ``trials * k`` draw before it draws.
 """
 
 from __future__ import annotations
@@ -36,15 +39,14 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .attack import (
-    _SUPPORT_ELEMENT_LIMIT,
     BlockInstance,
     FixedQueryAnalyst,
     HardInstance,
     build_block_instance,
     calibrated_attack_constant,
+    check_elements,
     draw_info_tables,
     info_query_means,
-    instance_shape,
     run_score_attack_arrays,
     run_simple_attack,
 )
@@ -220,10 +222,7 @@ def _two_sample_instance(n: int, ones: int) -> tuple[Sample, FiniteDistribution,
     the held sample, an exact gap of ones/(2n). The kinds' resolvers check
     that 1 <= ones <= n.
     """
-    if 2 * n > _SUPPORT_ELEMENT_LIMIT:
-        raise ValueError(
-            f"two-sample instance of n {n} holds 2 * {n} elements, above the limit of {_SUPPORT_ELEMENT_LIMIT}"
-        )
+    check_elements(f"two-sample instance of n {n} holds 2 * {n} elements", 2 * n)
     held = Sample((1,) * ones + (0,) * (n - ones))
     return held, FiniteDistribution([Sample((0,) * n), held], np.array([0.5, 0.5])), Query(0.0, {1: 1.0})
 
@@ -237,6 +236,16 @@ def _check_ones(kind: str, n: int, ones: int, origin: str = "") -> None:
 # --- per-trial kinds: resolvers and runners ------------------------------------
 
 
+def _check_trial_arrays(kind: str, params: dict, inst: HardInstance, support: bool) -> None:
+    """An attack or positive trial's info tables (k * m), and the support
+    (m * n) if it reads it, fit the element limit; ``inst`` checks n."""
+    k, m, eps, gamma = params["k"], inst.support_size, params["eps"], params["gamma"]
+    what = f"{kind} experiment's info tables hold k * m = {k} * {m} elements (m from eps {eps} and gamma {gamma})"
+    check_elements(what, k * m)
+    if support:
+        inst.check_support()
+
+
 def _resolve_attack(params: dict) -> tuple[tuple[str, ...], HardInstance]:
     if params["mechanism"] not in ("real", "hybrid"):
         raise ValueError(f"attack mechanism must be real or hybrid, got {params['mechanism']!r}")
@@ -244,21 +253,15 @@ def _resolve_attack(params: dict) -> tuple[tuple[str, ...], HardInstance]:
         raise ValueError("epsilon_switch applies only to the hybrid; attack mechanism is 'real'")
     if not 0.0 < params["beta"] < 1.0:
         raise ValueError(f"attack experiment needs 0 < beta < 1, got beta {params['beta']}")
-    if "constant" in params and "k" in params:
-        raise ValueError(f"constant applies only when k is derived; attack k is given as {params['k']}")
-    r, _, m = instance_shape(params["eps"], params["gamma"])
-    if "constant" not in params:
-        params["constant"] = calibrated_attack_constant(r, _noise_spec(params).variance())
+    inst = HardInstance(params["eps"], params["gamma"], params["n"])
+    # the summary reports the calibrated constant, whether k is given or derived from it
+    params["constant"] = calibrated_attack_constant(inst.num_blocks, _noise_spec(params).variance())
     if "k" not in params:
         params["k"] = score_attack_rounds(params["eps"], params["gamma"], params["beta"], params["constant"])
     if params["k"] < 1:
         raise ValueError(f"attack experiment needs k >= 1 info rounds, got k {params['k']}")
-    if params["k"] * m > _SUPPORT_ELEMENT_LIMIT:
-        raise ValueError(
-            f"attack experiment's info tables hold k * m = {params['k']} * {m} elements (m from eps "
-            f"{params['eps']} and gamma {params['gamma']}), above the limit of {_SUPPORT_ELEMENT_LIMIT}"
-        )
-    return (params["mechanism"],), HardInstance(params["eps"], params["gamma"], params["n"])
+    _check_trial_arrays("attack", params, inst, support=params["mechanism"] == "hybrid")
+    return (params["mechanism"],), inst
 
 
 def _attack_trial(run: Run, master: int, trial: int) -> dict:
@@ -318,7 +321,9 @@ def _resolve_positive(params: dict) -> tuple[tuple[str, ...], HardInstance]:
         params["k"] = max_accurate_rounds(eps, params["gamma"], params["alpha"], params["beta"])
     if params["k"] < 0:
         raise ValueError(f"positive_accuracy experiment needs k >= 0 rounds, got k {params['k']}")
-    return ("hybrid",), HardInstance(eps, params["gamma"], params["n"])
+    inst = HardInstance(eps, params["gamma"], params["n"])
+    _check_trial_arrays("positive_accuracy", params, inst, support=True)
+    return ("hybrid",), inst
 
 
 def _positive_trial(run: Run, master: int, trial: int) -> dict:
@@ -343,12 +348,12 @@ def _positive_trial(run: Run, master: int, trial: int) -> dict:
 
 
 def _resolve_coupling(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution, Query]]:
-    k, bad_round, n = params["k"], params["bad_round"], params["n"]
+    k, bad_round = params["k"], params["bad_round"]
     if not (0 <= bad_round < k):
         raise ValueError(f"coupling experiment needs 0 <= bad_round < k, got bad_round {bad_round} and k {k}")
-    if n < 1:
-        raise ValueError(f"coupling experiment needs n >= 1, got n {n}")
-    return ("hybrid", "real"), _two_sample_instance(n, n)
+    check_elements(f"coupling experiment's round arrays hold k = {k} elements", k)
+    # the schedule's means, 1 and 1/2 for the bad query and 1/2 for the good, hold at any sample size
+    return ("hybrid", "real"), _two_sample_instance(1, 1)
 
 
 def _coupling_trial(run: Run, master: int, trial: int) -> dict:
@@ -386,8 +391,9 @@ def _resolve_params(config: ExperimentConfig) -> Run:
     param resolved, and builds the instance. Then build the run's noise spec
     and mechanism kinds, once: their own checks stop a bad run before its
     first trial, and every trial reads them from the returned ``Run``. The
-    hard instance's support is left to the trials that read it, so the real
-    attack never builds it."""
+    resolver checks the size of every array a trial builds from the params,
+    the hard instance's support (m * n) included, but builds no support: the
+    first hybrid trial in a process builds it, and the real attack never does."""
     kind = config.kind
     declared = KINDS[kind].params
     keys = [p.key for p in declared]
@@ -648,7 +654,6 @@ _NOISE_SCALE = Param("--b", "noise_scale", float, "noise scale", default=NoiseSp
 _GRID_STEP = Param("--grid-step", "grid_step", float, "output grid step", default=NoiseSpec.grid_step)
 _COARSE_GRID_STEP = dataclasses.replace(_GRID_STEP, default=2.0**-10)
 _EPSILON_SWITCH = Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold")
-_CONSTANT = Param("--constant", "constant", float, "override the calibrated round constant")
 
 KINDS = {
     "attack": ExperimentKind(
@@ -663,7 +668,6 @@ KINDS = {
             _NOISE_SCALE,
             Param("--mechanism", "mechanism", str, "real or hybrid", default="real"),
             _EPSILON_SWITCH,
-            _CONSTANT,
             _GRID_STEP,
         ),
         resolve=_resolve_attack,
@@ -706,7 +710,6 @@ KINDS = {
             Param("--bad-round", "bad_round", int, "round index of the planted bad query", True),
             Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold", True),
             _NOISE_SCALE,
-            Param("--n", "n", int, "held sample size", default=8),
             _COARSE_GRID_STEP,
         ),
         resolve=_resolve_coupling,
@@ -751,7 +754,7 @@ KINDS = {
             Param("--gamma", "gamma", float, "concentration failure chance", True),
             Param("--beta", "beta", float, "failure chance of the bound", True),
             Param("--alpha", "alpha", float, "accuracy target (positive mode)"),
-            _CONSTANT,
+            Param("--constant", "constant", float, "override the calibrated round constant"),
             Param("--eps-values", "eps_values", float, "thresholds to tabulate", True, nargs="+"),
         ),
         resolve=_resolve_bounds_table,

@@ -100,7 +100,7 @@ class TestHardInstance:
     def test_distribution_guards_huge_supports(self):
         inst = build_hard_instance(0.01, 1e-6, 100)
         assert inst.support_size == 1_000_000
-        with pytest.raises(ValueError, match="too large to materialize"):
+        with pytest.raises(ValueError, match=r"support holds m \* n = 1000000 \* 100 elements, above the limit"):
             inst.distribution
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from adalab.cli import _config_from_args, build_parser, main
-from adalab.harness import _GRID_BIN_LIMIT, KINDS
+from adalab.harness import _GRID_BIN_LIMIT, KINDS, _resolve_params
 from adalab.mechanisms import NoiseSpec
 
 # one parseable value per param type
@@ -49,8 +50,45 @@ def run_config(capsys, tmp_path, config):
 TWO_SAMPLE_PAST_LIMIT = "two-sample instance of n 10000001 holds 2 * 10000001 elements, above the limit of 20000000"
 TWO_SAMPLE_PAST_LIMIT_ARGV = (
     "llr --eps 0.03125 --rho 0.05 --n 10000001 --ones 4 --k 2 --grid-step 0.125",
-    "coupling --k 5 --bad-round 2 --n 10000001 --epsilon-switch 0.25",
     "diagnose-divergence --mech-a real --mech-b oracle --n 10000001 --ones 2 --trials 1",
+)
+# the guarded sizes of the info tables, the block instance and the LLR draw,
+# each one size param past the element limit
+GUARDED_PAST_LIMIT = (
+    (
+        "attack --eps 0.25 --gamma 1e-9 --n 16 --k 5",
+        "attack experiment's info tables hold k * m = 5 * 1000000000 elements (m from eps 0.25 and "
+        "gamma 1e-09), above the limit of 20000000",
+    ),
+    (
+        "simple-attack --gamma 1e-9 --n 16",
+        "block instance of gamma 1e-09 and n 16 holds 1000000000 * 16 elements, above the limit of 20000000",
+    ),
+    (
+        "llr --eps 0.03125 --k 1000000 --rho 0.05 --n 64 --trials 1000000 --grid-step 0.125",
+        "llr experiment draws trials * k = 1000000 * 1000000 noise values per direction, above the limit "
+        "of 20000000",
+    ),
+)
+# the trial sizes checked at resolve; unchecked, each of the first four asks numpy for 7.45 GiB
+HELD_PAST_LIMIT = "hard instance's held sample holds n = 1000000000 elements, above the limit of 20000000"
+RESOLVE_PAST_LIMIT = (
+    ("attack --eps 0.25 --gamma 0.01 --n 1000000000 --k 5 --trials 1", HELD_PAST_LIMIT),
+    ("positive --eps 0.25 --gamma 0.01 --alpha 0.9 --beta 0.5 --n 1000000000 --k 3 --trials 1", HELD_PAST_LIMIT),
+    (
+        "positive --eps 0.25 --gamma 0.01 --alpha 0.9 --beta 0.5 --n 16 --k 10000000 --trials 1",
+        "positive_accuracy experiment's info tables hold k * m = 10000000 * 100 elements (m from eps 0.25 and "
+        "gamma 0.01), above the limit of 20000000",
+    ),
+    (
+        "coupling --k 1000000000 --bad-round 2 --epsilon-switch 0.25 --trials 1",
+        "coupling experiment's round arrays hold k = 1000000000 elements, above the limit of 20000000",
+    ),
+    # the hybrid's support, which its first trial would build
+    (
+        "attack --eps 0.01 --gamma 1e-6 --n 100 --k 5 --mechanism hybrid --epsilon-switch 0.25 --trials 2",
+        "hard instance support holds m * n = 1000000 * 100 elements, above the limit of 20000000",
+    ),
 )
 GRID_PAST_LIMIT_ARGV = "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2 --grid-step 1e-9 --trials 1"
 GRID_PAST_LIMIT = (
@@ -179,10 +217,6 @@ class TestExitCodes:
             ),
             ("attack --eps 0.25 --gamma 0.01 --n 16 --k 0", "attack experiment needs k >= 1 info rounds, got k 0"),
             (
-                "attack --eps 0.25 --gamma 0.01 --n 16 --k 3 --constant -1",
-                "constant applies only when k is derived; attack k is given as 3",
-            ),
-            (
                 "coupling --k 6 --bad-round 6 --epsilon-switch 0.25",
                 "coupling experiment needs 0 <= bad_round < k, got bad_round 6 and k 6",
             ),
@@ -194,7 +228,6 @@ class TestExitCodes:
                 "coupling --k 0 --bad-round 0 --epsilon-switch 0.25",
                 "coupling experiment needs 0 <= bad_round < k, got bad_round 0 and k 0",
             ),
-            ("coupling --k 6 --bad-round 2 --epsilon-switch 0.25 --n 0", "coupling experiment needs n >= 1, got n 0"),
             (
                 "llr --eps 0.001 --b 0.15625 --grid-step 0.125 --k 2 --rho 0.05 --n 64",
                 "llr experiment needs 1 <= ones <= n, got ones 0 (derived as round(2*n*eps)) and n 64",
@@ -221,11 +254,6 @@ class TestExitCodes:
                 "llr experiment needs 1 <= ones <= n, got ones inf (derived as round(2*n*eps)) and n 64",
             ),
             (
-                "llr --eps 0.03125 --k 1000000 --rho 0.05 --n 64 --trials 1000000 --grid-step 0.125",
-                "llr experiment draws trials * k = 1000000 * 1000000 noise values per direction, above the limit "
-                "of 20000000",
-            ),
-            (
                 "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 20 --rho 0.05 --n 64 --epsilon-switch -1",
                 "hybrid needs epsilon_switch > 0",
             ),
@@ -242,10 +270,6 @@ class TestExitCodes:
                 "divergence experiment needs 1 <= ones <= n, got ones 5 and n 4",
             ),
             (
-                "attack --eps 0.25 --gamma 0.01 --n 16 --constant inf --trials 2",
-                "constant must be positive and finite, got inf",
-            ),
-            (
                 "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1 --constant inf --trials 1",
                 "constant must be positive and finite, got inf",
             ),
@@ -257,15 +281,7 @@ class TestExitCodes:
                 "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta nan --n 400 --k 3 --trials 2",
                 "positive_accuracy experiment needs 0 < beta < 1, got beta nan",
             ),
-            (
-                "attack --eps 0.25 --gamma 1e-9 --n 16 --k 5",
-                "attack experiment's info tables hold k * m = 5 * 1000000000 elements (m from eps 0.25 and "
-                "gamma 1e-09), above the limit of 20000000",
-            ),
-            (
-                "simple-attack --gamma 1e-9 --n 16",
-                "block instance of gamma 1e-09 and n 16 holds 1000000000 * 16 elements, above the limit of 20000000",
-            ),
+            *GUARDED_PAST_LIMIT,
             (
                 "simple-attack --gamma 1e-5 --n 2 --trials 1 --b 0",
                 "block instance of gamma 1e-05 holds 100000 blocks, above the limit of 10000",
@@ -294,7 +310,7 @@ class TestExitCodes:
                 "hybrid needs epsilon_switch > 0 and finite, got inf",
             ),
             (
-                "coupling --k 5 --bad-round 2 --n 20 --epsilon-switch inf",
+                "coupling --k 5 --bad-round 2 --epsilon-switch inf",
                 "hybrid needs epsilon_switch > 0 and finite, got inf",
             ),
             (
@@ -326,6 +342,56 @@ class TestExitCodes:
         assert code == 1 and out == "" and GRID_PAST_LIMIT in err
         assert peak < 2**20
         assert NoiseSpec().n_bins <= _GRID_BIN_LIMIT  # the default 2**-20 grid still runs
+
+    @pytest.mark.parametrize("argv, message", RESOLVE_PAST_LIMIT)
+    def test_sizes_past_the_limit_stop_at_resolve(self, argv, message):
+        # resolve alone, so a missing guard allocates nothing in this process
+        config = _config_from_args(build_parser().parse_args(argv.split()))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _resolve_params(config)
+
+
+# runs each command in-process under the address-space cap, serially, and
+# prints each one's exit code, stdout and stderr (a traceback if it raised)
+CAPPED_CHILD = """
+import contextlib, io, json, resource, sys, traceback
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from adalab.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv.split())
+        except Exception:
+            code = None
+            traceback.print_exc()
+    results.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_sizes_past_the_limit_exit_one_under_a_memory_cap():
+    """Each command with one size param past the element limit exits 1 with
+    one error line in a child capped at 3 GiB of address space, where an
+    unguarded array of that size ends in a MemoryError traceback. The child
+    runs serially, with one BLAS thread."""
+    argvs = [argv for argv, _ in RESOLVE_PAST_LIMIT + GUARDED_PAST_LIMIT] + list(TWO_SAMPLE_PAST_LIMIT_ARGV)
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    bad = [
+        (argv, code, err)
+        for argv, code, out, err in json.loads(done.stdout)
+        if (code, out) != (1, "") or not err.startswith("error: ") or err.count("\n") != 1
+        or "above the limit of 20000000" not in err
+    ]
+    assert bad == []
 
 @pytest.mark.parametrize("name", sorted(KINDS))
 class TestKindTable:
@@ -587,7 +653,7 @@ README_PARAMS = {
         "alpha": 0.9, "beta": 0.9, "eps": 0.005, "epsilon_switch": 0.005, "gamma": 0.05, "k": 4, "n": 400,
         "noise_scale": 0.08493262461798969,
     },
-    "coupling": {"bad_round": 2, "epsilon_switch": 0.25, "grid_step": 2.0**-10, "k": 6, "n": 8, "noise_scale": 0.1},
+    "coupling": {"bad_round": 2, "epsilon_switch": 0.25, "grid_step": 2.0**-10, "k": 6, "noise_scale": 0.1},
     "llr": _LLR_PARAMS,
     "llr-50000": _LLR_PARAMS,
     "diagnose-divergence": {
@@ -613,6 +679,18 @@ class TestReadmeAttacks:
         assert hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest() == digest
         summary = json.loads((tmp_path / f"{name}.summary.json").read_text(encoding="utf-8"))
         assert summary["params"] == README_PARAMS[name]
+
+    # n sets these kinds' memory but no record: every info query and block
+    # indicator has the same means, as doubles, at any valid n
+    @pytest.mark.parametrize("name, n", [("attack", 400), ("hybrid", 4), ("positive", 1000), ("simple-attack", 1)])
+    def test_records_do_not_depend_on_n(self, capsys, tmp_path, name, n):
+        command, digest = README_ATTACKS[name]
+        argv = command.split()
+        assert argv[argv.index("--n") + 1] != str(n)
+        argv[argv.index("--n") + 1] = str(n)
+        code, _, _ = run(capsys, argv + ["--out", str(tmp_path / name)])
+        assert code == 0
+        assert hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest() == digest
 
 
 class TestCheckConcentration:

@@ -22,7 +22,7 @@ EVERY = tuple(sorted(path.name for path in SRC.glob("*.py")))
 
 @dataclass(frozen=True)
 class Rule:
-    done: str  # the aim-2 "Done" entry the rule guards
+    done: str  # the ROADMAP "Done" entry the rule guards
     says: str
     modules: tuple[str, ...]
     calls: tuple[str, ...] = ()  # f(...) or x.f(...)
@@ -44,7 +44,7 @@ BUILDERS = (
     "_two_sample_instance", "_noise_spec",
 )
 SWITCH, INFO, KEYED = "hybrid switch and output grid", "info queries", "keyed oracle draw"
-LAPLACE, MEANS = "numpy's Laplace formula", "means"
+LAPLACE, MEANS, SIZES = "numpy's Laplace formula", "means", "sizes"
 
 RULES = (
     Rule("param defaults", "harness reads params as resolved: no param cast, no defaulted params.get",
@@ -78,6 +78,8 @@ RULES = (
     Rule(MEANS, "only run_score_attack_arrays, whose guess is certified for any order of its sums, takes a matrix product",
          EVERY, calls=("dot", "matmul", "inner", "vdot", "tensordot", "einsum"), matmult=True,
          homes=("attack.py::run_score_attack_arrays",)),
+    Rule(SIZES, "only check_elements reads the element limit",
+         EVERY, loads=("_SUPPORT_ELEMENT_LIMIT",), homes=("attack.py::check_elements",)),
 )
 
 
@@ -356,6 +358,15 @@ PRODUCT_SOURCE = (
     "    ok = mean_under(probs, rows), np.add.reduce(rows * probs, axis=-1), probs * rows\n"
     "    return np.vdot(probs, rows), np.tensordot(rows, probs, 1), np.einsum('ij,j->i', rows, probs)\n"
 )
+LIMIT_SOURCE = (
+    "def check_elements(what, count):\n"
+    "    if count > _SUPPORT_ELEMENT_LIMIT:\n"
+    "        raise ValueError(f'{what}, above the limit of {_SUPPORT_ELEMENT_LIMIT}')\n"
+    "def _two_sample_instance(n, ones):\n"
+    "    if 2 * n > attack._SUPPORT_ELEMENT_LIMIT:\n"
+    "        check_elements(f'two-sample instance of n {n}', 2 * n)\n"
+    "    return min(n, _SUPPORT_ELEMENT_LIMIT)\n"
+)
 PRODUCT_BREAKS = [
     "line 5: probs @ means", "line 6: means @= probs", "line 7: np.dot(probs, means)", "line 7: probs.dot(means)",
     "line 7: np.matmul(probs, means)", "line 7: np.inner(probs, means)", "line 10: np.vdot(probs, rows)",
@@ -421,6 +432,13 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 2: weights @ tables", "line 3: approx @= np.dot(tables, weights)", "line 3: np.dot(tables, weights)",
             *PRODUCT_BREAKS,
         ], id="products in a module without the guess"),
+        pytest.param(SIZES, "harness.py", LIMIT_SOURCE, [
+            "line 2: _SUPPORT_ELEMENT_LIMIT", "line 3: _SUPPORT_ELEMENT_LIMIT",
+            "line 5: attack._SUPPORT_ELEMENT_LIMIT", "line 7: _SUPPORT_ELEMENT_LIMIT",
+        ], id="element limit read outside check_elements"),
+        pytest.param(SIZES, "attack.py", LIMIT_SOURCE, [
+            "line 5: attack._SUPPORT_ELEMENT_LIMIT", "line 7: _SUPPORT_ELEMENT_LIMIT",
+        ], id="element limit read in attack outside check_elements"),
     ],
 )
 def test_walker_finds_each_break(done, module, source, expected):
