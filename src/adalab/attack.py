@@ -36,7 +36,6 @@ from .core import (
     Transcript,
     empirical_mean,
     mean_under,
-    true_mean,
 )
 from .mechanisms import MechanismState, answer, answer_batch, answer_means
 
@@ -48,9 +47,6 @@ from .mechanisms import MechanismState, answer, answer_batch, answer_means
 _NOISELESS_GAP_VARIANCE = 13.0 / 180.0
 # elements any one array of a run may hold, sized from its params
 _SUPPORT_ELEMENT_LIMIT = 20_000_000
-# run_simple_attack's true means sweep every block once per block, so a trial
-# costs blocks**2: about 0.8 s at this limit on a 2-vCPU x86-64 VM
-_BLOCK_LIMIT = 10_000
 
 
 def check_elements(what: str, count: int) -> None:
@@ -414,6 +410,13 @@ class FixedQueryAnalyst:
 # --- disjoint-block attack ---------------------------------------------------
 
 
+def simple_attack_rounds(gamma: float) -> int:
+    """Queries the block-scan attack needs: one per candidate block."""
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError("gamma must lie in (0, 1]")
+    return max(1, _ceil(1.0 / gamma))
+
+
 class BlockInstance:
     """1/gamma disjoint candidate samples, one drawn uniformly.
 
@@ -421,32 +424,39 @@ class BlockInstance:
     """
 
     def __init__(self, gamma: float, n: int):
-        if not (0.0 < gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
+        r = simple_attack_rounds(gamma)
         if n < 1:
             raise ValueError("sample size must be at least 1")
-        r = max(1, _ceil(1.0 / gamma))
-        check_elements(f"block instance of gamma {gamma} and n {n} holds {r} * {n} elements", r * n)
-        if r > _BLOCK_LIMIT:
-            raise ValueError(
-                f"block instance of gamma {gamma} holds {r} blocks, above the limit of {_BLOCK_LIMIT}: "
-                "the simple attack's cost grows as the square of the block count"
-            )
+        # a trial builds one answer per block and the held block's n ids
+        check_elements(f"block instance of gamma {gamma} holds {r} blocks", r)
+        check_elements(f"block instance's held block holds n = {n} elements", n)
         self.n = int(n)
         self.num_candidates = r
-        samples = [Sample(np.arange(i * n, (i + 1) * n, dtype=np.int64)) for i in range(r)]
-        self.distribution = FiniteDistribution(samples, np.full(r, 1.0 / r))
+        self._distribution: FiniteDistribution | None = None
 
-    def query_for_block(self, block: int) -> Query:
+    def block_elements(self, block: int) -> np.ndarray:
         if not (0 <= block < self.num_candidates):
             raise ValueError(f"block {block} out of range")
-        return Query.from_arrays(0.0, self.distribution.samples[block].elements, np.ones(self.n))
+        return np.arange(block * self.n, (block + 1) * self.n, dtype=np.int64)
+
+    @property
+    def distribution(self) -> FiniteDistribution:
+        """Explicit uniform support; built lazily, large instances stay cheap."""
+        if self._distribution is None:
+            r, n = self.num_candidates, self.n
+            check_elements(f"block instance support holds r * n = {r} * {n} elements", r * n)
+            samples = [Sample(self.block_elements(i)) for i in range(r)]
+            self._distribution = FiniteDistribution(samples, np.full(r, 1.0 / r))
+        return self._distribution
+
+    def query_for_block(self, block: int) -> Query:
+        return Query.from_arrays(0.0, self.block_elements(block), np.ones(self.n))
 
 
 @functools.lru_cache(maxsize=1)
 def build_block_instance(gamma: float, n: int) -> BlockInstance:
-    """The block instance of (gamma, n), cached by value: a simple-attack
-    trial draws its held block from it and ``run_simple_attack`` probes it."""
+    """The block instance of (gamma, n), cached by value, so a mechanism can
+    hold the distribution ``run_simple_attack`` checks it against."""
     return BlockInstance(gamma, n)
 
 
@@ -458,31 +468,28 @@ class SimpleAttackResult:
 
 
 def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttackResult:
-    """Probe every candidate block with its indicator query.
+    """Probe every candidate block with its indicator query, all answered
+    in one ``answer_batch``, as one ``answer`` per block in order would be.
 
-    The mechanism must hold a sample drawn from the matching block
-    instance. Returns the worst |answer - true mean| over the 1/gamma
-    queries and the index of the query whose empirical mean on the held
-    sample equals 1. The queries never read answers, so they are answered
-    in one ``answer_batch``, as one ``answer`` per block in order would.
+    The mechanism must hold a sample drawn from ``build_block_instance(gamma,
+    n)``, and its distribution if it reads one. Returns the worst |answer -
+    true mean| over the 1/gamma queries and the held block. No query is
+    built: the layout gives each mean as ``empirical_mean`` and
+    ``true_mean`` would, n/n or 0/n and 1 * (1/r) added to zeros.
     """
     inst = build_block_instance(gamma, n)
     if mech.sample is None:
         raise ValueError("mechanism must hold a sample drawn from the instance")
-    queries = [inst.query_for_block(block) for block in range(inst.num_candidates)]
-    emp = np.array([empirical_mean(query, mech.sample) for query in queries])
-    tru = np.array([true_mean(query, inst.distribution) for query in queries])
-    # the blocks are disjoint, so at most one holds every element of the sample
-    held = int(emp.argmax())
-    if emp[held] != 1.0:
+    if mech.distribution is not None and mech.distribution is not inst.distribution:
+        raise ValueError("mechanism distribution must be the instance's own")
+    # blocks are disjoint runs of ids: a sample lies in one when its least and greatest ids do
+    held, last = (int(ids) // inst.n for ids in (mech.sample.elements.min(), mech.sample.elements.max()))
+    if held != last or held >= inst.num_candidates:
         raise ValueError("held sample matches no candidate block")
-    mech_tru = None if mech.distribution is None else np.array([true_mean(q, mech.distribution) for q in queries])
-    deviations = np.abs(answer_batch(mech, emp, mech_tru) - tru)
-    return SimpleAttackResult(
-        worst_deviation=float(deviations.max()),
-        breaking_query_index=held,
-        deviations=tuple(deviations.tolist()),
-    )
+    tru = np.full(inst.num_candidates, 1.0 / inst.num_candidates)
+    emp = (np.arange(inst.num_candidates) == held) * 1.0
+    deviations = np.abs(answer_batch(mech, emp, None if mech.distribution is None else tru) - tru)
+    return SimpleAttackResult(float(deviations.max()), held, tuple(deviations.tolist()))
 
 
 # --- attack round constants ---------------------------------------------------

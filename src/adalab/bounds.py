@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import FixedQueryAnalyst, calibrated_attack_constant, check_elements, instance_shape
+from .attack import FixedQueryAnalyst, calibrated_attack_constant, check_elements, instance_shape, simple_attack_rounds
 from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean, true_mean
 from .mechanisms import (
     MechanismKind,
@@ -197,13 +197,6 @@ def score_attack_rounds(eps: float, gamma: float, beta: float, constant: float) 
         raise ValueError(f"constant must be positive and finite, got {constant}")
     r, population, _ = instance_shape(eps, gamma)
     return math.ceil(constant * r * r * math.log(population / (r * beta)))
-
-
-def simple_attack_rounds(gamma: float) -> int:
-    """Queries the block-scan attack needs: one per candidate block."""
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
-    return max(1, math.ceil(1.0 / gamma - 1e-9))
 
 
 def breaking_rounds(

@@ -49,6 +49,7 @@ from .attack import (
     info_query_means,
     run_score_attack_arrays,
     run_simple_attack,
+    simple_attack_rounds,
 )
 from .bounds import (
     accuracy_noise_scale,
@@ -59,7 +60,6 @@ from .bounds import (
     max_accurate_rounds_details,
     run_llr_experiment,
     score_attack_rounds,
-    simple_attack_rounds,
 )
 from .core import FiniteDistribution, Query, Sample, empirical_mean, true_mean
 from .mechanisms import (
@@ -299,8 +299,7 @@ def _resolve_simple_attack(params: dict) -> tuple[tuple[str, ...], BlockInstance
 def _simple_attack_trial(run: Run, master: int, trial: int) -> dict:
     inst = run.instance
     held = int(derive_rng(master, trial, "sample_draw").integers(inst.num_candidates))
-    sample = inst.distribution.samples[held]
-    mech = _mechanism(run.kinds[0], run.noise, sample=sample, master=master, trial=trial)
+    mech = _mechanism(run.kinds[0], run.noise, sample=Sample(inst.block_elements(held)), master=master, trial=trial)
     result = run_simple_attack(run.params["gamma"], run.params["n"], mech)
     return {
         "trial": trial,

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import adalab.attack
 from adalab.attack import (
+    BlockInstance,
     FixedQueryAnalyst,
     InfoRoundAnalyst,
     SimpleAttackResult,
@@ -526,7 +527,9 @@ class TestBlockAttack:
     def test_instance_layout(self):
         inst = build_block_instance(0.1, 3)
         assert inst.num_candidates == 10
+        assert inst.block_elements(2).tolist() == [6, 7, 8]
         assert inst.distribution.support_size == 10
+        assert inst.distribution.samples[2] == Sample(inst.block_elements(2))
         q = inst.query_for_block(2)
         assert q.value(6) == 1.0 and q.value(9) == 0.0
         assert true_mean(q, inst.distribution) == pytest.approx(0.1)
@@ -541,10 +544,24 @@ class TestBlockAttack:
         assert build_block_instance(1 / 3, 2).num_candidates == 3
         assert build_block_instance(0.01, 2).num_candidates == 100
 
-    def test_block_count_limit(self):
-        assert build_block_instance(1e-4, 1).num_candidates == 10_000
-        with pytest.raises(ValueError, match="holds 10001 blocks, above the limit of 10000"):
-            build_block_instance(1 / 10_001, 1)
+    def test_block_counts_past_ten_thousand_run(self):
+        # a trial is linear in blocks: the 10,000-block limit it once needed is gone
+        inst = build_block_instance(1 / 10_001, 1)
+        assert inst.num_candidates == 10_001
+        res = run_simple_attack(1 / 10_001, 1, real_mech(Sample(inst.block_elements(10_000))))
+        assert res.breaking_query_index == 10_000 and res.worst_deviation == 1.0 - 1.0 / 10_001
+        assert len(res.deviations) == 10_001
+
+    def test_sizes_past_the_element_limit(self):
+        with pytest.raises(ValueError, match="gamma 1e-08 holds 100000000 blocks, above the limit of 20000000"):
+            BlockInstance(1e-8, 1)
+        with pytest.raises(ValueError, match="held block holds n = 20000001 elements, above the limit"):
+            BlockInstance(0.5, 20_000_001)
+        # r * n is checked only where the support is built
+        inst = BlockInstance(1e-7, 3)
+        assert inst.block_elements(9_999_999).tolist() == [29_999_997, 29_999_998, 29_999_999]
+        with pytest.raises(ValueError, match=r"support holds r \* n = 10000000 \* 3 elements, above the limit"):
+            inst.distribution
 
     def test_noiseless_attack_is_exact(self):
         inst = build_block_instance(0.1, 5)
@@ -557,10 +574,30 @@ class TestBlockAttack:
         assert res.deviations[held] == 0.9
         assert all(d == pytest.approx(0.1) for i, d in enumerate(res.deviations) if i != held)
 
-    def test_rejects_foreign_sample(self):
-        mech = real_mech(Sample((0, 50)))
-        with pytest.raises(ValueError, match="matches no candidate block"):
-            run_simple_attack(0.1, 2, mech)
+    @pytest.mark.parametrize("elements", [(0, 0), (3,), (19, 18, 18), (5, 4), (20,), (1, 2), (0, 50), (19, 20)])
+    def test_held_block_is_the_one_the_means_find(self, elements):
+        # any sample whose ids all lie in one block is held there, as the
+        # reference's empirical mean of 1 finds; any other is rejected
+        ref = reference_simple_attack(0.1, 2, real_mech(Sample(elements)))
+        if ref.breaking_query_index == -1:
+            with pytest.raises(ValueError, match="matches no candidate block"):
+                run_simple_attack(0.1, 2, real_mech(Sample(elements)))
+        else:
+            assert run_simple_attack(0.1, 2, real_mech(Sample(elements))) == ref
+
+    def test_hybrid_holds_the_instance_distribution(self):
+        inst = build_block_instance(0.1, 5)
+        hybrid = MechanismState(
+            MechanismKind.hybrid(0.5),
+            NoiseSpec(scale=0.1),
+            sample=Sample(inst.block_elements(1)),
+            # block 1 of this instance holds the same ids, but it is not the instance's support
+            distribution=BlockInstance(0.2, 5).distribution,
+            real_rng=np.random.default_rng(0),
+            oracle_seed=1,
+        )
+        with pytest.raises(ValueError, match="instance's own"):
+            run_simple_attack(0.1, 5, hybrid)
 
     @pytest.mark.parametrize(
         "gamma, n, epsilon_switch, switching",
@@ -571,6 +608,7 @@ class TestBlockAttack:
             (1 / 3, 4, 0.5, "held"),
             (0.1, 5, 0.05, "first"),  # every block strays by at least 0.1
             (0.1, 5, 0.95, "never"),
+            (1 / 300, 2, 0.5, "held"),
         ],
     )
     def test_matches_reference_bit_for_bit(self, gamma, n, epsilon_switch, switching):

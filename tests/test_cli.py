@@ -62,7 +62,7 @@ GUARDED_PAST_LIMIT = (
     ),
     (
         "simple-attack --gamma 1e-9 --n 16",
-        "block instance of gamma 1e-09 and n 16 holds 1000000000 * 16 elements, above the limit of 20000000",
+        "block instance of gamma 1e-09 holds 1000000000 blocks, above the limit of 20000000",
     ),
     (
         "llr --eps 0.03125 --k 1000000 --rho 0.05 --n 64 --trials 1000000 --grid-step 0.125",
@@ -282,10 +282,6 @@ class TestExitCodes:
                 "positive_accuracy experiment needs 0 < beta < 1, got beta nan",
             ),
             *GUARDED_PAST_LIMIT,
-            (
-                "simple-attack --gamma 1e-5 --n 2 --trials 1 --b 0",
-                "block instance of gamma 1e-05 holds 100000 blocks, above the limit of 10000",
-            ),
             *(
                 (
                     f"llr --eps 0.03125 --rho 0.05 --n 64 --k 2 --grid-step {step}",
@@ -510,6 +506,12 @@ class TestExperimentCommands:
         assert summary["identification_rate"] == 1.0
         assert summary["kind"] == "simple_attack"
         assert summary["trials"] == 2
+
+    def test_simple_attack_runs_past_ten_thousand_blocks(self, capsys):
+        code, out, err = run(capsys, "simple-attack --gamma 1e-5 --n 2 --trials 1 --b 0".split())
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
+        assert summary["identification_rate"] == 1.0 and summary["rounds"] == 100_000
 
     def test_assertions_gate_exit_code(self, capsys):
         code, _, _ = run(capsys, SIMPLE + ["--assert", "identification_rate:ge:1.0"])

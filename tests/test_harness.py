@@ -17,6 +17,7 @@ from adalab.harness import (
     _mechanism,
     _positive_trial,
     _resolve_params,
+    _simple_attack_trial,
     _two_sample_instance,
     check_claim,
     derive_entropy,
@@ -237,6 +238,13 @@ class TestConfig:
         trial whose mechanism reads the distribution builds it."""
         run = _resolve_params(ExperimentConfig(kind=kind, params={**RUNNABLE[kind], **over}))
         assert run.instance._distribution is None
+
+    def test_simple_attack_trial_leaves_the_support_unbuilt(self):
+        """A simple-attack trial builds its held block alone: here the
+        support of 10**6 blocks of 30 ids would pass the element limit."""
+        run = _resolve_params(ExperimentConfig(kind="simple_attack", params={"gamma": 1e-6, "n": 30}))
+        record = _simple_attack_trial(run, 0, 0)
+        assert record["identified"] and run.instance._distribution is None
 
 
 class TestRunExperimentKinds:

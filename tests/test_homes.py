@@ -44,6 +44,7 @@ BUILDERS = (
     "_two_sample_instance", "_noise_spec",
 )
 SWITCH, INFO, KEYED = "hybrid switch and output grid", "info queries", "keyed oracle draw"
+LAYOUT = "element layout"
 LAPLACE, MEANS, SIZES = "numpy's Laplace formula", "means", "sizes"
 
 RULES = (
@@ -78,6 +79,9 @@ RULES = (
     Rule(MEANS, "only run_score_attack_arrays, whose guess is certified for any order of its sums, takes a matrix product",
          EVERY, calls=("dot", "matmul", "inner", "vdot", "tensordot", "einsum"), matmult=True,
          homes=("attack.py::run_score_attack_arrays",)),
+    Rule(LAYOUT, "run_simple_attack reads its means from the block layout: no query and no generic mean",
+         ("attack.py",), calls=("empirical_mean", "true_mean", "Query"), calls_on=("Query",),
+         method_calls=("query_for_block",), within=("attack.py::run_simple_attack",)),
     Rule(SIZES, "only check_elements reads the element limit",
          EVERY, loads=("_SUPPORT_ELEMENT_LIMIT",), homes=("attack.py::check_elements",)),
 )
@@ -367,6 +371,14 @@ LIMIT_SOURCE = (
     "        check_elements(f'two-sample instance of n {n}', 2 * n)\n"
     "    return min(n, _SUPPORT_ELEMENT_LIMIT)\n"
 )
+BLOCK_SOURCE = (
+    "def run_simple_attack(gamma, n, mech):\n"
+    "    queries = [inst.query_for_block(block) for block in range(r)]\n"
+    "    emp = [empirical_mean(q, mech.sample) for q in queries], core.true_mean(queries[0], dist)\n"
+    "    return Query(0.0, {1: 1.0}), Query.from_arrays(0.0, ids, vals), answer_batch(mech, emp, None)\n"
+    "def reference(inst, mech):\n"
+    "    return true_mean(inst.query_for_block(0), inst.distribution), Query.from_arrays(0.0, ids, vals)\n"
+)
 PRODUCT_BREAKS = [
     "line 5: probs @ means", "line 6: means @= probs", "line 7: np.dot(probs, means)", "line 7: probs.dot(means)",
     "line 7: np.matmul(probs, means)", "line 7: np.inner(probs, means)", "line 10: np.vdot(probs, rows)",
@@ -432,6 +444,11 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 2: weights @ tables", "line 3: approx @= np.dot(tables, weights)", "line 3: np.dot(tables, weights)",
             *PRODUCT_BREAKS,
         ], id="products in a module without the guess"),
+        pytest.param(LAYOUT, "attack.py", BLOCK_SOURCE, [
+            "line 2: inst.query_for_block(block)", "line 3: empirical_mean(q, mech.sample)",
+            "line 3: core.true_mean(queries[0], dist)", "line 4: Query(0.0, {1: 1.0})",
+            "line 4: Query.from_arrays(0.0, ids, vals)",
+        ], id="queries and generic means in the block attack"),
         pytest.param(SIZES, "harness.py", LIMIT_SOURCE, [
             "line 2: _SUPPORT_ELEMENT_LIMIT", "line 3: _SUPPORT_ELEMENT_LIMIT",
             "line 5: attack._SUPPORT_ELEMENT_LIMIT", "line 7: _SUPPORT_ELEMENT_LIMIT",
