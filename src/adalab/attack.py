@@ -34,6 +34,7 @@ from .core import (
     Query,
     Sample,
     Transcript,
+    check_sample_size,
     empirical_mean,
     mean_under,
 )
@@ -59,12 +60,17 @@ def _ceil(x: float) -> int:
     return math.ceil(x - 1e-9)
 
 
+def _check_gamma(gamma: float, eps: float = 1.0) -> None:
+    """The one gamma rule, for an eps in (0, 1]: gamma in (0, 1], and 1/(eps * gamma) a finite float."""
+    if not (0.0 < gamma <= 1.0 and eps * gamma > 0.0 and 1.0 / (eps * gamma) < math.inf):
+        raise ValueError(f"gamma must lie in (0, 1], with 1/gamma and 1/(eps * gamma) finite floats; got {gamma}")
+
+
 def instance_shape(eps: float, gamma: float) -> tuple[int, int, int]:
     """Blocks r, population N, and support size m of the hard instance."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
+    _check_gamma(gamma, eps)
     r = max(1, round(1.0 / eps))
     population = max(_ceil(1.0 / eps**2), _ceil(1.0 / (eps * gamma)))
     population = r * _ceil(population / r)
@@ -76,8 +82,8 @@ class HardInstance:
 
     The domain has r blocks of m slots, and element (block i, slot j) has
     id ``i * m + j``. Support sample j consists of the slot-j element of
-    every block, each repeated n/r times; the sampling distribution is
-    uniform over the m slots.
+    every block, each n/r times, held as r ids and their counts; the
+    sampling distribution is uniform over the m slots.
     """
 
     def __init__(self, eps: float, gamma: float, n: int):
@@ -86,11 +92,10 @@ class HardInstance:
             raise ValueError("sample too small for 1/eps blocks")
         if n % r != 0:
             raise ValueError(f"sample size {n} must be a multiple of the block count {r}")
-        check_elements(f"hard instance's held sample holds n = {n} elements", n)
+        check_sample_size(n)
         self.n = int(n)
         self.num_blocks = r
         self.support_size = m
-        self.copies_per_block = n // r
         self._distribution: FiniteDistribution | None = None
 
     @property
@@ -104,7 +109,7 @@ class HardInstance:
         return slot + self.support_size * np.arange(self.num_blocks, dtype=np.int64)
 
     def make_sample(self, slot: int) -> Sample:
-        return Sample(np.repeat(self.slot_elements(slot), self.copies_per_block))
+        return Sample.from_counts(self.slot_elements(slot), np.full(self.num_blocks, self.n // self.num_blocks))
 
     @property
     def distribution(self) -> FiniteDistribution:
@@ -118,8 +123,8 @@ class HardInstance:
         return self._distribution
 
     def check_support(self) -> None:
-        m, n = self.support_size, self.n
-        check_elements(f"hard instance support holds m * n = {m} * {n} elements", m * n)
+        m, r = self.support_size, self.num_blocks
+        check_elements(f"hard instance support holds m * r = {m} * {r} elements", m * r)
 
 
 def build_hard_instance(eps: float, gamma: float, n: int) -> HardInstance:
@@ -177,19 +182,19 @@ def info_query_means(
     mechanism holds a distribution (else None).
 
     Both equal ``empirical_mean``'s and ``true_mean``'s bit for bit (one
-    ``mean_under`` call for all rows). A mechanism that reads a distribution
-    must hold ``inst.distribution``, whose true means follow from the layout.
+    ``mean_under`` call for all rows). The mechanism must hold an instance
+    sample, and ``inst.distribution`` if it reads one: the layout gives the means.
     """
     if mech.distribution is not None and mech.distribution is not inst.distribution:
         raise ValueError("mechanism distribution must be the instance's own")
-    elements = mech.sample.elements
-    # An info query is the table on block one and 0 elsewhere; its 0/1 sums
-    # are exact, so dividing them by the sample size gives the means exactly.
-    emp = tables[:, elements[elements < inst.support_size]].sum(axis=1) / len(elements)
+    # an info query is the table on block one and 0 elsewhere, and the sample
+    # holds one block-one id, its slot, n/r times: each mean is exactly (n/r or 0)/n
+    sample = mech.sample
+    emp = tables[:, sample.ids[0]] * sample.counts[0] / len(sample)
     if mech.distribution is None:
         return emp, None
-    # support sample j holds slot j of block one copies_per_block times
-    return emp, mean_under(mech.distribution.probabilities, tables * inst.copies_per_block / inst.n)
+    # support sample j holds slot j of block one n/r times, a mean of (n/r)/n = 1/r
+    return emp, mean_under(mech.distribution.probabilities, tables / inst.num_blocks)
 
 
 def info_round(state: AttackState, inst: HardInstance, mech: MechanismState) -> AttackState:
@@ -229,9 +234,9 @@ class ScoreAttackResult:
 
 
 def _hidden_slot(inst: HardInstance, sample: Sample) -> int:
-    elements, m = sample.elements, inst.support_size
-    slots = elements % m
-    if not elements.size or np.count_nonzero(slots != slots[0]) or elements.max() >= inst.num_blocks * m:
+    ids, m = sample.ids, inst.support_size
+    slots = ids % m
+    if ids[0] >= m or np.count_nonzero(slots != slots[0]) or ids[-1] >= inst.num_blocks * m:
         raise ValueError("mechanism sample is not a hard-instance support sample")
     return int(slots[0])
 
@@ -412,8 +417,7 @@ class FixedQueryAnalyst:
 
 def simple_attack_rounds(gamma: float) -> int:
     """Queries the block-scan attack needs: one per candidate block."""
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
+    _check_gamma(gamma)
     return max(1, _ceil(1.0 / gamma))
 
 
@@ -439,13 +443,16 @@ class BlockInstance:
             raise ValueError(f"block {block} out of range")
         return np.arange(block * self.n, (block + 1) * self.n, dtype=np.int64)
 
+    def make_sample(self, block: int) -> Sample:
+        return Sample.from_counts(self.block_elements(block), np.ones(self.n))
+
     @property
     def distribution(self) -> FiniteDistribution:
         """Explicit uniform support; built lazily, large instances stay cheap."""
         if self._distribution is None:
             r, n = self.num_candidates, self.n
             check_elements(f"block instance support holds r * n = {r} * {n} elements", r * n)
-            samples = [Sample(self.block_elements(i)) for i in range(r)]
+            samples = [self.make_sample(i) for i in range(r)]
             self._distribution = FiniteDistribution(samples, np.full(r, 1.0 / r))
         return self._distribution
 
@@ -483,7 +490,7 @@ def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttac
     if mech.distribution is not None and mech.distribution is not inst.distribution:
         raise ValueError("mechanism distribution must be the instance's own")
     # blocks are disjoint runs of ids: a sample lies in one when its least and greatest ids do
-    held, last = (int(ids) // inst.n for ids in (mech.sample.elements.min(), mech.sample.elements.max()))
+    held, last = (int(i) // inst.n for i in (mech.sample.ids[0], mech.sample.ids[-1]))
     if held != last or held >= inst.num_candidates:
         raise ValueError("held sample matches no candidate block")
     tru = np.full(inst.num_candidates, 1.0 / inst.num_candidates)

@@ -2,24 +2,22 @@
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads and processes. Derived data is
-built on first use and kept: a sample's element counts, a distribution's
-element -> row index and its last true mean (one entry, keyed by the
-query's value), and a query's override mapping and hash. The hash, read on
-every true mean, is a plain attribute rather than a ``cached_property``,
-whose every miss takes a lock under Python 3.11.
+built on first use and kept: a distribution's element -> row index and its
+last true mean (one entry, keyed by the query's value), and a query's
+override mapping and hash. The hash, read on every true mean, is a plain
+attribute rather than a ``cached_property``, whose every miss takes a lock
+under Python 3.11.
 
-A query stores its overrides as sorted int64 ids and float64 values, and
-one lookup rule reads them: a binary search of the ids. The means of a
-query whose values are all 0 or 1 are integer counts read from those ids
-and the element -> row index, divided by the sample size. The counts and
-row lengths are kept as float64: integers below 2**53 are exact there, so
-every product and sum keeps the bits integer counts give. Any other query,
-or a support whose rows share an element, looks up each sample's elements
-and averages them, one sample at a time. The counts are found by a binary
-search of the ids among the sorted distinct elements, except where those
-elements are exactly 0 .. size - 1 (a dense support, such as the hard
-instance's) and every id lies below size: then each id is its own position.
-A true mean is ``mean_under``, the one mean rule, which calls no BLAS.
+A sample is a multiset, its sorted distinct int64 ids and their counts, so
+its size n sizes no array; a query stores its overrides as sorted int64 ids
+and float64 values, and one lookup rule reads them: a binary search of the
+ids. One mean rule gives every empirical mean from the query's ids found
+among the sample's ids (or a support's, when its rows share none), their
+counts and n. Counts are float64 and n lies below 2**53, so a 0/1 query's
+sums are exact counts and its means keep the looked-up values' mean's bits.
+Where the sorted distinct ids are exactly 0 .. size - 1 (the hard instance's
+support) and every override id lies below size, each id is its own position.
+A true mean is ``mean_under``, which calls no BLAS.
 """
 
 from __future__ import annotations
@@ -35,44 +33,56 @@ import numpy as np
 PROB_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """Ordered sequence of domain elements; duplicates are expected.
+def check_sample_size(n) -> None:
+    """Refuse 2**53 elements or more: below, float64 holds every count and partial
+    sum of counts exactly, and a larger total sums to at least 2**53 in any order."""
+    if n >= 2**53:
+        raise ValueError(f"sample size {n} is not below 2**53, where float64 counts stop being exact")
 
-    ``elements`` is kept as one read-only int64 array, whatever sequence of
-    ids it is given; equality and hashing read the array's contents.
-    Elements are checked by the rule query override ids follow: integers,
-    or floats with integral values, and never negative.
+
+class Sample:
+    """Multiset of domain elements: ``ids``, the distinct element ids in
+    increasing order (int64), and ``counts``, how often each occurs (float64
+    whole numbers), both read-only. ``Sample(elements)`` counts a sequence
+    of ids; ``Sample.from_counts`` takes the two arrays. Both check ids as
+    query ids are checked, and the size, ``len``: at least 1, below 2**53.
     """
 
-    elements: np.ndarray
+    def __init__(self, elements):
+        self._store(*np.unique(_element_ids(elements, "sample elements"), return_counts=True))
 
-    def __post_init__(self) -> None:
-        array = _element_ids(self.elements, "sample elements")
-        if array.ndim != 1:
-            raise ValueError("sample elements must be a flat sequence of ids")
-        if np.count_nonzero(array < 0):
-            raise ValueError("sample elements must be non-negative ids")
-        array.setflags(write=False)
-        object.__setattr__(self, "elements", array)
+    @classmethod
+    def from_counts(cls, ids, counts) -> "Sample":
+        """Sample of ids in strictly increasing order, each a whole number of times."""
+        sample = cls.__new__(cls)
+        sample._store(_element_ids(ids, "sample elements"), counts)
+        return sample
+
+    def _store(self, ids: np.ndarray, counts) -> None:
+        counts = np.array(counts, dtype=np.float64)
+        if counts.shape != ids.shape:
+            raise ValueError("sample ids and counts must be 1-D and of one length")
+        if not ids.size:
+            raise ValueError("degenerate sample: a sample needs at least one element")
+        _check_sorted_ids(ids, "sample")
+        if np.count_nonzero(~(counts >= 1.0) | (counts != np.trunc(counts))):
+            raise ValueError("sample counts must be whole numbers of at least 1")
+        total = np.add.reduce(counts)
+        check_sample_size(total)
+        ids.setflags(write=False)
+        counts.setflags(write=False)
+        self.ids, self.counts, self._len = ids, counts, int(total)
 
     def __len__(self) -> int:
-        return self.elements.size
+        return self._len
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sample):
             return NotImplemented
-        return np.array_equal(self.elements, other.elements)
+        return np.array_equal(self.ids, other.ids) and np.array_equal(self.counts, other.counts)
 
     def __hash__(self) -> int:
-        return hash(self.elements.tobytes())
-
-    @functools.cached_property
-    def element_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct elements in increasing order, and how often each
-        occurs, as float64 (exact below 2**53)."""
-        elements, counts = np.unique(self.elements, return_counts=True)
-        return elements, counts.astype(np.float64)
+        return hash((self.ids.tobytes(), self.counts.tobytes()))
 
 
 class Query:
@@ -85,8 +95,7 @@ class Query:
     ids in increasing order without repeats (int64), and ``vals``, their
     values (float64), with -0.0 stored as 0.0. ``Query(default, mapping)``
     sorts a mapping into them; ``Query.from_arrays`` takes them as they are.
-    Both check them the same way. ``binary`` says whether the default and
-    every override value are 0 or 1. Built on first use and kept: the
+    Both check them the same way. Built on first use and kept: the
     ``overrides`` mapping, and the hash in the plain attribute ``_hash``,
     which ``_store`` sets to None.
     """
@@ -110,31 +119,19 @@ class Query:
             raise ValueError(f"query values must lie in [0, 1], got {default_value}")
         ids = _element_ids(ids, "override ids")
         vals = np.asarray(vals, dtype=np.float64) + 0.0
-        if ids.ndim != 1 or vals.shape != ids.shape:
+        if vals.shape != ids.shape:
             raise ValueError("override ids and values must be 1-D and of one length")
         lo, hi = (np.minimum.reduce(vals), np.maximum.reduce(vals)) if vals.size else (default_value, default_value)
         if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
             outside = ~((vals >= 0.0) & (vals <= 1.0))
             raise ValueError(f"query values must lie in [0, 1], got {vals[outside][0]}")
-        unordered = ids[1:] <= ids[:-1]
-        if np.count_nonzero(unordered):
-            raise ValueError(
-                f"override ids must increase strictly; {ids[1:][unordered][0]} repeats or is out of order"
-            )
-        if ids.size and ids[0] < 0:
-            raise ValueError("override elements must be non-negative ids")
+        _check_sorted_ids(ids, "override")
         ids.setflags(write=False)
         vals.setflags(write=False)
         self.default_value = default_value
         self.ids = ids
         self.vals = vals
         self._hash = None
-        # equal bounds mean one value throughout; otherwise count the 0s and 1s
-        if lo == hi:
-            vals_binary = lo in (0.0, 1.0)
-        else:
-            vals_binary = bool(np.count_nonzero((vals == 0.0) | (vals == 1.0)) == vals.size)
-        self.binary = default_value in (0.0, 1.0) and vals_binary
 
     @functools.cached_property
     def overrides(self) -> Mapping[int, float]:
@@ -176,13 +173,24 @@ class Query:
 
 
 def _element_ids(raw, what: str) -> np.ndarray:
-    """``raw`` as a new int64 array, when every entry is an integer."""
+    """``raw`` as a new 1-D int64 array, when every entry is an integer."""
     arr = np.asarray(raw)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be a flat sequence of ids")
     if arr.dtype.kind not in "iu" and arr.size:
         bad = arr if arr.dtype.kind != "f" else arr[~(np.isfinite(arr) & (arr == np.trunc(arr)))]
         if bad.size:
             raise ValueError(f"{what} must be 64-bit integers, got {bad.ravel()[0]}")
     return arr.astype(np.int64)
+
+
+def _check_sorted_ids(ids: np.ndarray, kind: str) -> None:
+    """The override or sample ids must increase strictly from a non-negative first id."""
+    unordered = ids[1:] <= ids[:-1]
+    if np.count_nonzero(unordered):
+        raise ValueError(f"{kind} ids must increase strictly; {ids[1:][unordered][0]} repeats or is out of order")
+    if ids.size and ids[0] < 0:
+        raise ValueError(f"{kind} elements must be non-negative ids")
 
 
 class FiniteDistribution:
@@ -207,30 +215,20 @@ class FiniteDistribution:
         # query -> true mean of the last query asked, replaced whole on a miss
         self._last_true_mean: dict[Query, float] = {}
 
-    @property
-    def support_size(self) -> int:
-        return len(self.samples)
-
     @functools.cached_property
     def element_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """(elements, rows, counts, lengths): every element of the support in
-        increasing order, the one support row holding it and its count there,
-        and each row's length, counts and lengths as float64 (exact below
-        2**53). None when an element lies in more than one row or a row is
-        empty."""
-        lengths = np.array([len(s) for s in self.samples])
-        if not lengths.all():
-            return None
-        elements = np.concatenate([s.elements for s in self.samples])
-        rows = np.repeat(np.arange(lengths.size), lengths)
+        """(elements, rows, counts, lengths): the distinct ids of every support
+        sample in increasing order, the one row holding each and its count
+        there, and each row's length, as float64. None when an id lies in
+        more than one row."""
+        lengths = np.array([len(s) for s in self.samples], dtype=np.float64)
+        elements = np.concatenate([s.ids for s in self.samples])
         order = np.argsort(elements, kind="stable")
-        elements, rows = elements[order], rows[order]
-        repeat = elements[1:] == elements[:-1]
-        if (rows[1:] != rows[:-1])[repeat].any():
+        elements = elements[order]
+        if np.count_nonzero(elements[1:] == elements[:-1]):
             return None
-        starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
-        counts = np.diff(np.append(starts, elements.size))
-        return elements[starts], rows[starts], counts.astype(np.float64), lengths.astype(np.float64)
+        rows = np.repeat(np.arange(lengths.size), [s.ids.size for s in self.samples])[order]
+        return elements, rows, np.concatenate([s.counts for s in self.samples])[order], lengths
 
 
 def _override_hits(query: Query, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,27 +243,21 @@ def _override_hits(query: Query, elements: np.ndarray) -> tuple[np.ndarray, np.n
     return pos[hit], query.vals[hit]
 
 
-# A query whose values are all 0 or 1 has an integer count as its sum over
-# any sample, which float64 adds exactly in any order, so count / n equals
-# the looked-up values' mean bit for bit. Other queries look up and average.
-
-
 def empirical_mean(query: Query, sample: Sample) -> float:
-    """Average of the query table over the sample's elements."""
+    """Average of the query table over the sample's elements, by the one mean
+    rule: (d * n + sum of (v - d) * c over the override hits) / n, for default
+    d and c copies of a hit of value v. A 0/1 query's sum is an exact count;
+    any other mean lies within (hits + 8) * 2**-53 of the exact one."""
     n = len(sample)
-    if n == 0:
-        raise ValueError("degenerate sample: cannot average over zero elements")
-    if not query.binary:
-        return float(query.values_at(sample.elements).mean())
-    elements, counts = sample.element_counts
-    pos, vals = _override_hits(query, elements)
+    pos, vals = _override_hits(query, sample.ids)
     default = query.default_value
-    return float((default * n + np.add.reduce((vals - default) * counts[pos])) / n)
+    return float((default * n + np.add.reduce((vals - default) * sample.counts[pos])) / n)
 
 
 def empirical_means_over_support(query: Query, dist: FiniteDistribution) -> np.ndarray:
-    """Empirical mean of ``query`` on every support sample, in support order."""
-    if query.binary and dist.element_rows is not None:
+    """Empirical mean of ``query`` on every support sample, in support order,
+    by ``empirical_mean``'s rule (a row's hits summed in id order)."""
+    if dist.element_rows is not None:
         elements, rows, counts, lengths = dist.element_rows
         pos, vals = _override_hits(query, elements)
         default = query.default_value
@@ -317,7 +309,8 @@ class Transcript:
 # --- JSON input -------------------------------------------------------------
 #
 # Schemas of the files ``check-concentration`` reads:
-#   Sample:       {"elements": [int, ...]}
+#   Sample:       {"elements": [int, ...]}, a multiset: two samples whose
+#                 elements are permutations of one another are one sample
 #   Query:        {"default_value": float, "overrides": [[int, float], ...]}
 #   Distribution: {"samples": [Sample, ...], "probabilities": [float, ...]}
 

@@ -18,9 +18,10 @@ resolver and its runner; the CLI and param validation both read it.
 A run is resolved once: ``_resolve_params`` and the kind's resolver build its
 params, noise spec, mechanism kinds and instance into a ``Run``, which every
 trial reads, in this process or a pool worker, building none of them again.
-Resolving checks every array a trial sizes from the params with
-``attack.check_elements``, the hard instance's support (m * n) too, which no
-resolve builds; the LLR checks its ``trials * k`` draw before it draws.
+Resolving checks every array a trial sizes from the params (n sizes none: a
+sample holds its ids' counts) with ``attack.check_elements``, the hybrid's
+support (m * r ids) too, which no resolve builds; the LLR checks its
+``trials * k`` draw before it draws.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .bounds import (
     run_llr_experiment,
     score_attack_rounds,
 )
-from .core import FiniteDistribution, Query, Sample, empirical_mean, true_mean
+from .core import FiniteDistribution, Query, Sample, check_sample_size, empirical_mean, true_mean
 from .mechanisms import (
     _BLOCK_TRIALS,
     MechanismKind,
@@ -222,9 +223,9 @@ def _two_sample_instance(n: int, ones: int) -> tuple[Sample, FiniteDistribution,
     the held sample, an exact gap of ones/(2n). The kinds' resolvers check
     that 1 <= ones <= n.
     """
-    check_elements(f"two-sample instance of n {n} holds 2 * {n} elements", 2 * n)
-    held = Sample((1,) * ones + (0,) * (n - ones))
-    return held, FiniteDistribution([Sample((0,) * n), held], np.array([0.5, 0.5])), Query(0.0, {1: 1.0})
+    check_sample_size(n)
+    held = Sample.from_counts([0, 1], [n - ones, ones]) if ones < n else Sample.from_counts([1], [n])
+    return held, FiniteDistribution([Sample.from_counts([0], [n]), held], np.array([0.5, 0.5])), Query(0.0, {1: 1.0})
 
 
 def _check_ones(kind: str, n: int, ones: int, origin: str = "") -> None:
@@ -238,7 +239,7 @@ def _check_ones(kind: str, n: int, ones: int, origin: str = "") -> None:
 
 def _check_trial_arrays(kind: str, params: dict, inst: HardInstance, support: bool) -> None:
     """An attack or positive trial's info tables (k * m), and the support
-    (m * n) if it reads it, fit the element limit; ``inst`` checks n."""
+    (m * r ids) if it reads it, fit the element limit."""
     k, m, eps, gamma = params["k"], inst.support_size, params["eps"], params["gamma"]
     what = f"{kind} experiment's info tables hold k * m = {k} * {m} elements (m from eps {eps} and gamma {gamma})"
     check_elements(what, k * m)
@@ -299,7 +300,7 @@ def _resolve_simple_attack(params: dict) -> tuple[tuple[str, ...], BlockInstance
 def _simple_attack_trial(run: Run, master: int, trial: int) -> dict:
     inst = run.instance
     held = int(derive_rng(master, trial, "sample_draw").integers(inst.num_candidates))
-    mech = _mechanism(run.kinds[0], run.noise, sample=Sample(inst.block_elements(held)), master=master, trial=trial)
+    mech = _mechanism(run.kinds[0], run.noise, sample=inst.make_sample(held), master=master, trial=trial)
     result = run_simple_attack(run.params["gamma"], run.params["n"], mech)
     return {
         "trial": trial,
@@ -391,7 +392,7 @@ def _resolve_params(config: ExperimentConfig) -> Run:
     and mechanism kinds, once: their own checks stop a bad run before its
     first trial, and every trial reads them from the returned ``Run``. The
     resolver checks the size of every array a trial builds from the params,
-    the hard instance's support (m * n) included, but builds no support: the
+    the hard instance's support (m * r ids) included, but builds no support: the
     first hybrid trial in a process builds it, and the real attack never does."""
     kind = config.kind
     declared = KINDS[kind].params

@@ -394,8 +394,6 @@ class MechanismState:
             if isinstance(oracle_seed, bool) or not isinstance(oracle_seed, numbers.Integral) or oracle_seed < 0:
                 raise ValueError(f"oracle_seed must be a non-negative integer, got {oracle_seed!r}")
         kind.check_noise(noise)
-        if sample is not None and len(sample) == 0:
-            raise ValueError("degenerate sample: mechanism needs at least one element")
         self.kind = kind
         self.noise = noise
         self.sample = sample

@@ -26,6 +26,7 @@ from adalab.attack import (
     run_score_attack,
     run_score_attack_arrays,
     run_simple_attack,
+    simple_attack_rounds,
 )
 from adalab.core import Query, Sample, empirical_mean, true_mean
 from adalab.harness import derive_entropy, derive_rng
@@ -59,16 +60,36 @@ class TestInstanceShape:
             assert population == r * m
             assert population >= math.ceil(1 / (eps * 0.003)) - r
 
+    @pytest.mark.parametrize("eps, gamma", [(0.25, 5e-324), (1.0, 5e-324), (0.25, 1e-308), (1e-10, 1e-300)])
+    def test_gamma_too_small_for_a_float(self, eps, gamma):
+        # 1/(eps * gamma) would be 1/0 or inf, which no count can be rounded up from
+        with pytest.raises(ValueError, match=f"with 1/gamma and 1/\\(eps \\* gamma\\) finite floats; got {gamma}"):
+            instance_shape(eps, gamma)
+
+    def test_smallest_gammas_that_fit(self):
+        # 1/gamma and 1/(eps * gamma) just below the largest float
+        gamma = 1 / 1.7e308
+        assert simple_attack_rounds(gamma) == math.ceil(1 / gamma)
+        assert instance_shape(0.5, 2 * gamma)[1] == math.ceil(1 / (0.5 * 2 * gamma))
+        with pytest.raises(ValueError, match="finite floats; got 5e-324"):
+            simple_attack_rounds(5e-324)
+
 
 class TestHardInstance:
     def test_sample_holds_one_slot_per_block(self):
         inst = build_hard_instance(0.25, 0.01, 16)
         s = inst.make_sample(7)
-        arr = s.elements
         assert len(s) == 16
         # four copies of the slot-7 element of each of the four blocks
-        assert sorted(set(arr)) == [7, 107, 207, 307]
-        assert all(np.count_nonzero(arr == e) == 4 for e in set(arr))
+        assert s.ids.tolist() == [7, 107, 207, 307] and s.counts.tolist() == [4.0] * 4
+        assert s == Sample([7, 107, 207, 307] * 4)
+
+    def test_sample_size_sizes_no_array(self):
+        # a sample of 10**9 elements holds its four ids and their counts
+        s = build_hard_instance(0.25, 0.01, 10**9).make_sample(7)
+        assert len(s) == 10**9 and s.ids.tolist() == [7, 107, 207, 307] and s.counts.tolist() == [2.5e8] * 4
+        with pytest.raises(ValueError, match=r"sample size 9007199254740996 is not below 2\*\*53"):
+            build_hard_instance(0.25, 0.01, 2**53 + 4)
 
     def test_rejects_bad_sample_sizes(self):
         with pytest.raises(ValueError, match="too small"):
@@ -81,7 +102,7 @@ class TestHardInstance:
         assert (inst.num_blocks, inst.support_size) == (4, 100)
         for slot, ids in [(0, [0, 100, 200, 300]), (7, [7, 107, 207, 307]), (99, [99, 199, 299, 399])]:
             np.testing.assert_array_equal(inst.slot_elements(slot), ids)
-            np.testing.assert_array_equal(inst.make_sample(slot).elements, np.repeat(ids, 4))
+            np.testing.assert_array_equal(inst.make_sample(slot).ids, ids)
 
     def test_rejects_bad_slot(self):
         inst = build_hard_instance(0.25, 0.01, 16)
@@ -94,14 +115,14 @@ class TestHardInstance:
     def test_distribution_is_uniform_over_slots(self):
         inst = build_hard_instance(0.5, 1.0, 4)
         dist = inst.distribution
-        assert dist.support_size == inst.support_size == 2
+        assert len(dist.samples) == inst.support_size == 2
         np.testing.assert_allclose(dist.probabilities, [0.5, 0.5])
         assert inst.final_true_mean == 0.5
 
     def test_distribution_guards_huge_supports(self):
         inst = build_hard_instance(0.01, 1e-6, 100)
         assert inst.support_size == 1_000_000
-        with pytest.raises(ValueError, match=r"support holds m \* n = 1000000 \* 100 elements, above the limit"):
+        with pytest.raises(ValueError, match=r"support holds m \* r = 1000000 \* 100 elements, above the limit"):
             inst.distribution
 
 
@@ -217,8 +238,9 @@ class TestScoreAttack:
 
     def test_rejects_sample_not_from_instance(self):
         inst = build_hard_instance(0.25, 0.01, 16)
-        # slots 0 and 1 mixed; one slot, but outside the 4 blocks of 100 slots
-        for stray in ((0, 1) * 8, (400,) * 16):
+        # slots 0 and 1 mixed; one slot, but outside the 4 blocks of 100
+        # slots, or without its block-one id
+        for stray in ((0, 1) * 8, (400,) * 16, (107, 207) * 8):
             for attack in (run_score_attack, run_score_attack_arrays):
                 mech = real_mech(Sample(stray))
                 with pytest.raises(ValueError, match="not a hard-instance support sample"):
@@ -528,7 +550,7 @@ class TestBlockAttack:
         inst = build_block_instance(0.1, 3)
         assert inst.num_candidates == 10
         assert inst.block_elements(2).tolist() == [6, 7, 8]
-        assert inst.distribution.support_size == 10
+        assert len(inst.distribution.samples) == 10
         assert inst.distribution.samples[2] == Sample(inst.block_elements(2))
         q = inst.query_for_block(2)
         assert q.value(6) == 1.0 and q.value(9) == 0.0

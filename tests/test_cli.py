@@ -46,9 +46,9 @@ def run_config(capsys, tmp_path, config):
     return run(capsys, [KINDS[config["kind"]].command, "--config", str(path)])
 
 
-# two-sample instances one element past _SUPPORT_ELEMENT_LIMIT's 2 * 10**7
-TWO_SAMPLE_PAST_LIMIT = "two-sample instance of n 10000001 holds 2 * 10000001 elements, above the limit of 20000000"
-TWO_SAMPLE_PAST_LIMIT_ARGV = (
+# two-sample instances whose 2n elements once passed _SUPPORT_ELEMENT_LIMIT's
+# 2 * 10**7; their samples hold two ids and two counts
+TWO_SAMPLE_LARGE_N_ARGV = (
     "llr --eps 0.03125 --rho 0.05 --n 10000001 --ones 4 --k 2 --grid-step 0.125",
     "diagnose-divergence --mech-a real --mech-b oracle --n 10000001 --ones 2 --trials 1",
 )
@@ -70,11 +70,8 @@ GUARDED_PAST_LIMIT = (
         "of 20000000",
     ),
 )
-# the trial sizes checked at resolve; unchecked, each of the first four asks numpy for 7.45 GiB
-HELD_PAST_LIMIT = "hard instance's held sample holds n = 1000000000 elements, above the limit of 20000000"
+# the trial sizes checked at resolve; unchecked, each of the first two asks numpy for 7.45 GiB
 RESOLVE_PAST_LIMIT = (
-    ("attack --eps 0.25 --gamma 0.01 --n 1000000000 --k 5 --trials 1", HELD_PAST_LIMIT),
-    ("positive --eps 0.25 --gamma 0.01 --alpha 0.9 --beta 0.5 --n 1000000000 --k 3 --trials 1", HELD_PAST_LIMIT),
     (
         "positive --eps 0.25 --gamma 0.01 --alpha 0.9 --beta 0.5 --n 16 --k 10000000 --trials 1",
         "positive_accuracy experiment's info tables hold k * m = 10000000 * 100 elements (m from eps 0.25 and "
@@ -87,7 +84,7 @@ RESOLVE_PAST_LIMIT = (
     # the hybrid's support, which its first trial would build
     (
         "attack --eps 0.01 --gamma 1e-6 --n 100 --k 5 --mechanism hybrid --epsilon-switch 0.25 --trials 2",
-        "hard instance support holds m * n = 1000000 * 100 elements, above the limit of 20000000",
+        "hard instance support holds m * r = 1000000 * 100 elements, above the limit of 20000000",
     ),
 )
 GRID_PAST_LIMIT_ARGV = "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2 --grid-step 1e-9 --trials 1"
@@ -289,7 +286,14 @@ class TestExitCodes:
                 )
                 for step, shown in (("nan", "nan"), ("inf", "inf"), ("-0.125", "-0.125"), ("0", "0.0"))
             ),
-            *((argv, TWO_SAMPLE_PAST_LIMIT) for argv in TWO_SAMPLE_PAST_LIMIT_ARGV),
+            # float64 counts are exact below 2**53, so no sample may hold more
+            *(
+                (argv, f"sample size {n} is not below 2**53, where float64 counts stop being exact")
+                for argv, n in (
+                    ("attack --eps 0.25 --gamma 0.01 --n 9007199254740996 --k 5", 2**53 + 4),
+                    ("llr --eps 0.03125 --rho 0.05 --n 9007199254740993 --ones 4 --k 2 --grid-step 0.125", 2**53 + 1),
+                )
+            ),
             (GRID_PAST_LIMIT_ARGV, GRID_PAST_LIMIT),
             # beta is checked whether k is given or derived from it
             *(
@@ -323,13 +327,27 @@ class TestExitCodes:
         assert message in err
 
 
-    @pytest.mark.parametrize("argv", TWO_SAMPLE_PAST_LIMIT_ARGV)
-    def test_two_sample_instance_past_the_limit_allocates_nothing(self, capsys, argv):
-        # the size is checked before either sample is built: without the
-        # check each sample alone would take 80 MB
+    @pytest.mark.parametrize("argv", TWO_SAMPLE_LARGE_N_ARGV)
+    def test_two_sample_instance_at_large_n_allocates_little(self, capsys, argv):
+        # each sample holds its ids and counts: as n ids, each would take 80 MB
         code, out, err, peak = run_traced(capsys, argv)
-        assert code == 1 and out == "" and TWO_SAMPLE_PAST_LIMIT in err
+        assert code == 0 and err == "" and json.loads(out)
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "simple-attack --gamma 5e-324 --n 2 --trials 1",
+            "attack --eps 0.25 --gamma 5e-324 --n 16 --k 2 --trials 1",
+            "bounds --mode negative --eps-values 0.25 --gamma 5e-324 --beta 0.1",
+            "check-concentration --eps 0.25 --gamma 5e-324 --n 16",
+        ],
+    )
+    def test_subnormal_gamma_exits_one(self, capsys, argv):
+        # 1/gamma and 1/(eps * gamma) overflow a float: once an OverflowError or ZeroDivisionError traceback
+        code, out, err = run(capsys, argv.split())
+        assert (code, out) == (1, "")
+        assert err == "error: gamma must lie in (0, 1], with 1/gamma and 1/(eps * gamma) finite floats; got 5e-324\n"
 
     def test_grid_past_the_bin_limit_allocates_nothing(self, capsys):
         # the bin count is checked at resolve: without the check the exact
@@ -374,7 +392,7 @@ def test_sizes_past_the_limit_exit_one_under_a_memory_cap():
     one error line in a child capped at 3 GiB of address space, where an
     unguarded array of that size ends in a MemoryError traceback. The child
     runs serially, with one BLAS thread."""
-    argvs = [argv for argv, _ in RESOLVE_PAST_LIMIT + GUARDED_PAST_LIMIT] + list(TWO_SAMPLE_PAST_LIMIT_ARGV)
+    argvs = [argv for argv, _ in RESOLVE_PAST_LIMIT + GUARDED_PAST_LIMIT]
     threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = {**os.environ, **threads, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
@@ -682,9 +700,15 @@ class TestReadmeAttacks:
         summary = json.loads((tmp_path / f"{name}.summary.json").read_text(encoding="utf-8"))
         assert summary["params"] == README_PARAMS[name]
 
-    # n sets these kinds' memory but no record: every info query and block
-    # indicator has the same means, as doubles, at any valid n
-    @pytest.mark.parametrize("name, n", [("attack", 400), ("hybrid", 4), ("positive", 1000), ("simple-attack", 1)])
+    # n sets no record of these kinds, nor any array: every info query and
+    # block indicator has the same means, as doubles, at any valid n
+    @pytest.mark.parametrize(
+        "name, n",
+        [
+            ("attack", 400), ("hybrid", 4), ("positive", 1000), ("simple-attack", 1),
+            ("attack", 10**9), ("hybrid", 10**9), ("positive", 10**9),
+        ],
+    )
     def test_records_do_not_depend_on_n(self, capsys, tmp_path, name, n):
         command, digest = README_ATTACKS[name]
         argv = command.split()
@@ -787,6 +811,14 @@ class TestCheckConcentration:
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
         assert message in err
+
+    def test_permuted_samples_are_one_support_entry(self, capsys, tmp_path):
+        # a sample is a multiset: [0, 1, 1] and [1, 0, 1] are one sample
+        qpath, dpath = tmp_path / "q.json", tmp_path / "d.json"
+        qpath.write_text('{"default_value": 0.0, "overrides": [[1, 1.0]]}')
+        dpath.write_text('{"samples": [{"elements": [0, 1, 1]}, {"elements": [1, 0, 1]}], "probabilities": [0.5, 0.5]}')
+        argv = ["check-concentration", "--query-file", str(qpath), "--dist-file", str(dpath), "--threshold", "0.1"]
+        assert run(capsys, argv) == (1, "", "error: support entries must be distinct\n")
 
     @pytest.mark.parametrize("threshold", ["-1", "0", "nan"])
     def test_threshold_must_be_positive(self, capsys, monkeypatch, threshold):

@@ -82,6 +82,10 @@ RULES = (
     Rule(LAYOUT, "run_simple_attack reads its means from the block layout: no query and no generic mean",
          ("attack.py",), calls=("empirical_mean", "true_mean", "Query"), calls_on=("Query",),
          method_calls=("query_for_block",), within=("attack.py::run_simple_attack",)),
+    Rule(LAYOUT, "only Sample's constructor counts ids: no np.unique elsewhere in the package",
+         EVERY, calls=("unique",), homes=("core.py::Sample.__init__",)),
+    Rule(LAYOUT, "only FiniteDistribution.element_rows repeats an array: no n-sized id array is built",
+         EVERY, calls=("repeat",), homes=("core.py::FiniteDistribution.element_rows",)),
     Rule(SIZES, "only check_elements reads the element limit",
          EVERY, loads=("_SUPPORT_ELEMENT_LIMIT",), homes=("attack.py::check_elements",)),
 )
@@ -379,6 +383,18 @@ BLOCK_SOURCE = (
     "def reference(inst, mech):\n"
     "    return true_mean(inst.query_for_block(0), inst.distribution), Query.from_arrays(0.0, ids, vals)\n"
 )
+COUNTS_SOURCE = (
+    "class Sample:\n"
+    "    def __init__(self, elements=()):\n"
+    "        ids, counts = np.unique(elements, return_counts=True)\n"
+    "    def from_counts(cls, ids, counts):\n"
+    "        return np.unique(ids), ids.repeat(2)\n"
+    "class FiniteDistribution:\n"
+    "    def element_rows(self):\n"
+    "        return np.repeat(np.arange(3), sizes)\n"
+    "def make_sample(slot):\n"
+    "    return Sample(np.repeat(slot_elements(slot), copies)), numpy.unique(ids)\n"
+)
 PRODUCT_BREAKS = [
     "line 5: probs @ means", "line 6: means @= probs", "line 7: np.dot(probs, means)", "line 7: probs.dot(means)",
     "line 7: np.matmul(probs, means)", "line 7: np.inner(probs, means)", "line 10: np.vdot(probs, rows)",
@@ -449,6 +465,15 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 3: core.true_mean(queries[0], dist)", "line 4: Query(0.0, {1: 1.0})",
             "line 4: Query.from_arrays(0.0, ids, vals)",
         ], id="queries and generic means in the block attack"),
+        pytest.param(LAYOUT, "core.py", COUNTS_SOURCE, [
+            "line 5: np.unique(ids)", "line 5: ids.repeat(2)", "line 10: np.repeat(slot_elements(slot), copies)",
+            "line 10: numpy.unique(ids)",
+        ], id="counts and repeats outside their homes"),
+        pytest.param(LAYOUT, "attack.py", COUNTS_SOURCE, [
+            "line 3: np.unique(elements, return_counts=True)", "line 5: np.unique(ids)", "line 5: ids.repeat(2)",
+            "line 8: np.repeat(np.arange(3), sizes)", "line 10: np.repeat(slot_elements(slot), copies)",
+            "line 10: numpy.unique(ids)",
+        ], id="counts and repeats outside core"),
         pytest.param(SIZES, "harness.py", LIMIT_SOURCE, [
             "line 2: _SUPPORT_ELEMENT_LIMIT", "line 3: _SUPPORT_ELEMENT_LIMIT",
             "line 5: attack._SUPPORT_ELEMENT_LIMIT", "line 7: _SUPPORT_ELEMENT_LIMIT",
