@@ -5,9 +5,12 @@ instance (every element of a sample repeats one hidden within-block slot),
 issues oblivious randomized info queries on the first block, accumulates a
 correlation score per candidate slot from the mechanism's answers, and
 finishes with an indicator query on the identified slot whose empirical
-mean is near 1 while its true mean is near 0. The block-scan attack simply
-probes 1/gamma disjoint candidate samples with indicator queries; the one
-matching the held sample answers near 1 against a true mean of gamma.
+mean is near 1 while its true mean is near 0. The block-scan attack runs on
+the hard instance with one block (eps = 1, ``BlockInstance``), whose 1/gamma
+candidate samples each hold one slot's element n times: it probes every
+slot's indicator, and the one matching the held sample answers near 1
+against a true mean of gamma. ``HardInstance.slot_query`` builds every slot
+indicator, the score attack's closing query included.
 
 Both issue only queries whose deviation mass is tiny by construction, so
 breaking the mechanism cannot be blamed on pathological queries.
@@ -60,17 +63,14 @@ def _ceil(x: float) -> int:
     return math.ceil(x - 1e-9)
 
 
-def _check_gamma(gamma: float, eps: float = 1.0) -> None:
-    """The one gamma rule, for an eps in (0, 1]: gamma in (0, 1], and 1/(eps * gamma) a finite float."""
-    if not (0.0 < gamma <= 1.0 and eps * gamma > 0.0 and 1.0 / (eps * gamma) < math.inf):
-        raise ValueError(f"gamma must lie in (0, 1], with 1/gamma and 1/(eps * gamma) finite floats; got {gamma}")
-
-
 def instance_shape(eps: float, gamma: float) -> tuple[int, int, int]:
-    """Blocks r, population N, and support size m of the hard instance."""
+    """Blocks r, population N, and support size m of the hard instance, the
+    block instance's too (eps = 1). The one gamma rule: gamma in (0, 1], and
+    1/(eps * gamma) a finite float."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    _check_gamma(gamma, eps)
+    if not (0.0 < gamma <= 1.0 and eps * gamma > 0.0 and 1.0 / (eps * gamma) < math.inf):
+        raise ValueError(f"gamma must lie in (0, 1], with 1/gamma and 1/(eps * gamma) finite floats; got {gamma}")
     r = max(1, round(1.0 / eps))
     population = max(_ceil(1.0 / eps**2), _ceil(1.0 / (eps * gamma)))
     population = r * _ceil(population / r)
@@ -89,7 +89,7 @@ class HardInstance:
     def __init__(self, eps: float, gamma: float, n: int):
         r, _, m = instance_shape(eps, gamma)
         if n < r:
-            raise ValueError("sample too small for 1/eps blocks")
+            raise ValueError(f"sample size {n} must be at least the block count {r}")
         if n % r != 0:
             raise ValueError(f"sample size {n} must be a multiple of the block count {r}")
         check_sample_size(n)
@@ -110,6 +110,10 @@ class HardInstance:
 
     def make_sample(self, slot: int) -> Sample:
         return Sample.from_counts(self.slot_elements(slot), np.full(self.num_blocks, self.n // self.num_blocks))
+
+    def slot_query(self, slot: int) -> Query:
+        """Indicator of one slot's element in every block."""
+        return Query.from_arrays(0.0, self.slot_elements(slot), np.ones(self.num_blocks))
 
     @property
     def distribution(self) -> FiniteDistribution:
@@ -218,8 +222,7 @@ def info_round(state: AttackState, inst: HardInstance, mech: MechanismState) -> 
 def final_query(state: AttackState, inst: HardInstance) -> Query:
     """Indicator of the best-scoring slot across all blocks; ties take the
     smallest slot."""
-    elements = inst.slot_elements(int(np.argmax(state.scores)))
-    return Query.from_arrays(0.0, elements, np.ones(inst.num_blocks))
+    return inst.slot_query(int(np.argmax(state.scores)))
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,7 @@ def _hidden_slot(inst: HardInstance, sample: Sample) -> int:
     ids, m = sample.ids, inst.support_size
     slots = ids % m
     if ids[0] >= m or np.count_nonzero(slots != slots[0]) or ids[-1] >= inst.num_blocks * m:
-        raise ValueError("mechanism sample is not a hard-instance support sample")
+        raise ValueError("mechanism sample holds no single slot of the instance")
     return int(slots[0])
 
 
@@ -417,47 +420,21 @@ class FixedQueryAnalyst:
 
 def simple_attack_rounds(gamma: float) -> int:
     """Queries the block-scan attack needs: one per candidate block."""
-    _check_gamma(gamma)
-    return max(1, _ceil(1.0 / gamma))
+    return instance_shape(1.0, gamma)[2]
 
 
-class BlockInstance:
-    """1/gamma disjoint candidate samples, one drawn uniformly.
-
-    Candidate block i holds the n elements with ids ``i * n .. i * n + n - 1``.
-    """
+class BlockInstance(HardInstance):
+    """The hard instance with one block (eps = 1): 1/gamma candidate samples,
+    candidate i holding slot i's element n times, one drawn uniformly."""
 
     def __init__(self, gamma: float, n: int):
-        r = simple_attack_rounds(gamma)
-        if n < 1:
-            raise ValueError("sample size must be at least 1")
-        # a trial builds one answer per block and the held block's n ids
-        check_elements(f"block instance of gamma {gamma} holds {r} blocks", r)
-        check_elements(f"block instance's held block holds n = {n} elements", n)
-        self.n = int(n)
-        self.num_candidates = r
-        self._distribution: FiniteDistribution | None = None
-
-    def block_elements(self, block: int) -> np.ndarray:
-        if not (0 <= block < self.num_candidates):
-            raise ValueError(f"block {block} out of range")
-        return np.arange(block * self.n, (block + 1) * self.n, dtype=np.int64)
-
-    def make_sample(self, block: int) -> Sample:
-        return Sample.from_counts(self.block_elements(block), np.ones(self.n))
-
-    @property
-    def distribution(self) -> FiniteDistribution:
-        """Explicit uniform support; built lazily, large instances stay cheap."""
-        if self._distribution is None:
-            r, n = self.num_candidates, self.n
-            check_elements(f"block instance support holds r * n = {r} * {n} elements", r * n)
-            samples = [self.make_sample(i) for i in range(r)]
-            self._distribution = FiniteDistribution(samples, np.full(r, 1.0 / r))
-        return self._distribution
+        super().__init__(1.0, gamma, n)
+        self.num_candidates = self.support_size
+        # a trial builds one answer per block
+        check_elements(f"block instance of gamma {gamma} holds {self.num_candidates} blocks", self.num_candidates)
 
     def query_for_block(self, block: int) -> Query:
-        return Query.from_arrays(0.0, self.block_elements(block), np.ones(self.n))
+        return self.slot_query(block)
 
 
 @functools.lru_cache(maxsize=1)
@@ -482,18 +459,16 @@ def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttac
     n)``, and its distribution if it reads one. Returns the worst |answer -
     true mean| over the 1/gamma queries and the held block. No query is
     built: the layout gives each mean as ``empirical_mean`` and
-    ``true_mean`` would, n/n or 0/n and 1 * (1/r) added to zeros.
+    ``true_mean`` would, n/n or 0/n and 1 * (1/r) added to zeros, where the
+    held sample is one id n times (``_hidden_slot`` finds its slot).
     """
     inst = build_block_instance(gamma, n)
     if mech.sample is None:
         raise ValueError("mechanism must hold a sample drawn from the instance")
     if mech.distribution is not None and mech.distribution is not inst.distribution:
         raise ValueError("mechanism distribution must be the instance's own")
-    # blocks are disjoint runs of ids: a sample lies in one when its least and greatest ids do
-    held, last = (int(i) // inst.n for i in (mech.sample.ids[0], mech.sample.ids[-1]))
-    if held != last or held >= inst.num_candidates:
-        raise ValueError("held sample matches no candidate block")
-    tru = np.full(inst.num_candidates, 1.0 / inst.num_candidates)
+    held = _hidden_slot(inst, mech.sample)
+    tru = np.full(inst.num_candidates, inst.final_true_mean)
     emp = (np.arange(inst.num_candidates) == held) * 1.0
     deviations = np.abs(answer_batch(mech, emp, None if mech.distribution is None else tru) - tru)
     return SimpleAttackResult(float(deviations.max()), held, tuple(deviations.tolist()))

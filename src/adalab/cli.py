@@ -17,11 +17,9 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from .attack import build_hard_instance
 from .concentration import check_concentration_exact, hoeffding_gamma
-from .core import Query, distribution_from_dict, load_json, query_from_dict
+from .core import distribution_from_dict, load_json, query_from_dict
 from .harness import (
     KINDS,
     ExperimentConfig,
@@ -146,7 +144,7 @@ def _check_concentration(args: argparse.Namespace) -> dict:
             if getattr(args, name) is None:
                 raise ValueError(f"--{name} is required when no query file is given")
         inst = build_hard_instance(args.eps, args.gamma, args.n)
-        query = Query.from_arrays(0.0, inst.slot_elements(0), np.ones(inst.num_blocks))
+        query = inst.slot_query(0)
         dist = inst.distribution
     gamma = args.gamma
     threshold = args.threshold if args.threshold is not None else args.eps

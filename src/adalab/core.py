@@ -173,14 +173,21 @@ class Query:
 
 
 def _element_ids(raw, what: str) -> np.ndarray:
-    """``raw`` as a new 1-D int64 array, when every entry is an integer."""
+    """``raw`` as a new 1-D int64 array, when every entry is an int64."""
     arr = np.asarray(raw)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be a flat sequence of ids")
-    if arr.dtype.kind not in "iu" and arr.size:
-        bad = arr if arr.dtype.kind != "f" else arr[~(np.isfinite(arr) & (arr == np.trunc(arr)))]
-        if bad.size:
-            raise ValueError(f"{what} must be 64-bit integers, got {bad.ravel()[0]}")
+    if arr.dtype.kind != "i" and arr.size:
+        # numpy holds a list with an int of 2**63 or more as uint64, or as
+        # float64 beside smaller ints; neither casts to int64 unchanged
+        if arr.dtype.kind == "u":
+            fits = arr <= np.iinfo(np.int64).max
+        elif arr.dtype.kind == "f":
+            fits = (arr >= -(2.0**63)) & (arr < 2.0**63) & (arr == np.trunc(arr))
+        else:
+            fits = np.zeros(arr.shape, dtype=bool)
+        if not fits.all():
+            raise ValueError(f"{what} must be 64-bit integers, got {raw[int(np.argmin(fits))]}")
     return arr.astype(np.int64)
 
 

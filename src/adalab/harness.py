@@ -250,8 +250,6 @@ def _check_trial_arrays(kind: str, params: dict, inst: HardInstance, support: bo
 def _resolve_attack(params: dict) -> tuple[tuple[str, ...], HardInstance]:
     if params["mechanism"] not in ("real", "hybrid"):
         raise ValueError(f"attack mechanism must be real or hybrid, got {params['mechanism']!r}")
-    if params["mechanism"] == "real" and "epsilon_switch" in params:
-        raise ValueError("epsilon_switch applies only to the hybrid; attack mechanism is 'real'")
     if not 0.0 < params["beta"] < 1.0:
         raise ValueError(f"attack experiment needs 0 < beta < 1, got beta {params['beta']}")
     inst = HardInstance(params["eps"], params["gamma"], params["n"])
@@ -388,7 +386,8 @@ def _coupling_trial(run: Run, master: int, trial: int) -> dict:
 def _resolve_params(config: ExperimentConfig) -> Run:
     """Type the params by the kind's table and fill its defaults; the kind's
     ``resolve`` fills the derived ones, so runners and summaries read every
-    param resolved, and builds the instance. Then build the run's noise spec
+    param resolved, and builds the instance. An ``epsilon_switch`` on a run
+    with no hybrid is refused here, for every kind. Then build the run's noise spec
     and mechanism kinds, once: their own checks stop a bad run before its
     first trial, and every trial reads them from the returned ``Run``. The
     resolver checks the size of every array a trial builds from the params,
@@ -410,6 +409,10 @@ def _resolve_params(config: ExperimentConfig) -> Run:
         elif p.default is not None:
             params[p.key] = p.default
     names, instance = KINDS[kind].resolve(params)
+    if "epsilon_switch" in params and "hybrid" not in names:
+        raise ValueError(
+            f"epsilon_switch applies only to the hybrid; the {kind} experiment runs {' and '.join(map(repr, names))}"
+        )
     noise = _noise_spec(params)
     # only the hybrid reads the switch threshold
     kinds = tuple(MechanismKind(name, params.get("epsilon_switch") if name == "hybrid" else None) for name in names)
@@ -557,9 +560,6 @@ _GRID_BIN_LIMIT = 2**21
 
 
 def _resolve_divergence(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution, Query]]:
-    names = (params["mech_a"], params["mech_b"])
-    if "epsilon_switch" in params and "hybrid" not in names:
-        raise ValueError("epsilon_switch applies only to the hybrid; neither mech_a nor mech_b is 'hybrid'")
     _check_ones("divergence", params["n"], params["ones"])
     bins = _noise_spec(params).n_bins
     if bins > _GRID_BIN_LIMIT:
@@ -567,7 +567,7 @@ def _resolve_divergence(params: dict) -> tuple[tuple[str, ...], tuple[Sample, Fi
             f"divergence experiment's grid_step {params['grid_step']} divides the output interval into {bins} "
             f"bins, above the limit of {_GRID_BIN_LIMIT}"
         )
-    return names, _two_sample_instance(params["n"], params["ones"])
+    return (params["mech_a"], params["mech_b"]), _two_sample_instance(params["n"], params["ones"])
 
 
 def _run_divergence(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:

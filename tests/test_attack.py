@@ -92,7 +92,7 @@ class TestHardInstance:
             build_hard_instance(0.25, 0.01, 2**53 + 4)
 
     def test_rejects_bad_sample_sizes(self):
-        with pytest.raises(ValueError, match="too small"):
+        with pytest.raises(ValueError, match="sample size 2 must be at least the block count 4"):
             build_hard_instance(0.25, 0.01, 2)
         with pytest.raises(ValueError, match="multiple of the block count"):
             build_hard_instance(0.25, 0.01, 18)
@@ -243,7 +243,7 @@ class TestScoreAttack:
         for stray in ((0, 1) * 8, (400,) * 16, (107, 207) * 8):
             for attack in (run_score_attack, run_score_attack_arrays):
                 mech = real_mech(Sample(stray))
-                with pytest.raises(ValueError, match="not a hard-instance support sample"):
+                with pytest.raises(ValueError, match="holds no single slot of the instance"):
                     attack(inst, mech, 2, np.random.default_rng(0), np.random.default_rng(0))
 
     def test_analyst_flags(self):
@@ -498,7 +498,7 @@ class TestArrayAttack:
         )
         with pytest.raises(ValueError, match="must hold a sample"):
             run_score_attack_arrays(inst, oracle, 2, *rngs())
-        with pytest.raises(ValueError, match="not a hard-instance support sample"):
+        with pytest.raises(ValueError, match="holds no single slot of the instance"):
             run_score_attack_arrays(inst, real_mech(Sample((0, 1) * 8)), 2, *rngs())
         hybrid = MechanismState(
             MechanismKind.hybrid(0.25),
@@ -547,19 +547,21 @@ def reference_simple_attack(gamma, n, mech):
 
 class TestBlockAttack:
     def test_instance_layout(self):
+        # the hard instance with one block: candidate i is slot i's element n times
         inst = build_block_instance(0.1, 3)
-        assert inst.num_candidates == 10
-        assert inst.block_elements(2).tolist() == [6, 7, 8]
+        assert (inst.num_blocks, inst.num_candidates) == (1, 10)
+        assert inst.make_sample(2) == Sample([2, 2, 2])
         assert len(inst.distribution.samples) == 10
-        assert inst.distribution.samples[2] == Sample(inst.block_elements(2))
+        assert inst.distribution.samples[2] == inst.make_sample(2)
         q = inst.query_for_block(2)
-        assert q.value(6) == 1.0 and q.value(9) == 0.0
+        assert q == inst.slot_query(2)
+        assert q.value(2) == 1.0 and q.value(3) == 0.0
         assert true_mean(q, inst.distribution) == pytest.approx(0.1)
 
     def test_rejects_bad_block(self):
         inst = build_block_instance(0.1, 3)
         for block in (-1, inst.num_candidates):
-            with pytest.raises(ValueError, match=f"block {block} out of range"):
+            with pytest.raises(ValueError, match=f"slot {block} out of range"):
                 inst.query_for_block(block)
 
     def test_gamma_reciprocal_rounding(self):
@@ -570,20 +572,16 @@ class TestBlockAttack:
         # a trial is linear in blocks: the 10,000-block limit it once needed is gone
         inst = build_block_instance(1 / 10_001, 1)
         assert inst.num_candidates == 10_001
-        res = run_simple_attack(1 / 10_001, 1, real_mech(Sample(inst.block_elements(10_000))))
+        res = run_simple_attack(1 / 10_001, 1, real_mech(inst.make_sample(10_000)))
         assert res.breaking_query_index == 10_000 and res.worst_deviation == 1.0 - 1.0 / 10_001
         assert len(res.deviations) == 10_001
 
     def test_sizes_past_the_element_limit(self):
         with pytest.raises(ValueError, match="gamma 1e-08 holds 100000000 blocks, above the limit of 20000000"):
             BlockInstance(1e-8, 1)
-        with pytest.raises(ValueError, match="held block holds n = 20000001 elements, above the limit"):
-            BlockInstance(0.5, 20_000_001)
-        # r * n is checked only where the support is built
-        inst = BlockInstance(1e-7, 3)
-        assert inst.block_elements(9_999_999).tolist() == [29_999_997, 29_999_998, 29_999_999]
-        with pytest.raises(ValueError, match=r"support holds r \* n = 10000000 \* 3 elements, above the limit"):
-            inst.distribution
+        # n sizes no array: a candidate is one id and its count
+        sample = BlockInstance(0.5, 10**9).make_sample(1)
+        assert sample.ids.tolist() == [1] and len(sample) == 10**9
 
     def test_noiseless_attack_is_exact(self):
         inst = build_block_instance(0.1, 5)
@@ -596,13 +594,15 @@ class TestBlockAttack:
         assert res.deviations[held] == 0.9
         assert all(d == pytest.approx(0.1) for i, d in enumerate(res.deviations) if i != held)
 
-    @pytest.mark.parametrize("elements", [(0, 0), (3,), (19, 18, 18), (5, 4), (20,), (1, 2), (0, 50), (19, 20)])
+    @pytest.mark.parametrize(
+        "elements", [(0, 0), (3,), (9, 9, 9), (5, 4), (10,), (20,), (1, 2), (0, 50), (19, 20), (0, 10)]
+    )
     def test_held_block_is_the_one_the_means_find(self, elements):
-        # any sample whose ids all lie in one block is held there, as the
+        # any sample of one block's id alone is held there, as the
         # reference's empirical mean of 1 finds; any other is rejected
         ref = reference_simple_attack(0.1, 2, real_mech(Sample(elements)))
         if ref.breaking_query_index == -1:
-            with pytest.raises(ValueError, match="matches no candidate block"):
+            with pytest.raises(ValueError, match="holds no single slot of the instance"):
                 run_simple_attack(0.1, 2, real_mech(Sample(elements)))
         else:
             assert run_simple_attack(0.1, 2, real_mech(Sample(elements))) == ref
@@ -612,8 +612,8 @@ class TestBlockAttack:
         hybrid = MechanismState(
             MechanismKind.hybrid(0.5),
             NoiseSpec(scale=0.1),
-            sample=Sample(inst.block_elements(1)),
-            # block 1 of this instance holds the same ids, but it is not the instance's support
+            sample=inst.make_sample(1),
+            # block 1 of this instance holds the same sample, but it is not the instance's support
             distribution=BlockInstance(0.2, 5).distribution,
             real_rng=np.random.default_rng(0),
             oracle_seed=1,

@@ -292,7 +292,13 @@ class TestExitCodes:
                 for argv, n in (
                     ("attack --eps 0.25 --gamma 0.01 --n 9007199254740996 --k 5", 2**53 + 4),
                     ("llr --eps 0.03125 --rho 0.05 --n 9007199254740993 --ones 4 --k 2 --grid-step 0.125", 2**53 + 1),
+                    ("simple-attack --gamma 0.1 --n 9007199254740992 --b 0", 2**53),
                 )
+            ),
+            # simple-attack takes no --eps: its one block bounds n from below
+            *(
+                (f"simple-attack --gamma 0.1 --n {n} --b 0", f"sample size {n} must be at least the block count 1")
+                for n in (0, -3)
             ),
             (GRID_PAST_LIMIT_ARGV, GRID_PAST_LIMIT),
             # beta is checked whether k is given or derived from it
@@ -706,7 +712,7 @@ class TestReadmeAttacks:
         "name, n",
         [
             ("attack", 400), ("hybrid", 4), ("positive", 1000), ("simple-attack", 1),
-            ("attack", 10**9), ("hybrid", 10**9), ("positive", 10**9),
+            ("attack", 10**9), ("hybrid", 10**9), ("positive", 10**9), ("simple-attack", 10**9),
         ],
     )
     def test_records_do_not_depend_on_n(self, capsys, tmp_path, name, n):
@@ -800,6 +806,9 @@ class TestCheckConcentration:
             ("[[2, 0.25], [2, 0.75]]", "[[0, 0], [1, 1]]", "name an element id more than once"),
             ("[[2, 0.25], [2.0, 0.75]]", "[[0, 0], [1, 1]]", "name an element id more than once"),
             ("[[1, 1.0]]", "[[0.5, 0], [1, 1]]", "sample elements must be 64-bit integers, got 0.5"),
+            # JSON reads 2**63 as a uint64 alone and as a float64 beside smaller ids: neither is an int64
+            ("[[9223372036854775808, 1.0]]", "[[0, 0], [1, 1]]", "override ids must be 64-bit integers, got 9223372036854775808"),
+            ("[[1, 1.0]]", "[[9223372036854775808, 1], [1, 1]]", "sample elements must be 64-bit integers, got 9223372036854775808"),
         ],
     )
     def test_bad_ids_in_files_exit_one(self, capsys, tmp_path, overrides, samples, message):
@@ -810,6 +819,7 @@ class TestCheckConcentration:
         argv = ["check-concentration", "--query-file", str(qpath), "--dist-file", str(dpath), "--threshold", "0.6"]
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
     def test_permuted_samples_are_one_support_entry(self, capsys, tmp_path):

@@ -240,8 +240,8 @@ class TestConfig:
         assert run.instance._distribution is None
 
     def test_simple_attack_trial_leaves_the_support_unbuilt(self):
-        """A simple-attack trial builds its held block alone: here the
-        support of 10**6 blocks of 30 ids would pass the element limit."""
+        """A simple-attack trial builds its held block alone, one id 30
+        times, and never the support of 10**6 such samples."""
         run = _resolve_params(ExperimentConfig(kind="simple_attack", params={"gamma": 1e-6, "n": 30}))
         record = _simple_attack_trial(run, 0, 0)
         assert record["identified"] and run.instance._distribution is None

@@ -82,6 +82,9 @@ RULES = (
     Rule(LAYOUT, "run_simple_attack reads its means from the block layout: no query and no generic mean",
          ("attack.py",), calls=("empirical_mean", "true_mean", "Query"), calls_on=("Query",),
          method_calls=("query_for_block",), within=("attack.py::run_simple_attack",)),
+    Rule(LAYOUT, "only HardInstance's own methods read slot_elements: slot_query builds every slot indicator",
+         EVERY, method_calls=("slot_elements",),
+         homes=("attack.py::HardInstance.make_sample", "attack.py::HardInstance.slot_query")),
     Rule(LAYOUT, "only Sample's constructor counts ids: no np.unique elsewhere in the package",
          EVERY, calls=("unique",), homes=("core.py::Sample.__init__",)),
     Rule(LAYOUT, "only FiniteDistribution.element_rows repeats an array: no n-sized id array is built",
@@ -395,6 +398,18 @@ COUNTS_SOURCE = (
     "def make_sample(slot):\n"
     "    return Sample(np.repeat(slot_elements(slot), copies)), numpy.unique(ids)\n"
 )
+SLOT_SOURCE = (
+    "class HardInstance:\n"
+    "    def make_sample(self, slot):\n"
+    "        return Sample.from_counts(self.slot_elements(slot), counts)\n"
+    "    def slot_query(self, slot):\n"
+    "        return Query.from_arrays(0.0, self.slot_elements(slot), np.ones(r))\n"
+    "def final_query(state, inst):\n"
+    "    return Query.from_arrays(0.0, inst.slot_elements(best), np.ones(r))\n"
+    "class BlockInstance(HardInstance):\n"
+    "    def query_for_block(self, block):\n"
+    "        return Query.from_arrays(0.0, self.slot_elements(block), np.ones(1))\n"
+)
 PRODUCT_BREAKS = [
     "line 5: probs @ means", "line 6: means @= probs", "line 7: np.dot(probs, means)", "line 7: probs.dot(means)",
     "line 7: np.matmul(probs, means)", "line 7: np.inner(probs, means)", "line 10: np.vdot(probs, rows)",
@@ -474,6 +489,13 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 8: np.repeat(np.arange(3), sizes)", "line 10: np.repeat(slot_elements(slot), copies)",
             "line 10: numpy.unique(ids)",
         ], id="counts and repeats outside core"),
+        pytest.param(LAYOUT, "attack.py", SLOT_SOURCE, [
+            "line 7: inst.slot_elements(best)", "line 10: self.slot_elements(block)",
+        ], id="slot indicators built outside HardInstance"),
+        pytest.param(LAYOUT, "cli.py", SLOT_SOURCE, [
+            "line 3: self.slot_elements(slot)", "line 5: self.slot_elements(slot)",
+            "line 7: inst.slot_elements(best)", "line 10: self.slot_elements(block)",
+        ], id="slot indicators built outside attack"),
         pytest.param(SIZES, "harness.py", LIMIT_SOURCE, [
             "line 2: _SUPPORT_ELEMENT_LIMIT", "line 3: _SUPPORT_ELEMENT_LIMIT",
             "line 5: attack._SUPPORT_ELEMENT_LIMIT", "line 7: _SUPPORT_ELEMENT_LIMIT",
