@@ -8,9 +8,9 @@ finishes with an indicator query on the identified slot whose empirical
 mean is near 1 while its true mean is near 0. The block-scan attack runs on
 the hard instance with one block (eps = 1, ``BlockInstance``), whose 1/gamma
 candidate samples each hold one slot's element n times: it probes every
-slot's indicator, and the one matching the held sample answers near 1
-against a true mean of gamma. ``HardInstance.slot_query`` builds every slot
-indicator, the score attack's closing query included.
+slot's indicator on the real mechanism, and the one matching the held sample
+answers near 1 against a true mean of gamma. ``HardInstance.slot_query`` builds
+every slot indicator, the score attack's closing query included.
 
 Both issue only queries whose deviation mass is tiny by construction, so
 breaking the mechanism cannot be blamed on pathological queries.
@@ -26,7 +26,6 @@ reference: one ``info_round`` per query, returning the transcript.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -384,8 +383,6 @@ class InfoRoundAnalyst:
     so the queries are the ones per-round draws give.
     """
 
-    deterministic = False
-
     def __init__(
         self, inst: HardInstance, rng_p: np.random.Generator, rng_table: np.random.Generator
     ):
@@ -404,9 +401,7 @@ class InfoRoundAnalyst:
 
 
 class FixedQueryAnalyst:
-    """Replays a fixed query list; deterministic by construction."""
-
-    deterministic = True
+    """Replays a fixed query list, whatever the answers."""
 
     def __init__(self, queries):
         self.queries = tuple(queries)
@@ -437,10 +432,7 @@ class BlockInstance(HardInstance):
         return self.slot_query(block)
 
 
-@functools.lru_cache(maxsize=1)
 def build_block_instance(gamma: float, n: int) -> BlockInstance:
-    """The block instance of (gamma, n), cached by value, so a mechanism can
-    hold the distribution ``run_simple_attack`` checks it against."""
     return BlockInstance(gamma, n)
 
 
@@ -455,22 +447,20 @@ def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttac
     """Probe every candidate block with its indicator query, all answered
     in one ``answer_batch``, as one ``answer`` per block in order would be.
 
-    The mechanism must hold a sample drawn from ``build_block_instance(gamma,
-    n)``, and its distribution if it reads one. Returns the worst |answer -
-    true mean| over the 1/gamma queries and the held block. No query is
-    built: the layout gives each mean as ``empirical_mean`` and
-    ``true_mean`` would, n/n or 0/n and 1 * (1/r) added to zeros, where the
-    held sample is one id n times (``_hidden_slot`` finds its slot).
+    It attacks the real mechanism, which answers from the sample alone: the
+    sample must be drawn from ``build_block_instance(gamma, n)``, and a
+    mechanism that reads a distribution is refused before any answer.
+    Returns the worst |answer - true mean| over the 1/gamma queries and the
+    held block. No query is built: the layout gives each empirical mean as
+    ``empirical_mean`` would, n/n or 0/n, where the held sample is one id n
+    times (``_hidden_slot`` finds its slot), and every true mean is 1/r.
     """
+    if "distribution" in mech.kind.reads:
+        raise ValueError(f"the block attack answers from the sample alone; a {mech.kind.name} mechanism reads a distribution")
     inst = build_block_instance(gamma, n)
-    if mech.sample is None:
-        raise ValueError("mechanism must hold a sample drawn from the instance")
-    if mech.distribution is not None and mech.distribution is not inst.distribution:
-        raise ValueError("mechanism distribution must be the instance's own")
     held = _hidden_slot(inst, mech.sample)
-    tru = np.full(inst.num_candidates, inst.final_true_mean)
     emp = (np.arange(inst.num_candidates) == held) * 1.0
-    deviations = np.abs(answer_batch(mech, emp, None if mech.distribution is None else tru) - tru)
+    deviations = np.abs(answer_batch(mech, emp, None) - inst.final_true_mean)
     return SimpleAttackResult(float(deviations.max()), held, tuple(deviations.tolist()))
 
 

@@ -4,8 +4,9 @@ The positive side bounds the accuracy of the real mechanism by comparing
 it to the oracle: per-query output laws of the unswitched hybrid and the
 oracle differ by a bounded log ratio, the ratios compose over k rounds into
 ``composed_epsilon``, and the oracle itself fails only through noise tails
-(``noise_escape_mass``) or concentration failures (k * gamma). The negative
-side turns the attack analyses into round-count thresholds.
+(``noise_escape_mass``) or concentration failures (k * gamma), and
+``run_llr_experiment`` samples the composed ratio over a fixed query list.
+The negative side turns the attack analyses into round-count thresholds.
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ from .mechanisms import (
     MechanismState,
     NoiseSpec,
     _BLOCK_VALUES,
-    _laplace_from_uniform,
-    grid_index,
     laplace_grid_indices,
     laplace_uniforms,
     output_distribution,
     perturbed_mean,
-    quantize,
 )
 
 logger = logging.getLogger(__name__)
@@ -297,7 +295,7 @@ def check_llr_draw(trials: int, k: int) -> None:
 
 
 def run_llr_experiment(
-    analyst,
+    analyst: FixedQueryAnalyst,
     sample: Sample,
     dist: FiniteDistribution,
     k: int,
@@ -314,23 +312,18 @@ def run_llr_experiment(
     unswitched-hybrid law and the oracle law is the sum over rounds of
     per-answer log ratios; the report gives the fraction exceeding
     ``composed_epsilon(k, eps, b, rho)`` under either sampling direction,
-    each of which the bound caps by rho. Requires a deterministic analyst
-    (the per-round laws are then functions of the transcript prefix) and a
-    coarse grid so bin probabilities are well separated from underflow.
-    The hybrid's switch threshold ``epsilon_switch`` (``eps`` if None) must
-    be positive, as ``MechanismKind.hybrid`` requires.
+    each of which the bound caps by rho. Requires Laplace noise, a coarse
+    grid so bin probabilities are well separated from underflow, and a
+    positive switch threshold ``epsilon_switch`` (``eps`` if None).
 
-    A ``FixedQueryAnalyst`` asks its first k queries whatever the answers,
-    so the switch round (``MechanismKind.sample_rounds``) and each round's
-    mean and log-ratio terms are found once, and a block's round r is
-    computed at once, as array operations over the block's transcripts:
+    The analyst must be a ``FixedQueryAnalyst`` holding at least k queries
+    (any other is refused first). Its first k are asked whatever the
+    answers, so the switch round (``MechanismKind.sample_rounds``) and each
+    round's mean and log-ratio terms are found once, and a block's round r
+    is computed at once over the block's transcripts:
     ``mechanisms.laplace_grid_indices`` gives each answer's grid index
     straight from the uniform doubles, and the ratios are summed round by
-    round. Its list must hold at least k queries. Any other analyst
-    may read answers, so it is shown each transcript's ``quantize``d prefix,
-    round by round, in transcript order, each draw computed from its double
-    by ``mechanisms._laplace_from_uniform``. Both give the same report for
-    the same queries.
+    round.
 
     Randomness contract: each direction has its own stream, spawned from
     ``seed``, and reads from it the ``trials * k`` uniform doubles that
@@ -345,19 +338,17 @@ def run_llr_experiment(
     A query's means and log laws are computed once per distinct query and
     cached by the query's value, never by object identity.
     """
-    if getattr(analyst, "deterministic", False) is not True:
-        raise ValueError("log-ratio accounting requires a deterministic analyst")
-    if noise.family != "laplace":
-        raise ValueError("composition bound applies to Laplace noise")
+    if not isinstance(analyst, FixedQueryAnalyst):
+        raise ValueError(f"log-ratio accounting replays a FixedQueryAnalyst's list; got {type(analyst).__name__}")
+    hybrid = MechanismKind.hybrid(eps if epsilon_switch is None else epsilon_switch)
+    hybrid.check_noise(noise)
     if noise.n_bins > 64:
         raise ValueError("use a coarse grid (at most 64 bins)")
     if trials < 1:
         raise ValueError("need at least one trial")
     check_llr_draw(trials, k)
-    fixed = isinstance(analyst, FixedQueryAnalyst)
-    if fixed and len(analyst.queries) < k:
+    if len(analyst.queries) < k:
         raise ValueError(f"the fixed query list holds {len(analyst.queries)} queries, fewer than k = {k} rounds")
-    hybrid = MechanismKind.hybrid(eps if epsilon_switch is None else epsilon_switch)
     threshold = composed_epsilon(k, eps, noise.scale, rho)
 
     @functools.cache
@@ -373,13 +364,12 @@ def run_llr_experiment(
         emp, tru = empirical_mean(query, sample), true_mean(query, dist)
         return emp, tru, log_law(emp), log_law(tru)
 
-    if fixed:
-        fixed_laws = [laws_for(query) for query in analyst.queries[:k]]
-        emps, trus, law_emps, law_trus = (np.array([laws[i] for laws in fixed_laws]) for i in range(4))
-        switch_round = hybrid.sample_rounds(emps, trus, k)
-        # the hybrid's mean and log law of each round
-        hybrid_means = np.concatenate((emps[:switch_round], trus[switch_round:]))
-        hybrid_laws = np.concatenate((law_emps[:switch_round], law_trus[switch_round:]))
+    fixed_laws = [laws_for(query) for query in analyst.queries[:k]]
+    emps, trus, law_emps, law_trus = (np.array([laws[i] for laws in fixed_laws]) for i in range(4))
+    switch_round = hybrid.sample_rounds(emps, trus, k)
+    # the hybrid's mean and log law of each round
+    hybrid_means = np.concatenate((emps[:switch_round], trus[switch_round:]))
+    hybrid_laws = np.concatenate((law_emps[:switch_round], law_trus[switch_round:]))
 
     def fixed_llrs(means: np.ndarray, terms: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """A block's ratios, one round at a time over all its transcripts.
@@ -390,42 +380,21 @@ def run_llr_experiment(
             llr += term[column]
         return llr
 
-    def adaptive_llrs(sample_hybrid: bool, uniforms: np.ndarray) -> list[float]:
-        """Every transcript's ratio, asking the analyst round by round."""
-        llrs = []
-        for row in uniforms.tolist():
-            rounds: list[tuple[Query, float]] = []
-            switched = False
-            llr = 0.0
-            for u in row:
-                query = analyst.next_query(tuple(rounds))
-                emp, tru, law_emp, law_tru = laws_for(query)
-                switched = not hybrid.sample_rounds(emp, tru, 1, switched)
-                mean_h, law_h = (tru, law_tru) if switched else (emp, law_emp)
-                drawn, other = (law_h, law_tru) if sample_hybrid else (law_tru, law_h)
-                value = (mean_h if sample_hybrid else tru) + _laplace_from_uniform(u, noise.scale)
-                index = grid_index(noise, value)
-                llr += drawn[index] - other[index]
-                rounds.append((query, quantize(noise, value)))
-            llrs.append(llr)
-        return llrs
-
     def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
         block_rows = max(1, _BLOCK_VALUES // max(k, 1))
         exceed = 0
         # inf - inf is nan, as in Python float arithmetic, without a warning
         with np.errstate(invalid="ignore"):
-            if fixed:
-                # each round's drawn mean, and its log ratio by grid index: +inf
-                # on a bin the other law never yields
-                if sample_hybrid:
-                    means, terms = hybrid_means, hybrid_laws - law_trus
-                else:
-                    means, terms = trus, law_trus - hybrid_laws
+            # each round's drawn mean, and its log ratio by grid index: +inf
+            # on a bin the other law never yields
+            if sample_hybrid:
+                means, terms = hybrid_means, hybrid_laws - law_trus
+            else:
+                means, terms = trus, law_trus - hybrid_laws
             for start in range(0, trials, block_rows):
                 rows = min(block_rows, trials - start)
                 uniforms = laplace_uniforms(rng, rows * k).reshape(rows, k)
-                llr = fixed_llrs(means, terms, uniforms) if fixed else adaptive_llrs(sample_hybrid, uniforms)
+                llr = fixed_llrs(means, terms, uniforms)
                 exceed += int(np.count_nonzero(np.greater(llr, threshold)))
         return exceed / trials
 

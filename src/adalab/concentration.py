@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteDistribution, Query, empirical_means_over_support, true_mean
+from .core import FiniteDistribution, Query, empirical_means_over_support, mean_under
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,9 @@ def check_concentration_exact(
         raise ValueError("eps must be positive")
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1]")
-    deviations = np.abs(empirical_means_over_support(query, dist) - true_mean(query, dist))
+    means = empirical_means_over_support(query, dist)
+    tru = float(mean_under(dist.probabilities, means))
+    deviations = np.abs(means - tru)
     mass = float(dist.probabilities[deviations >= eps].sum())
     return ConcentrationReport(
         holds=mass <= gamma,

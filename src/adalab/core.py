@@ -139,20 +139,9 @@ class Query:
         return MappingProxyType(dict(zip(self.ids.tolist(), self.vals.tolist())))
 
     def value(self, element: int) -> float:
-        return float(self._look_up(int(element)))
-
-    def values_at(self, elements: np.ndarray) -> np.ndarray:
-        """Table lookup for an int array of element ids, of the same shape."""
-        return self._look_up(elements)
-
-    def _look_up(self, elements) -> np.ndarray:
-        # The one lookup rule. value() calls it directly, not through
-        # values_at, so perfbench's values_at span counts array lookups only.
-        elements = np.asarray(elements, dtype=np.int64)
-        if self.ids.size == 0:
-            return np.full(elements.shape, self.default_value)
-        pos = np.minimum(np.searchsorted(self.ids, elements), self.ids.size - 1)
-        return np.where(self.ids[pos] == elements, self.vals[pos], self.default_value)
+        pos = int(np.searchsorted(self.ids, element))  # the one lookup rule: a binary search of the ids
+        hit = pos < self.ids.size and self.ids[pos] == element
+        return float(self.vals[pos]) if hit else self.default_value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Query):
@@ -178,16 +167,17 @@ def _element_ids(raw, what: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{what} must be a flat sequence of ids")
     if arr.dtype.kind != "i" and arr.size:
-        # numpy holds a list with an int of 2**63 or more as uint64, or as
-        # float64 beside smaller ints; neither casts to int64 unchanged
+        # numpy holds a list with an int of 2**63 or more as uint64, and one that mixes
+        # ints with a float as float64, exact only below 2**53: neither casts unchanged
         if arr.dtype.kind == "u":
             fits = arr <= np.iinfo(np.int64).max
         elif arr.dtype.kind == "f":
-            fits = (arr >= -(2.0**63)) & (arr < 2.0**63) & (arr == np.trunc(arr))
+            fits = (np.abs(arr) < 2.0**53) & (arr == np.trunc(arr))
         else:
             fits = np.zeros(arr.shape, dtype=bool)
         if not fits.all():
-            raise ValueError(f"{what} must be 64-bit integers, got {raw[int(np.argmin(fits))]}")
+            beside = " (ids read as floats must be whole and below 2**53)" if arr.dtype.kind == "f" else ""
+            raise ValueError(f"{what} must be 64-bit integers, got {raw[int(np.argmin(fits))]}{beside}")
     return arr.astype(np.int64)
 
 

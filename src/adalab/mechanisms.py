@@ -39,8 +39,7 @@ reads only each answer's grid index, ``laplace_uniforms`` reads the doubles
 numpy's Laplace draw would read and ``laplace_grid_indices`` turns a block of
 them into grid indices, with a vectorized ``np.log``; it recomputes with
 ``_laplace_from_uniform`` every value near a bin edge, so each index equals
-the one of numpy's draw. The LLR's per-transcript path calls
-``_laplace_from_uniform`` too. tests/test_mechanisms.py compares both with
+the one of numpy's draw. tests/test_mechanisms.py compares both with
 numpy.
 """
 

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 import adalab.attack
 from adalab.attack import (
     BlockInstance,
-    FixedQueryAnalyst,
     InfoRoundAnalyst,
     SimpleAttackResult,
     _score_sums,
@@ -28,7 +27,7 @@ from adalab.attack import (
     run_simple_attack,
     simple_attack_rounds,
 )
-from adalab.core import Query, Sample, empirical_mean, true_mean
+from adalab.core import Sample, empirical_mean, true_mean
 from adalab.harness import derive_entropy, derive_rng
 from adalab.mechanisms import MechanismKind, MechanismState, NoiseSpec, answer
 
@@ -245,14 +244,6 @@ class TestScoreAttack:
                 mech = real_mech(Sample(stray))
                 with pytest.raises(ValueError, match="holds no single slot of the instance"):
                     attack(inst, mech, 2, np.random.default_rng(0), np.random.default_rng(0))
-
-    def test_analyst_flags(self):
-        inst = build_hard_instance(0.25, 0.01, 16)
-        analyst = InfoRoundAnalyst(inst, np.random.default_rng(0), np.random.default_rng(1))
-        assert analyst.deterministic is False
-        fixed = FixedQueryAnalyst([Query(0.5)])
-        assert fixed.deterministic is True
-        assert fixed.next_query(()) == Query(0.5)
 
     def test_identically_seeded_analysts_agree(self):
         inst = build_hard_instance(0.25, 0.01, 16)
@@ -512,23 +503,6 @@ class TestArrayAttack:
             run_score_attack_arrays(inst, hybrid, 2, *rngs())
 
 
-def block_mech(gamma, n, held, epsilon_switch, noise, seed):
-    """A real mechanism (epsilon_switch None) or a hybrid holding block
-    ``held`` of a fresh block instance."""
-    inst = build_block_instance(gamma, n)
-    sample = inst.distribution.samples[held]
-    if epsilon_switch is None:
-        return real_mech(sample, seed, noise)
-    return MechanismState(
-        MechanismKind.hybrid(epsilon_switch),
-        noise,
-        sample=sample,
-        distribution=inst.distribution,
-        real_rng=np.random.default_rng(seed),
-        oracle_seed=seed + 1,
-    )
-
-
 def reference_simple_attack(gamma, n, mech):
     """The block-scan attack one ``answer`` per block, in block order."""
     inst = build_block_instance(gamma, n)
@@ -607,49 +581,38 @@ class TestBlockAttack:
         else:
             assert run_simple_attack(0.1, 2, real_mech(Sample(elements))) == ref
 
-    def test_hybrid_holds_the_instance_distribution(self):
+    def test_refuses_mechanisms_that_read_a_distribution(self):
+        # the attack answers from the sample alone, so it refuses the oracle
+        # and the hybrid before any answer, whatever distribution they hold
         inst = build_block_instance(0.1, 5)
+        oracle = MechanismState(MechanismKind.oracle(), NoiseSpec(scale=0.1), distribution=inst.distribution, oracle_seed=1)
         hybrid = MechanismState(
             MechanismKind.hybrid(0.5),
             NoiseSpec(scale=0.1),
             sample=inst.make_sample(1),
-            # block 1 of this instance holds the same sample, but it is not the instance's support
-            distribution=BlockInstance(0.2, 5).distribution,
+            distribution=inst.distribution,
             real_rng=np.random.default_rng(0),
             oracle_seed=1,
         )
-        with pytest.raises(ValueError, match="instance's own"):
-            run_simple_attack(0.1, 5, hybrid)
+        for mech in (oracle, hybrid):
+            with pytest.raises(ValueError, match=f"answers from the sample alone; a {mech.kind.name} mechanism reads"):
+                run_simple_attack(0.1, 5, mech)
+            assert mech.rounds_answered == 0
+        assert hybrid._real_rng.random() == np.random.default_rng(0).random()
 
-    @pytest.mark.parametrize(
-        "gamma, n, epsilon_switch, switching",
-        [
-            (0.1, 5, None, "never"),
-            (0.125, 3, None, "never"),
-            (0.1, 5, 0.5, "held"),  # only the held block strays (0.9 against 0.1)
-            (1 / 3, 4, 0.5, "held"),
-            (0.1, 5, 0.05, "first"),  # every block strays by at least 0.1
-            (0.1, 5, 0.95, "never"),
-            (1 / 300, 2, 0.5, "held"),
-        ],
-    )
-    def test_matches_reference_bit_for_bit(self, gamma, n, epsilon_switch, switching):
+    @pytest.mark.parametrize("gamma, n", [(0.1, 5), (0.125, 3), (1 / 3, 4), (1 / 300, 2)])
+    def test_matches_reference_bit_for_bit(self, gamma, n):
         noise = NoiseSpec(scale=0.1)
-        candidates = build_block_instance(gamma, n).num_candidates
-        for held in sorted({0, candidates - 1, *range(1, candidates, 3)}):
-            ref_mech, mech = (
-                block_mech(gamma, n, held, epsilon_switch, noise, seed=held) for _ in range(2)
-            )
+        inst = build_block_instance(gamma, n)
+        for held in sorted({0, inst.num_candidates - 1, *range(1, inst.num_candidates, 3)}):
+            ref_mech, mech = (real_mech(inst.make_sample(held), held, noise) for _ in range(2))
             ref = reference_simple_attack(gamma, n, ref_mech)
             got = run_simple_attack(gamma, n, mech)
             assert [d.hex() for d in got.deviations] == [d.hex() for d in ref.deviations]
             assert got.worst_deviation.hex() == ref.worst_deviation.hex()
             assert got.breaking_query_index == ref.breaking_query_index == held
-            for field in ("rounds_answered", "switched", "switch_round"):
-                assert getattr(mech, field) == getattr(ref_mech, field), (held, field)
+            assert mech.rounds_answered == ref_mech.rounds_answered == inst.num_candidates
             assert mech._real_rng.random() == ref_mech._real_rng.random()
-            expected = {"never": None, "held": held, "first": 0}[switching]
-            assert mech.switch_round == expected
 
 
 class TestAttackConstants:

@@ -336,13 +336,17 @@ class TestLlrExperiment:
         args.update(over)
         return args
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         from adalab.attack import InfoRoundAnalyst, build_hard_instance
 
         inst = build_hard_instance(0.25, 0.01, 16)
         roving = InfoRoundAnalyst(inst, np.random.default_rng(0), np.random.default_rng(1))
-        with pytest.raises(ValueError, match="deterministic analyst"):
-            run_llr_experiment(**self.make_args(analyst=roving))
+        # refused first: before the other checks, any law is computed or any double drawn
+        with monkeypatch.context() as patched:
+            for name in ("output_distribution", "laplace_uniforms"):
+                patched.setattr(f"adalab.bounds.{name}", lambda *args: pytest.fail(f"{name} called"))
+            with pytest.raises(ValueError, match="replays a FixedQueryAnalyst's list; got InfoRoundAnalyst"):
+                run_llr_experiment(**self.make_args(analyst=roving, trials=0))
         with pytest.raises(ValueError, match="Laplace"):
             run_llr_experiment(
                 **self.make_args(noise=NoiseSpec("gaussian", 0.3125, grid_step=2**-5))
@@ -363,28 +367,23 @@ class TestLlrExperiment:
         assert 0.0 <= rep.frac_exceed_hybrid <= 0.1
         assert 0.0 <= rep.frac_exceed_oracle <= 0.1
 
-    def test_fresh_query_objects_match_interned_ones(self):
-        # Each round's query depends on the previous answer. Fresh objects
-        # freed between trials get recycled ids, so a cache keyed by id()
-        # served stale means; keyed by value, both analysts agree.
-        class AnswerDriven:
-            deterministic = True
+    def test_fresh_query_objects_match_interned_ones(self, monkeypatch):
+        # The laws are cached by the query's value, never by id(): a list of
+        # fresh equal-valued objects computes the one law pair that a list
+        # of one object repeated does, and gives the same report.
+        import adalab.bounds
 
-            def __init__(self, intern):
-                self.interned = {} if intern else None
-
-            def next_query(self, rounds):
-                weight = 1.0 if rounds and rounds[-1][1] > 0.25 else 0.25
-                if self.interned is None:
-                    return Query(0.0, {1: weight})
-                return self.interned.setdefault(weight, Query(0.0, {1: weight}))
-
+        laws = []
+        law = adalab.bounds.output_distribution
+        monkeypatch.setattr(adalab.bounds, "output_distribution", lambda noise, mean: laws.append(mean) or law(noise, mean))
         _, mixed, dist = two_sample_dist(8, 4)
         # a switch threshold no query trips keeps every round's log ratio live
         common = dict(sample=mixed, dist=dist, k=10, eps=0.0625, rho=0.05, epsilon_switch=1.0)
         common.update(noise=NoiseSpec(scale=0.15625, grid_step=2**-5), trials=300, seed=7)
-        fresh = run_llr_experiment(analyst=AnswerDriven(intern=False), **common)
-        interned = run_llr_experiment(analyst=AnswerDriven(intern=True), **common)
+        fresh = run_llr_experiment(FixedQueryAnalyst([Query(0.0, {1: 1.0}) for _ in range(10)]), **common)
+        assert laws == [0.5, 0.25]  # the empirical and the true mean's laws, once each
+        interned = run_llr_experiment(FixedQueryAnalyst([Query(0.0, {1: 1.0})] * 10), **common)
+        assert laws == [0.5, 0.25] * 2
         assert interned.frac_exceed_hybrid > 0.0
         assert fresh == interned
 
@@ -429,8 +428,7 @@ class TestLlrExperiment:
 def reference_llr(analyst, sample, dist, k, eps, noise, rho, trials, seed, epsilon_switch=None):
     """The per-round LLR loop as it stood before the per-transcript draw:
     one noise draw, one quantize and one grid index recomputed from the
-    answer per round. Returns the report and the number of transcripts,
-    over both directions, in which the hybrid switched."""
+    answer per round, each transcript's queries asked of the analyst."""
     switch_at = eps if epsilon_switch is None else epsilon_switch
     threshold = composed_epsilon(k, eps, noise.scale, rho)
 
@@ -444,10 +442,8 @@ def reference_llr(analyst, sample, dist, k, eps, noise, rho, trials, seed, epsil
             return np.log(output_distribution(noise, mean)).tolist()
 
     clip_lo = noise.clip_lo
-    switched_transcripts = 0
 
     def one_direction(sample_hybrid, rng):
-        nonlocal switched_transcripts
         exceed = 0
         for _ in range(trials):
             rounds = []
@@ -465,64 +461,30 @@ def reference_llr(analyst, sample, dist, k, eps, noise, rho, trials, seed, epsil
                 log_o = log_law(tru)[index]
                 llr += log_h - log_o if sample_hybrid else log_o - log_h
                 rounds.append((query, observed))
-            switched_transcripts += switched
             if llr > threshold:
                 exceed += 1
         return exceed / trials
 
     rng_h = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     rng_o = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    report = LlrReport(
+    return LlrReport(
         threshold=threshold,
         frac_exceed_hybrid=one_direction(True, rng_h),
         frac_exceed_oracle=one_direction(False, rng_o),
         trials=trials,
         k=k,
     )
-    return report, switched_transcripts
 
 
-class AnswerReader:
-    """Deterministic analyst whose next query weight depends on the round
-    and the last answer, so queries change mid-transcript. It records, bit
-    for bit, every transcript prefix it is shown."""
-
-    deterministic = True
-    WEIGHTS = (0.125, 0.25, 1.0)
-
-    def __init__(self):
-        self.seen = []
-
-    def next_query(self, rounds):
-        self.seen.append(tuple((query, answer.hex()) for query, answer in rounds))
-        if not rounds:
-            return Query(0.0, {1: 0.25})
-        weight = self.WEIGHTS[(len(rounds) + math.floor(8 * rounds[-1][1])) % 3]
-        return Query(0.0, {1: weight})
+# Query weights on element 1 of the mixed lists, round after round. With half
+# the sample on element 1 and a support of it and all zeros, a query of
+# weight w has emp - tru = w / 4: 1/32, 1/16 and 1/4. So at eps = 0.01 an
+# epsilon_switch of None trips on the first query, 0.1 only on weight 1 (a
+# mixed list's third round) and 0.5 never.
+WEIGHTS = (0.125, 0.25, 1.0)
 
 
-class TestLlrMatchesReference:
-    # With half the sample on element 1 and a support of it and all zeros,
-    # a query of weight w has emp - tru = w / 4: 1/32, 1/16 and 1/4. So
-    # epsilon_switch None (eps = 0.01) trips on the first query, 0.1 only on
-    # weight 1 (mid-transcript) and 0.5 never; the low threshold makes both
-    # exceed fractions land strictly between 0 and 1 when a transcript runs
-    # unswitched for a while.
-    @pytest.mark.parametrize("grid_step", [2**-5, 0.125, 0.1])
-    @pytest.mark.parametrize("epsilon_switch, trips", [(None, True), (0.1, True), (0.5, False)])
-    def test_reports_and_prefixes_match_bit_for_bit(self, grid_step, epsilon_switch, trips):
-        _, mixed, dist = two_sample_dist(8, 4)
-        common = dict(sample=mixed, dist=dist, k=12, eps=0.01, rho=0.5, trials=80, seed=17)
-        common.update(noise=NoiseSpec(scale=0.15625, grid_step=grid_step), epsilon_switch=epsilon_switch)
-        new_analyst, ref_analyst = AnswerReader(), AnswerReader()
-        report = run_llr_experiment(analyst=new_analyst, **common)
-        expected, switched = reference_llr(analyst=ref_analyst, **common)
-        assert report == expected
-        assert (switched > 0) is trips
-        assert epsilon_switch is None or 0.0 < min(report.frac_exceed_hybrid, report.frac_exceed_oracle)
-        assert new_analyst.seen == ref_analyst.seen
-        assert len({query for prefix in new_analyst.seen for query, _ in prefix}) == 3
-
+class TestGridIndex:
     @given(
         bins=st.integers(1, 2**21),
         rel=st.floats(-5e-10, 5e-10),
@@ -544,26 +506,12 @@ def fixed_list(name, k):
     weights 0.125, 0.25 and 1.0 in turn ("mixed")."""
     if name == "single":
         return [Query(0.0, {1: 0.25})] * k
-    return [Query(0.0, {1: AnswerReader.WEIGHTS[r % 3]}) for r in range(k)]
-
-
-class ListReplayer:
-    """Deterministic analyst that replays a fixed list without being a
-    ``FixedQueryAnalyst``, so its runs take the per-transcript path."""
-
-    deterministic = True
-
-    def __init__(self, queries):
-        self.queries = tuple(queries)
-
-    def next_query(self, rounds):
-        return self.queries[len(rounds)]
+    return [Query(0.0, {1: WEIGHTS[r % 3]}) for r in range(k)]
 
 
 class TestLlrFixedQueries:
-    # The instance and noise of TestLlrMatchesReference: epsilon_switch None
-    # trips on the first query, 0.1 on weight 1 (the mixed list's third
-    # round) and 0.5 never.
+    # The low threshold (rho 0.5) makes both exceed fractions land strictly
+    # between 0 and 1 when a transcript runs unswitched for a while.
     COMMON = dict(eps=0.01, rho=0.5, noise=NoiseSpec(scale=0.15625, grid_step=0.125), seed=23)
 
     def run_both(self, name, k, trials, epsilon_switch):
@@ -571,8 +519,7 @@ class TestLlrFixedQueries:
         args = dict(sample=mixed, dist=dist, k=k, trials=trials, epsilon_switch=epsilon_switch, **self.COMMON)
         return (
             run_llr_experiment(analyst=FixedQueryAnalyst(fixed_list(name, k)), **args),
-            reference_llr(analyst=FixedQueryAnalyst(fixed_list(name, k)), **args)[0],
-            run_llr_experiment(analyst=ListReplayer(fixed_list(name, k)), **args),
+            reference_llr(analyst=FixedQueryAnalyst(fixed_list(name, k)), **args),
         )
 
     @pytest.mark.parametrize("k", [0, 1, 20])
@@ -581,10 +528,19 @@ class TestLlrFixedQueries:
     @pytest.mark.parametrize("epsilon_switch", [None, 0.1, 0.5])
     @pytest.mark.parametrize("name", ["single", "mixed"])
     def test_matches_reference_bit_for_bit(self, name, epsilon_switch, trials, k):
-        fixed, reference, replayed = self.run_both(name, k, trials, epsilon_switch)
+        fixed, reference = self.run_both(name, k, trials, epsilon_switch)
         assert fixed == reference
-        assert replayed == fixed
         assert type(fixed.frac_exceed_hybrid) is float and type(fixed.frac_exceed_oracle) is float
+
+    @pytest.mark.parametrize("grid_step", [2**-5, 0.1])
+    @pytest.mark.parametrize("epsilon_switch", [None, 0.1, 0.5])
+    def test_other_grids_match_reference(self, epsilon_switch, grid_step):
+        # a finer grid, and one whose step 0.1 puts the bin edges off binary fractions
+        _, mixed, dist = two_sample_dist(8, 4)
+        common = dict(sample=mixed, dist=dist, k=12, eps=0.01, rho=0.5, trials=80, seed=17)
+        common.update(noise=NoiseSpec(scale=0.15625, grid_step=grid_step), epsilon_switch=epsilon_switch)
+        analyst = FixedQueryAnalyst(fixed_list("mixed", 12))
+        assert run_llr_experiment(analyst, **common) == reference_llr(analyst, **common)
 
     @pytest.mark.parametrize("epsilon_switch", [None, 0.1, 0.5])
     def test_laws_with_empty_bins_match_reference(self, epsilon_switch):
@@ -596,13 +552,13 @@ class TestLlrFixedQueries:
         common.update(noise=NoiseSpec(scale=0.001, grid_step=0.0625), epsilon_switch=epsilon_switch)
         assert min(output_distribution(common["noise"], 0.0)) == 0.0
         fixed = run_llr_experiment(analyst=FixedQueryAnalyst(fixed_list("mixed", 6)), **common)
-        assert fixed == reference_llr(analyst=FixedQueryAnalyst(fixed_list("mixed", 6)), **common)[0]
+        assert fixed == reference_llr(analyst=FixedQueryAnalyst(fixed_list("mixed", 6)), **common)
 
     @pytest.mark.parametrize("name, epsilon_switch", [("single", 0.1), ("mixed", 0.5)])
     def test_unswitched_rounds_give_fractions_inside_zero_one(self, name, epsilon_switch):
         # so the bit-for-bit comparison above also compares fractions that
         # are neither 0 nor 1
-        fixed, _, _ = self.run_both(name, 20, 300, epsilon_switch)
+        fixed, _ = self.run_both(name, 20, 300, epsilon_switch)
         assert 0.0 < fixed.frac_exceed_hybrid < 1.0 and 0.0 < fixed.frac_exceed_oracle < 1.0
 
     def test_short_list_fails_before_any_draw(self):

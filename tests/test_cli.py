@@ -809,6 +809,8 @@ class TestCheckConcentration:
             # JSON reads 2**63 as a uint64 alone and as a float64 beside smaller ids: neither is an int64
             ("[[9223372036854775808, 1.0]]", "[[0, 0], [1, 1]]", "override ids must be 64-bit integers, got 9223372036854775808"),
             ("[[1, 1.0]]", "[[9223372036854775808, 1], [1, 1]]", "sample elements must be 64-bit integers, got 9223372036854775808"),
+            # beside a float JSON's 2**62 + 1 reads as the float64 2**62, another element
+            ("[[1, 1.0]]", "[[4611686018427387905, 1.0], [1, 1]]", "sample elements must be 64-bit integers, got 4611686018427387905"),
         ],
     )
     def test_bad_ids_in_files_exit_one(self, capsys, tmp_path, overrides, samples, message):

@@ -50,6 +50,9 @@ class TestSample:
         [
             ((1.5, 2), "64-bit integers, got 1.5"),
             (("3", 2), "64-bit integers, got 3"),
+            # beside a float, numpy holds 2**62 + 1 as the float64 2**62, another element
+            ((2**62 + 1, 1.0), r"64-bit integers, got 4611686018427387905 \(ids read as floats must be whole and below 2\*\*53\)"),
+            ((1.0, -(2**53)), r"64-bit integers, got -9007199254740992 \(ids read as floats"),
             (((1, 2), (3, 4)), "flat sequence of ids"),
         ],
     )
@@ -102,9 +105,8 @@ class TestQuery:
         assert q.value(0) == 0.25
         assert q.value(2) == 1.0
         assert q.value(5) == 0.0
-        np.testing.assert_array_equal(
-            q.values_at(np.array([0, 2, 5, 7])), [0.25, 1.0, 0.0, 0.25]
-        )
+        assert q.value(7) == 0.25
+        assert Query(0.5).value(3) == 0.5
 
     def test_rejects_values_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -142,6 +144,16 @@ class TestQuery:
         assert Query(0.0, {1: -0.0}) == Query(0.0, {1: 0.0})
         assert hash(Query(0.0, {1: -0.0})) == hash(Query(0.0, {1: 0.0}))
         assert Query(-0.0).default_value.hex() == "0x0.0p+0"
+
+    def test_rejects_float_ids_numpy_would_round(self):
+        # a mapping that mixes 2**62 + 1 with a float key arrives as float64,
+        # where 2**62 + 1 reads as 2**62, another element
+        message = r"override ids must be 64-bit integers, got 4.611686018427388e\+18 \(ids read as floats"
+        with pytest.raises(ValueError, match=message):
+            Query(0.0, {2**62 + 1: 1.0, 1.0: 0.5})
+        # below 2**53 every whole float is one int
+        assert Query(0.0, {2**53 - 1: 1.0, 1.0: 0.5}).ids.tolist() == [1, 2**53 - 1]
+        assert Sample((2**53 - 1, 1.0)).ids.tolist() == [1, 2**53 - 1]
 
     @pytest.mark.parametrize(
         "ids, vals, message",
@@ -183,14 +195,11 @@ class TestQuery:
         top = 2_000_000
         q = Query.from_arrays(0.25, np.array([3, 70, top - 1, top, top + 5]), np.array([1.0, 0.0, 0.5, 0.75, 1.0]))
         elements = np.array([[0, 3, 70], [top - 1, top, top + 5], [top + 4, 70, 2], [top + 6, 1, 2**40]])
-        looked_up = q.values_at(elements)
-        assert looked_up.shape == elements.shape and looked_up.dtype == np.float64
         by_value = [[q.value(e) for e in row] for row in elements]
         by_mapping = [[q.overrides.get(int(e), q.default_value) for e in row] for row in elements]
-        assert looked_up.tolist() == by_value == by_mapping
-        np.testing.assert_array_equal(q.values_at(elements[elements < top]), looked_up[elements < top])
-        np.testing.assert_array_equal(Query(0.5).values_at(np.array([[top, 0]])), [[0.5, 0.5]])
-        assert q.values_at(np.array([], dtype=np.int64)).shape == (0,)
+        assert by_value == by_mapping
+        assert {type(value) for row in by_value for value in row} == {float}
+        assert [Query(0.5).value(e) for e in (top, 0)] == [0.5, 0.5]
 
 
 class TestFiniteDistribution:

@@ -76,6 +76,8 @@ RULES = (
     Rule(LAPLACE, "in mechanisms.py only _laplace_from_uniform and laplace_grid_indices take a log",
          ("mechanisms.py",), loads=("log",),
          homes=("mechanisms.py::_laplace_from_uniform", "mechanisms.py::laplace_grid_indices")),
+    Rule(LAPLACE, "the LLR reads its grid indices from laplace_grid_indices alone: no per-transcript draw or rounding",
+         ("bounds.py",), calls=("_laplace_from_uniform", "grid_index", "quantize")),
     Rule(MEANS, "only run_score_attack_arrays, whose guess is certified for any order of its sums, takes a matrix product",
          EVERY, calls=("dot", "matmul", "inner", "vdot", "tensordot", "einsum"), matmult=True,
          homes=("attack.py::run_score_attack_arrays",)),
@@ -357,6 +359,15 @@ LAPLACE_SOURCE = (
     "def noise_cdf(spec, x):\n"
     "    return np.log1p(x), _laplace_from_uniform(x, spec.scale)\n"
 )
+LLR_SOURCE = (
+    "def run_llr_experiment(analyst, noise, means, uniforms):\n"
+    "    def adaptive_llrs(sample_hybrid, uniforms):\n"
+    "        value = tru + _laplace_from_uniform(u, noise.scale)\n"
+    "        llr += drawn[mechanisms.grid_index(noise, value)]\n"
+    "        rounds.append((query, quantize(noise, value)))\n"
+    "    indices = laplace_grid_indices(noise, uniforms, means)\n"
+    "    return quantize_array(noise, means), laplace_uniforms(rng, 8)\n"
+)
 PRODUCT_SOURCE = (
     "def run_score_attack_arrays(weights, tables):\n"
     "    approx = weights @ tables\n"
@@ -469,7 +480,14 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
         pytest.param(LAPLACE, "mechanisms.py", LAPLACE_SOURCE, [
             "line 6: math.log", "line 8: np.log", "line 8: log",
         ], id="logs outside the Laplace formula's homes"),
-        pytest.param(LAPLACE, "bounds.py", LAPLACE_SOURCE, [], id="logs outside mechanisms"),
+        pytest.param(LAPLACE, "bounds.py", LAPLACE_SOURCE, [
+            "line 10: _laplace_from_uniform(x, spec.scale)",
+        ], id="logs outside mechanisms, the formula in bounds"),
+        pytest.param(LAPLACE, "bounds.py", LLR_SOURCE, [
+            "line 3: _laplace_from_uniform(u, noise.scale)", "line 4: mechanisms.grid_index(noise, value)",
+            "line 5: quantize(noise, value)",
+        ], id="a per-transcript LLR path in bounds"),
+        pytest.param(LAPLACE, "harness.py", LLR_SOURCE, [], id="per-value draws and rounding outside bounds"),
         pytest.param(MEANS, "attack.py", PRODUCT_SOURCE, PRODUCT_BREAKS, id="products outside the certified guess"),
         pytest.param(MEANS, "core.py", PRODUCT_SOURCE, [
             "line 2: weights @ tables", "line 3: approx @= np.dot(tables, weights)", "line 3: np.dot(tables, weights)",
