@@ -443,25 +443,31 @@ class SimpleAttackResult:
     deviations: tuple[float, ...]
 
 
-def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttackResult:
-    """Probe every candidate block with its indicator query, all answered
-    in one ``answer_batch``, as one ``answer`` per block in order would be.
+def scan_blocks(inst: BlockInstance, mech: MechanismState) -> SimpleAttackResult:
+    """Probe every candidate block of ``inst`` with its indicator query, all
+    answered in one ``answer_batch``, as one ``answer`` per block in order
+    would be.
 
     It attacks the real mechanism, which answers from the sample alone: the
-    sample must be drawn from ``build_block_instance(gamma, n)``, and a
-    mechanism that reads a distribution is refused before any answer.
-    Returns the worst |answer - true mean| over the 1/gamma queries and the
-    held block. No query is built: the layout gives each empirical mean as
+    sample must be drawn from ``inst``, and a mechanism that reads a
+    distribution is refused before any answer. Returns the worst
+    |answer - true mean| over the 1/gamma queries and the held block. No
+    query is built: the layout gives each empirical mean as
     ``empirical_mean`` would, n/n or 0/n, where the held sample is one id n
     times (``_hidden_slot`` finds its slot), and every true mean is 1/r.
     """
     if "distribution" in mech.kind.reads:
         raise ValueError(f"the block attack answers from the sample alone; a {mech.kind.name} mechanism reads a distribution")
-    inst = build_block_instance(gamma, n)
     held = _hidden_slot(inst, mech.sample)
     emp = (np.arange(inst.num_candidates) == held) * 1.0
     deviations = np.abs(answer_batch(mech, emp, None) - inst.final_true_mean)
     return SimpleAttackResult(float(deviations.max()), held, tuple(deviations.tolist()))
+
+
+def run_simple_attack(gamma: float, n: int, mech: MechanismState) -> SimpleAttackResult:
+    """``scan_blocks`` on ``build_block_instance(gamma, n)``; a caller that
+    holds the instance passes it to ``scan_blocks`` instead."""
+    return scan_blocks(build_block_instance(gamma, n), mech)
 
 
 # --- attack round constants ---------------------------------------------------

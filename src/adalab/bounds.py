@@ -5,7 +5,9 @@ it to the oracle: per-query output laws of the unswitched hybrid and the
 oracle differ by a bounded log ratio, the ratios compose over k rounds into
 ``composed_epsilon``, and the oracle itself fails only through noise tails
 (``noise_escape_mass``) or concentration failures (k * gamma), and
-``run_llr_experiment`` samples the composed ratio over a fixed query list.
+``run_llr_experiment`` samples the composed ratio over a fixed query list,
+in round-major blocks of ``mechanisms._BLOCK_VALUES`` uniform doubles at
+most (125 KiB per float64 temporary, under glibc's 128 KiB mmap threshold).
 The negative side turns the attack analyses into round-count thresholds.
 """
 
@@ -294,6 +296,28 @@ def check_llr_draw(trials: int, k: int) -> None:
     check_elements(f"llr experiment draws trials * k = {trials} * {k} noise values per direction", trials * k)
 
 
+def _block_llrs(noise: NoiseSpec, means: np.ndarray, terms: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The log ratio of each transcript of a block, summed in round order.
+
+    ``u`` is the block's (k, rows) view of uniform doubles, round r of
+    every transcript in row r; ``means`` holds each round's drawn mean and
+    ``terms`` each round's log ratio by grid index, a (k, n_bins + 1)
+    C-contiguous array. Round r's offset ``r * (n_bins + 1)`` is added to
+    its integer grid indices, so one ``take`` from the flattened terms
+    gives a (k, rows) C-contiguous array of each answer's term.
+    """
+    indices = laplace_grid_indices(noise, u, means)
+    indices += (np.arange(len(means)) * (noise.n_bins + 1))[:, None]
+    drawn = terms.ravel().take(indices)
+    if drawn.shape[1] == 1 and len(drawn) > 1:
+        # numpy would sum a single column pairwise; accumulating adds in order
+        return np.add.accumulate(drawn[:, 0])[-1:]
+    # numpy reduces axis 0 of a C-contiguous array of two or more columns by
+    # adding row after row, each transcript's sum in round order. It starts
+    # from round 0 rather than 0.0, which can only give -0.0 for +0.0.
+    return np.add.reduce(drawn, axis=0)
+
+
 def run_llr_experiment(
     analyst: FixedQueryAnalyst,
     sample: Sample,
@@ -319,11 +343,11 @@ def run_llr_experiment(
     The analyst must be a ``FixedQueryAnalyst`` holding at least k queries
     (any other is refused first). Its first k are asked whatever the
     answers, so the switch round (``MechanismKind.sample_rounds``) and each
-    round's mean and log-ratio terms are found once, and a block's round r
-    is computed at once over the block's transcripts:
-    ``mechanisms.laplace_grid_indices`` gives each answer's grid index
-    straight from the uniform doubles, and the ratios are summed round by
-    round.
+    round's mean and log-ratio terms are found once. Each block runs
+    round-major (``_block_llrs``): its doubles viewed as (k, rows),
+    ``mechanisms.laplace_grid_indices`` gives every answer's grid index
+    straight from them, one ``take`` gathers every answer's term, and one
+    reduction sums each transcript's terms in round order.
 
     Randomness contract: each direction has its own stream, spawned from
     ``seed``, and reads from it the ``trials * k`` uniform doubles that
@@ -371,15 +395,6 @@ def run_llr_experiment(
     hybrid_means = np.concatenate((emps[:switch_round], trus[switch_round:]))
     hybrid_laws = np.concatenate((law_emps[:switch_round], law_trus[switch_round:]))
 
-    def fixed_llrs(means: np.ndarray, terms: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """A block's ratios, one round at a time over all its transcripts.
-        Adding round by round keeps each sum in the per-transcript order."""
-        indices = laplace_grid_indices(noise, uniforms, means)
-        llr = np.zeros(len(uniforms))
-        for column, term in zip(indices.T, terms):
-            llr += term[column]
-        return llr
-
     def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
         block_rows = max(1, _BLOCK_VALUES // max(k, 1))
         exceed = 0
@@ -393,8 +408,8 @@ def run_llr_experiment(
                 means, terms = trus, law_trus - hybrid_laws
             for start in range(0, trials, block_rows):
                 rows = min(block_rows, trials - start)
-                uniforms = laplace_uniforms(rng, rows * k).reshape(rows, k)
-                llr = fixed_llrs(means, terms, uniforms)
+                uniforms = laplace_uniforms(rng, rows * k).reshape(rows, k).T
+                llr = _block_llrs(noise, means, terms, uniforms)
                 exceed += int(np.count_nonzero(np.greater(llr, threshold)))
         return exceed / trials
 

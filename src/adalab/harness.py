@@ -49,7 +49,7 @@ from .attack import (
     draw_info_tables,
     info_query_means,
     run_score_attack_arrays,
-    run_simple_attack,
+    scan_blocks,
     simple_attack_rounds,
 )
 from .bounds import (
@@ -299,7 +299,7 @@ def _simple_attack_trial(run: Run, master: int, trial: int) -> dict:
     inst = run.instance
     held = int(derive_rng(master, trial, "sample_draw").integers(inst.num_candidates))
     mech = _mechanism(run.kinds[0], run.noise, sample=inst.make_sample(held), master=master, trial=trial)
-    result = run_simple_attack(run.params["gamma"], run.params["n"], mech)
+    result = scan_blocks(inst, mech)
     return {
         "trial": trial,
         "held_block": held,

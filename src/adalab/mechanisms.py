@@ -7,7 +7,8 @@ mechanism until it sees a query whose empirical mean strays from the true
 mean by more than ``epsilon_switch``, after which it permanently answers
 like the oracle. That switch rule lives in ``MechanismKind.sample_rounds``,
 and only ``MechanismState._advance`` sets the switch flag and round count;
-the output grid lives in ``grid_index`` and, for arrays, ``_grid_indices``.
+the output grid lives in ``grid_index`` and, for arrays, ``_grid_indices``,
+whose frame of positions ``_position_frame`` hands the LLR's affine map.
 Every answer path here and the LLR in ``bounds`` reads them. One round rule,
 ``answer_means``, and one batch rule, ``answer_batch``, answer queries from
 their means and alone call ``_advance``; ``answer`` takes a query's means
@@ -36,10 +37,11 @@ and rounds, and tests/test_harness.py the trial streams.
 numpy's Laplace formula (``random_laplace`` at loc 0.0 for one uniform
 double) lives in ``_laplace_from_uniform``. For the LLR in ``bounds``, which
 reads only each answer's grid index, ``laplace_uniforms`` reads the doubles
-numpy's Laplace draw would read and ``laplace_grid_indices`` turns a block of
-them into grid indices, with a vectorized ``np.log``; it recomputes with
-``_laplace_from_uniform`` every value near a bin edge, so each index equals
-the one of numpy's draw. tests/test_mechanisms.py compares both with
+numpy's Laplace draw would read and ``laplace_grid_indices`` turns a
+round-major block of them, ``_BLOCK_VALUES`` doubles at most, into grid
+indices through one affine map of a vectorized ``np.log``; it recomputes
+with ``_laplace_from_uniform`` every value near a bin edge, so each index
+equals the one of numpy's draw. tests/test_mechanisms.py compares both with
 numpy.
 """
 
@@ -55,9 +57,6 @@ from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean,
 
 _FAMILIES = ("laplace", "gaussian")
 _GRID_REL_TOL = 1e-9
-# The output interval; quantize reads these module names because reading a
-# class attribute through an instance is slower on the per-answer path.
-_CLIP_LO, _CLIP_HI = -0.5, 1.5
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,8 @@ class NoiseSpec:
     scale: float = 0.1
     grid_step: float = 2.0**-20
 
-    clip_lo = _CLIP_LO
-    clip_hi = _CLIP_HI
+    clip_lo = -0.5
+    clip_hi = 1.5
     tail_tolerance = 0.05
 
     def __post_init__(self) -> None:
@@ -110,6 +109,12 @@ class NoiseSpec:
         if self.family == "laplace":
             return 2.0 * self.scale**2
         return self.scale**2
+
+
+# The output interval as module names, which only the grid rule's functions
+# read: reading a class attribute through an instance is slower on the
+# per-answer path.
+_CLIP_LO, _CLIP_HI = NoiseSpec.clip_lo, NoiseSpec.clip_hi
 
 
 def noise_cdf(spec: NoiseSpec, x) -> np.ndarray | float:
@@ -161,65 +166,82 @@ def laplace_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
     return u
 
 
-# Uniform doubles per block the LLR hands laplace_grid_indices: 64 KiB per
-# float64 temporary, which the allocator hands back and reuses block after
-# block. Arrays of a whole 2,000 x 20 direction (320 KB each) lie above glibc's
-# mmap and trim thresholds and took 248 minor page faults per llr-exact call.
-_BLOCK_VALUES = 8192
+# Uniform doubles per block the LLR hands laplace_grid_indices: 125 KiB per
+# float64 temporary, under glibc's 128 KiB mmap threshold, so the allocator
+# hands each back to its heap and reuses it block after block. Arrays of a
+# whole 2,000 x 20 direction (320 KB each) lie above glibc's mmap and trim
+# thresholds and took 248 minor page faults per llr-exact call.
+_BLOCK_VALUES = 16_000
 # Values within this distance (in value units, not grid steps) of a bin edge
 # are recomputed with libm; see laplace_grid_indices for why it suffices.
 _EDGE_BAND = 2.0**-40
 
 
 def laplace_grid_indices(spec: NoiseSpec, u: np.ndarray, means) -> np.ndarray:
-    """``_grid_indices(spec, laplace + means)`` bit for bit, where ``laplace``
-    holds ``_laplace_from_uniform(u, spec.scale)`` of each double of ``u``,
-    a (rows, k) array of nonzero doubles (``laplace_uniforms``), and
-    ``means`` has one value per column. Its temporaries are the size of
-    ``u``, so a caller passes blocks of about ``_BLOCK_VALUES`` doubles.
+    """``_grid_indices(spec, laplace + means[:, None])`` bit for bit, as a
+    new C-contiguous array, where ``laplace`` holds
+    ``_laplace_from_uniform(u, spec.scale)`` of each double of ``u``, a
+    (k, rows) array (or view) of nonzero doubles (``laplace_uniforms``),
+    round r of every transcript in row r, and ``means`` holds one mean per
+    round. It copies ``u`` round-major, so each round's mean is one scalar
+    of one row, and its temporaries are the size of ``u``: a caller passes
+    blocks of about ``_BLOCK_VALUES`` doubles.
 
-    The doubles are turned into noise with a vectorized ``np.log`` of numpy's
-    branch value ``min(u + u, (2.0 - u) - u)``, which is not libm's ``log``
-    and differs from it in the last bit of about one value in 300. Every step
-    after the log (the scale, the sign of ``u - 0.5``, the mean, the clip,
-    the shift and the division) is monotone, so such a difference can change
-    a value's grid index only if the value lies within the difference's reach
-    of a bin edge (a half step). Those values, exact ties included, are
-    recomputed with ``_laplace_from_uniform`` and ``grid_index``.
+    Each double goes to its grid position through one affine map of a
+    vectorized ``np.log`` of numpy's branch value
+    ``t = min(u + u, (2.0 - u) - u)``: ``(scale / step) * copysign(log t,
+    u - 0.5)`` plus the round's ``(mean - clip_lo) / step``, clipped to
+    ``[0, (clip_hi - clip_lo) / step]``, the frame of ``_grid_positions``
+    (``_position_frame``). That is the position of numpy's Laplace value
+    ``mean + (0.0 -/+ scale * log t)``, rounded in other places and taken
+    with ``np.log``, which is not libm's ``log`` and differs from it in the
+    last bit of about one value in 300. Every position within ``_EDGE_BAND``
+    (2**-40 value units, 2**-40 / step positions) of a bin edge, a
+    half-integer position, exact ties included, is recomputed with
+    ``_laplace_from_uniform`` and ``grid_index``.
 
-    That reach is far inside ``_EDGE_BAND`` (2**-40) on every grid
-    ``NoiseSpec`` accepts. A nonzero double gives a branch value of at least
-    2**-53, so ``|log| < 37`` and one ulp of it is at most 2**-47. numpy's
-    vectorized log and libm's differed by at most one ulp over 2e7 doubles
-    (numpy 2.4, AVX-512), and even 64 ulps would move the noise by less than
-    0.51 * 64 * 2**-47 < 2**-41, since the tail tolerance caps a Laplace
-    scale at 1.5 / ln 20 < 0.51. The product's rounding adds at most 2**-48,
-    and the mean, the shift and the division one rounding each of a value
-    below 4 (2**-51 in value units). The band counts value units, not grid
-    steps, so it holds at any step; at a step of 2**-39 or less every value
-    is recomputed.
+    That band holds the gap between this map's position and the
+    reference's on every grid ``NoiseSpec`` accepts, so any other position
+    lies on the reference's side of every edge. A nonzero double gives
+    ``t >= 2**-53``, so ``|log t| < 37`` and one ulp of it is at most
+    2**-47. numpy's vectorized log and libm's differed by at most one ulp
+    over 2e7 doubles (numpy 2.4, AVX-512), and even 64 ulps would move a
+    position by less than 0.51 * 64 * 2**-47 / step < 2**-41 / step, since
+    the tail tolerance caps a Laplace scale at 1.5 / ln 20 < 0.51. The noise
+    is then below 19 in size, so a position can come near the clip interval
+    only from a mean within 19 of it: every term the map adds is below
+    22 / step, every value the reference rounds below 22, and each of the
+    nine roundings (the map's scale, product, shift, division and sum; the
+    reference's product, sum, shift and division) moves a position by at
+    most 2**-48 / step. The band counts value units, not grid steps, so it
+    holds at any step; at a step of 2**-39 or less every value is
+    recomputed. The clip moves no index: its bounds are the reference's own
+    clipped positions, so a clipped position that differs from the
+    reference's lies within the gap of it and is tested like any other.
     """
     means = np.asarray(means, dtype=np.float64)
     scale = spec.scale
+    clip_lo, step, top = _position_frame(spec)
     # a position this far or farther from the nearest whole one lies within the band of a half step
-    near_edge = 0.5 - _EDGE_BAND / spec.grid_step
-    noise = u + u
+    near_edge = 0.5 - _EDGE_BAND / step
+    u = np.ascontiguousarray(u)
+    positions = u + u
     other = 2.0 - u
     other -= u
-    np.minimum(noise, other, out=noise)  # u + u below 0.5, (2.0 - u) - u from 0.5 up
-    np.log(noise, out=noise)
-    noise *= scale
+    np.minimum(positions, other, out=positions)  # u + u below 0.5, (2.0 - u) - u from 0.5 up
+    np.log(positions, out=positions)
     np.subtract(u, 0.5, out=other)
-    np.copysign(noise, other, out=noise)  # 0.0 + scale * log below 0.5, 0.0 - scale * log from 0.5 up
-    noise += means
-    positions = _grid_positions(spec, noise)
-    np.rint(positions, out=noise)
-    indices = noise.astype(np.intp)
-    positions -= noise
+    np.copysign(positions, other, out=positions)  # log t below 0.5, -log t from 0.5 up
+    positions *= scale / step
+    positions += ((means - clip_lo) / step)[:, None]
+    np.clip(positions, 0.0, top, out=positions)
+    np.rint(positions, out=other)
+    indices = other.astype(np.intp)
+    positions -= other
     near = np.abs(positions, out=positions) >= near_edge
     if near.any():
         for row, col in zip(*np.nonzero(near)):
-            value = _laplace_from_uniform(float(u[row, col]), scale) + means[col]
+            value = _laplace_from_uniform(float(u[row, col]), scale) + means[row]
             indices[row, col] = grid_index(spec, value)
     return indices
 
@@ -244,6 +266,13 @@ def quantize(spec: NoiseSpec, value: float) -> float:
     Exact half-bin ties go toward ``clip_lo + even * grid_step``.
     """
     return _CLIP_LO + grid_index(spec, value) * spec.grid_step
+
+
+def _position_frame(spec: NoiseSpec) -> tuple[float, float, float]:
+    """The frame of ``_grid_positions``, which puts a value at
+    ``(value - clip_lo) / grid_step`` clipped to ``[0, last]``: ``clip_lo``,
+    ``grid_step`` and ``last = (clip_hi - clip_lo) / grid_step``."""
+    return _CLIP_LO, spec.grid_step, (_CLIP_HI - _CLIP_LO) / spec.grid_step
 
 
 def _grid_positions(spec: NoiseSpec, values: np.ndarray) -> np.ndarray:

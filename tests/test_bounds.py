@@ -1,6 +1,10 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from adalab.bounds import (
     max_accurate_rounds,
     max_accurate_rounds_details,
     noise_escape_mass,
+    _block_llrs,
     run_llr_experiment,
     score_attack_rounds,
     simple_attack_rounds,
@@ -27,11 +32,13 @@ from adalab.bounds import (
 from adalab.attack import FixedQueryAnalyst
 from adalab.core import FiniteDistribution, Query, Sample, Transcript, empirical_mean, true_mean
 from adalab.mechanisms import (
+    _BLOCK_VALUES,
     MechanismKind,
     MechanismState,
     NoiseSpec,
     _laplace_from_uniform,
     grid_index,
+    laplace_grid_indices,
     laplace_uniforms,
     output_distribution,
     quantize,
@@ -523,8 +530,8 @@ class TestLlrFixedQueries:
         )
 
     @pytest.mark.parametrize("k", [0, 1, 20])
-    # 410 transcripts of 20 rounds run one row past laplace_grid_indices' first block of 409
-    @pytest.mark.parametrize("trials", [1, 7, 300, 410])
+    # at k 20, a row short of the first block's edge, on it and one row past it
+    @pytest.mark.parametrize("trials", [1, 7, 300, *(_BLOCK_VALUES // 20 + edge for edge in (-1, 0, 1))])
     @pytest.mark.parametrize("epsilon_switch", [None, 0.1, 0.5])
     @pytest.mark.parametrize("name", ["single", "mixed"])
     def test_matches_reference_bit_for_bit(self, name, epsilon_switch, trials, k):
@@ -599,3 +606,108 @@ class TestLlrFixedQueries:
         rows = [sample_noise(noise, rng, k) for _ in range(trials)]
         drawn = np.array([_laplace_from_uniform(u, noise.scale) for u in whole.tolist()])
         assert drawn.reshape(trials, k).tobytes() == np.array(rows).tobytes()
+
+
+def reference_index(spec, u, mean):
+    """The grid index of ``mean`` plus numpy's Laplace value of ``u``, by libm."""
+    return grid_index(spec, _laplace_from_uniform(u, spec.scale) + mean)
+
+
+def switch_points(spec, mean, stride):
+    """The doubles in (0, 1) at which ``reference_index`` first reaches
+    every ``stride``-th index it takes, found by bisection on the doubles'
+    bit patterns, which order positive doubles as their values."""
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (2.0**-53, 1.0 - 2.0**-53))
+    index = lambda bits: reference_index(spec, float(np.int64(bits).view(np.float64)), mean)
+    points = []
+    for target in range(index(lo) + 1, index(hi) + 1, stride):
+        below, above = lo, hi  # index(below) < target <= index(above)
+        while above - below > 1:
+            middle = (below + above) // 2
+            below, above = (below, middle) if index(middle) >= target else (middle, above)
+        points.append(float(np.int64(above).view(np.float64)))
+    return points
+
+
+def edge_doubles(spec, means, stride=1):
+    """Each switch point of each mean with its neighbours, 0.5 with its
+    neighbours, and the least and greatest nonzero doubles numpy draws."""
+    doubles = {2.0**-53, 1.0 - 2.0**-53}
+    for point in [0.5, *(p for mean in means for p in switch_points(spec, mean, stride))]:
+        doubles |= {float(np.nextafter(point, 0.0)), point, float(np.nextafter(point, 1.0))}
+    return sorted(doubles)
+
+
+class TestRoundMajorBlocks:
+    """A block's round-major pipeline, ``laplace_grid_indices`` with the
+    round offsets, one ``take`` and one in-order sum, against libm."""
+
+    @pytest.mark.parametrize(
+        "scale, grid_step, k, stride",
+        [
+            (0.15625, 0.125, 3, 1),
+            # steps whose last position (clip_hi - clip_lo) / step lies above
+            # and below a whole one, near the largest scale NoiseSpec accepts
+            (0.5, 2 / 49, 3, 1),
+            (0.5, 2 / 93, 3, 1),
+            # round 128's offset 128 * 8193 passes 2**20
+            (0.1, 2**-12, 129, 97),
+        ],
+    )
+    def test_every_index_at_the_bin_edges_is_libms(self, scale, grid_step, k, stride):
+        spec = NoiseSpec(scale=scale, grid_step=grid_step)
+        # an interior mean, one on a bin edge and two beyond the clip
+        round_means = [0.3, spec.clip_lo + (spec.n_bins // 3 + 0.5) * grid_step, 1.45, -0.45]
+        doubles = edge_doubles(spec, round_means, stride)
+        means = np.resize(round_means, k)
+        u = np.tile(doubles, (k, 1))
+        expected = [[reference_index(spec, x, mean) for x in doubles] for mean in means]
+        assert laplace_grid_indices(spec, u, means).tolist() == expected
+        # each round's terms are zero but for the checked round's, each grid index
+        for checked in (0, k - 1):
+            terms = np.zeros((k, spec.n_bins + 1))
+            terms[checked] = np.arange(spec.n_bins + 1)
+            assert _block_llrs(spec, means, terms, u).tolist() == expected[checked]
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_sums_add_round_after_round(self, rows):
+        # 1 + 2**-53 rounds back to 1, so only the in-order sum of 1 and
+        # nineteen 2**-53 terms is 1; summed pairwise they give more
+        spec = NoiseSpec(scale=0.15625, grid_step=0.125)
+        terms = np.full((20, spec.n_bins + 1), 2.0**-53)
+        terms[0] = 1.0
+        u = laplace_uniforms(np.random.default_rng(4), 20 * rows).reshape(rows, 20).T
+        assert _block_llrs(spec, np.full(20, 0.5), terms, u).tolist() == [1.0] * rows
+
+
+ROOT = Path(__file__).resolve().parent.parent
+LLR_PINS = [
+    "tests/test_bounds.py::TestLlrFixedQueries",
+    "tests/test_bounds.py::TestRoundMajorBlocks",
+    "tests/test_cli.py::TestReadmeAttacks::test_records_are_pinned[llr]",
+    "tests/test_cli.py::TestReadmeAttacks::test_records_are_pinned[llr-50000]",
+]
+# the CPU features whose dispatch gives numpy's AVX-512 np.log
+AVX512_LOG = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def numpy_cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.skipif(
+    not all(numpy_cpu_features().get(feature) for feature in AVX512_LOG), reason="numpy dispatches no AVX-512 np.log here"
+)
+def test_llr_keeps_its_bits_under_another_np_log():
+    """numpy picks its vectorized ``np.log`` from the CPU at run time. With
+    the AVX-512 kernels turned off in a child process, the LLR's comparisons
+    with libm and the README llr digests still pass: the near-edge recompute
+    makes every grid index libm's whichever ``np.log`` runs."""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_LOG)}
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *LLR_PINS]
+    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

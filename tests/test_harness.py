@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adalab import attack
 from adalab.attack import FixedQueryAnalyst, InfoRoundAnalyst, build_hard_instance
 from adalab.bounds import composed_epsilon, transcript_accurate
 from adalab.core import Query, empirical_mean, true_mean
@@ -245,6 +246,14 @@ class TestConfig:
         run = _resolve_params(ExperimentConfig(kind="simple_attack", params={"gamma": 1e-6, "n": 30}))
         record = _simple_attack_trial(run, 0, 0)
         assert record["identified"] and run.instance._distribution is None
+
+    def test_simple_attack_trial_scans_the_runs_instance(self, monkeypatch):
+        """A trial scans the instance its run resolved and builds no other."""
+        run = _resolve_params(ExperimentConfig(kind="simple_attack", params={"gamma": 0.1, "n": 5}))
+        built = []
+        monkeypatch.setattr(attack.HardInstance, "__init__", lambda *args: built.append(args))
+        records = [_simple_attack_trial(run, 3, trial) for trial in range(4)]
+        assert built == [] and all(record["identified"] for record in records)
 
 
 class TestRunExperimentKinds:

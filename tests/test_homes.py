@@ -46,6 +46,9 @@ BUILDERS = (
 SWITCH, INFO, KEYED = "hybrid switch and output grid", "info queries", "keyed oracle draw"
 LAYOUT = "element layout"
 LAPLACE, MEANS, SIZES = "numpy's Laplace formula", "means", "sizes"
+GRID_RULE = tuple(
+    f"mechanisms.py::{name}" for name in ("grid_index", "quantize", "_position_frame", "_grid_positions", "quantize_array")
+)
 
 RULES = (
     Rule("param defaults", "harness reads params as resolved: no param cast, no defaulted params.get",
@@ -64,6 +67,8 @@ RULES = (
          homes=("mechanisms.py::MechanismState.__init__", "mechanisms.py::MechanismState._advance")),
     Rule(SWITCH, "only answer_means and answer_batch advance the round counter",
          EVERY, method_calls=("_advance",), homes=("mechanisms.py::answer_means", "mechanisms.py::answer_batch")),
+    Rule(SWITCH, "only the grid rule's functions read the output interval's module names",
+         EVERY, loads=("_CLIP_LO", "_CLIP_HI"), homes=GRID_RULE),
     Rule(SWITCH, "bounds.py rounds onto the grid through mechanisms alone",
          ("bounds.py",), loads=("rint", "clip", "clip_lo")),
     Rule(INFO, "only draw_info_tables and laplace_uniforms draw uniform doubles",
@@ -81,9 +86,9 @@ RULES = (
     Rule(MEANS, "only run_score_attack_arrays, whose guess is certified for any order of its sums, takes a matrix product",
          EVERY, calls=("dot", "matmul", "inner", "vdot", "tensordot", "einsum"), matmult=True,
          homes=("attack.py::run_score_attack_arrays",)),
-    Rule(LAYOUT, "run_simple_attack reads its means from the block layout: no query and no generic mean",
+    Rule(LAYOUT, "scan_blocks reads its means from the block layout: no query and no generic mean",
          ("attack.py",), calls=("empirical_mean", "true_mean", "Query"), calls_on=("Query",),
-         method_calls=("query_for_block",), within=("attack.py::run_simple_attack",)),
+         method_calls=("query_for_block",), within=("attack.py::scan_blocks",)),
     Rule(LAYOUT, "only HardInstance's own methods read slot_elements: slot_query builds every slot indicator",
          EVERY, method_calls=("slot_elements",),
          homes=("attack.py::HardInstance.make_sample", "attack.py::HardInstance.slot_query")),
@@ -317,6 +322,18 @@ GRID_SOURCE = (
     "value = values.clip(0, 1)\n"
     "index = _grid_indices(noise, values) + grid_index(noise, 0.5)\n"
 )
+CLIP_SOURCE = (
+    "def grid_index(spec, value):\n"
+    "    return round((min(max(value, _CLIP_LO), _CLIP_HI) - _CLIP_LO) / spec.grid_step)\n"
+    "def _position_frame(spec):\n"
+    "    return _CLIP_LO, spec.grid_step, (_CLIP_HI - _CLIP_LO) / spec.grid_step\n"
+    "def laplace_grid_indices(spec, u, means):\n"
+    "    shift = (means - _CLIP_LO) / spec.grid_step\n"
+    "    return np.clip(u + shift, 0.0, (mechanisms._CLIP_HI - _CLIP_LO) / spec.grid_step)\n"
+    "class NoiseSpec:\n"
+    "    clip_lo = _CLIP_LO\n"
+    "_CLIP_LO, _CLIP_HI = NoiseSpec.clip_lo, NoiseSpec.clip_hi\n"
+)
 INFO_SOURCE = (
     "def draw_info_tables(inst, rng_p, rng_table, rounds):\n"
     "    p = rng_p.random(rounds)\n"
@@ -390,7 +407,7 @@ LIMIT_SOURCE = (
     "    return min(n, _SUPPORT_ELEMENT_LIMIT)\n"
 )
 BLOCK_SOURCE = (
-    "def run_simple_attack(gamma, n, mech):\n"
+    "def scan_blocks(inst, mech):\n"
     "    queries = [inst.query_for_block(block) for block in range(r)]\n"
     "    emp = [empirical_mean(q, mech.sample) for q in queries], core.true_mean(queries[0], dist)\n"
     "    return Query(0.0, {1: 1.0}), Query.from_arrays(0.0, ids, vals), answer_batch(mech, emp, None)\n"
@@ -460,6 +477,14 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 6: state._advance(1, 0)", "line 8: mech._advance(1, 1)",
             "line 8: mechanisms.MechanismState._advance(mech, 1, 0)",
         ], id="round counter advanced outside the answer rules"),
+        pytest.param(SWITCH, "mechanisms.py", CLIP_SOURCE, [
+            "line 6: _CLIP_LO", "line 7: mechanisms._CLIP_HI", "line 7: _CLIP_LO", "line 9: _CLIP_LO",
+        ], id="the output interval read outside the grid rule"),
+        pytest.param(SWITCH, "bounds.py", CLIP_SOURCE, [
+            "line 2: _CLIP_LO", "line 2: _CLIP_HI", "line 2: _CLIP_LO", "line 4: _CLIP_LO", "line 4: _CLIP_HI",
+            "line 4: _CLIP_LO", "line 6: _CLIP_LO", "line 7: np.clip", "line 7: mechanisms._CLIP_HI", "line 7: _CLIP_LO",
+            "line 9: _CLIP_LO", "line 10: NoiseSpec.clip_lo",
+        ], id="the output interval read outside mechanisms"),
         pytest.param(SWITCH, "mechanisms.py", GRID_SOURCE, [], id="grid rounding outside bounds"),
         pytest.param(SWITCH, "bounds.py", GRID_SOURCE, [
             "line 1: noise.clip_lo", "line 2: np.clip", "line 3: np.rint", "line 4: values.clip",

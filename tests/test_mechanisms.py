@@ -684,23 +684,23 @@ class TestLaplaceGrid:
         means = 0.5 + np.random.default_rng(seed).uniform(-spread, spread, k)
         drawn, read = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = _grid_indices(spec, drawn.laplace(0.0, scale, rows * k).reshape(rows, k) + means)
-        got = laplace_grid_indices(spec, laplace_uniforms(read, rows * k).reshape(rows, k), means)
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        got = laplace_grid_indices(spec, laplace_uniforms(read, rows * k).reshape(rows, k).T, means)
+        assert got.flags.c_contiguous and got.dtype == expected.dtype and got.T.tobytes() == expected.tobytes()
 
     def test_more_rounds_than_a_block_holds(self):
         spec = NoiseSpec(scale=0.1, grid_step=0.125)
         k = _BLOCK_VALUES + 1
         means = np.linspace(-0.7, 1.7, k)
         expected = _grid_indices(spec, np.random.default_rng(3).laplace(0.0, 0.1, 2 * k).reshape(2, k) + means)
-        u = laplace_uniforms(np.random.default_rng(3), 2 * k).reshape(2, k)
-        assert laplace_grid_indices(spec, u, means).tobytes() == expected.tobytes()
+        u = laplace_uniforms(np.random.default_rng(3), 2 * k).reshape(2, k).T
+        assert laplace_grid_indices(spec, u, means).T.tobytes() == expected.tobytes()
 
     def test_values_on_a_bin_edge_are_recomputed(self, monkeypatch):
         # u = 0.5 gives noise 0.0, so mean 1/16 sits on position 4.5 of the
         # 1/8 grid, a tie that goes to the even index; its neighbours land
         # within a few ulps of it, on either side
         spec = NoiseSpec(scale=0.15625, grid_step=0.125)
-        u = np.array([[np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]])
+        u = np.array([[np.nextafter(0.5, 0.0)], [0.5], [np.nextafter(0.5, 1.0)]])
         recomputed = []
 
         def counted(x, scale):
@@ -709,9 +709,9 @@ class TestLaplaceGrid:
 
         monkeypatch.setattr(adalab.mechanisms, "_laplace_from_uniform", counted)
         indices = laplace_grid_indices(spec, u, [1 / 16] * 3)
-        assert recomputed == u[0].tolist()
-        expected = [grid_index(spec, _laplace_from_uniform(x, spec.scale) + 1 / 16) for x in u[0].tolist()]
-        assert indices.tolist() == [expected] and expected[1] == 4
+        assert recomputed == u[:, 0].tolist()
+        expected = [grid_index(spec, _laplace_from_uniform(x, spec.scale) + 1 / 16) for x in u[:, 0].tolist()]
+        assert indices[:, 0].tolist() == expected and expected[1] == 4
 
 
 def test_oracle_loop_keeps_its_bits():
