@@ -11,7 +11,9 @@ from .attack import (
     InfoRoundAnalyst,
     build_hard_instance,
     calibrated_attack_constant,
+    info_round,
     instance_shape,
+    new_attack_state,
     run_score_attack,
 )
 from .bounds import (
@@ -45,7 +47,9 @@ __all__ = [
     "derive_entropy",
     "derive_rng",
     "empirical_mean",
+    "info_round",
     "instance_shape",
+    "new_attack_state",
     "noise_escape_mass",
     "run_experiment",
     "run_interaction",

@@ -15,19 +15,21 @@ every slot indicator, the score attack's closing query included.
 Both issue only queries whose deviation mass is tiny by construction, so
 breaking the mechanism cannot be blamed on pathological queries.
 
-The score attack has two implementations with equal results. The harness
-runs each trial through ``run_score_attack_arrays``, which draws and
+The score attack has one implementation, ``run_score_attack``: it draws and
 answers all k info rounds as array operations, takes its guess from one
 matrix-vector product when a rounding bound certifies it (else from the
 running score sums, ``_score_sums``), and answers the closing query with
-the scalar ``answer_means``. ``run_score_attack`` is the per-round
-reference: one ``info_round`` per query, returning the transcript.
+the scalar ``answer_means``. Its transcript is built when first read, so a
+caller that only reads the result, as the harness does, builds no query.
+``new_attack_state`` and ``info_round`` are the per-round API, one info
+round per call, for callers that read each round's score increments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .core import (
     Sample,
     Transcript,
     check_sample_size,
-    empirical_mean,
     mean_under,
 )
 from .mechanisms import MechanismState, answer, answer_batch, answer_means
@@ -148,6 +149,9 @@ class AttackState:
 def new_attack_state(
     inst: HardInstance, k: int, rng_p: np.random.Generator, rng_table: np.random.Generator
 ) -> AttackState:
+    """Zero scores for ``info_round`` calls. ``k`` is the round budget the
+    caller means to spend: it is checked to be non-negative and not stored,
+    so nothing stops a caller at k rounds."""
     if k < 0:
         raise ValueError("round budget must be non-negative")
     return AttackState(
@@ -218,21 +222,28 @@ def info_round(state: AttackState, inst: HardInstance, mech: MechanismState) -> 
     return state
 
 
-def final_query(state: AttackState, inst: HardInstance) -> Query:
-    """Indicator of the best-scoring slot across all blocks; ties take the
-    smallest slot."""
-    return inst.slot_query(int(np.argmax(state.scores)))
-
-
 @dataclass(frozen=True)
 class ScoreAttackResult:
+    """One score attack's outcome. ``transcript``, the k info queries and the
+    closing query with their answers, is built from the kept tables and
+    answers when first read."""
+
     true_index: int
     guess_index: int
     success: bool
     final_answer: float
     final_deviation: float
     sample_deviation: float
-    transcript: Transcript | None  # None from run_score_attack_arrays
+    _inst: HardInstance = field(repr=False, compare=False)
+    _tables: np.ndarray = field(repr=False, compare=False)
+    _answers: np.ndarray = field(repr=False, compare=False)
+    _mechanism: str = field(repr=False, compare=False)
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        rounds = [(make_info_query(table), a) for table, a in zip(self._tables, self._answers.tolist())]
+        rounds.append((self._inst.slot_query(self.guess_index), self.final_answer))
+        return Transcript(tuple(rounds), mechanism=self._mechanism)
 
 
 def _hidden_slot(inst: HardInstance, sample: Sample) -> int:
@@ -241,45 +252,6 @@ def _hidden_slot(inst: HardInstance, sample: Sample) -> int:
     if ids[0] >= m or np.count_nonzero(slots != slots[0]) or ids[-1] >= inst.num_blocks * m:
         raise ValueError("mechanism sample holds no single slot of the instance")
     return int(slots[0])
-
-
-def run_score_attack(
-    inst: HardInstance,
-    mech: MechanismState,
-    k: int,
-    rng_p: np.random.Generator,
-    rng_table: np.random.Generator,
-) -> ScoreAttackResult:
-    """Full attack: k info rounds, then the identifying final query.
-
-    The attacker side sees only its own queries and the answers; the held
-    sample is read here only afterwards, to score the run. Reports both the
-    noisy final deviation |answer - true mean| and the de-noised sample
-    deviation |empirical mean - true mean|.
-    """
-    if k < 1:
-        raise ValueError("score attack needs at least one info round")
-    if mech.sample is None:
-        raise ValueError("mechanism must hold a sample drawn from the instance")
-    state = new_attack_state(inst, k, rng_p, rng_table)
-    for _ in range(k):
-        info_round(state, inst, mech)
-    closing = final_query(state, inst)
-    final_answer = answer(mech, closing)
-    state.rounds.append((closing, final_answer))
-    transcript = Transcript(tuple(state.rounds), mechanism=mech.kind.name)
-    true_index = _hidden_slot(inst, mech.sample)
-    guess_index = int(np.argmax(state.scores))
-    target = inst.final_true_mean
-    return ScoreAttackResult(
-        true_index=true_index,
-        guess_index=guess_index,
-        success=guess_index == true_index,
-        final_answer=final_answer,
-        final_deviation=abs(final_answer - target),
-        sample_deviation=abs(empirical_mean(closing, mech.sample) - target),
-        transcript=transcript,
-    )
 
 
 def _score_sums(increments: np.ndarray, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -298,20 +270,26 @@ def _score_sums(increments: np.ndarray, p: np.ndarray, weights: np.ndarray) -> n
     return increments.sum(axis=0)
 
 
-def run_score_attack_arrays(
+def run_score_attack(
     inst: HardInstance,
     mech: MechanismState,
     k: int,
     rng_p: np.random.Generator,
     rng_table: np.random.Generator,
 ) -> ScoreAttackResult:
-    """``run_score_attack`` as array operations over all k info rounds.
+    """Full attack: k info rounds, then the identifying final query.
+
+    The attacker side sees only its own queries and the answers; the held
+    sample is read here only to score the run. Reports both the noisy final
+    deviation |answer - true mean| and the de-noised sample deviation
+    |empirical mean - true mean|. A mechanism that reads a distribution
+    must hold ``inst.distribution`` (see ``info_query_means``).
 
     Info queries never read answers, and a Generator's draw of N values
     equals N single draws, so the k tables are drawn as one (k, m) array and
-    answered in one batch; the result equals ``run_score_attack``'s field
-    for field, with no transcript. A mechanism that reads a distribution
-    must hold ``inst.distribution`` (see ``info_query_means``).
+    answered in one batch: the queries, answers, streams and mechanism state
+    are those of k ``info_round`` calls and one ``answer`` of the closing
+    query.
 
     The guess is the argmax of the scores S_j that ``info_round`` adds row
     by row from zeros, found from one matrix-vector product and certified.
@@ -341,13 +319,14 @@ def run_score_attack_arrays(
     true_index = _hidden_slot(inst, mech.sample)
     p, tables = draw_info_tables(inst, rng_p, rng_table, k)
     emp, tru = info_query_means(inst, mech, tables)
-    weights = answer_batch(mech, emp, tru) - p / inst.num_blocks
-    tables = tables.astype(np.float64)
-    approx = weights @ tables
+    answers = answer_batch(mech, emp, tru)
+    weights = answers - p / inst.num_blocks
+    increments = tables.astype(np.float64)
+    approx = weights @ increments
     guess_index = int(approx.argmax())
     bound = 8 * (k + 2) * 2.0**-53 * np.abs(weights).sum() + (k + 2) * 2.0**-1074
     if np.count_nonzero(approx >= approx[guess_index] - bound) > 1:
-        guess_index = int(_score_sums(tables, p, weights).argmax())
+        guess_index = int(_score_sums(increments, p, weights).argmax())
     # every element sits at true_index (_hidden_slot), so the closing
     # indicator counts all n elements or none
     close_emp = 1.0 if guess_index == true_index else 0.0
@@ -361,7 +340,10 @@ def run_score_attack_arrays(
         final_answer=final_answer,
         final_deviation=abs(final_answer - target),
         sample_deviation=abs(close_emp - target),
-        transcript=None,
+        _inst=inst,
+        _tables=tables,
+        _answers=answers,
+        _mechanism=mech.kind.name,
     )
 
 

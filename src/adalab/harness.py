@@ -48,7 +48,7 @@ from .attack import (
     check_elements,
     draw_info_tables,
     info_query_means,
-    run_score_attack_arrays,
+    run_score_attack,
     scan_blocks,
     simple_attack_rounds,
 )
@@ -270,7 +270,7 @@ def _attack_trial(run: Run, master: int, trial: int) -> dict:
     # the real attack never builds the instance's support
     dist = inst.distribution if "distribution" in kind.reads else None
     mech = _mechanism(kind, run.noise, sample=sample, distribution=dist, master=master, trial=trial)
-    result = run_score_attack_arrays(
+    result = run_score_attack(
         inst,
         mech,
         run.params["k"],

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,23 +12,22 @@ from adalab.attack import (
     BlockInstance,
     InfoRoundAnalyst,
     SimpleAttackResult,
+    _hidden_slot,
     _score_sums,
     build_block_instance,
     build_hard_instance,
     calibrated_attack_constant,
     draw_info_tables,
-    final_query,
     info_query_means,
     info_round,
     instance_shape,
     make_info_query,
     new_attack_state,
     run_score_attack,
-    run_score_attack_arrays,
     run_simple_attack,
     simple_attack_rounds,
 )
-from adalab.core import Sample, empirical_mean, true_mean
+from adalab.core import Sample, Transcript, empirical_mean, true_mean
 from adalab.harness import derive_entropy, derive_rng
 from adalab.mechanisms import MechanismKind, MechanismState, NoiseSpec, answer
 
@@ -102,6 +102,9 @@ class TestHardInstance:
         for slot, ids in [(0, [0, 100, 200, 300]), (7, [7, 107, 207, 307]), (99, [99, 199, 299, 399])]:
             np.testing.assert_array_equal(inst.slot_elements(slot), ids)
             np.testing.assert_array_equal(inst.make_sample(slot).ids, ids)
+            # the slot's indicator is 1 on its element in every block, 0 elsewhere
+            query = inst.slot_query(slot)
+            assert [query.value(e) for e in ids] == [1.0] * 4 and query.value(ids[0] + 1) == 0.0
 
     def test_rejects_bad_slot(self):
         inst = build_hard_instance(0.25, 0.01, 16)
@@ -186,21 +189,6 @@ class TestInfoRounds:
         others = np.delete(np.arange(100), hidden)
         assert np.all(np.abs(mean[others]) <= margin[others])
 
-    def test_final_query_selects_best_scores_across_blocks(self):
-        inst = build_hard_instance(0.25, 0.01, 16)
-        state = new_attack_state(inst, 1, np.random.default_rng(0), np.random.default_rng(0))
-        state.scores[13] = 5.0
-        q = final_query(state, inst)
-        assert all(q.value(13 + 100 * b) == 1.0 for b in range(4))
-        assert q.value(14) == 0.0
-
-    def test_final_query_tie_goes_to_smallest_slot(self):
-        inst = build_hard_instance(0.25, 0.01, 16)
-        state = new_attack_state(inst, 1, np.random.default_rng(0), np.random.default_rng(0))
-        state.scores[20] = 3.0
-        state.scores[60] = 3.0
-        assert final_query(state, inst).value(20) == 1.0
-
 
 class TestScoreAttack:
     def test_noiseless_run_is_exact(self):
@@ -240,7 +228,7 @@ class TestScoreAttack:
         # slots 0 and 1 mixed; one slot, but outside the 4 blocks of 100
         # slots, or without its block-one id
         for stray in ((0, 1) * 8, (400,) * 16, (107, 207) * 8):
-            for attack in (run_score_attack, run_score_attack_arrays):
+            for attack in (reference_score_attack, run_score_attack):
                 mech = real_mech(Sample(stray))
                 with pytest.raises(ValueError, match="holds no single slot of the instance"):
                     attack(inst, mech, 2, np.random.default_rng(0), np.random.default_rng(0))
@@ -319,10 +307,10 @@ class ReplayedDraws:
 
 
 def replayed_attack_pair(inst, held, noise, epsilon_switch, p, uniforms, seed):
-    """``run_score_attack`` and ``run_score_attack_arrays`` on mechanisms built
+    """``reference_score_attack`` and ``run_score_attack`` on mechanisms built
     alike, each with the info tables' p values and uniforms replayed."""
     results = []
-    for attack in (run_score_attack, run_score_attack_arrays):
+    for attack in (reference_score_attack, run_score_attack):
         sample = inst.make_sample(held)
         if epsilon_switch is None:
             mech = real_mech(sample, seed, noise)
@@ -340,6 +328,9 @@ def replayed_attack_pair(inst, held, noise, epsilon_switch, p, uniforms, seed):
 
 
 class TestArrayAttack:
+    """``run_score_attack``, which answers its info rounds as arrays, against
+    the per-round ``reference_score_attack``."""
+
     @pytest.mark.parametrize("eps, n", [(0.25, 16), (0.5, 8)])
     def test_info_query_means_match_the_gathers_bit_for_bit(self, eps, n):
         inst = build_hard_instance(eps, 0.01, n)
@@ -366,8 +357,8 @@ class TestArrayAttack:
         k = config[3]
         switch_rounds = []
         for trial in range(6):
-            ref, ref_mech, ref_rngs = seeded_attack_run(run_score_attack, *config, trial)
-            got, mech, rngs = seeded_attack_run(run_score_attack_arrays, *config, trial)
+            ref, ref_mech, ref_rngs = seeded_attack_run(reference_score_attack, *config, trial)
+            got, mech, rngs = seeded_attack_run(run_score_attack, *config, trial)
             for field in (
                 "true_index", "guess_index", "success", "final_answer", "final_deviation", "sample_deviation"
             ):
@@ -377,7 +368,13 @@ class TestArrayAttack:
             # every stream was consumed exactly as far as the reference consumed it
             for stream, ref_stream in zip((*rngs, mech._real_rng), (*ref_rngs, ref_mech._real_rng)):
                 assert stream.random() == ref_stream.random()
-            assert got.transcript is None and len(ref.transcript) == k + 1
+            # the same queries and answers, each answer in its bits, so a -0.0 cannot hide
+            assert len(got.transcript) == len(ref.transcript) == k + 1
+            assert got.transcript.queries == ref.transcript.queries
+            assert [np.float64(a).tobytes() for a in got.transcript.answers] == [
+                np.float64(a).tobytes() for a in ref.transcript.answers
+            ]
+            assert got.transcript.mechanism == ref.transcript.mechanism == mech.kind.name
             switch_rounds.append(mech.switch_round)
         if switching == "never":
             assert switch_rounds == [None] * 6
@@ -395,7 +392,7 @@ class TestArrayAttack:
     )
     @settings(max_examples=200, deadline=None)
     def test_score_sum_adds_rows_in_order(self, data, k, m, r, seed):
-        # the array attack's score sum must equal info_round's running sum
+        # the attack's score sum must equal info_round's running sum
         # from zeros bit for bit, signed zeros included (accumulate's last
         # row keeps a -0.0 that this sum does not); this fails if numpy
         # changes its axis-0 reduction order
@@ -474,23 +471,15 @@ class TestArrayAttack:
         summed.clear()
         *config, _ = ARRAY_ATTACK_CONFIGS["readme"]
         for trial in range(20):
-            got, _, _ = seeded_attack_run(run_score_attack_arrays, *config, trial)
-            ref, _, _ = seeded_attack_run(run_score_attack, *config, trial)
+            got, _, _ = seeded_attack_run(run_score_attack, *config, trial)
+            ref, _, _ = seeded_attack_run(reference_score_attack, *config, trial)
             assert got.guess_index == ref.guess_index
         assert summed == []
 
-    def test_rejects_what_the_reference_rejects_and_foreign_distributions(self):
+    def test_refuses_a_foreign_distribution(self):
+        # the info queries' means are read from the instance's own layout, so
+        # another instance's distribution is refused before any answer
         inst = build_hard_instance(0.25, 0.01, 16)
-        rngs = lambda: (np.random.default_rng(0), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="at least one info round"):
-            run_score_attack_arrays(inst, real_mech(inst.make_sample(0)), 0, *rngs())
-        oracle = MechanismState(
-            MechanismKind.oracle(), NoiseSpec(), distribution=inst.distribution, oracle_seed=1
-        )
-        with pytest.raises(ValueError, match="must hold a sample"):
-            run_score_attack_arrays(inst, oracle, 2, *rngs())
-        with pytest.raises(ValueError, match="holds no single slot of the instance"):
-            run_score_attack_arrays(inst, real_mech(Sample((0, 1) * 8)), 2, *rngs())
         hybrid = MechanismState(
             MechanismKind.hybrid(0.25),
             NoiseSpec(),
@@ -500,7 +489,32 @@ class TestArrayAttack:
             oracle_seed=1,
         )
         with pytest.raises(ValueError, match="instance's own"):
-            run_score_attack_arrays(inst, hybrid, 2, *rngs())
+            run_score_attack(inst, hybrid, 2, np.random.default_rng(0), np.random.default_rng(0))
+        assert hybrid.rounds_answered == 0
+
+
+def reference_score_attack(inst, mech, k, rng_p, rng_table):
+    """The score attack one ``info_round`` per info query, then one
+    ``answer`` of the closing indicator on the top-scoring slot, ties to the
+    smallest; its result holds the transcript."""
+    state = new_attack_state(inst, k, rng_p, rng_table)
+    for _ in range(k):
+        info_round(state, inst, mech)
+    guess_index = int(np.argmax(state.scores))
+    closing = inst.slot_query(guess_index)
+    final_answer = answer(mech, closing)
+    state.rounds.append((closing, final_answer))
+    true_index = _hidden_slot(inst, mech.sample)
+    target = inst.final_true_mean
+    return SimpleNamespace(
+        true_index=true_index,
+        guess_index=guess_index,
+        success=guess_index == true_index,
+        final_answer=final_answer,
+        final_deviation=abs(final_answer - target),
+        sample_deviation=abs(empirical_mean(closing, mech.sample) - target),
+        transcript=Transcript(tuple(state.rounds), mechanism=mech.kind.name),
+    )
 
 
 def reference_simple_attack(gamma, n, mech):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adalab.attack import build_hard_instance, draw_info_tables, final_query, make_info_query, new_attack_state
+from adalab.attack import build_hard_instance, draw_info_tables, make_info_query
 from adalab.core import (
     FiniteDistribution,
     Query,
@@ -367,11 +367,9 @@ class TestFastMeans:
 
     def test_hard_instance_queries(self):
         inst = build_hard_instance(0.25, 0.01, 16)  # four copies of each element per sample
-        rng_p, rng_table = np.random.default_rng(1), np.random.default_rng(2)
-        _, tables = draw_info_tables(inst, rng_p, rng_table, 300)
-        state = new_attack_state(inst, 1, rng_p, rng_table)
-        state.scores[:] = np.arange(inst.support_size) % 17
-        for query in [make_info_query(table) for table in tables] + [final_query(state, inst)]:
+        _, tables = draw_info_tables(inst, np.random.default_rng(1), np.random.default_rng(2), 300)
+        # the info queries and a closing slot indicator
+        for query in [make_info_query(table) for table in tables] + [inst.slot_query(16)]:
             assert_means_match_the_gather(query, inst.distribution)
 
 

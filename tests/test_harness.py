@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adalab import attack
+from adalab import attack, harness
 from adalab.attack import FixedQueryAnalyst, InfoRoundAnalyst, build_hard_instance
 from adalab.bounds import composed_epsilon, transcript_accurate
 from adalab.core import Query, empirical_mean, true_mean
@@ -280,6 +280,30 @@ class TestRunExperimentKinds:
         result = run_experiment(cfg)
         assert all("switched" in r and "switch_round" in r for r in result.records)
         assert "switch_rate" in result.summary
+
+    @pytest.mark.parametrize("over", [{}, {"mechanism": "hybrid", "epsilon_switch": 0.25}], ids=["real", "hybrid"])
+    def test_attack_trials_build_no_query(self, monkeypatch, over):
+        """A trial never reads its score attack's transcript, so it builds no
+        query; the result builds the transcript once, when it is read."""
+        stored, results = [], []
+        store, attack_run = Query._store, harness.run_score_attack
+
+        def counted_store(query, *args):
+            stored.append(args)
+            store(query, *args)
+
+        def kept_attack(*args, **kwargs):
+            results.append(attack_run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(Query, "_store", counted_store)
+        monkeypatch.setattr(harness, "run_score_attack", kept_attack)
+        # README's attack: k 178 from the calibrated constant
+        run_experiment(attack_config(params={"eps": 0.25, "gamma": 0.01, "n": 16, **over}))
+        assert len(results) == 3 and stored == []
+        transcript = results[0].transcript
+        assert results[0].transcript is transcript
+        assert len(transcript) == len(stored) == 179 and transcript.mechanism == over.get("mechanism", "real")
 
     def test_attack_k_defaults_from_calibration(self):
         cfg = attack_config(trials=1, params={"eps": 0.25, "gamma": 0.01, "n": 16})

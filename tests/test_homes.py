@@ -46,6 +46,7 @@ BUILDERS = (
 SWITCH, INFO, KEYED = "hybrid switch and output grid", "info queries", "keyed oracle draw"
 LAYOUT = "element layout"
 LAPLACE, MEANS, SIZES = "numpy's Laplace formula", "means", "sizes"
+SCORE = "score attack"
 GRID_RULE = tuple(
     f"mechanisms.py::{name}" for name in ("grid_index", "quantize", "_position_frame", "_grid_positions", "quantize_array")
 )
@@ -83,9 +84,13 @@ RULES = (
          homes=("mechanisms.py::_laplace_from_uniform", "mechanisms.py::laplace_grid_indices")),
     Rule(LAPLACE, "the LLR reads its grid indices from laplace_grid_indices alone: no per-transcript draw or rounding",
          ("bounds.py",), calls=("_laplace_from_uniform", "grid_index", "quantize")),
-    Rule(MEANS, "only run_score_attack_arrays, whose guess is certified for any order of its sums, takes a matrix product",
+    Rule(MEANS, "only run_score_attack, whose guess is certified for any order of its sums, takes a matrix product",
          EVERY, calls=("dot", "matmul", "inner", "vdot", "tensordot", "einsum"), matmult=True,
-         homes=("attack.py::run_score_attack_arrays",)),
+         homes=("attack.py::run_score_attack",)),
+    Rule(SCORE, "in attack.py only info_round calls answer: the score attack answers its rounds in one batch",
+         ("attack.py",), calls=("answer",), homes=("attack.py::info_round",)),
+    Rule(SCORE, "no package code calls info_round: it is the per-round API for callers outside the package",
+         EVERY, calls=("info_round",)),
     Rule(LAYOUT, "scan_blocks reads its means from the block layout: no query and no generic mean",
          ("attack.py",), calls=("empirical_mean", "true_mean", "Query"), calls_on=("Query",),
          method_calls=("query_for_block",), within=("attack.py::scan_blocks",)),
@@ -386,7 +391,7 @@ LLR_SOURCE = (
     "    return quantize_array(noise, means), laplace_uniforms(rng, 8)\n"
 )
 PRODUCT_SOURCE = (
-    "def run_score_attack_arrays(weights, tables):\n"
+    "def run_score_attack(weights, tables):\n"
     "    approx = weights @ tables\n"
     "    approx @= np.dot(tables, weights)\n"
     "def true_mean(probs, means):\n"
@@ -405,6 +410,16 @@ LIMIT_SOURCE = (
     "    if 2 * n > attack._SUPPORT_ELEMENT_LIMIT:\n"
     "        check_elements(f'two-sample instance of n {n}', 2 * n)\n"
     "    return min(n, _SUPPORT_ELEMENT_LIMIT)\n"
+)
+SCORE_SOURCE = (
+    "def info_round(state, inst, mech):\n"
+    "    observed = answer(mech, make_info_query(table))\n"
+    "def run_score_attack(inst, mech, k, rng_p, rng_table):\n"
+    "    state = new_attack_state(inst, k, rng_p, rng_table)\n"
+    "    for _ in range(k):\n"
+    "        attack.info_round(state, inst, mech)\n"
+    "    closing = mechanisms.answer(mech, inst.slot_query(guess)), answer_batch(mech, emp, None)\n"
+    "    return answer_means(mech, 1.0, None), info_round(state, inst, mech)\n"
 )
 BLOCK_SOURCE = (
     "def scan_blocks(inst, mech):\n"
@@ -518,6 +533,13 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
             "line 2: weights @ tables", "line 3: approx @= np.dot(tables, weights)", "line 3: np.dot(tables, weights)",
             *PRODUCT_BREAKS,
         ], id="products in a module without the guess"),
+        pytest.param(SCORE, "attack.py", SCORE_SOURCE, [
+            "line 6: attack.info_round(state, inst, mech)", "line 7: mechanisms.answer(mech, inst.slot_query(guess))",
+            "line 8: info_round(state, inst, mech)",
+        ], id="a per-round score attack in attack"),
+        pytest.param(SCORE, "harness.py", SCORE_SOURCE, [
+            "line 6: attack.info_round(state, inst, mech)", "line 8: info_round(state, inst, mech)",
+        ], id="per-round score attack outside attack"),
         pytest.param(LAYOUT, "attack.py", BLOCK_SOURCE, [
             "line 2: inst.query_for_block(block)", "line 3: empirical_mean(q, mech.sample)",
             "line 3: core.true_mean(queries[0], dist)", "line 4: Query(0.0, {1: 1.0})",
