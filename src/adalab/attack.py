@@ -65,10 +65,10 @@ def _ceil(x: float) -> int:
 
 def instance_shape(eps: float, gamma: float) -> tuple[int, int, int]:
     """Blocks r, population N, and support size m of the hard instance, the
-    block instance's too (eps = 1). The one gamma rule: gamma in (0, 1], and
-    1/(eps * gamma) a finite float."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+    block instance's too (eps = 1). The one rule for eps and gamma: each in
+    (0, 1], with 1/eps**2 and 1/(eps * gamma) finite floats."""
+    if not (0.0 < eps <= 1.0 and eps**2 > 0.0 and 1.0 / eps**2 < math.inf):
+        raise ValueError(f"eps must lie in (0, 1], with 1/eps**2 a finite float; got {eps}")
     if not (0.0 < gamma <= 1.0 and eps * gamma > 0.0 and 1.0 / (eps * gamma) < math.inf):
         raise ValueError(f"gamma must lie in (0, 1], with 1/gamma and 1/(eps * gamma) finite floats; got {gamma}")
     r = max(1, round(1.0 / eps))

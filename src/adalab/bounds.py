@@ -196,7 +196,10 @@ def score_attack_rounds(eps: float, gamma: float, beta: float, constant: float) 
     if not 0.0 < constant < math.inf:
         raise ValueError(f"constant must be positive and finite, got {constant}")
     r, population, _ = instance_shape(eps, gamma)
-    return math.ceil(constant * r * r * math.log(population / (r * beta)))
+    rounds = constant * r * r * math.log(population / (r * beta))
+    if not rounds < math.inf:
+        raise ValueError(f"score attack rounds overflow a float at beta {beta} (eps {eps}, gamma {gamma})")
+    return math.ceil(rounds)
 
 
 def breaking_rounds(
@@ -296,18 +299,19 @@ def check_llr_draw(trials: int, k: int) -> None:
     check_elements(f"llr experiment draws trials * k = {trials} * {k} noise values per direction", trials * k)
 
 
-def _block_llrs(noise: NoiseSpec, means: np.ndarray, terms: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _block_llrs(noise: NoiseSpec, means: np.ndarray, terms: np.ndarray, term_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The log ratio of each transcript of a block, summed in round order.
 
-    ``u`` is the block's (k, rows) view of uniform doubles, round r of
-    every transcript in row r; ``means`` holds each round's drawn mean and
-    ``terms`` each round's log ratio by grid index, a (k, n_bins + 1)
-    C-contiguous array. Round r's offset ``r * (n_bins + 1)`` is added to
-    its integer grid indices, so one ``take`` from the flattened terms
-    gives a (k, rows) C-contiguous array of each answer's term.
+    ``u`` is the block's (k, transcripts) view of uniform doubles, round r
+    of every transcript in row r; ``means`` holds each round's drawn mean
+    and ``term_rows`` its row of ``terms``, C-contiguous rows of n_bins + 1
+    log ratios by grid index. Round r's offset, ``term_rows[r]`` times
+    n_bins + 1, is added to its integer grid indices, so one ``take`` from
+    the flattened terms gives a (k, transcripts) C-contiguous array of each
+    answer's term.
     """
     indices = laplace_grid_indices(noise, u, means)
-    indices += (np.arange(len(means)) * (noise.n_bins + 1))[:, None]
+    indices += (term_rows * (noise.n_bins + 1))[:, None]
     drawn = terms.ravel().take(indices)
     if drawn.shape[1] == 1 and len(drawn) > 1:
         # numpy would sum a single column pairwise; accumulating adds in order
@@ -359,8 +363,9 @@ def run_llr_experiment(
     them. Its noise values equal that draw's bit for bit, which equals one
     draw of k values per transcript, in transcript order.
     ``trials * k`` may not exceed the element limit (``check_llr_draw``).
-    A query's means and log laws are computed once per distinct query and
-    cached by the query's value, never by object identity.
+    A query's means are computed once per distinct query, cached by its
+    value, never by object identity; each round reads one row of log ratios
+    per distinct pair of the hybrid's mean and the true mean.
     """
     if not isinstance(analyst, FixedQueryAnalyst):
         raise ValueError(f"log-ratio accounting replays a FixedQueryAnalyst's list; got {type(analyst).__name__}")
@@ -376,24 +381,27 @@ def run_llr_experiment(
     threshold = composed_epsilon(k, eps, noise.scale, rho)
 
     @functools.cache
-    def log_law(mean: float) -> list[float]:
+    def log_law(mean: float) -> np.ndarray:
         """Log-probability of each grid value under ``mean``, by grid index;
         -inf where the law puts no mass."""
         with np.errstate(divide="ignore"):
-            return np.log(output_distribution(noise, mean)).tolist()
+            return np.log(output_distribution(noise, mean))
 
     @functools.cache
-    def laws_for(query: Query) -> tuple[float, float, list[float], list[float]]:
-        """The query's empirical and true means, and the log laws of both."""
-        emp, tru = empirical_mean(query, sample), true_mean(query, dist)
-        return emp, tru, log_law(emp), log_law(tru)
+    def means_of(query: Query) -> tuple[float, float]:
+        """The query's empirical and true means."""
+        return empirical_mean(query, sample), true_mean(query, dist)
 
-    fixed_laws = [laws_for(query) for query in analyst.queries[:k]]
-    emps, trus, law_emps, law_trus = (np.array([laws[i] for laws in fixed_laws]) for i in range(4))
+    pairs = [means_of(query) for query in analyst.queries[:k]]
+    emps, trus = (np.array([means[i] for means in pairs]) for i in range(2))
     switch_round = hybrid.sample_rounds(emps, trus, k)
-    # the hybrid's mean and log law of each round
+    # the hybrid's mean of each round
     hybrid_means = np.concatenate((emps[:switch_round], trus[switch_round:]))
-    hybrid_laws = np.concatenate((law_emps[:switch_round], law_trus[switch_round:]))
+    # one row of log laws per distinct (hybrid mean, true mean) pair, and each round's row
+    law_rows: dict[tuple[float, float], int] = {}
+    keys = ((emp if r < switch_round else tru, tru) for r, (emp, tru) in enumerate(pairs))
+    term_rows = np.array([law_rows.setdefault(key, len(law_rows)) for key in keys], dtype=np.intp)
+    hybrid_laws, true_laws = (np.array([log_law(key[i]) for key in law_rows]) for i in range(2))
 
     def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
         block_rows = max(1, _BLOCK_VALUES // max(k, 1))
@@ -403,13 +411,13 @@ def run_llr_experiment(
             # each round's drawn mean, and its log ratio by grid index: +inf
             # on a bin the other law never yields
             if sample_hybrid:
-                means, terms = hybrid_means, hybrid_laws - law_trus
+                means, terms = hybrid_means, hybrid_laws - true_laws
             else:
-                means, terms = trus, law_trus - hybrid_laws
+                means, terms = trus, true_laws - hybrid_laws
             for start in range(0, trials, block_rows):
                 rows = min(block_rows, trials - start)
                 uniforms = laplace_uniforms(rng, rows * k).reshape(rows, k).T
-                llr = _block_llrs(noise, means, terms, uniforms)
+                llr = _block_llrs(noise, means, terms, term_rows, uniforms)
                 exceed += int(np.count_nonzero(np.greater(llr, threshold)))
         return exceed / trials
 

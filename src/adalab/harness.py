@@ -62,7 +62,7 @@ from .bounds import (
     run_llr_experiment,
     score_attack_rounds,
 )
-from .core import FiniteDistribution, Query, Sample, check_sample_size, empirical_mean, true_mean
+from .core import FiniteDistribution, Query, Sample, check_sample_size
 from .mechanisms import (
     _BLOCK_TRIALS,
     MechanismKind,
@@ -171,7 +171,7 @@ class Run:
     """One run's resolved params (the summary's), noise spec (unread by a
     bounds table), every mechanism kind its trials build, in order, and its
     instance: a ``HardInstance`` for attack and positive, a ``BlockInstance`` for
-    the simple attack, ``(held, dist, indicator)`` for the two-sample kinds."""
+    the simple attack, ``(held, dist, indicator)`` for llr and divergence."""
 
     params: dict
     noise: NoiseSpec
@@ -214,24 +214,20 @@ def _switch_round(mech: MechanismState) -> int:
     return -1 if mech.switch_round is None else mech.switch_round
 
 
-def _two_sample_instance(n: int, ones: int) -> tuple[Sample, FiniteDistribution, Query]:
+def _two_sample_instance(kind: str, n: int, ones: int, origin: str = "") -> tuple[Sample, FiniteDistribution, Query]:
     """A held sample of ``ones`` copies of element 1 and n - ones zeros, the
     distribution that draws it or the all-zeros sample equally often, and
     the indicator query of element 1.
 
     The indicator then has true mean ones/(2n) and empirical mean ones/n on
-    the held sample, an exact gap of ones/(2n). The kinds' resolvers check
-    that 1 <= ones <= n.
+    the held sample, an exact gap of ones/(2n). ``ones`` outside 1..n is an
+    error naming ``kind`` and, for a derived count, its ``origin``.
     """
+    if not 1 <= ones <= n:
+        raise ValueError(f"{kind} experiment needs 1 <= ones <= n, got ones {ones}{origin} and n {n}")
     check_sample_size(n)
     held = Sample.from_counts([0, 1], [n - ones, ones]) if ones < n else Sample.from_counts([1], [n])
     return held, FiniteDistribution([Sample.from_counts([0], [n]), held], np.array([0.5, 0.5])), Query(0.0, {1: 1.0})
-
-
-def _check_ones(kind: str, n: int, ones: int, origin: str = "") -> None:
-    """The two-sample instance's planted count must lie in 1..n."""
-    if not 1 <= ones <= n:
-        raise ValueError(f"{kind} experiment needs 1 <= ones <= n, got ones {ones}{origin} and n {n}")
 
 
 # --- per-trial kinds: resolvers and runners ------------------------------------
@@ -342,41 +338,6 @@ def _positive_trial(run: Run, master: int, trial: int) -> dict:
         "queries_good": bool(np.all(np.abs(emp - tru) <= params["eps"])),
         "switched": mech.switched,
         "switch_round": _switch_round(mech),
-    }
-
-
-def _resolve_coupling(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution, Query]]:
-    k, bad_round = params["k"], params["bad_round"]
-    if not (0 <= bad_round < k):
-        raise ValueError(f"coupling experiment needs 0 <= bad_round < k, got bad_round {bad_round} and k {k}")
-    check_elements(f"coupling experiment's round arrays hold k = {k} elements", k)
-    # the schedule's means, 1 and 1/2 for the bad query and 1/2 for the good, hold at any sample size
-    return ("hybrid", "real"), _two_sample_instance(1, 1)
-
-
-def _coupling_trial(run: Run, master: int, trial: int) -> dict:
-    k, bad_round = run.params["k"], run.params["bad_round"]
-    held, dist, bad = run.instance
-    # the schedule asks the good query in every round but bad_round
-    good = Query(0.5)
-    is_bad = np.arange(k) == bad_round
-    emp = np.where(is_bad, empirical_mean(bad, held), empirical_mean(good, held))
-    tru = np.where(is_bad, true_mean(bad, dist), true_mean(good, dist))
-    mech_h, mech_r = (
-        _mechanism(kind, run.noise, sample=held, distribution=dist, master=master, trial=trial) for kind in run.kinds
-    )
-    answers_h = answer_batch(mech_h, emp, tru)
-    answers_r = answer_batch(mech_r, emp, None)
-    differ = np.flatnonzero(answers_h != answers_r)
-    first_divergence = int(differ[0]) if differ.size else -1
-    switch_round = _switch_round(mech_h)
-    cutoff = switch_round if switch_round >= 0 else k
-    return {
-        "trial": trial,
-        "switch_round": switch_round,
-        "first_divergence_round": first_divergence,
-        "prefix_identical": first_divergence == -1 or first_divergence >= cutoff,
-        "equal_rounds": k - differ.size,
     }
 
 
@@ -506,17 +467,6 @@ def _summarize_positive(records: list[dict], params: dict) -> dict:
     }
 
 
-def _summarize_coupling(records: list[dict], params: dict) -> dict:
-    bad_round = params["bad_round"]
-    switch_hits = sum(r["switch_round"] == bad_round for r in records)
-    return {
-        "prefix_identical_rate": _rate(records, "prefix_identical")[0],
-        "switch_round_match_rate": switch_hits / len(records),
-        "mean_equal_rounds": _mean_radius(r["equal_rounds"] for r in records)[0],
-        "expected_switch_round": bad_round,
-    }
-
-
 # --- one-shot kinds: resolvers and runners ---------------------------------------
 
 
@@ -530,8 +480,8 @@ def _resolve_llr(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDis
         # round() cannot take an overflowed product; the check below rejects it as inf
         params["ones"] = round(twice) if twice < math.inf else twice
     params.setdefault("epsilon_switch", eps)
-    _check_ones("llr", params["n"], params["ones"], " (derived as round(2*n*eps))" if derived else "")
-    return ("hybrid",), _two_sample_instance(params["n"], params["ones"])
+    origin = " (derived as round(2*n*eps))" if derived else ""
+    return ("hybrid",), _two_sample_instance("llr", params["n"], params["ones"], origin)
 
 
 def _run_llr(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
@@ -560,14 +510,14 @@ _GRID_BIN_LIMIT = 2**21
 
 
 def _resolve_divergence(params: dict) -> tuple[tuple[str, ...], tuple[Sample, FiniteDistribution, Query]]:
-    _check_ones("divergence", params["n"], params["ones"])
+    instance = _two_sample_instance("divergence", params["n"], params["ones"])
     bins = _noise_spec(params).n_bins
     if bins > _GRID_BIN_LIMIT:
         raise ValueError(
             f"divergence experiment's grid_step {params['grid_step']} divides the output interval into {bins} "
             f"bins, above the limit of {_GRID_BIN_LIMIT}"
         )
-    return (params["mech_a"], params["mech_b"]), _two_sample_instance(params["n"], params["ones"])
+    return (params["mech_a"], params["mech_b"]), instance
 
 
 def _run_divergence(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
@@ -652,7 +602,6 @@ class ExperimentKind:
 _NOISE_FAMILY = Param("--noise", "noise_family", str, "noise family: laplace or gaussian", default=NoiseSpec.family)
 _NOISE_SCALE = Param("--b", "noise_scale", float, "noise scale", default=NoiseSpec.scale)
 _GRID_STEP = Param("--grid-step", "grid_step", float, "output grid step", default=NoiseSpec.grid_step)
-_COARSE_GRID_STEP = dataclasses.replace(_GRID_STEP, default=2.0**-10)
 _EPSILON_SWITCH = Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold")
 
 KINDS = {
@@ -703,19 +652,6 @@ KINDS = {
         run_trial=_positive_trial,
         summarize=_summarize_positive,
     ),
-    "coupling": ExperimentKind(
-        "coupling",
-        (
-            Param("--k", "k", int, "total rounds", True),
-            Param("--bad-round", "bad_round", int, "round index of the planted bad query", True),
-            Param("--epsilon-switch", "epsilon_switch", float, "hybrid switch threshold", True),
-            _NOISE_SCALE,
-            _COARSE_GRID_STEP,
-        ),
-        resolve=_resolve_coupling,
-        run_trial=_coupling_trial,
-        summarize=_summarize_coupling,
-    ),
     "llr": ExperimentKind(
         "llr",
         (
@@ -741,7 +677,7 @@ KINDS = {
             _NOISE_FAMILY,
             _NOISE_SCALE,
             _EPSILON_SWITCH,
-            _COARSE_GRID_STEP,
+            dataclasses.replace(_GRID_STEP, default=2.0**-10),
         ),
         resolve=_resolve_divergence,
         run_once=_run_divergence,

@@ -87,6 +87,8 @@ class NoiseSpec:
             raise ValueError(f"grid_step must be positive and finite, got {self.grid_step}")
         span = self.clip_hi - self.clip_lo
         bins = span / self.grid_step
+        if not bins < 2.0**53:  # inf too: grid positions and indices are exact below 2**53
+            raise ValueError(f"grid_step {self.grid_step} divides the clip interval into {bins:g} bins, not below 2**53")
         if abs(bins - round(bins)) > _GRID_REL_TOL * bins or round(bins) < 1:
             raise ValueError("grid_step must divide the clip interval into whole bins")
         tail = self.stray_tail_mass()
@@ -117,6 +119,7 @@ class NoiseSpec:
 _CLIP_LO, _CLIP_HI = NoiseSpec.clip_lo, NoiseSpec.clip_hi
 
 
+@np.errstate(over="ignore")  # x / scale past the largest float is +-inf, the limit each tail takes
 def noise_cdf(spec: NoiseSpec, x) -> np.ndarray | float:
     """CDF of the centered noise draw at x (step function when scale is 0)."""
     x = np.asarray(x, dtype=np.float64)

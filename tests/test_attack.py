@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,6 +65,16 @@ class TestInstanceShape:
         # 1/(eps * gamma) would be 1/0 or inf, which no count can be rounded up from
         with pytest.raises(ValueError, match=f"with 1/gamma and 1/\\(eps \\* gamma\\) finite floats; got {gamma}"):
             instance_shape(eps, gamma)
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 5e-324])
+    def test_eps_too_small_for_a_float(self, eps):
+        # 1/eps**2 would be 1/0 or inf: once a ZeroDivisionError traceback
+        with pytest.raises(ValueError, match=re.escape(f"with 1/eps**2 a finite float; got {eps}")):
+            instance_shape(eps, 0.5)
+
+    def test_smallest_eps_that_fits(self):
+        r, population, _ = instance_shape(1e-154, 1.0)
+        assert r == round(1e154) and population >= math.ceil(1e308) - r
 
     def test_smallest_gammas_that_fit(self):
         # 1/gamma and 1/(eps * gamma) just below the largest float

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -197,6 +198,11 @@ class TestAttackRoundCounts:
         for constant in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=f"constant must be positive and finite, got {constant}"):
                 score_attack_rounds(0.25, 0.01, 0.1, constant)
+
+    def test_score_rounds_past_a_float_name_beta(self):
+        # ln(population / (r * beta)) is inf at a subnormal beta: once ceil(inf), an OverflowError
+        with pytest.raises(ValueError, match=re.escape("score attack rounds overflow a float at beta 5e-324")):
+            score_attack_rounds(0.25, 0.01, 5e-324, 1.0)
 
     def test_simple_rounds(self):
         assert simple_attack_rounds(1 / 3) == 3
@@ -663,11 +669,11 @@ class TestRoundMajorBlocks:
         u = np.tile(doubles, (k, 1))
         expected = [[reference_index(spec, x, mean) for x in doubles] for mean in means]
         assert laplace_grid_indices(spec, u, means).tolist() == expected
-        # each round's terms are zero but for the checked round's, each grid index
+        # row 0 of terms is zero and row 1 each grid index, which only the checked round reads
+        terms = np.stack((np.zeros(spec.n_bins + 1), np.arange(spec.n_bins + 1)))
         for checked in (0, k - 1):
-            terms = np.zeros((k, spec.n_bins + 1))
-            terms[checked] = np.arange(spec.n_bins + 1)
-            assert _block_llrs(spec, means, terms, u).tolist() == expected[checked]
+            rows = (np.arange(k) == checked).astype(np.intp)
+            assert _block_llrs(spec, means, terms, rows, u).tolist() == expected[checked]
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_sums_add_round_after_round(self, rows):
@@ -677,7 +683,7 @@ class TestRoundMajorBlocks:
         terms = np.full((20, spec.n_bins + 1), 2.0**-53)
         terms[0] = 1.0
         u = laplace_uniforms(np.random.default_rng(4), 20 * rows).reshape(rows, 20).T
-        assert _block_llrs(spec, np.full(20, 0.5), terms, u).tolist() == [1.0] * rows
+        assert _block_llrs(spec, np.full(20, 0.5), terms, np.arange(20), u).tolist() == [1.0] * rows
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -6,10 +6,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
+from adalab.attack import _SUPPORT_ELEMENT_LIMIT
 from adalab.cli import _config_from_args, build_parser, main
 from adalab.harness import _GRID_BIN_LIMIT, KINDS, _resolve_params
 from adalab.mechanisms import NoiseSpec
@@ -24,7 +26,6 @@ MINIMAL = {
     "attack": {"eps": 0.25, "gamma": 0.01, "n": 16},
     "simple_attack": {"gamma": 0.2, "n": 10},
     "positive_accuracy": {"eps": 0.005, "gamma": 0.05, "alpha": 0.9, "beta": 0.9, "n": 400},
-    "coupling": {"k": 6, "bad_round": 2, "epsilon_switch": 0.25},
     "llr": {"eps": 0.0625, "k": 2, "rho": 0.05, "n": 8},
     "divergence": {"mech_a": "real", "mech_b": "oracle", "n": 4, "ones": 2},
     "bounds_table": {"mode": "negative", "gamma": 0.01, "beta": 0.1, "eps_values": [0.25]},
@@ -76,10 +77,6 @@ RESOLVE_PAST_LIMIT = (
         "positive --eps 0.25 --gamma 0.01 --alpha 0.9 --beta 0.5 --n 16 --k 10000000 --trials 1",
         "positive_accuracy experiment's info tables hold k * m = 10000000 * 100 elements (m from eps 0.25 and "
         "gamma 0.01), above the limit of 20000000",
-    ),
-    (
-        "coupling --k 1000000000 --bad-round 2 --epsilon-switch 0.25 --trials 1",
-        "coupling experiment's round arrays hold k = 1000000000 elements, above the limit of 20000000",
     ),
     # the hybrid's support, which its first trial would build
     (
@@ -157,7 +154,7 @@ class TestExitCodes:
         assert message in err
 
     def test_threads_must_be_an_integer(self, capsys, tmp_path):
-        config = {"kind": "coupling", "threads": 2.5, "params": MINIMAL["coupling"]}
+        config = {"kind": "simple_attack", "threads": 2.5, "params": MINIMAL["simple_attack"]}
         code, out, err = run_config(capsys, tmp_path, config)
         assert code == 1 and out == ""
         assert "threads must be None or an integer of at least 1, got 2.5" in err
@@ -213,18 +210,6 @@ class TestExitCodes:
                 "positive_accuracy experiment needs k >= 0 rounds, got k -3",
             ),
             ("attack --eps 0.25 --gamma 0.01 --n 16 --k 0", "attack experiment needs k >= 1 info rounds, got k 0"),
-            (
-                "coupling --k 6 --bad-round 6 --epsilon-switch 0.25",
-                "coupling experiment needs 0 <= bad_round < k, got bad_round 6 and k 6",
-            ),
-            (
-                "coupling --k 6 --bad-round -1 --epsilon-switch 0.25",
-                "coupling experiment needs 0 <= bad_round < k, got bad_round -1 and k 6",
-            ),
-            (
-                "coupling --k 0 --bad-round 0 --epsilon-switch 0.25",
-                "coupling experiment needs 0 <= bad_round < k, got bad_round 0 and k 0",
-            ),
             (
                 "llr --eps 0.001 --b 0.15625 --grid-step 0.125 --k 2 --rho 0.05 --n 64",
                 "llr experiment needs 1 <= ones <= n, got ones 0 (derived as round(2*n*eps)) and n 64",
@@ -301,6 +286,31 @@ class TestExitCodes:
                 for n in (0, -3)
             ),
             (GRID_PAST_LIMIT_ARGV, GRID_PAST_LIMIT),
+            # 2e300 positions were cast to intp, and 0.3 answered as -0.5; inf bins ended in round(inf)
+            *(
+                (
+                    f"simple-attack --gamma 0.2 --n 10 --b 0 --grid-step {step}",
+                    f"grid_step {step} divides the clip interval into {bins} bins, not below 2**53",
+                )
+                for step, bins in (("1e-300", "2e+300"), ("5e-324", "inf"))
+            ),
+            # 1/eps**2 underflowed to 1/0: once a ZeroDivisionError traceback
+            *(
+                (argv, "eps must lie in (0, 1], with 1/eps**2 a finite float; got 1e-300")
+                for argv in (
+                    "attack --eps 1e-300 --gamma 0.01 --n 16",
+                    "positive --eps 1e-300 --gamma 0.05 --alpha 0.9 --beta 0.9 --n 400",
+                    "bounds --mode negative --eps-values 1e-300 --gamma 0.01 --beta 0.1 --trials 1",
+                )
+            ),
+            # ceil(inf) rounds: once an OverflowError traceback
+            *(
+                (argv, "score attack rounds overflow a float at beta 5e-324 (eps 0.25, gamma 0.01)")
+                for argv in (
+                    "attack --eps 0.25 --gamma 0.01 --n 16 --beta 5e-324",
+                    "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 5e-324 --trials 1",
+                )
+            ),
             # beta is checked whether k is given or derived from it
             *(
                 (
@@ -316,7 +326,7 @@ class TestExitCodes:
                 "hybrid needs epsilon_switch > 0 and finite, got inf",
             ),
             (
-                "coupling --k 5 --bad-round 2 --epsilon-switch inf",
+                "attack --eps 0.25 --gamma 0.01 --n 16 --k 5 --mechanism hybrid --epsilon-switch inf",
                 "hybrid needs epsilon_switch > 0 and finite, got inf",
             ),
             (
@@ -339,6 +349,22 @@ class TestExitCodes:
         code, out, err, peak = run_traced(capsys, argv)
         assert code == 0 and err == "" and json.loads(out)
         assert peak < 2**20
+
+    def test_llr_memory_is_flat_in_rounds(self, capsys):
+        # one row of log-ratio terms per distinct pair of means: a row per
+        # round once took 2.1 KB, a 42 MB peak here
+        code, out, err, peak = run_traced(capsys, "llr --eps 0.0625 --k 20000 --rho 0.05 --n 8 --trials 1")
+        assert code == 0 and err == "" and json.loads(out)["k"] == 20000
+        assert peak < 4.2e6
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_noise_scale_runs_quietly(self, capsys):
+        # noise_cdf's x / 5e-324 once printed overflow RuntimeWarnings; noise
+        # that small moves no answer off its noiseless grid value
+        code, out, err = run(capsys, SIMPLE + ["--b", "5e-324"])
+        assert (code, err) == (0, "")
+        _, noiseless, _ = run(capsys, SIMPLE)
+        assert {**json.loads(out), "params": None} == {**json.loads(noiseless), "params": None}
 
     @pytest.mark.parametrize(
         "argv",
@@ -478,6 +504,63 @@ class TestKindTable:
         assert code == 1
         assert f"{name} experiment has unknown params ['nosie_scale']" in err
         assert str([param.key for param in kind.params]) in err
+
+
+# the values of each param type that the edge sweep sets one param to
+EDGES = {
+    int: (0, -1, 1, 2, 2**62),
+    float: (0.0, -1.0, 1.0, 2.0, 1e-300, 5e-324, 1e300, math.nan, math.inf, -math.inf),
+    str: ("", "zzz"),
+}
+
+
+def edge_fault(capsys, argv) -> str | None:
+    """What is wrong with how ``argv`` ends, or None if it exits 0 with
+    finite ``params`` or 1 with one ``error:`` line. It may not raise, warn,
+    or trace a peak of as many bytes as the element limit allows elements,
+    which any array past a size guard would hold."""
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except Exception as exc:
+                capsys.readouterr()
+                return f"raised {type(exc).__name__}: {exc}"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    if caught:
+        return f"warned {[str(warning.message) for warning in caught]}"
+    if peak >= _SUPPORT_ELEMENT_LIMIT:
+        return f"traced a peak of {peak} bytes"
+    if code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1:
+        return None
+    if code != 0 or err:
+        return f"exited {code} with {err!r}"
+    params = json.loads(out)["params"].values()
+    values = [x for value in params for x in (value if isinstance(value, list) else [value])]
+    return None if all(math.isfinite(x) for x in values if isinstance(x, float)) else f"params {values}"
+
+
+@pytest.mark.parametrize(
+    "name, param",
+    [(name, param) for name in sorted(KINDS) for param in KINDS[name].params],
+    ids=lambda case: case if isinstance(case, str) else case.key,
+)
+def test_each_param_edge_exits_cleanly(capsys, name, param):
+    """One param at a time, set to each edge of its type around its kind's
+    ``MINIMAL`` config, exits 0 or with one error line. An edge flag comes
+    last, so argparse reads it over a ``MINIMAL`` one, and as
+    ``--flag=value``, so a value such as ``-inf`` is not read as a flag."""
+    faults = {}
+    for value in EDGES[param.type]:
+        fault = edge_fault(capsys, minimal_argv(name) + [f"{param.flag}={value}"])
+        if fault:
+            faults[value] = fault
+    assert faults == {}
 
 
 @pytest.mark.parametrize("field", ["trials", "seed"])
@@ -636,10 +719,6 @@ README_ATTACKS = {
         "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta 0.9 --n 400 --trials 100 --seed 3",
         "f81dc3f671c690b2162aaafdaa5040d76605bcbd08ac6ebcfb4da8a18d3ca6d8",
     ),
-    "coupling": (
-        "coupling --k 6 --bad-round 2 --epsilon-switch 0.25 --trials 100 --seed 11",
-        "8dae84c1e60af4e29e5b68bb6a0911d9fb93cf40f82db0761b51f5e152bd46c3",
-    ),
     "llr": (
         "llr --eps 0.03125 --b 0.15625 --grid-step 0.125 --k 20 --rho 0.05 --n 64 --trials 5000 --seed 808",
         "bcc49aff6818733d2ef1f3827546964148a4a4f10697ffcf78746e82f61035e0",
@@ -679,7 +758,6 @@ README_PARAMS = {
         "alpha": 0.9, "beta": 0.9, "eps": 0.005, "epsilon_switch": 0.005, "gamma": 0.05, "k": 4, "n": 400,
         "noise_scale": 0.08493262461798969,
     },
-    "coupling": {"bad_round": 2, "epsilon_switch": 0.25, "grid_step": 2.0**-10, "k": 6, "noise_scale": 0.1},
     "llr": _LLR_PARAMS,
     "llr-50000": _LLR_PARAMS,
     "diagnose-divergence": {
@@ -723,6 +801,25 @@ class TestReadmeAttacks:
         code, _, _ = run(capsys, argv + ["--out", str(tmp_path / name)])
         assert code == 0
         assert hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest() == digest
+
+
+def readme_cli_commands() -> list[str]:
+    """Each ``adalab`` command of README's CLI block, its line continuations
+    joined and its program name dropped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [" ".join(line.split()[1:]) for line in lines if line.startswith("adalab ")]
+
+
+def test_readme_commands_are_pinned():
+    """A README command can neither go unpinned nor outlive its pin: each
+    is a ``README_ATTACKS`` command or the pinned check-concentration one."""
+    pinned = {command for command, _ in README_ATTACKS.values()}
+    pinned.add(" ".join(TestCheckConcentration.BUILT + ["--assert", "holds:eq:1"]))
+    commands = readme_cli_commands()
+    assert len(commands) == 9
+    assert [command for command in commands if command not in pinned] == []
 
 
 class TestCheckConcentration:

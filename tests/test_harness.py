@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adalab import attack, harness
-from adalab.attack import FixedQueryAnalyst, InfoRoundAnalyst, build_hard_instance
+from adalab.attack import InfoRoundAnalyst, build_hard_instance
 from adalab.bounds import composed_epsilon, transcript_accurate
 from adalab.core import Query, empirical_mean, true_mean
 from adalab.harness import (
     STREAMS,
     ExperimentConfig,
-    _coupling_trial,
     _mechanism,
     _positive_trial,
     _resolve_params,
@@ -36,7 +35,6 @@ RUNNABLE = {
     "attack": {"eps": 0.25, "gamma": 0.01, "n": 16},
     "simple_attack": {"gamma": 0.2, "n": 10},
     "positive_accuracy": {"eps": 0.005, "gamma": 0.05, "alpha": 0.9, "beta": 0.9, "n": 400},
-    "coupling": {"k": 6, "bad_round": 2, "epsilon_switch": 0.25},
     "llr": {"eps": 0.0625, "k": 2, "rho": 0.05, "n": 8},
     "divergence": {"mech_a": "real", "mech_b": "oracle", "n": 4, "ones": 2},
 }
@@ -82,7 +80,7 @@ class TestSeedDerivation:
     def test_mechanism_holds_what_its_kind_reads(self, kind):
         """Given all the data, ``_mechanism`` keeps the data ``kind.reads``
         names and holds exactly the trial streams it names."""
-        held, dist, _ = _two_sample_instance(8, 4)
+        held, dist, _ = _two_sample_instance("llr", 8, 4)
         mech = _mechanism(kind, NoiseSpec(), sample=held, distribution=dist, master=3, trial=2)
         reads = set(kind.reads)
         assert mech.sample is (held if "sample" in reads else None)
@@ -178,7 +176,7 @@ class TestConfig:
                     ExperimentConfig(kind="attack", **{field: value})
         for value in (True, 2.5, 2.0, "2", 0, -1):
             with pytest.raises(ValueError, match=f"threads must be None or an integer of at least 1, got {value!r}"):
-                ExperimentConfig(kind="coupling", threads=value)
+                ExperimentConfig(kind="attack", threads=value)
         with pytest.raises(ValueError, match="params"):
             ExperimentConfig(kind="attack", params=[1])
         with pytest.raises(ValueError, match="assertions"):
@@ -211,8 +209,8 @@ class TestConfig:
             ("attack", {"mechanism": "hybrid"}, "hybrid needs epsilon_switch > 0"),
             ("positive_accuracy", {"epsilon_switch": -1}, "hybrid needs epsilon_switch > 0"),
             ("positive_accuracy", {"noise_scale": -1}, "noise scale must be a finite non-negative real"),
-            ("coupling", {"epsilon_switch": 0}, "hybrid needs epsilon_switch > 0"),
-            ("coupling", {"noise_scale": -1}, "noise scale must be a finite non-negative real"),
+            ("attack", {"mechanism": "hybrid", "epsilon_switch": 0}, "hybrid needs epsilon_switch > 0"),
+            ("simple_attack", {"noise_scale": -1}, "noise scale must be a finite non-negative real"),
             ("simple_attack", {"grid_step": 0.3}, "grid_step must divide the clip interval"),
             ("divergence", {"mech_a": "reel"}, "unknown mechanism kind 'reel'; expected real, oracle, or hybrid"),
             ("divergence", {"mech_a": "hybrid"}, "hybrid needs epsilon_switch > 0"),
@@ -352,22 +350,6 @@ class TestRunExperimentKinds:
             assert r["rounds"] == 4
             assert isinstance(r["accurate"], bool)
 
-    def test_coupling_switches_exactly_at_bad_round(self):
-        cfg = ExperimentConfig(
-            kind="coupling",
-            trials=5,
-            seed=11,
-            params={"k": 6, "bad_round": 2, "epsilon_switch": 0.25},
-        )
-        result = run_experiment(cfg)
-        s = result.summary
-        assert s["switch_round_match_rate"] == 1.0
-        assert s["prefix_identical_rate"] == 1.0
-        assert s["expected_switch_round"] == 2
-        for r in result.records:
-            assert r["switch_round"] == 2
-            assert r["equal_rounds"] >= 2
-
     def test_llr_summary(self):
         cfg = ExperimentConfig(
             kind="llr",
@@ -478,31 +460,6 @@ def positive_reference(params, master, trial):
     }
 
 
-def coupling_reference(params, master, trial):
-    """``_coupling_trial`` one round at a time: the fixed good/bad schedule
-    against the hybrid and the real mechanism."""
-    k, bad_round = params["k"], params["bad_round"]
-    held, dist, _ = _two_sample_instance(8, 8)
-    schedule = [Query(0.5)] * k
-    schedule[bad_round] = Query(0.0, {1: 1.0})
-    noise = NoiseSpec(grid_step=2.0**-10)
-    hybrid = seeded_hybrid(noise, held, dist, params["epsilon_switch"], master, trial)
-    real = MechanismState(
-        MechanismKind.real(), noise, sample=held, real_rng=derive_rng(master, trial, "mech_noise_real")
-    )
-    answers_h = run_interaction(FixedQueryAnalyst(schedule), hybrid, k).answers
-    answers_r = run_interaction(FixedQueryAnalyst(schedule), real, k).answers
-    first = next((i for i, (a, b) in enumerate(zip(answers_h, answers_r)) if a != b), -1)
-    switch_round = -1 if hybrid.switch_round is None else hybrid.switch_round
-    return {
-        "trial": trial,
-        "switch_round": switch_round,
-        "first_divergence_round": first,
-        "prefix_identical": first == -1 or first >= (switch_round if switch_round >= 0 else k),
-        "equal_rounds": sum(a == b for a, b in zip(answers_h, answers_r)),
-    }
-
-
 class TestBatchedTrialsMatchPerRound:
     """The batched answer-blind trials against their per-round references,
     record for record. The trials read their params as ``_resolve_params``
@@ -526,14 +483,6 @@ class TestBatchedTrialsMatchPerRound:
         assert to_json(batched) == to_json([positive_reference(run.params, 9, t) for t in range(12)])
         assert covers({record["switch_round"] for record in batched})
 
-    @pytest.mark.parametrize("bad_round", [0, 5])
-    def test_coupling(self, bad_round):
-        given = {"k": 6, "bad_round": bad_round, "epsilon_switch": 0.25}
-        run = _resolve_params(ExperimentConfig(kind="coupling", params=given))
-        batched = [_coupling_trial(run, 11, trial) for trial in range(12)]
-        assert to_json(batched) == to_json([coupling_reference(run.params, 11, t) for t in range(12)])
-        assert {record["switch_round"] for record in batched} == {bad_round}
-
 
 class TestParallelism:
     @pytest.mark.parametrize(
@@ -542,14 +491,13 @@ class TestParallelism:
             ("attack", {"eps": 0.25, "gamma": 0.01, "n": 16, "k": 5}),
             ("attack", {"eps": 0.25, "gamma": 0.01, "n": 16, "k": 5, "mechanism": "hybrid", "epsilon_switch": 0.1}),
             ("positive_accuracy", RUNNABLE["positive_accuracy"]),
-            ("coupling", RUNNABLE["coupling"]),
+            ("simple_attack", RUNNABLE["simple_attack"]),
         ],
-        ids=["real-attack", "hybrid-attack", "positive", "coupling"],
+        ids=["real-attack", "hybrid-attack", "positive", "simple-attack"],
     )
     def test_thread_pool_matches_serial(self, kind, params):
         """Pool workers read the run as unpickled: the hard instance builds
-        its support there, and coupling's held sample and distribution
-        arrive as a copy."""
+        its support there, and the block instance arrives as a copy."""
         serial, pooled = (
             run_experiment(ExperimentConfig(kind=kind, trials=4, seed=5, params=params, threads=threads))
             for threads in (1, 2)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -65,6 +66,13 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(grid_step=0.3)
 
+    @pytest.mark.parametrize("grid_step, bins", [(2.0**-52, "9.0072e+15"), (1e-300, "2e+300"), (5e-324, "inf")])
+    def test_rejects_grids_of_2_53_bins_or_more(self, grid_step, bins):
+        # 1e-300 once cast positions of 1e300 to intp, and 5e-324 ended in round(inf)
+        message = f"grid_step {grid_step} divides the clip interval into {bins} bins, not below 2**53"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NoiseSpec(grid_step=grid_step)
+
     def test_rejects_heavy_stray_tails(self):
         # scale 1.0 leaves far more than 5 percent outside [clip_lo-1, clip_hi]
         with pytest.raises(ValueError, match="exceeds tolerance"):
@@ -90,6 +98,13 @@ class TestNoiseCdf:
     def test_laplace_far_tails_do_not_overflow(self):
         spec = NoiseSpec(scale=0.001, grid_step=2**-10)
         assert noise_cdf(spec, [-1.0, 1.0]).tolist() == [0.0, 1.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_subnormal_scale_takes_the_limit_quietly(self, family):
+        # x / 5e-324 overflows to +-inf, the step function's limit, without a RuntimeWarning
+        spec = NoiseSpec(family=family, scale=5e-324)
+        assert noise_cdf(spec, [-1.0, 0.0, 1.0]).tolist() == [0.0, 0.5, 1.0]
 
     def test_laplace_matches_two_sided_formula_bit_for_bit(self):
         x = np.linspace(-3.0, 3.0, 6001)
@@ -166,6 +181,17 @@ class TestQuantize:
             assert quantize_array(spec, values).tobytes() == scalar.tobytes()
             assert list(_grid_indices(spec, values)) == [grid_index(spec, v) for v in values]
         assert list(quantize_array(COARSE, ties)) == [-0.5, 0.0, 0.0, 0.5, 1.5, 1.0]
+
+    def test_array_matches_scalar_at_the_finest_grid(self):
+        # the smallest step NoiseSpec accepts: just under 2**53 bins, each index an exact float
+        spec = NoiseSpec(grid_step=float(np.nextafter(2.0**-52, 1.0)))
+        assert 2**53 - 4 <= spec.n_bins < 2**53
+        edges = [-0.5, 1.5, -99.0, 99.0, -np.inf, np.inf, 0.0, -0.0, 0.3, 1.0 - 2.0**-53, 1.5 - 2.0**-52]
+        values = np.concatenate([edges, np.random.default_rng(5).uniform(-1.0, 2.0, 500)])
+        scalar = np.array([quantize(spec, v) for v in values])
+        assert quantize_array(spec, values).tobytes() == scalar.tobytes()
+        assert list(_grid_indices(spec, values)) == [grid_index(spec, v) for v in values]
+        assert quantize_array(spec, [0.3]).tolist() == [pytest.approx(0.3, abs=2.0**-52)]
 
     def test_array_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -434,6 +460,30 @@ class TestAnswering:
             assert answer(hybrid, good) == answer(real, good)
         answer(hybrid, bad), answer(real, bad)
         assert hybrid.switch_round == 4
+
+    @pytest.mark.parametrize("bad_round", [0, 2, 5])
+    def test_hybrid_batch_matches_real_batch_until_switch(self, bad_round):
+        """``answer_batch``'s form of the coupling: one seeded real stream
+        under both, and a bad query planted at ``bad_round``."""
+        held, dist = two_point_setup()  # indicator: empirical 1.0 vs true 0.5
+        good, bad = Query(0.5), Query(0.0, {1: 1.0})
+        queries = [bad if r == bad_round else good for r in range(6)]
+        emp = np.array([empirical_mean(q, held) for q in queries])
+        tru = np.array([true_mean(q, dist) for q in queries])
+        real = MechanismState(
+            MechanismKind.real(), COARSE, sample=held, real_rng=np.random.default_rng(7)
+        )
+        hybrid = MechanismState(
+            MechanismKind.hybrid(0.25),
+            COARSE,
+            sample=held,
+            distribution=dist,
+            real_rng=np.random.default_rng(7),
+            oracle_seed=3,
+        )
+        answers_h, answers_r = answer_batch(hybrid, emp, tru), answer_batch(real, emp, None)
+        assert hybrid.switch_round == bad_round
+        assert answers_h[:bad_round].tobytes() == answers_r[:bad_round].tobytes()
 
     @pytest.mark.parametrize("kind", ["real", "oracle", "hybrid", "hybrid-switched"])
     def test_answer_batch_matches_consecutive_answers(self, kind):
