@@ -8,7 +8,8 @@ oracle differ by a bounded log ratio, the ratios compose over k rounds into
 ``run_llr_experiment`` samples the composed ratio over a fixed query list,
 in round-major blocks of ``mechanisms._BLOCK_VALUES`` uniform doubles at
 most (125 KiB per float64 temporary, under glibc's 128 KiB mmap threshold).
-The negative side turns the attack analyses into round-count thresholds.
+The negative side turns the attack analyses into round-count thresholds,
+and ``gap_row`` puts both sides at one eps in one row.
 """
 
 from __future__ import annotations
@@ -234,6 +235,20 @@ def breaking_rounds_details(
         "breaking_rounds": min(scan, score),
         "winner": "simple" if scan <= score else "score",
     }
+
+
+def gap_row(eps: float, gamma: float, alpha: float, beta: float) -> dict:
+    """Both sides of the gap at eps: ``max_accurate_rounds_details``,
+    ``breaking_rounds_details`` at the noiseless calibration, and
+    ``breaking_rounds_matched``, the attack costed at the certified noise
+    (Laplace variance 2 b^2), with the certified share of it. The breaking
+    side goes first, so an input the hard instance refuses fails with its error."""
+    breaking = breaking_rounds_details(eps, gamma, beta)
+    certified = max_accurate_rounds_details(eps, gamma, alpha, beta)
+    b = certified["b"]
+    matched = breaking_rounds(eps, gamma, beta, calibrated_attack_constant(breaking["blocks"], 2.0 * b * b))
+    fraction = certified["k"] / matched
+    return {"eps": eps, **certified, **breaking, "breaking_rounds_matched": matched, "certified_fraction": fraction}
 
 
 # --- transcript predicates -----------------------------------------------------

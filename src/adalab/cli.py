@@ -177,21 +177,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    result, out = None, None
     try:
         if args.command == "check-concentration":
             summary, claims = _check_concentration(args), args.assertions
         else:
             config = _config_from_args(args)
             result = run_experiment(config)
-            summary, claims, out = result.summary, config.assertions, config.out
+            summary, claims = result.summary, config.assertions
+            # in the try: a write that fails exits 1 with one error line and prints no summary
+            if config.out is not None:
+                paths = write_outputs(result, config.out)
+                print(f"wrote {paths['jsonl']}, {paths['csv']}, {paths['summary']}", file=sys.stderr)
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _print_stdout(to_json(summary, indent=2, sort_keys=True))
-    if out:
-        paths = write_outputs(result, out)
-        print(f"wrote {paths['jsonl']}, {paths['csv']}, {paths['summary']}", file=sys.stderr)
     failures = evaluate_assertions(summary, claims)
     for failure in failures:
         print(failure, file=sys.stderr)

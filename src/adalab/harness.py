@@ -54,11 +54,10 @@ from .attack import (
 )
 from .bounds import (
     accuracy_noise_scale,
-    breaking_rounds_details,
     check_llr_draw,
     divergence_diagnostics,
+    gap_row,
     max_accurate_rounds,
-    max_accurate_rounds_details,
     run_llr_experiment,
     score_attack_rounds,
 )
@@ -137,6 +136,8 @@ class ExperimentConfig:
         threads = self.threads
         if threads is not None and (isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1):
             raise ValueError(f"threads must be None or an integer of at least 1, got {threads!r}")
+        if self.out is not None and (not isinstance(self.out, str) or not self.out):
+            raise ValueError(f"out must be None or a non-empty path prefix, got {self.out!r}")
         if not isinstance(self.params, dict):
             raise ValueError("params must be a JSON object")
         if not isinstance(self.assertions, list):
@@ -530,30 +531,12 @@ def _run_divergence(config: ExperimentConfig, run: Run) -> tuple[list[dict], dic
     return [record], dict(record)
 
 
-def _resolve_bounds_table(params: dict) -> tuple[tuple[str, ...], None]:
-    mode = params["mode"]
-    if mode not in ("negative", "positive"):
-        raise ValueError("bounds_table mode must be 'negative' or 'positive'")
-    if mode == "positive" and "alpha" not in params:
-        raise ValueError("bounds_table experiment needs params ['alpha']")
-    other, unread = ("positive", "alpha") if mode == "negative" else ("negative", "constant")
-    if unread in params:
-        raise ValueError(f"{unread} applies only to {other} mode; bounds mode is {mode!r}")
-    return (), None
-
-
 def _run_bounds_table(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
     params = run.params
-    mode, gamma, beta = params["mode"], params["gamma"], params["beta"]
-    rows = []
-    for eps in params["eps_values"]:
-        if mode == "negative":
-            row = {"eps": eps, **breaking_rounds_details(eps, gamma, beta, params.get("constant"))}
-        else:
-            row = {"eps": eps, **max_accurate_rounds_details(eps, gamma, params["alpha"], beta)}
-            row["budget"] = json.dumps(row["budget"])
-        rows.append(row)
-    return rows, {"mode": mode, "rows": len(rows)}
+    rows = [gap_row(eps, params["gamma"], params["alpha"], params["beta"]) for eps in params["eps_values"]]
+    # a CSV cell holds the budget shares as one JSON list
+    rows = [{**row, "budget": json.dumps(row["budget"])} for row in rows]
+    return rows, {"rows": len(rows)}
 
 
 # --- experiment kinds ---------------------------------------------------------------
@@ -686,14 +669,13 @@ KINDS = {
     "bounds_table": ExperimentKind(
         "bounds",
         (
-            Param("--mode", "mode", str, "negative (breaking rounds) or positive (certified rounds)", True),
             Param("--gamma", "gamma", float, "concentration failure chance", True),
             Param("--beta", "beta", float, "failure chance of the bound", True),
-            Param("--alpha", "alpha", float, "accuracy target (positive mode)"),
-            Param("--constant", "constant", float, "override the calibrated round constant"),
+            Param("--alpha", "alpha", float, "accuracy target of the certified rounds", True),
             Param("--eps-values", "eps_values", float, "thresholds to tabulate", True, nargs="+"),
         ),
-        resolve=_resolve_bounds_table,
+        # closed forms: no mechanism and no instance
+        resolve=lambda params: ((), None),
         run_once=_run_bounds_table,
         reads_trials=False,
     ),

@@ -21,6 +21,7 @@ from adalab.bounds import (
     breaking_rounds_details,
     composed_epsilon,
     divergence_diagnostics,
+    gap_row,
     max_accurate_rounds,
     max_accurate_rounds_details,
     noise_escape_mass,
@@ -30,7 +31,7 @@ from adalab.bounds import (
     simple_attack_rounds,
     transcript_accurate,
 )
-from adalab.attack import FixedQueryAnalyst
+from adalab.attack import FixedQueryAnalyst, calibrated_attack_constant, instance_shape
 from adalab.core import FiniteDistribution, Query, Sample, Transcript, empirical_mean, true_mean
 from adalab.mechanisms import (
     _BLOCK_VALUES,
@@ -240,6 +241,43 @@ class TestAttackRoundCounts:
         assert max_accurate_rounds(1e-6, 1e-6, 0.1, 0.1) == 1102
         assert all(1e-7 <= r <= 4e-7 for r in ratios)
         assert max(ratios) <= 8 * min(ratios)
+
+
+# README's two bounds commands as (eps values, gamma, alpha, beta); the
+# second is acceptance test_11's eps list
+README_BOUNDS = (
+    ((0.25, 0.1, 0.01), 0.01, 0.9, 0.1),
+    ((0.01, 1e-5, 3e-6, 1e-6), 1e-6, 0.1, 0.1),
+)
+
+
+class TestGapRow:
+    @pytest.mark.parametrize("eps_values, gamma, alpha, beta", README_BOUNDS)
+    def test_row_holds_both_sides_details(self, eps_values, gamma, alpha, beta):
+        for eps in eps_values:
+            row = gap_row(eps, gamma, alpha, beta)
+            certified = max_accurate_rounds_details(eps, gamma, alpha, beta)
+            breaking = breaking_rounds_details(eps, gamma, beta)
+            assert set(certified).isdisjoint(breaking)
+            matched = row["breaking_rounds_matched"]
+            assert row == {
+                "eps": eps, **certified, **breaking,
+                "breaking_rounds_matched": matched, "certified_fraction": certified["k"] / matched,
+            }
+
+    def test_matched_rounds_cost_the_attack_at_the_certified_noise(self):
+        eps_values, gamma, alpha, beta = README_BOUNDS[1]
+        rows = [gap_row(eps, gamma, alpha, beta) for eps in eps_values]
+        for eps, row in zip(eps_values, rows):
+            # acceptance test_11's inline formula
+            scale = accuracy_noise_scale(alpha, eps)
+            constant = calibrated_attack_constant(instance_shape(eps, gamma)[0], 2.0 * scale * scale)
+            assert row["breaking_rounds_matched"] == breaking_rounds(eps, gamma, beta, constant=constant)
+            assert row["k"] < row["breaking_rounds_matched"]
+        assert [row["k"] for row in rows] == [0, 15, 144, 1102]
+        assert [row["breaking_rounds_matched"] for row in rows] == [1992, 10**6, 10**6, 10**6]
+        # the noiseless floor, which the certified rounds pass at eps 1e-6
+        assert [row["breaking_rounds"] for row in rows] == [168] * 4
 
 
 class TestTranscriptPredicates:

@@ -28,7 +28,7 @@ MINIMAL = {
     "positive_accuracy": {"eps": 0.005, "gamma": 0.05, "alpha": 0.9, "beta": 0.9, "n": 400},
     "llr": {"eps": 0.0625, "k": 2, "rho": 0.05, "n": 8},
     "divergence": {"mech_a": "real", "mech_b": "oracle", "n": 4, "ones": 2},
-    "bounds_table": {"mode": "negative", "gamma": 0.01, "beta": 0.1, "eps_values": [0.25]},
+    "bounds_table": {"gamma": 0.01, "beta": 0.1, "alpha": 0.9, "eps_values": [0.25]},
 }
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -140,18 +140,37 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "epsilon_switch applies only to the hybrid" in err
 
-    @pytest.mark.parametrize(
-        "flag, message",
-        [
-            ("--mode positive --alpha 0.1 --constant 99", "constant applies only to negative mode; bounds mode is 'positive'"),
-            ("--mode negative --alpha 0.1", "alpha applies only to positive mode; bounds mode is 'negative'"),
-        ],
-    )
-    def test_bounds_params_the_mode_ignores_exit_one(self, capsys, flag, message):
-        argv = f"bounds {flag} --eps-values 1e-5 --gamma 1e-6 --beta 0.1".split()
-        code, out, err = run(capsys, argv)
-        assert code == 1 and out == ""
-        assert message in err
+    @pytest.mark.parametrize("flag", ["--mode negative", "--constant 99"])
+    def test_bounds_takes_no_mode_or_constant(self, capsys, tmp_path, flag):
+        # one row holds both sides of the gap: no mode picks a side, and the
+        # matched breaking rounds are costed at the certified noise
+        code, out, err = run(capsys, minimal_argv("bounds_table") + flag.split())
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {flag}" in err
+        key, value = flag.removeprefix("--").split()
+        params = {**MINIMAL["bounds_table"], key: value}
+        code, out, err = run_config(capsys, tmp_path, {"kind": "bounds_table", "params": params})
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: bounds_table experiment has unknown params ['{key}']")
+
+    @pytest.mark.parametrize("out", [5, ["a"], ""])
+    def test_config_out_must_be_a_non_empty_string(self, capsys, monkeypatch, tmp_path, out):
+        # a bad out once failed in os.path.dirname after the summary printed, or ("") wrote nothing
+        monkeypatch.setattr("adalab.cli.run_experiment", refuse_to_run)
+        config = {"kind": "simple_attack", "params": MINIMAL["simple_attack"], "out": out}
+        message = f"error: out must be None or a non-empty path prefix, got {out!r}\n"
+        assert run_config(capsys, tmp_path, config) == (1, "", message)
+
+    def test_empty_out_flag_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("adalab.cli.run_experiment", refuse_to_run)
+        message = "error: out must be None or a non-empty path prefix, got ''\n"
+        assert run(capsys, SIMPLE + ["--out", ""]) == (1, "", message)
+
+    def test_failed_write_is_one_error_line(self, capsys, tmp_path):
+        (tmp_path / "F").write_text("")
+        code, out, err = run(capsys, SIMPLE + ["--out", str(tmp_path / "F" / "sub" / "p")])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_threads_must_be_an_integer(self, capsys, tmp_path):
         config = {"kind": "simple_attack", "threads": 2.5, "params": MINIMAL["simple_attack"]}
@@ -167,7 +186,7 @@ class TestExitCodes:
                 "divergence experiment reads no trials; got trials 50, not 1",
             ),
             (
-                "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1 --trials 2",
+                "bounds --alpha 0.9 --eps-values 0.25 --gamma 0.01 --beta 0.1 --trials 2",
                 "bounds_table experiment reads no trials; got trials 2, not 1",
             ),
             (
@@ -175,7 +194,7 @@ class TestExitCodes:
                 "divergence experiment runs once, in one process; got threads 3, not 1",
             ),
             (
-                "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1 --threads 4",
+                "bounds --alpha 0.9 --eps-values 0.25 --gamma 0.01 --beta 0.1 --threads 4",
                 "bounds_table experiment runs once, in one process; got threads 4, not 1",
             ),
             (
@@ -193,7 +212,7 @@ class TestExitCodes:
         "argv, trials",
         [
             ("diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2 --trials 1 --threads 1", 1),
-            ("bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1 --trials 1 --threads 1", 1),
+            ("bounds --alpha 0.9 --eps-values 0.25 --gamma 0.01 --beta 0.1 --trials 1 --threads 1", 1),
             ("llr --eps 0.0625 --k 2 --rho 0.05 --n 8 --trials 5 --threads 1", 5),
         ],
     )
@@ -252,10 +271,6 @@ class TestExitCodes:
                 "divergence experiment needs 1 <= ones <= n, got ones 5 and n 4",
             ),
             (
-                "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1 --constant inf --trials 1",
-                "constant must be positive and finite, got inf",
-            ),
-            (
                 "llr --eps 0.03125 --b 1e-9 --grid-step 0.125 --k 4 --rho 0.05 --n 64 --trials 10",
                 "composed bound overflows a float at eps/b = 3.125e+07",
             ),
@@ -300,7 +315,7 @@ class TestExitCodes:
                 for argv in (
                     "attack --eps 1e-300 --gamma 0.01 --n 16",
                     "positive --eps 1e-300 --gamma 0.05 --alpha 0.9 --beta 0.9 --n 400",
-                    "bounds --mode negative --eps-values 1e-300 --gamma 0.01 --beta 0.1 --trials 1",
+                    "bounds --alpha 0.9 --eps-values 1e-300 --gamma 0.01 --beta 0.1 --trials 1",
                 )
             ),
             # ceil(inf) rounds: once an OverflowError traceback
@@ -308,7 +323,7 @@ class TestExitCodes:
                 (argv, "score attack rounds overflow a float at beta 5e-324 (eps 0.25, gamma 0.01)")
                 for argv in (
                     "attack --eps 0.25 --gamma 0.01 --n 16 --beta 5e-324",
-                    "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 5e-324 --trials 1",
+                    "bounds --alpha 0.9 --eps-values 0.25 --gamma 0.01 --beta 5e-324 --trials 1",
                 )
             ),
             # beta is checked whether k is given or derived from it
@@ -371,7 +386,7 @@ class TestExitCodes:
         [
             "simple-attack --gamma 5e-324 --n 2 --trials 1",
             "attack --eps 0.25 --gamma 5e-324 --n 16 --k 2 --trials 1",
-            "bounds --mode negative --eps-values 0.25 --gamma 5e-324 --beta 0.1",
+            "bounds --alpha 0.9 --eps-values 0.25 --gamma 5e-324 --beta 0.1",
             "check-concentration --eps 0.25 --gamma 5e-324 --n 16",
         ],
     )
@@ -596,7 +611,7 @@ def test_closed_stdout_ends_quietly(lines_read):
 
 
 def test_python_dash_m_runs_the_cli(capsys):
-    argv = "bounds --mode negative --eps-values 0.25 --gamma 0.01 --beta 0.1".split()
+    argv = "bounds --eps-values 0.25 0.1 0.01 --gamma 0.01 --beta 0.1 --alpha 0.9".split()
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, "-m", "adalab", *argv], env=env, capture_output=True, text=True, timeout=60
@@ -681,8 +696,8 @@ class TestExperimentCommands:
         code, out, _ = run(
             capsys,
             [
-                "bounds", "--mode", "negative", "--eps-values", "0.25", "0.01",
-                "--gamma", "0.01", "--beta", "0.1",
+                "bounds", "--eps-values", "0.25", "0.01",
+                "--gamma", "0.01", "--beta", "0.1", "--alpha", "0.9",
             ],
         )
         assert code == 0
@@ -731,13 +746,14 @@ README_ATTACKS = {
         "diagnose-divergence --mech-a real --mech-b oracle --n 4 --ones 2",
         "2dc8c3688bca9fbf72b887a2823b2c89a2a233b2ef133c54451371f5b799bec4",
     ),
-    "bounds-negative": (
-        "bounds --mode negative --eps-values 0.25 0.1 0.01 --gamma 0.01 --beta 0.1",
-        "69c22d2e977670f9d82840431a0b07068fd0bcb90bc8c5b5e7563a27768634e3",
+    "bounds": (
+        "bounds --eps-values 0.25 0.1 0.01 --gamma 0.01 --beta 0.1 --alpha 0.9",
+        "5810e7b31cb79a2d00959fd3fe593b92d3116fbf56983dd8bde97157dac8b817",
     ),
-    "bounds-positive": (
-        "bounds --mode positive --eps-values 1e-5 1e-6 --gamma 1e-6 --beta 0.1 --alpha 0.1",
-        "a7db1fddf6699e5f0585b0638a8a1be5c77de92b0fe0eb8927882db00a732141",
+    # acceptance test_11's eps list
+    "bounds-small-eps": (
+        "bounds --eps-values 0.01 1e-5 3e-6 1e-6 --gamma 1e-6 --beta 0.1 --alpha 0.1",
+        "ca69fb1842e9461ca7549de51576115171479d6d2917349dce4782aee11d13ee",
     ),
 }
 
@@ -764,8 +780,8 @@ README_PARAMS = {
         "grid_step": 2.0**-10, "mech_a": "real", "mech_b": "oracle", "n": 4, "noise_family": "laplace",
         "noise_scale": 0.1, "ones": 2,
     },
-    "bounds-negative": {"beta": 0.1, "eps_values": [0.25, 0.1, 0.01], "gamma": 0.01, "mode": "negative"},
-    "bounds-positive": {"alpha": 0.1, "beta": 0.1, "eps_values": [1e-05, 1e-06], "gamma": 1e-06, "mode": "positive"},
+    "bounds": {"alpha": 0.9, "beta": 0.1, "eps_values": [0.25, 0.1, 0.01], "gamma": 0.01},
+    "bounds-small-eps": {"alpha": 0.1, "beta": 0.1, "eps_values": [0.01, 1e-05, 3e-06, 1e-06], "gamma": 1e-06},
 }
 
 

@@ -395,27 +395,19 @@ class TestRunExperimentKinds:
         assert s["kl_ab"] == pytest.approx(s["kl_ba"], abs=1e-9)
 
     def test_bounds_table(self):
-        cfg = ExperimentConfig(
-            kind="bounds_table",
-            params={"mode": "negative", "eps_values": [0.25], "gamma": 0.01, "beta": 0.1},
-        )
-        result = run_experiment(cfg)
-        assert result.summary["rows"] == 1
-        assert result.records[0]["breaking_rounds"] == 72
-        with pytest.raises(ValueError, match="needs params"):
+        params = {"eps_values": [0.25], "gamma": 0.01, "beta": 0.1, "alpha": 0.9}
+        result = run_experiment(ExperimentConfig(kind="bounds_table", params=params))
+        assert result.summary == {"rows": 1, "kind": "bounds_table", "trials": 1, "seed": 0, "params": params}
+        row = result.records[0]
+        assert (row["k"], row["breaking_rounds"], row["breaking_rounds_matched"]) == (0, 72, 100)
+        assert row["budget"] == "[0.25, 0.25, 0.25, 0.25]"
+        with pytest.raises(ValueError, match=r"needs params \['alpha'\]"):
             run_experiment(
-                ExperimentConfig(
-                    kind="bounds_table",
-                    params={"mode": "positive", "eps_values": [0.01], "gamma": 1e-6, "beta": 0.1},
-                )
+                ExperimentConfig(kind="bounds_table", params={"eps_values": [0.01], "gamma": 1e-6, "beta": 0.1})
             )
-        with pytest.raises(ValueError, match="'negative' or 'positive'"):
-            run_experiment(
-                ExperimentConfig(
-                    kind="bounds_table",
-                    params={"mode": "sideways", "eps_values": [0.01], "gamma": 1e-6, "beta": 0.1},
-                )
-            )
+        # an eps at or above alpha certifies nothing: max_accurate_rounds refuses it
+        with pytest.raises(ValueError, match="need 0 < eps < alpha"):
+            run_experiment(ExperimentConfig(kind="bounds_table", params={**params, "alpha": 0.25}))
 
     def test_missing_params_named_in_error(self):
         with pytest.raises(ValueError, match=r"attack experiment needs params \['n'\]"):
