@@ -14,9 +14,9 @@ and ``gap_row`` puts both sides at one eps in one row.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +24,13 @@ import numpy as np
 from .attack import FixedQueryAnalyst, calibrated_attack_constant, check_elements, instance_shape, simple_attack_rounds
 from .core import FiniteDistribution, Query, Sample, Transcript, empirical_mean, true_mean
 from .mechanisms import (
+    LaplaceRounds,
     MechanismKind,
     MechanismState,
     NoiseSpec,
     _BLOCK_VALUES,
     laplace_grid_indices,
+    laplace_rounds,
     laplace_uniforms,
     output_distribution,
     perturbed_mean,
@@ -134,15 +136,23 @@ def max_accurate_rounds(eps: float, gamma: float, alpha: float, beta: float) -> 
     Uses b = alpha / (2 ln(1/eps)) and requires each failure term (rho,
     escape mass, k*gamma, composed divergence) to stay within its share of
     beta, 1/4 each. Every term grows with k, so the largest feasible k is
-    found by bracket-and-bisect. Returns 0 with a diagnostic when even one
-    round is infeasible.
+    found by bracket-and-bisect. Returns 0 with a diagnostic, logged at
+    INFO, when even one round is infeasible. Each share of beta must be a
+    normal float: below that, 1/rho overflows and no divergence composes.
     """
     if not (0.0 < eps < alpha):
         raise ValueError("need 0 < eps < alpha")
     if not (0.0 < gamma < 1.0) or not (0.0 < beta < 1.0) or not (0.0 < alpha <= 1.0):
         raise ValueError("gamma, beta in (0, 1) and alpha in (0, 1] required")
+    if not beta * min(_BUDGET) >= sys.float_info.min:
+        raise ValueError(
+            f"beta {beta} is too small: each failure term's share of it, beta * {min(_BUDGET)}, "
+            f"must be a normal float, so beta >= {sys.float_info.min / min(_BUDGET):g}"
+        )
     b = accuracy_noise_scale(alpha, eps)
     if not _budget_feasible(1, eps, gamma, alpha, beta, b):
+        if not logger.isEnabledFor(logging.INFO):
+            return 0
         rho = beta * _BUDGET[0]
         logger.info(
             "no accurate round budget at eps=%g alpha=%g beta=%g: "
@@ -314,20 +324,27 @@ def check_llr_draw(trials: int, k: int) -> None:
     check_elements(f"llr experiment draws trials * k = {trials} * {k} noise values per direction", trials * k)
 
 
-def _block_llrs(noise: NoiseSpec, means: np.ndarray, terms: np.ndarray, term_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _block_llrs(
+    noise: NoiseSpec, rounds: LaplaceRounds, terms: np.ndarray, offsets: np.ndarray | None, u: np.ndarray
+) -> np.ndarray:
     """The log ratio of each transcript of a block, summed in round order.
 
     ``u`` is the block's (k, transcripts) view of uniform doubles, round r
-    of every transcript in row r; ``means`` holds each round's drawn mean
-    and ``term_rows`` its row of ``terms``, C-contiguous rows of n_bins + 1
-    log ratios by grid index. Round r's offset, ``term_rows[r]`` times
-    n_bins + 1, is added to its integer grid indices, so one ``take`` from
-    the flattened terms gives a (k, transcripts) C-contiguous array of each
-    answer's term.
+    of every transcript in row r; ``rounds`` holds each round's drawn mean
+    (``laplace_rounds``), ``terms`` the flattened C-contiguous rows of
+    n_bins + 1 log ratios by grid index, and ``offsets`` the (k, 1) column
+    of where each round's row starts in it, or None when every round reads
+    row 0. Each round's offset is added to its integer grid indices, so one
+    ``take`` gives a (k, transcripts) C-contiguous array of each answer's
+    term. A direction computes ``rounds``, ``terms`` and ``offsets`` once; a
+    block runs only passes over its values. (k, transcripts) copies of the
+    columns would add faster, but two more 125 KiB arrays beside a block's
+    temporaries made some processes fault the heap back in on every call.
     """
-    indices = laplace_grid_indices(noise, u, means)
-    indices += (term_rows * (noise.n_bins + 1))[:, None]
-    drawn = terms.ravel().take(indices)
+    indices = laplace_grid_indices(noise, u, rounds)
+    if offsets is not None:
+        indices += offsets
+    drawn = terms.take(indices)
     if drawn.shape[1] == 1 and len(drawn) > 1:
         # numpy would sum a single column pairwise; accumulating adds in order
         return np.add.accumulate(drawn[:, 0])[-1:]
@@ -380,7 +397,8 @@ def run_llr_experiment(
     ``trials * k`` may not exceed the element limit (``check_llr_draw``).
     A query's means are computed once per distinct query, cached by its
     value, never by object identity; each round reads one row of log ratios
-    per distinct pair of the hybrid's mean and the true mean.
+    per distinct pair of the hybrid's mean and the true mean, and the laws of
+    every distinct mean come from one ``output_distribution`` call.
     """
     if not isinstance(analyst, FixedQueryAnalyst):
         raise ValueError(f"log-ratio accounting replays a FixedQueryAnalyst's list; got {type(analyst).__name__}")
@@ -394,45 +412,40 @@ def run_llr_experiment(
     if len(analyst.queries) < k:
         raise ValueError(f"the fixed query list holds {len(analyst.queries)} queries, fewer than k = {k} rounds")
     threshold = composed_epsilon(k, eps, noise.scale, rho)
-
-    @functools.cache
-    def log_law(mean: float) -> np.ndarray:
-        """Log-probability of each grid value under ``mean``, by grid index;
-        -inf where the law puts no mass."""
-        with np.errstate(divide="ignore"):
-            return np.log(output_distribution(noise, mean))
-
-    @functools.cache
-    def means_of(query: Query) -> tuple[float, float]:
-        """The query's empirical and true means."""
-        return empirical_mean(query, sample), true_mean(query, dist)
-
-    pairs = [means_of(query) for query in analyst.queries[:k]]
+    # each distinct query's empirical and true means, found once (a pair is never falsy)
+    means_of: dict[Query, tuple[float, float]] = {}
+    pairs = [
+        means_of.get(query) or means_of.setdefault(query, (empirical_mean(query, sample), true_mean(query, dist)))
+        for query in analyst.queries[:k]
+    ]
     emps, trus = (np.array([means[i] for means in pairs]) for i in range(2))
     switch_round = hybrid.sample_rounds(emps, trus, k)
     # the hybrid's mean of each round
     hybrid_means = np.concatenate((emps[:switch_round], trus[switch_round:]))
-    # one row of log laws per distinct (hybrid mean, true mean) pair, and each round's row
+    # one row of log ratios per distinct (hybrid mean, true mean) pair, and where each round's row starts
     law_rows: dict[tuple[float, float], int] = {}
-    keys = ((emp if r < switch_round else tru, tru) for r, (emp, tru) in enumerate(pairs))
+    keys = zip(hybrid_means.tolist(), trus.tolist())
     term_rows = np.array([law_rows.setdefault(key, len(law_rows)) for key in keys], dtype=np.intp)
-    hybrid_laws, true_laws = (np.array([log_law(key[i]) for key in law_rows]) for i in range(2))
+    offsets = (term_rows * (noise.n_bins + 1))[:, None] if len(law_rows) > 1 else None
+    # the log law of every distinct mean, by grid index, from one evaluation;
+    # -inf where a law puts no mass
+    law_of = {mean: row for row, mean in enumerate(dict.fromkeys(mean for key in law_rows for mean in key))}
+    with np.errstate(divide="ignore"):
+        log_laws = np.log(output_distribution(noise, list(law_of)))
+    hybrid_laws, true_laws = (log_laws[[law_of[key[i]] for key in law_rows]] for i in range(2))
+    block_rows = max(1, _BLOCK_VALUES // max(k, 1))
 
-    def one_direction(sample_hybrid: bool, rng: np.random.Generator) -> float:
-        block_rows = max(1, _BLOCK_VALUES // max(k, 1))
+    def one_direction(means: np.ndarray, drawn_laws: np.ndarray, other_laws: np.ndarray, rng) -> float:
+        rounds = laplace_rounds(noise, means)
         exceed = 0
         # inf - inf is nan, as in Python float arithmetic, without a warning
         with np.errstate(invalid="ignore"):
-            # each round's drawn mean, and its log ratio by grid index: +inf
-            # on a bin the other law never yields
-            if sample_hybrid:
-                means, terms = hybrid_means, hybrid_laws - true_laws
-            else:
-                means, terms = trus, true_laws - hybrid_laws
+            # each round's log ratio by grid index: +inf on a bin the other law never yields
+            terms = (drawn_laws - other_laws).ravel()
             for start in range(0, trials, block_rows):
                 rows = min(block_rows, trials - start)
                 uniforms = laplace_uniforms(rng, rows * k).reshape(rows, k).T
-                llr = _block_llrs(noise, means, terms, term_rows, uniforms)
+                llr = _block_llrs(noise, rounds, terms, offsets, uniforms)
                 exceed += int(np.count_nonzero(np.greater(llr, threshold)))
         return exceed / trials
 
@@ -440,8 +453,8 @@ def run_llr_experiment(
     rng_o = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     return LlrReport(
         threshold=threshold,
-        frac_exceed_hybrid=one_direction(True, rng_h),
-        frac_exceed_oracle=one_direction(False, rng_o),
+        frac_exceed_hybrid=one_direction(hybrid_means, hybrid_laws, true_laws, rng_h),
+        frac_exceed_oracle=one_direction(trus, true_laws, hybrid_laws, rng_o),
         trials=trials,
         k=k,
     )

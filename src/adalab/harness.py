@@ -501,7 +501,7 @@ def _run_llr(config: ExperimentConfig, run: Run) -> tuple[list[dict], dict]:
         config.seed,
         epsilon_switch=params["epsilon_switch"],
     )
-    record = dataclasses.asdict(report)
+    record = dict(vars(report))  # the report's fields in order, as dataclasses.asdict gives them, without its deep copy
     return [record], dict(record)
 
 

@@ -41,8 +41,9 @@ numpy's Laplace draw would read and ``laplace_grid_indices`` turns a
 round-major block of them, ``_BLOCK_VALUES`` doubles at most, into grid
 indices through one affine map of a vectorized ``np.log``; it recomputes
 with ``_laplace_from_uniform`` every value near a bin edge, so each index
-equals the one of numpy's draw. tests/test_mechanisms.py compares both with
-numpy.
+equals the one of numpy's draw. Its per-round invariants, ``laplace_rounds``,
+are computed once per list of round means, so a block runs only passes over
+its values. tests/test_mechanisms.py compares both with numpy.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +106,8 @@ class NoiseSpec:
 
     def stray_tail_mass(self) -> float:
         """Noise mass outside [clip_lo - 1, clip_hi], computed analytically."""
-        low = self.clip_lo - 1.0
-        return float(noise_cdf(self, low) + (1.0 - noise_cdf(self, self.clip_hi)))
+        low, high = noise_cdf(self, (self.clip_lo - 1.0, self.clip_hi))  # both tails from one call
+        return float(low + (1.0 - high))
 
     def variance(self) -> float:
         if self.family == "laplace":
@@ -178,6 +180,34 @@ _BLOCK_VALUES = 16_000
 # Values within this distance (in value units, not grid steps) of a bin edge
 # are recomputed with libm; see laplace_grid_indices for why it suffices.
 _EDGE_BAND = 2.0**-40
+# the sign bit of a float64, as the int64 of its bit pattern
+_SIGN_BIT = np.int64(-(2**63))
+
+
+class LaplaceRounds(NamedTuple):
+    """A list of round means and what ``laplace_grid_indices`` computes from
+    it before its per-value passes (``laplace_rounds``); a caller that maps
+    many blocks of one list computes it once."""
+
+    means: np.ndarray  # one float64 mean per round
+    shift: np.ndarray  # each round's grid position of its mean, (mean - clip_lo) / step: a (k, 1) column, or (1, 1)
+    gain: float  # scale / step
+    top: float  # the last grid position, (clip_hi - clip_lo) / step
+    near_edge: float  # a position this far or farther from the nearest whole one lies within the band
+
+
+def laplace_rounds(spec: NoiseSpec, means) -> LaplaceRounds:
+    """The per-round invariants of ``laplace_grid_indices`` for one mean per
+    round, in the frame of ``_grid_positions`` (``_position_frame``). When
+    every round has one shift it is kept once, as a (1, 1) array: numpy adds
+    that to a block as fast as a scalar, and a column at about 2.5 times the
+    cost."""
+    means = np.asarray(means, dtype=np.float64)
+    clip_lo, step, top = _position_frame(spec)
+    shift = ((means - clip_lo) / step)[:, None]
+    if len(shift) and (shift == shift[0]).all():
+        shift = shift[:1]
+    return LaplaceRounds(means, shift, spec.scale / step, top, 0.5 - _EDGE_BAND / step)
 
 
 def laplace_grid_indices(spec: NoiseSpec, u: np.ndarray, means) -> np.ndarray:
@@ -186,9 +216,10 @@ def laplace_grid_indices(spec: NoiseSpec, u: np.ndarray, means) -> np.ndarray:
     ``_laplace_from_uniform(u, spec.scale)`` of each double of ``u``, a
     (k, rows) array (or view) of nonzero doubles (``laplace_uniforms``),
     round r of every transcript in row r, and ``means`` holds one mean per
-    round. It copies ``u`` round-major, so each round's mean is one scalar
-    of one row, and its temporaries are the size of ``u``: a caller passes
-    blocks of about ``_BLOCK_VALUES`` doubles.
+    round, or is their ``laplace_rounds(spec, means)``. It copies ``u``
+    round-major, so each round's mean is one scalar of one row, and its
+    temporaries are the size of ``u``: a caller passes blocks of about
+    ``_BLOCK_VALUES`` doubles.
 
     Each double goes to its grid position through one affine map of a
     vectorized ``np.log`` of numpy's branch value
@@ -222,29 +253,32 @@ def laplace_grid_indices(spec: NoiseSpec, u: np.ndarray, means) -> np.ndarray:
     clipped positions, so a clipped position that differs from the
     reference's lies within the gap of it and is tested like any other.
     """
-    means = np.asarray(means, dtype=np.float64)
-    scale = spec.scale
-    clip_lo, step, top = _position_frame(spec)
-    # a position this far or farther from the nearest whole one lies within the band of a half step
-    near_edge = 0.5 - _EDGE_BAND / step
+    rounds = means if isinstance(means, LaplaceRounds) else laplace_rounds(spec, means)
     u = np.ascontiguousarray(u)
     positions = u + u
     other = 2.0 - u
     other -= u
     np.minimum(positions, other, out=positions)  # u + u below 0.5, (2.0 - u) - u from 0.5 up
     np.log(positions, out=positions)
-    np.subtract(u, 0.5, out=other)
-    np.copysign(positions, other, out=positions)  # log t below 0.5, -log t from 0.5 up
-    positions *= scale / step
-    positions += ((means - clip_lo) / step)[:, None]
-    np.clip(positions, 0.0, top, out=positions)
+    # copysign(log t, u - 0.5), log t below 0.5 and -log t from 0.5 up, bit
+    # for bit: log t is never positive, so that flips its sign bit where
+    # 0.5 - u has one set. The two integer passes take less time than
+    # np.copysign's one.
+    np.subtract(0.5, u, out=other)
+    np.bitwise_and(other.view(np.int64), _SIGN_BIT, out=other.view(np.int64))
+    np.bitwise_xor(positions.view(np.int64), other.view(np.int64), out=positions.view(np.int64))
+    positions *= rounds.gain
+    positions += rounds.shift
+    # the clip as two raw ufuncs: np.clip's Python wrapper costs a second pass's time on a small block
+    np.maximum(positions, 0.0, out=positions)
+    np.minimum(positions, rounds.top, out=positions)
     np.rint(positions, out=other)
     indices = other.astype(np.intp)
     positions -= other
-    near = np.abs(positions, out=positions) >= near_edge
+    near = np.abs(positions, out=positions) >= rounds.near_edge
     if near.any():
         for row, col in zip(*np.nonzero(near)):
-            value = _laplace_from_uniform(float(u[row, col]), scale) + means[row]
+            value = _laplace_from_uniform(float(u[row, col]), spec.scale) + rounds.means[row]
             indices[row, col] = grid_index(spec, value)
     return indices
 
@@ -303,8 +337,10 @@ def quantize_array(spec: NoiseSpec, values) -> np.ndarray:
     return _CLIP_LO + _grid_indices(spec, values) * spec.grid_step
 
 
-def output_distribution(spec: NoiseSpec, mean: float) -> np.ndarray:
-    """Exact law of ``quantize(mean + noise)`` over the grid values.
+def output_distribution(spec: NoiseSpec, mean) -> np.ndarray:
+    """Exact law of ``quantize(mean + noise)`` over the grid values, or one
+    such row per mean for an array of means, each row bit for bit the law
+    of its mean alone.
 
     Interior grid values collect the noise mass within half a step on either
     side; the two edge values also absorb the clipped tails. Requires a
@@ -312,16 +348,17 @@ def output_distribution(spec: NoiseSpec, mean: float) -> np.ndarray:
     """
     if spec.scale == 0.0:
         raise ValueError("exact output law needs scale > 0")
-    # bin edges as offsets from the mean
-    offsets = spec.clip_lo + (np.arange(spec.n_bins) + 0.5) * spec.grid_step - mean
-    cdf = np.asarray(noise_cdf(spec, offsets))
+    # bin edges as offsets from each mean, one row per mean
+    edges = spec.clip_lo + (np.arange(spec.n_bins) + 0.5) * spec.grid_step
+    offsets = edges - np.asarray(mean, dtype=np.float64)[..., None]
+    cdf = noise_cdf(spec, offsets)
     sf = noise_cdf(spec, -offsets)  # P(noise > offset), by the noise's symmetry
-    probs = np.empty(spec.n_bins + 1, dtype=np.float64)
-    probs[0] = cdf[0]
+    probs = np.empty((*offsets.shape[:-1], spec.n_bins + 1), dtype=np.float64)
+    probs[..., 0] = cdf[..., 0]
     # Above the mean CDF values round toward 1 and their differences cancel
     # to 0; differences of the survival function keep those bins exact.
-    probs[1:-1] = np.where(offsets[:-1] >= 0.0, sf[:-1] - sf[1:], np.diff(cdf))
-    probs[-1] = sf[-1]
+    probs[..., 1:-1] = np.where(offsets[..., :-1] >= 0.0, sf[..., :-1] - sf[..., 1:], np.diff(cdf))
+    probs[..., -1] = sf[..., -1]
     return probs
 
 

@@ -1,4 +1,5 @@
 import functools
+import logging
 import math
 import os
 import re
@@ -41,6 +42,7 @@ from adalab.mechanisms import (
     _laplace_from_uniform,
     grid_index,
     laplace_grid_indices,
+    laplace_rounds,
     laplace_uniforms,
     output_distribution,
     quantize,
@@ -181,6 +183,24 @@ class TestMaxAccurateRounds:
     def test_validation(self):
         with pytest.raises(ValueError, match="0 < eps < alpha"):
             max_accurate_rounds(0.2, 1e-6, 0.1, 0.1)
+        # the smallest beta whose quarter is a normal float, and half of it
+        least = 4 * sys.float_info.min
+        assert max_accurate_rounds(0.01, 1e-6, 0.1, least) == 0
+        with pytest.raises(ValueError, match=re.escape(f"beta {least / 2} is too small")):
+            max_accurate_rounds(0.01, 1e-6, 0.1, least / 2)
+
+    @pytest.mark.parametrize("beta", [0.1, 4 * sys.float_info.min])
+    def test_infeasible_round_is_logged_at_info(self, caplog, beta):
+        with caplog.at_level(logging.INFO, logger="adalab.bounds"):
+            assert max_accurate_rounds(0.01, 1e-6, 0.1, beta) == 0
+        assert f"no accurate round budget at eps=0.01 alpha=0.1 beta={beta:g}: one round already gives" in caplog.text
+
+    def test_infeasible_round_builds_no_diagnostic_unless_logged(self, caplog, monkeypatch):
+        import adalab.bounds
+
+        caplog.set_level(logging.WARNING, logger="adalab.bounds")
+        monkeypatch.setattr(adalab.bounds, "composed_epsilon", lambda *args: pytest.fail("diagnostic built"))
+        assert max_accurate_rounds(0.01, 0.5, 0.1, 0.1) == 0
 
 
 class TestAttackRoundCounts:
@@ -432,9 +452,10 @@ class TestLlrExperiment:
         common = dict(sample=mixed, dist=dist, k=10, eps=0.0625, rho=0.05, epsilon_switch=1.0)
         common.update(noise=NoiseSpec(scale=0.15625, grid_step=2**-5), trials=300, seed=7)
         fresh = run_llr_experiment(FixedQueryAnalyst([Query(0.0, {1: 1.0}) for _ in range(10)]), **common)
-        assert laws == [0.5, 0.25]  # the empirical and the true mean's laws, once each
+        # one evaluation of the empirical and the true mean's laws, each mean once
+        assert [list(means) for means in laws] == [[0.5, 0.25]]
         interned = run_llr_experiment(FixedQueryAnalyst([Query(0.0, {1: 1.0})] * 10), **common)
-        assert laws == [0.5, 0.25] * 2
+        assert [list(means) for means in laws] == [[0.5, 0.25]] * 2
         assert interned.frac_exceed_hybrid > 0.0
         assert fresh == interned
 
@@ -682,6 +703,25 @@ def edge_doubles(spec, means, stride=1):
     return sorted(doubles)
 
 
+def block_llrs(spec, means, terms, term_rows, u):
+    """``_block_llrs`` fed the invariants a direction computes once: the
+    rounds' grid frame, the flattened terms and each round's row offset
+    (none when every round reads row 0)."""
+    offsets = (term_rows * (spec.n_bins + 1))[:, None] if term_rows.any() else None
+    return _block_llrs(spec, laplace_rounds(spec, means), terms.ravel(), offsets, u)
+
+
+def reference_block_llrs(spec, means, terms, term_rows, u):
+    """The block step that set itself up per block: the grid indices of the
+    means, each round's row offset and the flattened terms."""
+    indices = laplace_grid_indices(spec, u, means)
+    indices += (term_rows * (spec.n_bins + 1))[:, None]
+    drawn = terms.ravel().take(indices)
+    if drawn.shape[1] == 1 and len(drawn) > 1:
+        return np.add.accumulate(drawn[:, 0])[-1:]
+    return np.add.reduce(drawn, axis=0)
+
+
 class TestRoundMajorBlocks:
     """A block's round-major pipeline, ``laplace_grid_indices`` with the
     round offsets, one ``take`` and one in-order sum, against libm."""
@@ -711,7 +751,7 @@ class TestRoundMajorBlocks:
         terms = np.stack((np.zeros(spec.n_bins + 1), np.arange(spec.n_bins + 1)))
         for checked in (0, k - 1):
             rows = (np.arange(k) == checked).astype(np.intp)
-            assert _block_llrs(spec, means, terms, rows, u).tolist() == expected[checked]
+            assert block_llrs(spec, means, terms, rows, u).tolist() == expected[checked]
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_sums_add_round_after_round(self, rows):
@@ -721,13 +761,52 @@ class TestRoundMajorBlocks:
         terms = np.full((20, spec.n_bins + 1), 2.0**-53)
         terms[0] = 1.0
         u = laplace_uniforms(np.random.default_rng(4), 20 * rows).reshape(rows, 20).T
-        assert _block_llrs(spec, np.full(20, 0.5), terms, np.arange(20), u).tolist() == [1.0] * rows
+        assert block_llrs(spec, np.full(20, 0.5), terms, np.arange(20), u).tolist() == [1.0] * rows
+
+    @pytest.mark.parametrize(
+        "k, rows, switch, distinct",
+        [
+            (24, 1, None, 4),  # one-column blocks: one transcript of many rounds
+            (1, 90, None, 1),  # one-row blocks: many transcripts of one round
+            (6, 45, 2, 4),  # a switch round splits the term rows
+            (20, 800, 13, 4),  # llr-exact's block shape
+            (20, 800, None, 1),  # and its rounds' one mean and one row of terms
+            (20, 30, 7, 1),  # one mean, two rows of terms
+        ],
+    )
+    @pytest.mark.parametrize("scale, grid_step", [(0.15625, 0.125), (0.5, 2 / 49)])
+    def test_block_step_keeps_its_bits(self, scale, grid_step, k, rows, switch, distinct):
+        # The block step fed its per-direction invariants gives each
+        # transcript's in-order sum of libm's terms, as the block step that
+        # set itself up per block does. The later transcripts' doubles sit
+        # exactly on a bin edge of their round's mean, or next to one.
+        spec = NoiseSpec(scale=scale, grid_step=grid_step)
+        round_means = [0.3, spec.clip_lo + (spec.n_bins // 3 + 0.5) * grid_step, 1.45, -0.45][:distinct]
+        means = np.resize(round_means, k)
+        at_edges = {mean: edge_doubles(spec, [mean]) for mean in round_means}
+        block = laplace_uniforms(np.random.default_rng(k), rows * k).reshape(rows, k)
+        for r, mean in enumerate(means.tolist()):
+            block[rows // 2 :, r] = np.resize(np.roll(at_edges[mean], -r), rows - rows // 2)
+        u = block.T
+        term_rows = (np.arange(k) >= (k if switch is None else switch)).astype(np.intp)
+        terms = np.random.default_rng(7).standard_normal((2, spec.n_bins + 1))
+        llrs = block_llrs(spec, means, terms, term_rows, u)
+        expected = []
+        for column in u.T.tolist():
+            indices = [reference_index(spec, x, mean) for x, mean in zip(column, means)]
+            picked = [terms[row, index] for row, index in zip(term_rows, indices)]
+            expected.append(functools.reduce(lambda total, term: total + term, picked))
+        assert llrs.tolist() == expected
+        assert llrs.tobytes() == reference_block_llrs(spec, means, terms, term_rows, u).tobytes()
 
 
 ROOT = Path(__file__).resolve().parent.parent
 LLR_PINS = [
     "tests/test_bounds.py::TestLlrFixedQueries",
     "tests/test_bounds.py::TestRoundMajorBlocks",
+    "tests/test_mechanisms.py::TestOutputDistribution::test_rows_of_means_are_the_laws_of_each_mean",
+    "tests/test_mechanisms.py::TestOutputDistribution::test_rows_on_the_default_grid",
+    "tests/test_mechanisms.py::TestNoiseSpec::test_stray_tail_mass_is_the_two_call_sum",
     "tests/test_cli.py::TestReadmeAttacks::test_records_are_pinned[llr]",
     "tests/test_cli.py::TestReadmeAttacks::test_records_are_pinned[llr-50000]",
 ]

@@ -278,6 +278,12 @@ class TestExitCodes:
                 "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta nan --n 400 --k 3 --trials 2",
                 "positive_accuracy experiment needs 0 < beta < 1, got beta nan",
             ),
+            # a quarter of beta underflowed to 0 and failed as "rho must lie in (0, 1)", a value never set
+            (
+                "positive --eps 0.005 --gamma 0.05 --alpha 0.9 --beta 5e-324 --n 400",
+                "beta 5e-324 is too small: each failure term's share of it, beta * 0.25, must be a normal float, "
+                "so beta >= 8.9003e-308",
+            ),
             *GUARDED_PAST_LIMIT,
             *(
                 (

@@ -363,6 +363,27 @@ class TestRunExperimentKinds:
         assert s["threshold"] == composed_epsilon(3, 0.0625, 0.3125, 0.05)
         assert len(result.records) == 1
 
+    @pytest.mark.parametrize("epsilon_switch", [None, 0.001])  # the hybrid never switches, or from round 0
+    def test_llr_call_evaluates_its_laws_once(self, monkeypatch, epsilon_switch):
+        # the fixed cost of a call, counted: NoiseSpec's tail check reads one
+        # noise_cdf call, and one law evaluation of every distinct mean two
+        import adalab.bounds
+        import adalab.mechanisms
+
+        calls = {}
+        for module, name in ((adalab.mechanisms, "noise_cdf"), (adalab.bounds, "output_distribution")):
+
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        params = {"eps": 0.03125, "noise_scale": 0.15625, "grid_step": 0.125, "k": 20, "rho": 0.05, "n": 64}
+        if epsilon_switch is not None:
+            params["epsilon_switch"] = epsilon_switch
+        run_experiment(ExperimentConfig(kind="llr", trials=2000, seed=1, params=params))
+        assert calls == {"noise_cdf": 3, "output_distribution": 1}
+
     def test_divergence_real_vs_oracle(self):
         cfg = ExperimentConfig(
             kind="divergence",

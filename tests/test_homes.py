@@ -1,15 +1,19 @@
 """Every "one home" rule of the package (ROADMAP aim 2) is one row of
 ``RULES``, and one AST walker checks them all.
 
-A row names the aim-2 "Done" entry it guards, the modules it scans, what it
-forbids there, and its homes: the functions where that is allowed, written
-``module.py::Class.method``, plus each function the scanned module names by
-a keyword in ``keyword_homes`` (every ``resolve=`` of ``harness.KINDS``). A
-row with ``within`` scans only those functions. A new rule is a new row, and
-a home or callee that no longer exists fails ``test_every_name_exists``.
+A row names the ROADMAP entry it guards (an aim-2 "Done" or an aim-1
+"Measured"), the modules it scans, what it forbids there, and its homes:
+the functions where that is allowed, written ``module.py::Class.method``,
+plus each function the scanned module names by a keyword in
+``keyword_homes`` (every ``resolve=`` of ``harness.KINDS``). A row with
+``within`` scans only those functions, and a ``repeated`` row finds only
+what lies in a loop, a comprehension or a cached function. A new rule is a
+new row, and a home or callee that no longer exists fails
+``test_every_name_exists``.
 """
 
 import ast
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +26,7 @@ EVERY = tuple(sorted(path.name for path in SRC.glob("*.py")))
 
 @dataclass(frozen=True)
 class Rule:
-    done: str  # the ROADMAP "Done" entry the rule guards
+    done: str  # the ROADMAP entry the rule guards
     says: str
     modules: tuple[str, ...]
     calls: tuple[str, ...] = ()  # f(...) or x.f(...)
@@ -37,6 +41,7 @@ class Rule:
     homes: tuple[str, ...] = ()
     keyword_homes: tuple[str, ...] = ()
     within: tuple[str, ...] = ()
+    repeated: bool = False  # only inside a loop, a comprehension or a cached function
 
 
 BUILDERS = (
@@ -47,6 +52,7 @@ SWITCH, INFO, KEYED = "hybrid switch and output grid", "info queries", "keyed or
 LAYOUT = "element layout"
 LAPLACE, MEANS, SIZES = "numpy's Laplace formula", "means", "sizes"
 SCORE = "score attack"
+LLR_COST = "llr call's fixed cost"
 GRID_RULE = tuple(
     f"mechanisms.py::{name}" for name in ("grid_index", "quantize", "_position_frame", "_grid_positions", "quantize_array")
 )
@@ -103,6 +109,12 @@ RULES = (
          EVERY, calls=("repeat",), homes=("core.py::FiniteDistribution.element_rows",)),
     Rule(SIZES, "only check_elements reads the element limit",
          EVERY, loads=("_SUPPORT_ELEMENT_LIMIT",), homes=("attack.py::check_elements",)),
+    Rule(LLR_COST, "bounds.py evaluates each law set once: no output_distribution call in a loop or a cached closure",
+         ("bounds.py",), calls=("output_distribution",), repeated=True),
+    Rule(LLR_COST, "the LLR path clips with raw ufuncs and builds plain records: no clip or asdict call",
+         ("bounds.py", "harness.py", "mechanisms.py"), calls=("clip", "asdict"),
+         within=("bounds.py::run_llr_experiment", "bounds.py::_block_llrs", "harness.py::_run_llr",
+                 "mechanisms.py::laplace_rounds", "mechanisms.py::laplace_grid_indices")),
 )
 
 
@@ -143,6 +155,18 @@ def _reads_a_param(node: ast.AST) -> bool:
     if isinstance(node, ast.Subscript):
         return _is_params(node.value)
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and _is_params(node.func.value)
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_CACHES = ("cache", "lru_cache", "cached_property")
+
+
+def _repeats(node: ast.AST) -> bool:
+    """A loop or a comprehension, or a function a cache decorator wraps."""
+    if isinstance(node, _LOOPS):
+        return True
+    decorators = node.decorator_list if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else []
+    return any(_name(d.func if isinstance(d, ast.Call) else d) in _CACHES for d in decorators)
 
 
 def _compares_the_kind_to_a_literal(node: ast.Compare) -> bool:
@@ -202,6 +226,9 @@ def breaks(source: str, module: str, rules) -> list[str]:
         allowed = {id(node) for home in homes for node in ast.walk(home)}
         scope = [functions[name] for name in _in(module, rule.within) if name in functions] if rule.within else [tree]
         nodes = [node for root in scope for node in ast.walk(root) if id(node) not in allowed]
+        if rule.repeated:
+            repeating = {id(node) for root in ast.walk(tree) if _repeats(root) for node in ast.walk(root)}
+            nodes = [node for node in nodes if id(node) in repeating]
         found += [hit for node in nodes for hit in _breaks_at(rule, node)]
     found.sort(key=lambda node: (node.lineno, node.col_offset))
     return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
@@ -230,7 +257,9 @@ def test_every_name_exists():
         if entry.split("::")[1] not in functions.get(entry.split("::")[0], {})
     ]
     callees = {name for rule in RULES for name in rule.calls + rule.calls_on}
-    missing += sorted(name for name in callees if name not in defined and not hasattr(np, name))
+    missing += sorted(
+        name for name in callees if name not in defined and not hasattr(np, name) and not hasattr(dataclasses, name)
+    )
     assert missing == []
 
 
@@ -453,6 +482,37 @@ SLOT_SOURCE = (
     "    def query_for_block(self, block):\n"
     "        return Query.from_arrays(0.0, self.slot_elements(block), np.ones(1))\n"
 )
+LAW_SOURCE = (
+    "def run_llr_experiment(noise, means):\n"
+    "    laws = np.log(output_distribution(noise, means))\n"
+    "    rows = [output_distribution(noise, mean) for mean in means]\n"
+    "    for mean in means:\n"
+    "        law = mechanisms.output_distribution(noise, mean)\n"
+    "    @functools.cache\n"
+    "    def log_law(mean):\n"
+    "        return np.log(output_distribution(noise, mean))\n"
+    "    @lru_cache(maxsize=None)\n"
+    "    def law(mean):\n"
+    "        return output_distribution(noise, mean)\n"
+    "def divergence_diagnostics(noise, a, b):\n"
+    "    return output_distribution(noise, a), output_distribution(noise, b)\n"
+    "while rounds:\n"
+    "    output_distribution(noise, rounds.pop())\n"
+)
+LLR_PATH_SOURCE = (
+    "def laplace_grid_indices(spec, u, means):\n"
+    "    np.clip(positions, 0.0, top, out=positions)\n"
+    "    return positions.clip(0.0, top), np.maximum(positions, 0.0, out=positions)\n"
+    "def _block_llrs(noise, rounds, terms, offsets, u):\n"
+    "    return np.clip(u, 0.0, 1.0)\n"
+    "def run_llr_experiment(analyst):\n"
+    "    return dataclasses.asdict(report)\n"
+    "def _run_llr(config, run):\n"
+    "    record = dataclasses.asdict(report)\n"
+    "    return asdict(report), dict(vars(report))\n"
+    "def _run_divergence(config, run):\n"
+    "    return dataclasses.asdict(report), np.clip(x, 0.0, 1.0)\n"
+)
 PRODUCT_BREAKS = [
     "line 5: probs @ means", "line 6: means @= probs", "line 7: np.dot(probs, means)", "line 7: probs.dot(means)",
     "line 7: np.matmul(probs, means)", "line 7: np.inner(probs, means)", "line 10: np.vdot(probs, rows)",
@@ -568,6 +628,21 @@ INFO_DRAWS = ["line 9: self.rng_table.random(self.inst.support_size)", "line 9: 
         pytest.param(SIZES, "attack.py", LIMIT_SOURCE, [
             "line 5: attack._SUPPORT_ELEMENT_LIMIT", "line 7: _SUPPORT_ELEMENT_LIMIT",
         ], id="element limit read in attack outside check_elements"),
+        pytest.param(LLR_COST, "bounds.py", LAW_SOURCE, [
+            "line 3: output_distribution(noise, mean)", "line 5: mechanisms.output_distribution(noise, mean)",
+            "line 8: output_distribution(noise, mean)", "line 11: output_distribution(noise, mean)",
+            "line 15: output_distribution(noise, rounds.pop())",
+        ], id="laws evaluated over and over in bounds"),
+        pytest.param(LLR_COST, "mechanisms.py", LAW_SOURCE, [], id="laws evaluated outside bounds"),
+        pytest.param(LLR_COST, "mechanisms.py", LLR_PATH_SOURCE, [
+            "line 2: np.clip(positions, 0.0, top, out=positions)", "line 3: positions.clip(0.0, top)",
+        ], id="np.clip in the grid map"),
+        pytest.param(LLR_COST, "bounds.py", LLR_PATH_SOURCE, [
+            "line 5: np.clip(u, 0.0, 1.0)", "line 7: dataclasses.asdict(report)",
+        ], id="np.clip and asdict in the LLR"),
+        pytest.param(LLR_COST, "harness.py", LLR_PATH_SOURCE, [
+            "line 9: dataclasses.asdict(report)", "line 10: asdict(report)",
+        ], id="asdict in the llr runner"),
     ],
 )
 def test_walker_finds_each_break(done, module, source, expected):

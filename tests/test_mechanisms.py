@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import adalab
@@ -80,6 +80,19 @@ class TestNoiseSpec:
 
     def test_scale_zero_allowed(self):
         assert NoiseSpec(scale=0.0).variance() == 0.0
+
+    @given(family=st.sampled_from(["laplace", "gaussian"]), scale=st.floats(0.0, 0.8))
+    @example("laplace", 0.0)
+    @example("laplace", 1.5 / math.log(20.0) * (1 - 1e-15))  # at the tail tolerance's edge
+    @example("gaussian", 5e-324)
+    @settings(max_examples=200, deadline=None)
+    def test_stray_tail_mass_is_the_two_call_sum(self, family, scale):
+        try:
+            spec = NoiseSpec(family, scale)
+        except ValueError:
+            reject()
+        two_calls = noise_cdf(spec, spec.clip_lo - 1.0) + (1.0 - noise_cdf(spec, spec.clip_hi))
+        assert spec.stray_tail_mass().hex() == float(two_calls).hex()
 
 
 class TestNoiseCdf:
@@ -243,6 +256,32 @@ class TestOutputDistribution:
         lower = output_distribution(spec, 0.5)[index(0.25) : index(-0.5) : -1]
         assert np.all(upper > 0.0)
         np.testing.assert_allclose(upper, lower, rtol=1e-12, atol=0.0)
+
+    @given(
+        family=st.sampled_from(["laplace", "gaussian"]),
+        scale=st.floats(1e-3, 0.8),
+        bins=st.integers(1, 64),
+        # inside the clip interval, on its ends and beyond them
+        means=st.lists(st.one_of(st.floats(-2.5, 3.5), st.sampled_from([-0.5, 0.0, 1.5])), min_size=1, max_size=6),
+    )
+    @example("laplace", 1.5 / math.log(20.0) * (1 - 1e-15), 16, [0.3, -0.5, 2.0])  # at the tail tolerance's edge
+    @settings(max_examples=150, deadline=None)
+    def test_rows_of_means_are_the_laws_of_each_mean(self, family, scale, bins, means):
+        try:
+            spec = NoiseSpec(family, scale, 2.0 / bins)
+        except ValueError:
+            reject()
+        rows = output_distribution(spec, np.array(means))
+        assert rows.shape == (len(means), bins + 1)
+        assert rows.tobytes() == np.array([output_distribution(spec, mean) for mean in means]).tobytes()
+
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_rows_on_the_default_grid(self, family):
+        # two rows of 2**21 + 1 bins, a mean inside the clip interval and one below it
+        spec = NoiseSpec(family, 0.1)
+        means = [0.3, -0.7]
+        for row, mean in zip(output_distribution(spec, means), means):
+            assert row.tobytes() == output_distribution(spec, mean).tobytes()
 
     @given(st.floats(0.0, 1.0), st.floats(0.001, 0.05))
     @settings(max_examples=40)
